@@ -3,6 +3,8 @@ delimiter elision, and the tag-strip reconstruction property."""
 
 from __future__ import annotations
 
+import os
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -339,3 +341,63 @@ def test_line_count_matches_token_count(depth, h1, h2):
     got = render(m, config).decode().split("\n")[:-1]
     expected = len(m.tokens) - (4 if h2 else 0)
     assert len(got) == expected
+
+
+# Method bodies and field initializers that declare types of their own: the
+# tags inside come from the walk over local, anonymous and enum-constant
+# class bodies.  Type annotations inside a nested member's type are left to
+# the generic fallback tags, unlike those of a top-level declaration.
+NESTED = """
+class Outer {
+  @Deprecated(since = "1") private final Runnable task = new Runnable() {
+    int count = (1), limit;
+    { count++; }
+    @interface Tag { int value() default (1); String[] names() default {"a"}; }
+    @Override public void run() { count += (int) 2L; }
+  };
+
+  @SuppressWarnings({"a", "b"}) int work(@Named("n") int n) {
+    class Local implements Comparable<Local> {
+      @Ann(x = 1) int f = n;
+      java.util.List<@Ann(2) String> names;
+      static { System.gc(); }
+      @SuppressWarnings("unchecked") public int compareTo(Local o) { return 0; }
+      <T extends Number> @Ann(4) T pick(@Ann(5) T a) throws @Ann(6) Exception { return a; }
+    }
+    enum Color {
+      RED(1), GREEN(2) { @Override int code() { return -(2); } }, @Ann(3) BLUE;
+      private final int c;
+      Color(int c) { this.c = c; }
+      Color() { this(0); }
+      int code() { return c; }
+    }
+    interface Shape {
+      double area();
+      default int sides() { return 0; }
+    }
+    record Point(int x, int y) implements Shape {
+      Point { if (x < 0) throw new IllegalArgumentException(); }
+      public double area() { return (double) x * y; }
+    }
+    Object o = new Object() {
+      String s = "x", t;
+      { s = s + t; }
+      public String toString() { return s; }
+    };
+    return new Local().f + Color.RED.code();
+  }
+}
+"""
+
+NESTED_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "nested_finer_no_h2.txt")
+
+
+def nested_renders() -> str:
+    methods, fields = extract(NESTED)
+    decls = [d for d in fields if d.name == "task"] + [m for m in methods if m.name == "work"]
+    return "".join(f"== {d.name}\n" + render(d, FINER_NO_H2).decode() for d in decls)
+
+
+def test_nested_declarations_golden():
+    with open(NESTED_GOLDEN, encoding="utf-8") as f:
+        assert nested_renders() == f.read()
