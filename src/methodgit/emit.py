@@ -2,8 +2,11 @@
 
 Terminator tokens (semicolons, braces, parens) optionally carry a role tag on
 their line, and the four outermost method delimiters can be elided.  The
-tagging walker is best-effort: if it gets confused it stops, and a final pass
-fills every remaining terminator with a generic tag so output is total.
+declaration-level tags (type bodies, enum constants, member parameters,
+bodies and field terminators) follow the records of extract's walk; the
+statement and expression walker here classifies the rest.  Tagging is
+best-effort: if the walker gets confused it stops, and a final pass fills
+every remaining terminator with a generic tag so output is total.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .extract import (
-    MethodDecl,
-    FieldDecl,
+    CONTEXTUAL_MODIFIERS,
     PRIMITIVE_TYPES,
-    MODIFIER_KEYWORDS,
+    FieldDecl,
+    Member,
+    MethodDecl,
+    TypeDecl,
     match_angle,
-    match_paren,
     match_brace,
-    scan_annotation,
+    match_paren,
     scan_type,
 )
 from .lexer import Token, TokenKind
@@ -63,15 +67,20 @@ PAREN_TAGS = (
 
 # Modifiers that may precede a local variable or local class declaration.
 _LOCAL_MODIFIERS = frozenset({"final", "abstract", "static", "strictfp"})
-_CONTEXTUAL_LOCAL = frozenset({"sealed", "non-sealed"})
+
+_TYPE_TAGS = {
+    "class": "CLASS", "record": "CLASS", "enum": "ENUM", "interface": "INTERFACE",
+    "@interface": "INTERFACE",
+}
 
 _CAST_NEXT = frozenset({"(", "!", "~", "new", "this", "super"})
 
 
 class _Tagger:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
-        self.tags: list[str | None] = [None] * len(toks)
+    def __init__(self, decl: MethodDecl | FieldDecl):
+        self.toks = decl.tokens
+        self.types = decl.types
+        self.tags: list[str | None] = [None] * len(decl.tokens)
 
     # -- pair helpers ---------------------------------------------------
 
@@ -103,6 +112,16 @@ class _Tagger:
             return c + 1
         return k
 
+    def _annotations(self, lo: int, hi: int) -> None:
+        """Tag the annotations among the tokens in [lo, hi)."""
+        toks = self.toks
+        j = lo
+        while j < hi:
+            if toks[j].text == "@":
+                j = self._annotation(j, hi)
+            else:
+                j += 1
+
     def _find_semi(self, lo: int, hi: int) -> int:
         """Index of the first semicolon at zero bracket depth, or hi."""
         toks = self.toks
@@ -122,66 +141,102 @@ class _Tagger:
     # -- declaration entry points ---------------------------------------
 
     def method(self, decl: MethodDecl) -> None:
-        toks = self.toks
-        n = len(toks)
-        if decl.param_open is not None:
-            stop = decl.param_open
-        elif decl.body_open is not None:
-            stop = decl.body_open
-        else:
-            stop = n
-        j = 0
-        while j < stop:
-            if toks[j].text == "@":
-                j = self._annotation(j, stop)
-            else:
-                j += 1
-        if decl.param_open is not None:
-            self._pair(decl.param_open, decl.param_close, "METHOD_PARAMS")
-            j = decl.param_open + 1
-            while j < decl.param_close:
-                if toks[j].text == "@":
-                    j = self._annotation(j, decl.param_close)
-                else:
-                    j += 1
-            j = decl.param_close + 1
-        if decl.body_open is not None:
-            self._pair(decl.body_open, decl.body_close, "METHOD_BODY")
-            while j < decl.body_open:
-                if toks[j].text == "@":
-                    j = self._annotation(j, decl.body_open)
-                else:
-                    j += 1
-            self._block(decl.body_open + 1, decl.body_close, False)
-        else:
-            last = n - 1
-            while j < last:
-                txt = toks[j].text
-                if txt == "@":
-                    j = self._annotation(j, last)
-                elif txt == "default" and toks[j].kind == TokenKind.KEYWORD:
-                    self._expr(j + 1, last, False)
-                    break
-                else:
-                    j += 1
-            if toks[last].text == ";":
-                self.tags[last] = "ABSTRACT_METHOD"
+        m = decl.member
+        o = m.start
+        self._annotations(0, (m.params[0] if m.params else m.body) - o)
+        self._callable(m, o)
 
     def fielddecl(self, decl: FieldDecl) -> None:
-        toks = self.toks
-        last = len(toks) - 1
-        j = 0
-        while j < last:
-            txt = toks[j].text
-            if txt == "@":
-                j = self._annotation(j, last)
-            elif txt == "=":
-                self._expr(j + 1, last, False)
-                break
-            else:
-                j += 1
-        if toks[last].text == ";":
-            self.tags[last] = "FIELD"
+        last = len(self.toks) - 1
+        if decl.initializer is None:
+            self._annotations(0, last)
+        else:
+            lo, hi = decl.initializer
+            self._annotations(0, lo - 1)
+            self._expr(lo, hi, False)
+        self.tags[last] = "FIELD"
+
+    # -- records of extract's walk ----------------------------------------
+    #
+    # Record indices point into the file's tokens; o is what to subtract to
+    # get an index into this declaration's tokens.
+
+    def _type(self, rec: TypeDecl, o: int, hi: int) -> int:
+        """Tag a type declaration in a region ending at hi; returns the
+        index after it."""
+        stop = (rec.end if rec.body_open is None else rec.body_open) - o
+        if stop >= hi:
+            self._annotations(rec.header - o, hi)
+            return hi
+        self._annotations(rec.header - o, stop)
+        if rec.body_open is None:
+            return stop + 1
+        return self._type_body(rec, o, _TYPE_TAGS[rec.kind])
+
+    def _type_body(self, rec: TypeDecl, o: int, tag: str) -> int:
+        """Tag a type body: enum constants, then members."""
+        b = rec.body_open - o
+        end = rec.end - o
+        if end >= len(self.toks):
+            raise ParseError("type body runs past the declaration")
+        self._pair(b, end, tag)
+        j = b + 1
+        for const in rec.constants:
+            self._annotations(j, const.name - o)
+            j = const.name - o + 1
+            if const.args is not None:
+                lo, c = const.args[0] - o, const.args[1] - o
+                self._pair(lo, c, "CONSTRUCTOR_CALL")
+                self._expr(lo + 1, c, False)
+                j = c + 1
+            if const.body is not None:
+                j = self._type_body(const.body, o, "ANONYMOUS_CLASS")
+        if rec.kind == "enum":
+            semi = end if rec.constants_end is None else rec.constants_end - o
+            self._annotations(j, semi)
+            if semi < end:
+                self.tags[semi] = "ENUM_CONSTANT_LIST"
+        for m in rec.members:
+            self._member(m, o, end)
+        return end + 1
+
+    def _member(self, m: Member, o: int, hi: int) -> None:
+        self._annotations(m.start - o, m.head - o)
+        end = m.end - o
+        if m.kind == "type":
+            self._type(m.type, o, hi)
+        elif m.kind == "initializer":
+            self._pair(m.body - o, end, "STATIC_INIT" if "static" in m.modifiers else "INSTANCE_INIT")
+            self._block(m.body - o + 1, end, False)
+        elif m.kind == "method":
+            self._callable(m, o)
+        else:
+            for lo, init_end in m.inits:
+                self._expr(lo - o, init_end - o, False)
+            self.tags[end] = "FIELD"
+
+    def _callable(self, m: Member, o: int) -> None:
+        """Tag a method or constructor from its parameter list on."""
+        end = m.end - o
+        body = None if m.body is None else m.body - o
+        tail = body
+        if m.params is not None:
+            popen, pclose = m.params[0] - o, m.params[1] - o
+            self._pair(popen, pclose, "METHOD_PARAMS")
+            self._annotations(popen + 1, pclose)
+            tail = pclose + 1
+        if body is not None:
+            self._pair(body, end, "METHOD_BODY")
+            self._annotations(tail, body)
+            self._block(body + 1, end, False)
+            return
+        if m.default is None:
+            self._annotations(tail, end)
+        else:
+            lo = m.default[0] - o
+            self._annotations(tail, lo - 1)
+            self._expr(lo, m.default[1] - o, False)
+        self.tags[end] = "ABSTRACT_METHOD"
 
     # -- statements -----------------------------------------------------
 
@@ -257,24 +312,13 @@ class _Tagger:
             if tk.text in _LOCAL_MODIFIERS and tk.kind == TokenKind.KEYWORD:
                 k += 1
                 continue
-            if tk.text in _CONTEXTUAL_LOCAL:
+            if tk.text in CONTEXTUAL_MODIFIERS:
                 k += 1
                 continue
             break
-        if k < hi:
-            tk = toks[k]
-            if tk.text in ("class", "enum", "interface") and tk.kind == TokenKind.KEYWORD:
-                return self._type_decl(k, hi)
-            if tk.text == "@" and k + 1 < hi and toks[k + 1].text == "interface":
-                return self._type_decl(k + 1, hi)
-            if (
-                tk.text == "record"
-                and tk.kind == TokenKind.IDENTIFIER
-                and k + 2 < hi
-                and toks[k + 1].kind == TokenKind.IDENTIFIER
-                and toks[k + 2].text == "("
-            ):
-                return self._type_decl(k, hi)
+        local = self.types.get(toks[k].offset) if k < hi and toks[k].text != "{" else None
+        if local is not None:
+            return self._type(local, local.start - k, hi)
 
         s = self._find_semi(j, hi)
         self._expr(j, s, in_switch)
@@ -408,227 +452,6 @@ class _Tagger:
             j += 1
         return hi
 
-    # -- local and anonymous type bodies ---------------------------------
-
-    def _type_decl(self, j: int, hi: int) -> int:
-        """Tag a type declaration whose class/interface/enum/record keyword
-        is at j (for @interface, j is the 'interface' token)."""
-        toks = self.toks
-        kw = toks[j].text
-        tag = {"class": "CLASS", "record": "CLASS", "enum": "ENUM"}.get(kw, "INTERFACE")
-        j += 1
-        if j < hi and toks[j].kind == TokenKind.IDENTIFIER:
-            j += 1
-        g = match_angle(toks, j) if j < hi and toks[j].text == "<" else None
-        if g is not None:
-            j = g
-        if kw == "record" and j < hi and toks[j].text == "(":
-            j = match_paren(toks, j) + 1
-        while j < hi and toks[j].text != "{":
-            if toks[j].text == "@":
-                j = self._annotation(j, hi)
-                continue
-            if toks[j].text == ";":
-                return j + 1
-            j += 1
-        if j >= hi:
-            return hi
-        b = self._brace(j, tag)
-        if kw == "enum":
-            k = self._enum_body(j + 1, b)
-            self._class_body(k, b)
-        else:
-            self._class_body(j + 1, b)
-        return b + 1
-
-    def _enum_body(self, lo: int, hi: int) -> int:
-        toks = self.toks
-        j = lo
-        while j < hi:
-            t = toks[j]
-            if t.text == ";":
-                self.tags[j] = "ENUM_CONSTANT_LIST"
-                return j + 1
-            if t.text == "@":
-                j = self._annotation(j, hi)
-                continue
-            if t.kind != TokenKind.IDENTIFIER:
-                raise ParseError("unexpected enum constant")
-            j += 1
-            if j < hi and toks[j].text == "(":
-                c = self._paren(j, "CONSTRUCTOR_CALL")
-                self._expr(j + 1, c, False)
-                j = c + 1
-            if j < hi and toks[j].text == "{":
-                b = self._brace(j, "ANONYMOUS_CLASS")
-                self._class_body(j + 1, b)
-                j = b + 1
-            if j < hi and toks[j].text == ",":
-                j += 1
-        return hi
-
-    def _class_body(self, lo: int, hi: int) -> None:
-        toks = self.toks
-        j = lo
-        while j < hi:
-            if toks[j].text == ";":
-                j += 1
-                continue
-            j = self._class_member(j, hi)
-
-    def _class_member(self, start: int, hi: int) -> int:
-        toks = self.toks
-        mods: list[str] = []
-        j = start
-        while j < hi:
-            t = toks[j]
-            if t.text == "@" and j + 1 < hi and toks[j + 1].text == "interface":
-                break
-            if t.text == "@":
-                j = self._annotation(j, hi)
-                continue
-            if t.kind == TokenKind.KEYWORD and t.text in MODIFIER_KEYWORDS:
-                mods.append(t.text)
-                j += 1
-                continue
-            if t.text in _CONTEXTUAL_LOCAL:
-                mods.append(t.text)
-                j += 1
-                continue
-            break
-        if j >= hi:
-            return hi
-        t = toks[j]
-        txt = t.text
-
-        if txt in ("class", "enum", "interface") and t.kind == TokenKind.KEYWORD:
-            return self._type_decl(j, hi)
-        if txt == "@" and j + 1 < hi and toks[j + 1].text == "interface":
-            return self._type_decl(j + 1, hi)
-        if (
-            txt == "record"
-            and t.kind == TokenKind.IDENTIFIER
-            and j + 2 < hi
-            and toks[j + 1].kind == TokenKind.IDENTIFIER
-            and toks[j + 2].text in ("(", "<")
-        ):
-            return self._type_decl(j, hi)
-
-        if txt == "{":
-            tag = "STATIC_INIT" if "static" in mods else "INSTANCE_INIT"
-            c = self._brace(j, tag)
-            self._block(j + 1, c, False)
-            return c + 1
-
-        if txt == "<":
-            g = match_angle(toks, j)
-            if g is None:
-                raise ParseError("malformed type parameters")
-            j = g
-            if j >= hi:
-                return hi
-            t = toks[j]
-
-        st = scan_type(toks, j)
-        if st is None:
-            raise ParseError("unrecognized member")
-        end, _ = st
-        if end < hi and toks[end].text == "(":
-            # constructor: the scanned "type" was the class name
-            c = self._paren(end, "METHOD_PARAMS")
-            self._params(end + 1, c)
-            return self._method_tail(c + 1, hi)
-        if end < hi and toks[end].text == "{":
-            # compact record constructor
-            b = self._brace(end, "METHOD_BODY")
-            self._block(end + 1, b, False)
-            return b + 1
-        if end >= hi or toks[end].kind != TokenKind.IDENTIFIER:
-            raise ParseError("unrecognized member")
-        name_end = end + 1
-        if name_end < hi and toks[name_end].text == "(":
-            c = self._paren(name_end, "METHOD_PARAMS")
-            self._params(name_end + 1, c)
-            return self._method_tail(c + 1, hi)
-        return self._field_member(end, hi)
-
-    def _params(self, lo: int, hi: int) -> None:
-        toks = self.toks
-        j = lo
-        while j < hi:
-            if toks[j].text == "@":
-                j = self._annotation(j, hi)
-            else:
-                j += 1
-
-    def _method_tail(self, j: int, hi: int) -> int:
-        toks = self.toks
-        while j < hi:
-            txt = toks[j].text
-            if txt == "{":
-                b = self._brace(j, "METHOD_BODY")
-                self._block(j + 1, b, False)
-                return b + 1
-            if txt == ";":
-                self.tags[j] = "ABSTRACT_METHOD"
-                return j + 1
-            if txt == "@":
-                j = self._annotation(j, hi)
-                continue
-            if txt == "default" and toks[j].kind == TokenKind.KEYWORD:
-                s = self._find_semi(j + 1, hi)
-                self._expr(j + 1, s, False)
-                j = s
-                continue
-            j += 1
-        return hi
-
-    def _field_member(self, name_idx: int, hi: int) -> int:
-        toks = self.toks
-        j = name_idx
-        while j < hi:
-            if toks[j].kind != TokenKind.IDENTIFIER:
-                raise ParseError("malformed field")
-            j += 1
-            while j + 1 < hi and toks[j].text == "[" and toks[j + 1].text == "]":
-                j += 2
-            if j < hi and toks[j].text == "=":
-                lo = j + 1
-                j = self._init_end(lo, hi)
-                self._expr(lo, j, False)
-            if j >= hi:
-                return hi
-            if toks[j].text == ",":
-                j += 1
-                continue
-            if toks[j].text == ";":
-                self.tags[j] = "FIELD"
-                return j + 1
-            raise ParseError("malformed field")
-        return hi
-
-    def _init_end(self, lo: int, hi: int) -> int:
-        """End of a variable initializer: the ',' or ';' at depth zero."""
-        toks = self.toks
-        depth = 0
-        j = lo
-        while j < hi:
-            txt = toks[j].text
-            if txt in ("(", "[", "{"):
-                depth += 1
-            elif txt in (")", "]", "}"):
-                depth -= 1
-            elif depth == 0:
-                if txt in (",", ";"):
-                    return j
-                if txt == "<" and j > lo and toks[j - 1].kind == TokenKind.IDENTIFIER:
-                    g = match_angle(toks, j)
-                    if g is not None and g < hi and toks[g].text in ("(", "::"):
-                        j = g
-                        continue
-            j += 1
-        return hi
-
     # -- expressions ------------------------------------------------------
 
     def _expr(self, lo: int, hi: int, in_switch: bool) -> None:
@@ -754,9 +577,9 @@ class _Tagger:
             c = self._paren(k, "CONSTRUCTOR_CALL")
             self._expr(k + 1, c, False)
             if c + 1 < hi and toks[c + 1].text == "{":
-                b = self._brace(c + 1, "ANONYMOUS_CLASS")
-                self._class_body(c + 2, b)
-                return b + 1
+                body = self.types.get(toks[c + 1].offset)
+                if body is not None:
+                    return self._type_body(body, body.body_open - c - 1, "ANONYMOUS_CLASS")
             return c + 1
         return k
 
@@ -767,7 +590,7 @@ def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
     Always total: every ';', brace, and paren token receives a tag, falling
     back to a generic one where the walker could not classify.
     """
-    tagger = _Tagger(decl.tokens)
+    tagger = _Tagger(decl)
     try:
         if isinstance(decl, MethodDecl):
             tagger.method(decl)

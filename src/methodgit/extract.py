@@ -4,12 +4,14 @@ The walker is a lightweight structural parser: it matches brace, paren, and
 angle structure and recognizes declaration headers, which is all the
 downstream stages need.  It does not build expression trees and it never
 resolves names.  Anything it cannot make sense of raises ParseError and the
-caller falls back to passing the file through untouched.
+caller falls back to passing the file through untouched.  The structure it
+walks is kept as records (TypeDecl, EnumConstant, Member), from which the
+renderer tags the terminators of nested declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .lexer import Javadoc, LexResult, Token, TokenKind, tokenize
@@ -34,13 +36,74 @@ TYPE_DECL_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 
 @dataclass
+class TypeDecl:
+    """A type declaration, or the body of an anonymous class or enum
+    constant, as the walk saw it.  Indices point into the file's tokens.
+
+    kind is 'class', 'interface', 'enum', 'record', '@interface' or
+    'anonymous'.  start is the declaring keyword ('@' of '@interface'), or
+    the '{' of an anonymous body; header is the index after the name, type
+    parameters and record components.  body_open is None for a declaration
+    that ends in ';'; end is its closing '}' or that ';'.  constants_end is
+    the ';' that closes an enum's constant list.
+    """
+
+    kind: str
+    name: str | None
+    start: int
+    header: int
+    body_open: int | None
+    end: int
+    constants: list[EnumConstant] = field(default_factory=list)
+    constants_end: int | None = None
+    members: list[Member] = field(default_factory=list)
+
+
+@dataclass
+class EnumConstant:
+    """An enum constant: its name index, argument parens, anonymous body."""
+
+    name: int
+    args: tuple[int, int] | None
+    body: TypeDecl | None
+
+
+@dataclass
+class Member:
+    """A class-body member as the walk saw it.  Indices point into the
+    file's tokens.
+
+    kind is 'type', 'initializer', 'method' or 'field'.  head is the index
+    after the member's annotations and modifiers, end its last token.  A
+    method body or initializer block runs from body to end; a method
+    without one ends in ';'.  default is the [lo, hi) range of an
+    annotation element's default value, inits the [lo, hi) initializer
+    ranges of a field's declarators.
+    """
+
+    kind: str
+    start: int
+    head: int
+    modifiers: list[str]
+    end: int
+    type: TypeDecl | None = None
+    params: tuple[int, int] | None = None
+    body: int | None = None
+    default: tuple[int, int] | None = None
+    inits: list[tuple[int, int]] = field(default_factory=list)
+
+
+@dataclass
 class MethodDecl:
     """A method, constructor, or compact record constructor.
 
     tokens is the contiguous token run of the whole declaration including
     annotations; the *_open/*_close indices are relative to it.  param_open
     is None only for compact constructors, body_open only for declarations
-    without a body (abstract/interface/annotation members).
+    without a body (abstract/interface/annotation members).  member is the
+    walk's record of the declaration.  types maps the character offsets of
+    the first token and of the body's '{' of each type declared inside a
+    method body or an initializer of the file to its record.
     """
 
     class_chain: list[str]
@@ -58,6 +121,8 @@ class MethodDecl:
     body_close: int | None
     plain_lines: list[str]
     javadoc_lines: list[str]
+    member: Member
+    types: dict[int, TypeDecl]
 
 
 @dataclass
@@ -66,6 +131,8 @@ class FieldDecl:
 
     A multi-variable declaration yields one FieldDecl per variable; tokens
     then share the leading modifier/type tokens and the closing semicolon.
+    initializer is the [lo, hi) range of the variable's initializer in
+    tokens; types is as in MethodDecl.
     """
 
     class_chain: list[str]
@@ -76,6 +143,8 @@ class FieldDecl:
     javadoc: str | None
     plain_lines: list[str]
     javadoc_lines: list[str]
+    initializer: tuple[int, int] | None
+    types: dict[int, TypeDecl]
 
 
 def _fail(msg: str, tok: Token | None = None) -> ParseError:
@@ -245,6 +314,7 @@ class _Extractor:
         self.comments = lex.comments
         self.methods: list[MethodDecl] = []
         self.fields: list[FieldDecl] = []
+        self.types: dict[int, TypeDecl] = {}
         self._anon = 0
 
     # ------------------------------------------------------------------
@@ -324,7 +394,7 @@ class _Extractor:
             if t.text == ";":
                 i += 1
                 continue
-            i = self._type_decl(i, [])
+            i = self._type_decl(i, []).end + 1
 
     def _is_type_decl_ahead(self, j: int) -> bool:
         toks = self.toks
@@ -339,16 +409,16 @@ class _Extractor:
             return False
         return False
 
-    def _type_decl(self, i: int, chain: list[str]) -> int:
-        """Parse a type declaration whose annotations/modifiers start at i.
-        Returns the index after the closing brace."""
+    def _type_decl(self, i: int, chain: list[str]) -> TypeDecl:
+        """Parse a top-level type declaration whose annotations/modifiers
+        start at i."""
         toks = self.toks
         n = len(toks)
         j = i
         while j < n:
             t = toks[j]
             if t.text == "@" and j + 1 < n and toks[j + 1].text == "interface":
-                return self._class_like(j + 2, chain, "interface")
+                return self._class_like(j, chain, "@interface")
             if t.text == "@":
                 j = scan_annotation(toks, j)
                 continue
@@ -361,7 +431,7 @@ class _Extractor:
         _expect(j < n, "unexpected end of file")
         t = toks[j]
         if t.text in TYPE_DECL_KEYWORDS:
-            return self._class_like(j + 1, chain, t.text)
+            return self._class_like(j, chain, t.text)
         if (
             t.kind == TokenKind.IDENTIFIER
             and t.text == "record"
@@ -369,12 +439,14 @@ class _Extractor:
             and toks[j + 1].kind == TokenKind.IDENTIFIER
             and toks[j + 2].text in ("(", "<")
         ):
-            return self._class_like(j + 1, chain, "record")
+            return self._class_like(j, chain, "record")
         raise _fail("expected a type declaration", t)
 
-    def _class_like(self, name_idx: int, chain: list[str], kind: str) -> int:
+    def _class_like(self, start: int, chain: list[str], kind: str) -> TypeDecl:
+        """Parse a type declaration from its keyword at start."""
         toks = self.toks
         n = len(toks)
+        name_idx = start + (2 if kind == "@interface" else 1)
         _expect(
             name_idx < n and toks[name_idx].kind == TokenKind.IDENTIFIER,
             "expected type name",
@@ -388,45 +460,57 @@ class _Extractor:
             j = g
         if kind == "record" and j < n and toks[j].text == "(":
             j = match_paren(toks, j) + 1
+        header = j
         while j < n and toks[j].text != "{":
             if toks[j].text == "@":
                 j = scan_annotation(toks, j)
                 continue
             if toks[j].text == ";":
-                return j + 1
+                return TypeDecl(kind, name, start, header, None, j)
             j += 1
         _expect(j < n, "missing type body", toks[name_idx])
-        close = match_brace(toks, j)
+        rec = TypeDecl(kind, name, start, header, j, match_brace(toks, j))
         sub_chain = chain + [name]
         k = j + 1
         if kind == "enum":
-            k = self._enum_constants(j + 1, close, sub_chain)
-        self._members(k, close, sub_chain, name)
-        return close + 1
+            k = self._enum_constants(rec, sub_chain)
+        rec.members = self._members(k, rec.end, sub_chain, name)
+        return rec
 
-    def _enum_constants(self, i: int, close: int, chain: list[str]) -> int:
+    def _anonymous(self, i: int, chain: list[str]) -> TypeDecl:
+        """The anonymous class body whose '{' is at i."""
+        close = match_brace(self.toks, i)
+        rec = TypeDecl("anonymous", None, i, i, i, close)
+        rec.members = self._members(i + 1, close, chain + [self._next_anon()], None)
+        return rec
+
+    def _enum_constants(self, rec: TypeDecl, chain: list[str]) -> int:
         """Walk the enum constant list; returns the first member index.
         Constants are not extracted as fields; a constant body is an
         anonymous class and its members are extracted."""
         toks = self.toks
-        j = i
+        close = rec.end
+        j = rec.body_open + 1
         while j < close:
             t = toks[j]
             if t.text == ";":
+                rec.constants_end = j
                 return j + 1
             if t.text == "@":
                 j = scan_annotation(toks, j)
                 continue
             _expect(t.kind == TokenKind.IDENTIFIER, "expected enum constant", t)
+            const = EnumConstant(j, None, None)
             j += 1
             if j < close and toks[j].text == "(":
                 c = match_paren(toks, j)
                 self._scan_for_types(j + 1, c, chain)
+                const.args = (j, c)
                 j = c + 1
             if j < close and toks[j].text == "{":
-                b = match_brace(toks, j)
-                self._members(j + 1, b, chain + [self._next_anon()], None)
-                j = b + 1
+                const.body = self._anonymous(j, chain)
+                j = const.body.end + 1
+            rec.constants.append(const)
             if j < close and toks[j].text == ",":
                 j += 1
         return close
@@ -434,16 +518,20 @@ class _Extractor:
     # ------------------------------------------------------------------
     # members
 
-    def _members(self, i: int, close: int, chain: list[str], class_name: str | None) -> None:
+    def _members(self, i: int, close: int, chain: list[str], class_name: str | None) -> list[Member]:
         toks = self.toks
+        out: list[Member] = []
         j = i
         while j < close:
             if toks[j].text == ";":
                 j += 1
                 continue
-            j = self._member(j, close, chain, class_name)
+            member = self._member(j, close, chain, class_name)
+            out.append(member)
+            j = member.end + 1
+        return out
 
-    def _member(self, start: int, close: int, chain: list[str], class_name: str | None) -> int:
+    def _member(self, start: int, close: int, chain: list[str], class_name: str | None) -> Member:
         toks = self.toks
         mods: list[str] = []
         j = start
@@ -465,22 +553,29 @@ class _Extractor:
             break
         _expect(j < close, "truncated member", toks[start])
         t = toks[j]
+        head = j
 
-        if t.text in TYPE_DECL_KEYWORDS or (t.text == "@" and toks[j + 1].text == "interface"):
-            return self._type_decl(start, chain)
-        if (
+        kind = None
+        if t.text in TYPE_DECL_KEYWORDS:
+            kind = t.text
+        elif t.text == "@" and toks[j + 1].text == "interface":
+            kind = "@interface"
+        elif (
             t.kind == TokenKind.IDENTIFIER
             and t.text == "record"
             and j + 2 < close
             and toks[j + 1].kind == TokenKind.IDENTIFIER
             and toks[j + 2].text in ("(", "<")
         ):
-            return self._type_decl(start, chain)
+            kind = "record"
+        if kind is not None:
+            rec = self._class_like(j, chain, kind)
+            return Member("type", start, head, mods, rec.end, type=rec)
 
         if t.text == "{":
             b = match_brace(toks, j)
             self._scan_for_types(j + 1, b, chain)
-            return b + 1
+            return Member("initializer", start, head, mods, b, body=j)
 
         type_params = None
         if t.text == "<":
@@ -491,12 +586,14 @@ class _Extractor:
             _expect(j < close, "truncated member", t)
             t = toks[j]
 
-        if class_name is not None and t.kind == TokenKind.IDENTIFIER and t.text == class_name and j + 1 < close:
-            nxt = toks[j + 1].text
-            if nxt == "(":
-                return self._method(start, mods, type_params, "", j, chain, close)
-            if nxt == "{":
-                return self._compact_ctor(start, mods, type_params, j, chain)
+        if (
+            class_name is not None
+            and t.kind == TokenKind.IDENTIFIER
+            and t.text == class_name
+            and j + 1 < close
+            and toks[j + 1].text in ("(", "{")
+        ):
+            return self._method(start, head, mods, type_params, "", j, chain, close)
 
         st = scan_type(toks, j)
         if st is None:
@@ -506,32 +603,35 @@ class _Extractor:
         name_tok = toks[type_end]
         _expect(name_tok.kind == TokenKind.IDENTIFIER, "expected member name", name_tok)
         if type_end + 1 < close and toks[type_end + 1].text == "(":
-            return self._method(start, mods, type_params, type_text, type_end, chain, close)
-        return self._field(start, mods, type_text, j, type_end, chain, close)
+            return self._method(start, head, mods, type_params, type_text, type_end, chain, close)
+        return self._field(start, head, mods, type_text, type_end, chain, close)
 
     def _method(
         self,
         start: int,
+        head: int,
         mods: list[str],
         type_params: str | None,
         return_type: str,
         name_idx: int,
         chain: list[str],
         close: int,
-    ) -> int:
+    ) -> Member:
+        """A method or constructor; a compact constructor when name_idx is
+        followed by '{'."""
         toks = self.toks
-        popen = name_idx + 1
-        pclose = match_paren(toks, popen)
-        param_types = self._param_types(popen + 1, pclose)
-        j = pclose + 1
+        member = Member("method", start, head, mods, close)
+        param_types: list[str] = []
+        j = name_idx + 1
         ret = return_type
-        while j + 1 < close and toks[j].text == "[" and toks[j + 1].text == "]":
-            ret += "[]"
-            j += 2
-        body_open: int | None = None
-        body_close: int | None = None
-        is_abstract = False
-        end: int
+        if toks[j].text == "(":
+            pclose = match_paren(toks, j)
+            param_types = self._param_types(j + 1, pclose)
+            member.params = (j, pclose)
+            j = pclose + 1
+            while j + 1 < close and toks[j].text == "[" and toks[j + 1].text == "]":
+                ret += "[]"
+                j += 2
         while True:
             _expect(j < close, "unterminated method header", toks[name_idx])
             txt = toks[j].text
@@ -539,21 +639,22 @@ class _Extractor:
                 j = scan_annotation(toks, j)
                 continue
             if txt == "{":
-                body_open = j
-                body_close = match_brace(toks, j)
-                end = body_close
+                member.body = j
+                member.end = match_brace(toks, j)
                 break
             if txt == ";":
-                is_abstract = True
-                end = j
+                member.end = j
                 break
             if txt == "default" and toks[j].kind == TokenKind.KEYWORD:
-                j = self._expr_end(j + 1, close, (";",))
+                lo = j + 1
+                j = self._expr_end(lo, close, (";",))
+                member.default = (lo, j)
                 continue
             j += 1
 
+        end = member.end
         jd = self._javadoc_for(start, name_idx)
-        tokens = toks[start : end + 1]
+        popen, pclose = member.params or (None, None)
         self.methods.append(
             MethodDecl(
                 class_chain=list(chain),
@@ -562,49 +663,22 @@ class _Extractor:
                 return_type=ret,
                 name=toks[name_idx].text,
                 param_types=param_types,
-                tokens=tokens,
+                tokens=toks[start : end + 1],
                 javadoc=jd.text if jd else None,
-                is_abstract=is_abstract,
-                param_open=popen - start,
-                param_close=pclose - start,
-                body_open=body_open - start if body_open is not None else None,
-                body_close=body_close - start if body_close is not None else None,
+                is_abstract=member.body is None,
+                param_open=popen - start if popen is not None else None,
+                param_close=pclose - start if pclose is not None else None,
+                body_open=member.body - start if member.body is not None else None,
+                body_close=end - start if member.body is not None else None,
                 plain_lines=self._source_lines(toks[start].offset, toks[end].end),
                 javadoc_lines=self._javadoc_lines(jd),
+                member=member,
+                types=self.types,
             )
         )
-        if body_open is not None:
-            self._scan_for_types(body_open + 1, body_close, chain)
-        return end + 1
-
-    def _compact_ctor(
-        self, start: int, mods: list[str], type_params: str | None, name_idx: int, chain: list[str]
-    ) -> int:
-        toks = self.toks
-        bo = name_idx + 1
-        bc = match_brace(toks, bo)
-        jd = self._javadoc_for(start, name_idx)
-        self.methods.append(
-            MethodDecl(
-                class_chain=list(chain),
-                modifiers=mods,
-                type_params=type_params,
-                return_type="",
-                name=toks[name_idx].text,
-                param_types=[],
-                tokens=toks[start : bc + 1],
-                javadoc=jd.text if jd else None,
-                is_abstract=False,
-                param_open=None,
-                param_close=None,
-                body_open=bo - start,
-                body_close=bc - start,
-                plain_lines=self._source_lines(toks[start].offset, toks[bc].end),
-                javadoc_lines=self._javadoc_lines(jd),
-            )
-        )
-        self._scan_for_types(bo + 1, bc, chain)
-        return bc + 1
+        if member.body is not None:
+            self._scan_for_types(member.body + 1, end, chain)
+        return member
 
     def _param_types(self, lo: int, hi: int) -> list[str]:
         toks = self.toks
@@ -659,17 +733,18 @@ class _Extractor:
     def _field(
         self,
         start: int,
+        head: int,
         mods: list[str],
         type_text: str,
-        type_start: int,
         first_name_idx: int,
         chain: list[str],
         close: int,
-    ) -> int:
+    ) -> Member:
         toks = self.toks
-        head = toks[start:first_name_idx]
+        head_toks = toks[start:first_name_idx]
         jd = self._javadoc_for(start, first_name_idx)
-        declarators: list[tuple[Token, str, int, int]] = []
+        member = Member("field", start, head, mods, close)
+        declarators: list[tuple[Token, str, int, int, tuple[int, int] | None]] = []
         j = first_name_idx
         while True:
             name_tok = toks[j]
@@ -680,32 +755,40 @@ class _Extractor:
             while j + 1 < close and toks[j].text == "[" and toks[j + 1].text == "]":
                 dims += "[]"
                 j += 2
+            init = None
             if j < close and toks[j].text == "=":
                 init_lo = j + 1
                 j = self._expr_end(init_lo, close, (",", ";"))
                 self._scan_for_types(init_lo, j, chain)
+                init = (init_lo, j)
+                member.inits.append(init)
             _expect(j < close, "unterminated field", name_tok)
-            declarators.append((name_tok, dims, d_start, j))
+            declarators.append((name_tok, dims, d_start, j, init))
             if toks[j].text == ",":
                 j += 1
                 continue
             _expect(toks[j].text == ";", "expected ';' after field", toks[j])
             break
+        member.end = j
         semi = toks[j]
-        for name_tok, dims, lo, hi in declarators:
+        for name_tok, dims, lo, hi, init in declarators:
+            # tokens are head_toks + toks[lo:hi] + [semi]
+            shift = len(head_toks) - lo
             self.fields.append(
                 FieldDecl(
                     class_chain=list(chain),
                     modifiers=list(mods),
                     field_type=type_text + dims,
                     name=name_tok.text,
-                    tokens=head + toks[lo:hi] + [semi],
+                    tokens=head_toks + toks[lo:hi] + [semi],
                     javadoc=jd.text if jd else None,
                     plain_lines=self._source_lines(toks[start].offset, semi.end),
                     javadoc_lines=self._javadoc_lines(jd),
+                    initializer=(init[0] + shift, init[1] + shift) if init else None,
+                    types=self.types,
                 )
             )
-        return j + 1
+        return member
 
     def _expr_end(self, i: int, close: int, stops: tuple[str, ...]) -> int:
         """Scan an expression; returns the index of the first stop token at
@@ -743,6 +826,7 @@ class _Extractor:
             if txt == "new":
                 j = self._new_expr(j, hi, chain)
                 continue
+            kind = None
             if (
                 txt == "class"
                 and t.kind == TokenKind.KEYWORD
@@ -750,24 +834,27 @@ class _Extractor:
                 and j + 1 < hi
                 and toks[j + 1].kind == TokenKind.IDENTIFIER
             ):
-                j = self._type_decl(j, chain)
-                continue
-            if txt in ("interface", "enum") and j + 1 < hi and toks[j + 1].kind == TokenKind.IDENTIFIER:
-                j = self._type_decl(j, chain)
-                continue
-            if txt == "@" and j + 1 < hi and toks[j + 1].text == "interface":
-                j = self._type_decl(j, chain)
-                continue
-            if (
+                kind = txt
+            elif txt in ("interface", "enum") and j + 1 < hi and toks[j + 1].kind == TokenKind.IDENTIFIER:
+                kind = txt
+            elif txt == "@" and j + 1 < hi and toks[j + 1].text == "interface":
+                kind = "@interface"
+            elif (
                 txt == "record"
                 and t.kind == TokenKind.IDENTIFIER
                 and j + 2 < hi
                 and toks[j + 1].kind == TokenKind.IDENTIFIER
                 and toks[j + 2].text == "("
             ):
-                j = self._type_decl(j, chain)
+                kind = txt
+            if kind is None:
+                j += 1
                 continue
-            j += 1
+            rec = self._class_like(j, chain, kind)
+            self.types[t.offset] = rec
+            if rec.body_open is not None:
+                self.types[toks[rec.body_open].offset] = rec
+            j = rec.end + 1
 
     def _new_expr(self, i: int, hi: int, chain: list[str]) -> int:
         """Handle a 'new' expression at i; extracts anonymous class members.
@@ -793,9 +880,9 @@ class _Extractor:
             c = match_paren(toks, k)
             self._scan_for_types(k + 1, c, chain)
             if c + 1 < hi and toks[c + 1].text == "{":
-                b = match_brace(toks, c + 1)
-                self._members(c + 2, b, chain + [self._next_anon()], None)
-                return b + 1
+                rec = self._anonymous(c + 1, chain)
+                self.types[toks[c + 1].offset] = rec
+                return rec.end + 1
             return c + 1
         return k
 
