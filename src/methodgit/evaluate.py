@@ -13,9 +13,9 @@ from .tracking import (
     FollowCaches,
     StepKind,
     TrackerConfig,
-    _resolve_start,
     count_renames,
     follow,
+    resolve_start,
 )
 
 DEFAULT_THRESHOLDS = tuple(range(20, 85, 5))
@@ -102,7 +102,7 @@ def evaluate(
     skipped: list[str] = []
     for entry in oracle:
         try:
-            start = _resolve_start(store, entry.method_path, None, caches)
+            start = resolve_start(store, entry.method_path, None, caches)
         except TrackError:
             skipped.append(entry.method_path)
             continue

@@ -18,6 +18,9 @@ from hashlib import sha1
 from .errors import RepositoryError
 
 TREE_MODE = b"40000"
+# Regular and executable files; symlinks (120000) and submodules (160000)
+# are neither.
+FILE_MODES = (b"100644", b"100755")
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,12 @@ def hash_object(kind: bytes, payload: bytes) -> str:
 
 
 class _PackFile:
-    """One .pack/.idx pair, index version 2."""
+    """One .pack/.idx pair, index version 2.
+
+    Data that does not decode raises ValueError (or the zlib, struct and
+    index errors of the reads); ObjectStore.read turns all of them into a
+    RepositoryError that names the object.
+    """
 
     def __init__(self, pack_path: str):
         self.pack_path = pack_path
@@ -133,7 +141,7 @@ class _PackFile:
             got += len(piece)
         payload = b"".join(out)
         if len(payload) != expected:
-            raise RepositoryError("corrupt pack data")
+            raise ValueError("corrupt pack data")
         return payload
 
     def read_at(self, offset: int, store: "ObjectStore") -> tuple[int, bytes]:
@@ -158,7 +166,7 @@ class _PackFile:
             kind, base = store.read(base_oid)
             base_type = {"commit": 1, "tree": 2, "blob": 3, "tag": 4}[kind]
             return base_type, _apply_delta(base, self._inflate(pos, size))
-        raise RepositoryError(f"unknown pack object type {obj_type}")
+        raise ValueError(f"unknown pack object type {obj_type}")
 
 
 def _delta_size(data: bytes, pos: int) -> tuple[int, int]:
@@ -177,7 +185,7 @@ def _apply_delta(base: bytes, delta: bytes) -> bytes:
     src_size, pos = _delta_size(delta, 0)
     dst_size, pos = _delta_size(delta, pos)
     if src_size != len(base):
-        raise RepositoryError("delta base size mismatch")
+        raise ValueError("delta base size mismatch")
     out = bytearray()
     n = len(delta)
     while pos < n:
@@ -201,9 +209,9 @@ def _apply_delta(base: bytes, delta: bytes) -> bytes:
             out += delta[pos : pos + op]
             pos += op
         else:
-            raise RepositoryError("invalid delta opcode")
+            raise ValueError("invalid delta opcode")
     if len(out) != dst_size:
-        raise RepositoryError("delta result size mismatch")
+        raise ValueError("delta result size mismatch")
     return bytes(out)
 
 
@@ -261,10 +269,22 @@ class ObjectStore:
             return False
 
     def read(self, oid: str) -> tuple[str, bytes]:
-        """(type name, payload) for the object."""
+        """(type name, payload) for the object.
+
+        Data that does not decode as a git object raises RepositoryError.
+        """
         cached = self._cache.get(oid)
         if cached is not None:
             return cached
+        try:
+            result = self._read_uncached(oid)
+        except (zlib.error, struct.error, IndexError, ValueError) as exc:
+            raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
+        if result[0] != "blob":
+            self._cache[oid] = result
+        return result
+
+    def _read_uncached(self, oid: str) -> tuple[str, bytes]:
         loose = os.path.join(self.gitdir, "objects", oid[:2], oid[2:])
         if os.path.exists(loose):
             with open(loose, "rb") as f:
@@ -283,8 +303,6 @@ class ObjectStore:
                     break
             if result is None:
                 raise RepositoryError(f"object not found: {oid}")
-        if result[0] != "blob":
-            self._cache[oid] = result
         return result
 
     def read_commit(self, oid: str) -> CommitRecord:
@@ -297,7 +315,10 @@ class ObjectStore:
         kind, payload = self.read(oid)
         if kind != "tree":
             raise RepositoryError(f"not a tree: {oid}")
-        return parse_tree(payload)
+        try:
+            return parse_tree(payload)
+        except ValueError as exc:
+            raise RepositoryError(f"corrupt tree {oid}: {exc}") from exc
 
     # -- refs --------------------------------------------------------------
 
@@ -334,11 +355,20 @@ class ObjectStore:
             return "ref", value[5:]
         return "oid", value
 
-    def resolve_ref(self, name: str) -> str | None:
-        refs = self.refs()
+    @staticmethod
+    def expand_ref(name: str, refs: dict[str, str]) -> str | None:
+        """The full name in refs that name stands for: name itself, then
+        the branch, then the tag of that name."""
         for cand in (name, f"refs/heads/{name}", f"refs/tags/{name}"):
             if cand in refs:
-                return refs[cand]
+                return cand
+        return None
+
+    def resolve_ref(self, name: str) -> str | None:
+        refs = self.refs()
+        full = self.expand_ref(name, refs)
+        if full is not None:
+            return refs[full]
         if name == "HEAD":
             kind, target = self.head_target()
             if kind == "oid":

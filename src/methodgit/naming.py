@@ -16,14 +16,9 @@ _MIN_BUDGET = 32
 
 @dataclass(frozen=True)
 class NamePolicy:
-    """Limits applied to generated file names.
-
-    max_path_bytes is carried for configuration completeness; only the
-    per-file-name limit is enforced.
-    """
+    """The byte budget of a generated file name."""
 
     max_file_name_bytes: int = 255
-    max_path_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_file_name_bytes < _MIN_BUDGET:

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .emit import RenderConfig, render
-from .errors import RepositoryError
+from .errors import LexError, ParseError, RepositoryError
 from .extract import extract
-from .gitstore import ObjectStore, RepoWriter, TreeEntry
+from .gitstore import FILE_MODES, ObjectStore, RepoWriter, TreeEntry
 from .naming import NamePolicy, field_file_name, method_file_name
-
-_FILE_MODES = (b"100644", b"100755")
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class ConversionConfig:
     render: RenderConfig = RenderConfig()
     emit_fields: bool = False
     keep_original_java: bool = False
-    pass_through_non_java: bool = True
     name_policy: NamePolicy = NamePolicy()
 
 
@@ -73,7 +70,9 @@ def convert_source(source: str, config: ConversionConfig) -> list[tuple[str, byt
 
 
 def convert_blob(content: bytes, config: ConversionConfig) -> list[tuple[str, bytes]] | None:
-    """Convert one .java blob; None when it cannot be processed."""
+    """Convert one .java blob; None when it cannot be decoded, lexed or
+    parsed, or nests too deeply.  Any other exception is a bug and
+    propagates."""
     if content.startswith(b"\xef\xbb\xbf"):
         content = content[3:]
     try:
@@ -82,7 +81,7 @@ def convert_blob(content: bytes, config: ConversionConfig) -> list[tuple[str, by
         return None
     try:
         return convert_source(source, config)
-    except Exception:
+    except (LexError, ParseError, RecursionError):
         return None
 
 
@@ -149,7 +148,7 @@ class _TreeConverter:
             if entry.mode == b"160000":
                 add(entry)
                 continue
-            is_java = entry.mode in _FILE_MODES and entry.name.endswith(b".java")
+            is_java = entry.mode in FILE_MODES and entry.name.endswith(b".java")
             if is_java:
                 files = self._convert_java_blob(entry.oid)
                 if files is not None:
@@ -160,8 +159,7 @@ class _TreeConverter:
                     continue
                 add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))
                 continue
-            if self.config.pass_through_non_java:
-                add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))
+            add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))
         new_oid = self.writer.write_tree(out)
         self.caches.trees[tree_oid] = new_oid
         return new_oid
@@ -177,11 +175,7 @@ def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, s
                 selected[name] = oid
     else:
         for name in ref_names:
-            full = None
-            for cand in (name, f"refs/heads/{name}", f"refs/tags/{name}"):
-                if cand in all_refs:
-                    full = cand
-                    break
+            full = ObjectStore.expand_ref(name, all_refs)
             if full is None:
                 raise RepositoryError(f"ref not found: {name}")
             selected[full] = all_refs[full]

@@ -15,10 +15,9 @@ from fractions import Fraction
 from hashlib import blake2b
 
 from .errors import TrackError
-from .gitstore import ObjectStore
+from .gitstore import FILE_MODES, ObjectStore
 
 _CHUNK = 64
-_FILE_MODES = (b"100644", b"100755")
 
 
 class PathNotFound(TrackError):
@@ -166,7 +165,7 @@ def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[st
         if entry.is_tree:
             for sub_path, sub_oid in _flatten(store, entry.oid, caches).items():
                 flat[f"{name}/{sub_path}"] = sub_oid
-        elif entry.mode in _FILE_MODES:
+        elif entry.mode in FILE_MODES:
             flat[name] = entry.oid
     caches.trees[tree_oid] = flat
     return flat
@@ -181,9 +180,11 @@ def _blob_fingerprint(store: ObjectStore, oid: str, caches: FollowCaches) -> Fin
     return fp
 
 
-def _resolve_start(
+def resolve_start(
     store: ObjectStore, path: str, ref: str | None, caches: FollowCaches
 ) -> str:
+    """The commit a walk of path starts from: ref's commit, or else the
+    single branch tip that has path."""
     if ref is not None:
         oid = store.resolve_ref(ref)
         if oid is None:
@@ -270,7 +271,7 @@ def follow(
     is always an ADD.
     """
     caches = caches if caches is not None else FollowCaches()
-    commit_id = _resolve_start(store, path, ref, caches)
+    commit_id = resolve_start(store, path, ref, caches)
     cur_path = path
     record = _read_commit(store, commit_id, caches)
     blob = _flatten(store, record.tree, caches)[cur_path]

@@ -48,6 +48,52 @@ public class Engineer {
 }
 """
 
+# Method bodies and field initializers that declare types of their own: the
+# tags inside come from the walk over local, anonymous and enum-constant
+# class bodies.  Type annotations inside a nested member's type are left to
+# the generic fallback tags, unlike those of a top-level declaration.
+NESTED_JAVA = """
+class Outer {
+  @Deprecated(since = "1") private final Runnable task = new Runnable() {
+    int count = (1), limit;
+    { count++; }
+    @interface Tag { int value() default (1); String[] names() default {"a"}; }
+    @Override public void run() { count += (int) 2L; }
+  };
+
+  @SuppressWarnings({"a", "b"}) int work(@Named("n") int n) {
+    class Local implements Comparable<Local> {
+      @Ann(x = 1) int f = n;
+      java.util.List<@Ann(2) String> names;
+      static { System.gc(); }
+      @SuppressWarnings("unchecked") public int compareTo(Local o) { return 0; }
+      <T extends Number> @Ann(4) T pick(@Ann(5) T a) throws @Ann(6) Exception { return a; }
+    }
+    enum Color {
+      RED(1), GREEN(2) { @Override int code() { return -(2); } }, @Ann(3) BLUE;
+      private final int c;
+      Color(int c) { this.c = c; }
+      Color() { this(0); }
+      int code() { return c; }
+    }
+    interface Shape {
+      double area();
+      default int sides() { return 0; }
+    }
+    record Point(int x, int y) implements Shape {
+      Point { if (x < 0) throw new IllegalArgumentException(); }
+      public double area() { return (double) x * y; }
+    }
+    Object o = new Object() {
+      String s = "x", t;
+      { s = s + t; }
+      public String toString() { return s; }
+    };
+    return new Local().f + Color.RED.code();
+  }
+}
+"""
+
 GETTER_PATH_OLD = "Person#public_int_getLength().mjava"
 GETTER_PATH_NEW = "Engineer#public_int_getHeight().mjava"
 SETTER_PATH_OLD = "Person#public_void_setLength(int).mjava"

@@ -4,16 +4,20 @@ stdout data contracts of all four subcommands."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+from methodgit import hash_object
 from methodgit.cli import main
 
 from conftest import (
     GETTER_PATH_NEW,
     GETTER_PATH_OLD,
+    PERSON_JAVA,
     build_linear_repo,
 )
 from repogen import build_metrics_repo
@@ -307,3 +311,37 @@ def test_installed_entry_point_help():
     assert result.returncode == 0
     assert "convert" in result.stdout
     assert "track" in result.stdout
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """python -m methodgit from the source tree, installed or not."""
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "methodgit", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_module_entry_point_help():
+    result = run_module("--help")
+    assert result.returncode == 0
+    assert "convert" in result.stdout
+    assert "track" in result.stdout
+
+
+def test_convert_corrupt_object_fails_without_traceback(tmp_path):
+    src = str(tmp_path / "src.git")
+    build_linear_repo(src, [{"Person.java": PERSON_JAVA.encode()}])
+    blob = hash_object(b"blob", PERSON_JAVA.encode())
+    with open(os.path.join(src, "objects", blob[:2], blob[2:]), "wb") as f:
+        f.write(b"not zlib data")
+    result = run_module("convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert blob in result.stderr
+    assert "Traceback" not in result.stderr

@@ -24,6 +24,7 @@ from conftest import (
     FINER,
     FINER_NO_H1,
     FINER_NO_H2,
+    NESTED_JAVA,
     PERSON_JAVA,
     PLAIN,
     method_named,
@@ -343,57 +344,11 @@ def test_line_count_matches_token_count(depth, h1, h2):
     assert len(got) == expected
 
 
-# Method bodies and field initializers that declare types of their own: the
-# tags inside come from the walk over local, anonymous and enum-constant
-# class bodies.  Type annotations inside a nested member's type are left to
-# the generic fallback tags, unlike those of a top-level declaration.
-NESTED = """
-class Outer {
-  @Deprecated(since = "1") private final Runnable task = new Runnable() {
-    int count = (1), limit;
-    { count++; }
-    @interface Tag { int value() default (1); String[] names() default {"a"}; }
-    @Override public void run() { count += (int) 2L; }
-  };
-
-  @SuppressWarnings({"a", "b"}) int work(@Named("n") int n) {
-    class Local implements Comparable<Local> {
-      @Ann(x = 1) int f = n;
-      java.util.List<@Ann(2) String> names;
-      static { System.gc(); }
-      @SuppressWarnings("unchecked") public int compareTo(Local o) { return 0; }
-      <T extends Number> @Ann(4) T pick(@Ann(5) T a) throws @Ann(6) Exception { return a; }
-    }
-    enum Color {
-      RED(1), GREEN(2) { @Override int code() { return -(2); } }, @Ann(3) BLUE;
-      private final int c;
-      Color(int c) { this.c = c; }
-      Color() { this(0); }
-      int code() { return c; }
-    }
-    interface Shape {
-      double area();
-      default int sides() { return 0; }
-    }
-    record Point(int x, int y) implements Shape {
-      Point { if (x < 0) throw new IllegalArgumentException(); }
-      public double area() { return (double) x * y; }
-    }
-    Object o = new Object() {
-      String s = "x", t;
-      { s = s + t; }
-      public String toString() { return s; }
-    };
-    return new Local().f + Color.RED.code();
-  }
-}
-"""
-
 NESTED_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "nested_finer_no_h2.txt")
 
 
 def nested_renders() -> str:
-    methods, fields = extract(NESTED)
+    methods, fields = extract(NESTED_JAVA)
     decls = [d for d in fields if d.name == "task"] + [m for m in methods if m.name == "work"]
     return "".join(f"== {d.name}\n" + render(d, FINER_NO_H2).decode() for d in decls)
 
@@ -401,3 +356,43 @@ def nested_renders() -> str:
 def test_nested_declarations_golden():
     with open(NESTED_GOLDEN, encoding="utf-8") as f:
         assert nested_renders() == f.read()
+
+
+def test_sealed_as_a_nested_type_name_is_a_field_type():
+    # 'sealed' is a modifier only before a type declaration; here it names
+    # the type of a field of a local class.
+    src = """
+    class S {
+      void f() {
+        class Box {
+          sealed value;
+          int size() { return 1; }
+        }
+      }
+    }
+    """
+    got = lines(src, "f", FINER_NO_H2)
+    assert got[got.index("value") + 1] == "; FIELD"
+    assert "( METHOD_PARAMS" in got[got.index("size"):]
+    assert "; RETURN" in got
+
+
+def test_type_keyword_without_a_name_is_not_a_declaration():
+    # javac rejects this; the extractor skips the keyword, so the walker
+    # reads the rest as a statement.
+    src = """
+    class N {
+      void f(int n) {
+        class { int x; }
+        g(n);
+      }
+    }
+    """
+    assert lines(src, "f", FINER_NO_H2)[7:13] == [
+        "class",
+        "{ ARRAY_INITIALIZER",
+        "int",
+        "x",
+        "; OTHER",
+        "} ARRAY_INITIALIZER",
+    ]

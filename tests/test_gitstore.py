@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+import zlib
 
 import pytest
 
@@ -183,6 +184,21 @@ def test_missing_object_raises(tmp_path):
     store.close()
 
 
+def test_corrupt_loose_object_raises_repository_error(tmp_path):
+    dst = str(tmp_path / "r.git")
+    build_linear_repo(dst, [{"a": b"1\n", "b": b"2\n"}])
+    bad_zlib = hash_object(b"blob", b"1\n")
+    no_header = hash_object(b"blob", b"2\n")
+    for oid, data in ((bad_zlib, b"not zlib data"), (no_header, zlib.compress(b"blob 2"))):
+        with open(os.path.join(dst, "objects", oid[:2], oid[2:]), "wb") as f:
+            f.write(data)
+    store = ObjectStore(dst)
+    for oid in (bad_zlib, no_header):
+        with pytest.raises(RepositoryError, match=oid):
+            store.read(oid)
+    store.close()
+
+
 def test_discover_rejects_non_repo(tmp_path):
     with pytest.raises(RepositoryError):
         ObjectStore(str(tmp_path / "nothing-here"))
@@ -241,6 +257,40 @@ def test_read_packed_objects_with_deltas(tmp_path):
         # Re-hashing proves the inflate/delta path reproduced the object.
         assert hash_object(kind.encode(), payload) == oid
     store.close()
+
+
+@requires_git
+def test_truncated_pack_raises_repository_error(tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    git("init", "-q", cwd=str(work))
+    git("config", "user.email", "t@e.st", cwd=str(work))
+    git("config", "user.name", "T", cwd=str(work))
+    for i in range(6):
+        (work / f"f{i}.txt").write_text(f"payload {i}\n" * 50)
+        git("add", ".", cwd=str(work))
+        git("commit", "-q", "-m", f"c{i}", cwd=str(work))
+    git("repack", "-adq", cwd=str(work))
+    oids = [
+        line.split()[0]
+        for line in git("rev-list", "--objects", "--all", cwd=str(work)).splitlines()
+    ]
+    pack_dir = work / ".git" / "objects" / "pack"
+    (pack,) = pack_dir.glob("*.pack")
+    data = pack.read_bytes()
+    pack.write_bytes(data[: len(data) // 2])
+    store = ObjectStore(str(work))
+    failed = 0
+    for oid in oids:
+        try:
+            kind, payload = store.read(oid)
+        except RepositoryError as exc:
+            assert oid in str(exc)
+            failed += 1
+            continue
+        assert hash_object(kind.encode(), payload) == oid
+    store.close()
+    assert failed > 0
 
 
 @requires_git

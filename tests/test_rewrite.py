@@ -7,7 +7,10 @@ import os
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import methodgit.rewrite
 from methodgit import (
     ConversionConfig,
     ObjectStore,
@@ -15,8 +18,10 @@ from methodgit import (
     RepositoryError,
     RepoWriter,
     TreeEntry,
+    convert_blob,
     convert_source,
     rewrite_history,
+    tokenize,
 )
 
 from conftest import (
@@ -24,6 +29,7 @@ from conftest import (
     ENGINEER_JAVA,
     GETTER_PATH_NEW,
     GETTER_PATH_OLD,
+    NESTED_JAVA,
     PERSON_JAVA,
     SETTER_PATH_NEW,
     SETTER_PATH_OLD,
@@ -215,6 +221,54 @@ def test_unparseable_java_is_skipped_and_kept(tmp_path):
     stats = rewrite_history(src, dst)
     assert stats.files_skipped == 1
     assert "Broken.java" in head_files(dst)
+
+
+# Tokens spliced into the sources: declaration keywords, delimiters, and
+# openers of literals and comments that the lexer cannot close.
+MUTATION_TOKENS = (
+    "class", "enum", "interface", "record", "@", "{", "}", "(", ")", ";", ",",
+    "=", "<", ">", "new", "default", "sealed", "->", ".", "X", "int", '"', "'", "/*",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((PERSON_JAVA, NESTED_JAVA)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("delete", "insert", "replace", "swap")),
+            st.integers(min_value=0, max_value=10**6),
+            st.sampled_from(MUTATION_TOKENS),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_convert_blob_returns_files_or_none_on_mutated_java(source, edits):
+    pieces = [t.text for t in tokenize(source).tokens]
+    for op, pos, text in edits:
+        i = pos % len(pieces)
+        if op == "delete" and len(pieces) > 1:
+            del pieces[i]
+        elif op == "insert":
+            pieces.insert(i, text)
+        elif op == "replace":
+            pieces[i] = text
+        else:
+            pieces[i - 1], pieces[i] = pieces[i], pieces[i - 1]
+    result = convert_blob(" ".join(pieces).encode(), ConversionConfig(emit_fields=True))
+    assert result is None or all(
+        isinstance(name, str) and isinstance(data, bytes) for name, data in result
+    )
+
+
+def test_convert_blob_lets_internal_errors_propagate(monkeypatch):
+    def broken(source):
+        raise KeyError("walker bug")
+
+    monkeypatch.setattr(methodgit.rewrite, "extract", broken)
+    with pytest.raises(KeyError):
+        convert_blob(PERSON_JAVA.encode(), ConversionConfig())
 
 
 def test_gitlink_entries_are_preserved(tmp_path):
