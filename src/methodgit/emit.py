@@ -166,6 +166,8 @@ class _Tagger:
         index after it."""
         stop = (rec.end if rec.body_open is None else rec.body_open) - o
         if stop >= hi:
+            # extract looked for the body past the end of the enclosing
+            # block; only the header lies inside it
             self._annotations(rec.header - o, hi)
             return hi
         self._annotations(rec.header - o, stop)

@@ -418,7 +418,7 @@ class _Extractor:
         while j < n:
             t = toks[j]
             if t.text == "@" and j + 1 < n and toks[j + 1].text == "interface":
-                return self._class_like(j, chain, "@interface")
+                break
             if t.text == "@":
                 j = scan_annotation(toks, j)
                 continue
@@ -429,18 +429,28 @@ class _Extractor:
                 continue
             break
         _expect(j < n, "unexpected end of file")
+        kind = self._type_kind(j, n)
+        if kind is None:
+            raise _fail("expected a type declaration", toks[j])
+        return self._class_like(j, chain, kind)
+
+    def _type_kind(self, j: int, hi: int) -> str | None:
+        """The kind of the type declaration whose keyword is at j, if any."""
+        toks = self.toks
         t = toks[j]
         if t.text in TYPE_DECL_KEYWORDS:
-            return self._class_like(j, chain, t.text)
+            return t.text
+        if t.text == "@" and j + 1 < hi and toks[j + 1].text == "interface":
+            return "@interface"
         if (
             t.kind == TokenKind.IDENTIFIER
             and t.text == "record"
-            and j + 2 < n
+            and j + 2 < hi
             and toks[j + 1].kind == TokenKind.IDENTIFIER
             and toks[j + 2].text in ("(", "<")
         ):
-            return self._class_like(j, chain, "record")
-        raise _fail("expected a type declaration", t)
+            return "record"
+        return None
 
     def _class_like(self, start: int, chain: list[str], kind: str) -> TypeDecl:
         """Parse a type declaration from its keyword at start."""
@@ -555,19 +565,7 @@ class _Extractor:
         t = toks[j]
         head = j
 
-        kind = None
-        if t.text in TYPE_DECL_KEYWORDS:
-            kind = t.text
-        elif t.text == "@" and toks[j + 1].text == "interface":
-            kind = "@interface"
-        elif (
-            t.kind == TokenKind.IDENTIFIER
-            and t.text == "record"
-            and j + 2 < close
-            and toks[j + 1].kind == TokenKind.IDENTIFIER
-            and toks[j + 2].text in ("(", "<")
-        ):
-            kind = "record"
+        kind = self._type_kind(j, close)
         if kind is not None:
             rec = self._class_like(j, chain, kind)
             return Member("type", start, head, mods, rec.end, type=rec)

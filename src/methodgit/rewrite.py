@@ -148,8 +148,7 @@ class _TreeConverter:
             if entry.mode == b"160000":
                 add(entry)
                 continue
-            is_java = entry.mode in FILE_MODES and entry.name.endswith(b".java")
-            if is_java:
+            if entry.mode in FILE_MODES and entry.name.endswith(b".java"):
                 files = self._convert_java_blob(entry.oid)
                 if files is not None:
                     if self.config.keep_original_java:
@@ -157,8 +156,6 @@ class _TreeConverter:
                     for name, blob_oid in files:
                         add(TreeEntry(b"100644", name, blob_oid))
                     continue
-                add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))
-                continue
             add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))
         new_oid = self.writer.write_tree(out)
         self.caches.trees[tree_oid] = new_oid
