@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from methodgit import LexError, TokenKind, tokenize
+from methodgit.lexer import CommentSpan
 
 
 def texts(source: str) -> list[str]:
@@ -129,6 +132,106 @@ def test_unterminated_block_comment_raises():
 def test_stray_character_raises():
     with pytest.raises(LexError):
         tokenize("int a = #;")
+
+
+@pytest.mark.parametrize(
+    "source, message, line, column",
+    [
+        ("int a; /* never closed", "unterminated block comment", 1, 8),
+        ('String s = """\n abc', "unterminated text block", 1, 12),
+        ('String s = "oops;', "unterminated string literal", 1, 12),
+        ("char c = 'a;", "unterminated character literal", 1, 10),
+        ("int a = #;", "unexpected character '#'", 1, 9),
+        ('/* a\n b */ String s = """\n x""";\n  int y = #;', "unexpected character '#'", 4, 11),
+        ('"ab\n"', "unterminated string literal", 1, 1),
+        ("'a\n'", "unterminated character literal", 1, 1),
+        ('"a\\', "unterminated string literal", 1, 1),
+        ("'\\", "unterminated character literal", 1, 1),
+        ('"""\nab""', "unterminated text block", 1, 1),
+        ("/*/ x", "unterminated block comment", 1, 1),
+    ],
+)
+def test_lex_error_message_and_position(source, message, line, column):
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert str(info.value) == f"{message} at line {line}, column {column}"
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def spans(source: str) -> list[tuple[str, TokenKind, int, int, int]]:
+    return [(t.text, t.kind, t.line, t.column, t.offset) for t in tokenize(source).tokens]
+
+
+def test_text_block_takes_surplus_closing_quotes():
+    assert spans('s = """\n a"""";') == [
+        ("s", TokenKind.IDENTIFIER, 1, 1, 0),
+        ("=", TokenKind.OPERATOR, 1, 3, 2),
+        ('"""\n a""""', TokenKind.LITERAL, 1, 5, 4),
+        (";", TokenKind.SEPARATOR, 2, 7, 14),
+    ]
+    assert texts('""""""') == ['""""""']
+    assert texts('"""""x"""') == ['"""""x"""']
+
+
+def test_backslash_escapes_a_newline_inside_a_string():
+    assert spans('"a\\\nb" c') == [
+        ('"a\\\nb"', TokenKind.LITERAL, 1, 1, 0),
+        ("c", TokenKind.IDENTIFIER, 2, 4, 7),
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (".5d", [".5d"]),
+        ("0x", ["0", "x"]),
+        ("1e", ["1", "e"]),
+        ("0x1.p3", ["0x1.p3"]),
+        ("1.e5f", ["1.e5f"]),
+        ("a.b", ["a", ".", "b"]),
+    ],
+)
+def test_number_boundaries(source, expected):
+    assert texts(source) == expected
+
+
+def test_non_sealed_needs_exact_neighbours():
+    assert spans("non-sealed non-sealedx nonx-sealed") == [
+        ("non-sealed", TokenKind.IDENTIFIER, 1, 1, 0),
+        ("non", TokenKind.IDENTIFIER, 1, 12, 11),
+        ("-", TokenKind.OPERATOR, 1, 15, 14),
+        ("sealedx", TokenKind.IDENTIFIER, 1, 16, 15),
+        ("nonx", TokenKind.IDENTIFIER, 1, 24, 23),
+        ("-", TokenKind.OPERATOR, 1, 28, 27),
+        ("sealed", TokenKind.IDENTIFIER, 1, 29, 28),
+    ]
+
+
+def test_line_and_column_after_crlf_and_form_feed():
+    assert spans("a\r\nb\fc") == [
+        ("a", TokenKind.IDENTIFIER, 1, 1, 0),
+        ("b", TokenKind.IDENTIFIER, 2, 1, 3),
+        ("c", TokenKind.IDENTIFIER, 2, 3, 5),
+    ]
+
+
+def test_comment_opener_does_not_close_itself():
+    result = tokenize("/*/ x */ y")
+    assert texts("/*/ x */ y") == ["y"]
+    assert result.comments == [CommentSpan(0, 8, False)]
+    assert result.tokens[0].column == 10
+
+
+@pytest.mark.parametrize(
+    "source",
+    ['"""\n' + '""\\"x' * 20_000, '"' + '\\"\\\\' * 25_000],
+    ids=["text_block", "string"],
+)
+def test_long_unterminated_literal_fails_fast(source):
+    start = time.perf_counter()
+    with pytest.raises(LexError, match="^unterminated .* at line 1, column 1$"):
+        tokenize(source)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_offsets_cover_text_exactly():
