@@ -3,8 +3,15 @@
 Produces a flat token stream (identifiers, keywords, literals, operators,
 separators) with comments removed.  Javadoc comments are captured separately
 together with the index of the token they precede, so declaration extraction
-can reattach them.  Lexing is longest-munch over the raw source text; unicode
-escape pre-translation is not applied.
+can reattach them.  Unicode escape pre-translation is not applied.
+
+One compiled pattern of ordered, named alternatives does the lexing: each
+match is one token, comment or whitespace run.  Where a form can open but
+not close (comments, text blocks, strings, characters), an "unterminated"
+alternative follows it, and a final catch-all takes any other character, so
+every error is a match and ``tokenize`` raises in one place.  String and
+text-block bodies are unrolled loops with a single way to match any text,
+so unterminated input fails in linear time.
 """
 
 from __future__ import annotations
@@ -97,81 +104,57 @@ OPERATORS = frozenset(
     }
 )
 
-# Longest munch: try multi-character punctuation first.
-_PUNCT = sorted(SEPARATORS | OPERATORS, key=len, reverse=True)
 
-_NUMBER_RE = re.compile(
+# Order matters: the first alternative that matches wins.  Numbers keep
+# javac's forms (hex float, hex, binary, decimal float, exponent, suffixed,
+# plain) and punctuation is longest first, so each match is a longest munch.
+_TOKEN_RE = re.compile(
     r"""
-      0[xX][0-9a-fA-F_]*\.[0-9a-fA-F_]*[pP][+-]?[0-9_]+[fFdD]?
-    | 0[xX][0-9a-fA-F_]+[pP][+-]?[0-9_]+[fFdD]?
-    | 0[xX][0-9a-fA-F_]+[lL]?
-    | 0[bB][01_]+[lL]?
-    | [0-9][0-9_]*\.[0-9_]*(?:[eE][+-]?[0-9_]+)?[fFdD]?
-    | \.[0-9][0-9_]*(?:[eE][+-]?[0-9_]+)?[fFdD]?
-    | [0-9][0-9_]*[eE][+-]?[0-9_]+[fFdD]?
-    | [0-9][0-9_]*[fFdD]
-    | [0-9][0-9_]*[lL]?
+      (?P<space>[ \t\f\r\n]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<comment>/\*[\s\S]*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<text_block>\"{3}[^"\\]*(?:(?:\\[\s\S]|""?(?!"))[^"\\]*)*\"{3,})
+    | (?P<open_text_block>\"{3})
+    | (?P<string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")
+    | (?P<open_string>")
+    | (?P<char>'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')
+    | (?P<open_char>')
+    | (?P<number>
+          0[xX][0-9a-fA-F_]*\.[0-9a-fA-F_]*[pP][+-]?[0-9_]+[fFdD]?
+        | 0[xX][0-9a-fA-F_]+[pP][+-]?[0-9_]+[fFdD]?
+        | 0[xX][0-9a-fA-F_]+[lL]?
+        | 0[bB][01_]+[lL]?
+        | [0-9][0-9_]*\.[0-9_]*(?:[eE][+-]?[0-9_]+)?[fFdD]?
+        | \.[0-9][0-9_]*(?:[eE][+-]?[0-9_]+)?[fFdD]?
+        | [0-9][0-9_]*[eE][+-]?[0-9_]+[fFdD]?
+        | [0-9][0-9_]*[fFdD]
+        | [0-9][0-9_]*[lL]?
+      )
+    | (?P<word>non-sealed(?![\w$])|(?:[^\W\d]|\$)[\w$]*)
+    | (?P<punct>"""
+    + "|".join(map(re.escape, sorted(SEPARATORS | OPERATORS, key=len, reverse=True)))
+    + r""")
+    | (?P<unexpected>[\s\S])
     """,
     re.VERBOSE,
 )
 
-_IDENT_RE = re.compile(r"(?:[^\W\d]|\$)(?:\w|\$)*")
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_text_block": "unterminated text block",
+    "open_string": "unterminated string literal",
+    "open_char": "unterminated character literal",
+    "unexpected": "unexpected character {!r}",
+}
 
-_IDENT_CONTINUE_RE = re.compile(r"[\w$]")
-
-
-def _scan_string(source: str, start: int, line: int, col: int) -> int:
-    i = start + 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == '"':
-            return i + 1
-        if c == "\n":
-            break
-        i += 1
-    raise LexError("unterminated string literal", line, col)
-
-
-def _scan_char(source: str, start: int, line: int, col: int) -> int:
-    i = start + 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == "'":
-            return i + 1
-        if c == "\n":
-            break
-        i += 1
-    raise LexError("unterminated character literal", line, col)
-
-
-def _scan_text_block(source: str, start: int, line: int, col: int) -> int:
-    i = start + 3
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == '"':
-            run = i
-            while run < n and source[run] == '"':
-                run += 1
-            if run - i >= 3:
-                # Longest munch: surplus quotes belong to the content and
-                # the final three close the block.
-                return run
-            i = run
-            continue
-        i += 1
-    raise LexError("unterminated text block", line, col)
+# Kinds of words and punctuation; any other word is an identifier.
+_KINDS = {
+    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+    **dict.fromkeys(LITERAL_WORDS, TokenKind.LITERAL),
+    **dict.fromkeys(SEPARATORS, TokenKind.SEPARATOR),
+    **dict.fromkeys(OPERATORS, TokenKind.OPERATOR),
+}
 
 
 def tokenize(source: str) -> LexResult:
@@ -185,94 +168,29 @@ def tokenize(source: str) -> LexResult:
     tokens: list[Token] = []
     javadocs: list[Javadoc] = []
     comments: list[CommentSpan] = []
-    i = 0
     line = 1
     line_start = 0
-    n = len(source)
-
-    def emit(text: str, kind: TokenKind) -> None:
-        nonlocal i, line, line_start
-        tokens.append(Token(text, kind, line, i - line_start + 1, i))
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if group == "word" or group == "punct":
+            kind = _KINDS.get(text, TokenKind.IDENTIFIER)
+            tokens.append(Token(text, kind, line, start - line_start + 1, start))
+            continue
+        if group in _ERRORS:
+            raise LexError(_ERRORS[group].format(text), line, start - line_start + 1)
+        if group == "line_comment":
+            comments.append(CommentSpan(start, m.end(), False))
+        elif group == "comment":
+            is_doc = text.startswith("/**") and len(text) >= 5
+            comments.append(CommentSpan(start, m.end(), is_doc))
+            if is_doc:
+                javadocs.append(Javadoc(text, len(tokens), start, m.end(), line))
+        elif group != "space":
+            tokens.append(Token(text, TokenKind.LITERAL, line, start - line_start + 1, start))
         newlines = text.count("\n")
         if newlines:
             line += newlines
-            line_start = i + text.rfind("\n") + 1
-        i += len(text)
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\f\r":
-            i += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            continue
-        col = i - line_start + 1
-        if ch == "/" and i + 1 < n and source[i + 1] in "/*":
-            if source[i + 1] == "/":
-                end = source.find("\n", i)
-                if end == -1:
-                    end = n
-                comments.append(CommentSpan(i, end, False))
-                i = end
-                continue
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line, col)
-            end += 2
-            text = source[i:end]
-            is_doc = text.startswith("/**") and len(text) >= 5
-            comments.append(CommentSpan(i, end, is_doc))
-            if is_doc:
-                javadocs.append(Javadoc(text, len(tokens), i, end, line))
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = i + text.rfind("\n") + 1
-            i = end
-            continue
-        if ch == '"':
-            if source.startswith('"""', i):
-                end = _scan_text_block(source, i, line, col)
-            else:
-                end = _scan_string(source, i, line, col)
-            emit(source[i:end], TokenKind.LITERAL)
-            continue
-        if ch == "'":
-            end = _scan_char(source, i, line, col)
-            emit(source[i:end], TokenKind.LITERAL)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            if m:
-                emit(m.group(), TokenKind.LITERAL)
-                continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            word = m.group()
-            if (
-                word == "non"
-                and source.startswith("-sealed", m.end())
-                and not _IDENT_CONTINUE_RE.match(source, m.end() + 7)
-            ):
-                # Contextual hyphenated keyword, a single token in javac.
-                word = "non-sealed"
-            if word in KEYWORDS:
-                kind = TokenKind.KEYWORD
-            elif word in LITERAL_WORDS:
-                kind = TokenKind.LITERAL
-            else:
-                kind = TokenKind.IDENTIFIER
-            emit(word, kind)
-            continue
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                kind = TokenKind.SEPARATOR if punct in SEPARATORS else TokenKind.OPERATOR
-                emit(punct, kind)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-
+            line_start = start + text.rfind("\n") + 1
     return LexResult(tokens, javadocs, comments)
