@@ -13,6 +13,7 @@ from .tracking import (
     FollowCaches,
     StepKind,
     TrackerConfig,
+    TrackStep,
     count_renames,
     follow,
     resolve_start,
@@ -108,23 +109,42 @@ def evaluate(
             continue
         resolved.append((entry, start))
 
+    configs = [
+        TrackerConfig(threshold=t, detect_copies=base.detect_copies, metric=base.metric)
+        for t in thresholds
+    ]
+    if not configs:
+        return [], skipped
+    # The walk at threshold t is the lowest threshold's walk cut at its
+    # first rename or copy scoring below t, so one walk per path serves all.
+    lowest = min(configs, key=lambda c: c.threshold)
+    walks = [
+        (entry.expected_rename_count,
+         follow(store, entry.method_path, lowest, ref=start, caches=caches))
+        for entry, start in resolved
+    ]
     results: list[EvalMetrics] = []
     for threshold in thresholds:
-        config = TrackerConfig(
-            threshold=threshold,
-            detect_copies=base.detect_copies,
-            metric=base.metric,
-        )
         tp = fp = fn = 0
-        for entry, start in resolved:
-            steps = follow(store, entry.method_path, config, ref=start, caches=caches)
-            detected = count_renames(steps)
-            expected = entry.expected_rename_count
+        for expected, steps in walks:
+            detected = _renames_at(steps, threshold)
             tp += min(detected, expected)
             fp += max(detected - expected, 0)
             fn += max(expected - detected, 0)
         results.append(_metrics(threshold, tp, fp, fn))
     return results, skipped
+
+
+def _renames_at(steps: list[TrackStep], threshold: int) -> int:
+    """Renames and copies a walk at threshold makes, given a walk at a lower
+    threshold: those before the first one scoring below threshold."""
+    count = 0
+    for step in steps:
+        if step.kind in (StepKind.RENAME, StepKind.COPY):
+            if step.score.numerator * 100 < threshold * step.score.denominator:
+                break
+            count += 1
+    return count
 
 
 def metrics_to_csv(metrics: list[EvalMetrics]) -> str:

@@ -135,7 +135,6 @@ class FollowCaches:
     trees: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
-    disappearance: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -226,11 +225,8 @@ def _disappearance(
     caches: FollowCaches,
 ) -> _Winner | None:
     """Best rename/copy candidate for the blob that appeared at commit_id,
-    scored against the first parent's files.  Threshold is applied by the
-    caller so results can be shared across thresholds."""
-    key = (commit_id, blob_oid, config.detect_copies, config.metric)
-    if key in caches.disappearance:
-        return caches.disappearance[key]
+    scored against the first parent's files, whatever its score; the
+    caller applies the threshold."""
     cur_flat = _flatten(store, tree_oid, caches)
     parent_flat = _flatten(store, parent_tree_oid, caches)
     target = _blob_fingerprint(store, blob_oid, caches)
@@ -253,7 +249,6 @@ def _disappearance(
                 kind=StepKind.RENAME if deleted else StepKind.COPY,
                 blob=old_oid,
             )
-    caches.disappearance[key] = best
     return best
 
 

@@ -3,6 +3,7 @@ threshold sweeps on a designed fixture, and mode comparison."""
 
 from __future__ import annotations
 
+import importlib
 import json
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from methodgit import (
     TrackerConfig,
     UnmappedPath,
     compare_modes,
+    count_renames,
     evaluate,
+    follow,
     load_pairs,
     metrics_to_csv,
     parse_oracle,
@@ -165,6 +168,37 @@ def test_unresolvable_paths_are_skipped_everywhere(metrics_repo):
     store.close()
     assert skipped == ["ghost.mjava"]
     assert metrics_ghost == metrics_plain
+
+
+def test_one_walk_per_resolved_path(metrics_repo, monkeypatch):
+    repo, expected = metrics_repo
+    module = importlib.import_module("methodgit.evaluate")
+    walked: list[str] = []
+
+    def counting_follow(store, path, config, **kwargs):
+        walked.append(path)
+        return follow(store, path, config, **kwargs)
+
+    monkeypatch.setattr(module, "follow", counting_follow)
+    store = ObjectStore(repo)
+    oracle = oracle_for(expected) + [OracleEntry("ghost.mjava", 3)]
+    metrics, skipped = evaluate(store, oracle)
+    assert evaluate(store, oracle, thresholds=()) == ([], ["ghost.mjava"])
+    assert skipped == ["ghost.mjava"]
+    assert sorted(walked) == sorted(expected)
+
+    # Each threshold's counts equal those of a walk at that threshold.
+    monkeypatch.undo()
+    for m in metrics:
+        config = TrackerConfig(threshold=m.threshold, detect_copies=True)
+        tp = fp = fn = 0
+        for path, want in expected.items():
+            got = count_renames(follow(store, path, config))
+            tp += min(got, want)
+            fp += max(got - want, 0)
+            fn += max(want - got, 0)
+        assert (m.true_positives, m.false_positives, m.false_negatives) == (tp, fp, fn)
+    store.close()
 
 
 def test_metrics_to_csv_golden(metrics_repo):

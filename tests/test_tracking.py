@@ -404,7 +404,7 @@ def test_caches_are_shared_between_follows(tmp_path):
     store = ObjectStore(repo)
     caches = FollowCaches()
     first = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
-    assert caches.disappearance
+    assert caches.trees
     second = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
     assert [s.kind for s in first] == [s.kind for s in second]
     store.close()
