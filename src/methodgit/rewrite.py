@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import heapq
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -230,10 +232,33 @@ def rewrite_history(
     """Rewrite the repository at src_path into a bare repository at dst_path.
 
     Writes a commit-map.tsv file (source id TAB destination id, in
-    processing order) at the top of the destination repository.
+    processing order) at the top of the destination repository.  dst_path
+    must be absent or empty.  The repository is built in a temporary
+    sibling directory and renamed into place, so dst_path appears only when
+    the conversion succeeds.
     """
+    if os.path.exists(dst_path) and os.listdir(dst_path):
+        raise RepositoryError(f"destination exists and is not empty: {dst_path}")
+    parent = os.path.dirname(os.path.abspath(dst_path))
+    os.makedirs(parent, exist_ok=True)
+    scratch = tempfile.mkdtemp(prefix=".methodgit-", dir=parent)
+    try:
+        built = os.path.join(scratch, "repo")
+        stats = _rewrite(src_path, built, config or ConversionConfig(), ref_names, progress)
+        os.replace(built, dst_path)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return stats
+
+
+def _rewrite(
+    src_path: str,
+    dst_path: str,
+    config: ConversionConfig,
+    ref_names: list[str] | None,
+    progress: Callable[[int, int], None] | None,
+) -> ConversionStats:
     start = time.monotonic()
-    config = config or ConversionConfig()
     store = ObjectStore(src_path)
     writer = RepoWriter(dst_path)
     writer.init_bare()

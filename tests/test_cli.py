@@ -345,3 +345,6 @@ def test_convert_corrupt_object_fails_without_traceback(tmp_path):
     assert "error:" in result.stderr
     assert blob in result.stderr
     assert "Traceback" not in result.stderr
+    # Neither the destination nor the temporary directory it was built in
+    # is left behind.
+    assert sorted(os.listdir(tmp_path)) == ["src.git"]

@@ -355,6 +355,17 @@ def test_empty_source_rejected(tmp_path):
     writer.init_bare()
     with pytest.raises(RepositoryError):
         rewrite_history(src, str(tmp_path / "dst.git"))
+    assert os.listdir(tmp_path) == ["src.git"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_destination_appears_only_when_complete(person_repo, tmp_path, existing):
+    out = tmp_path / "out"
+    if existing:
+        (out / "dst.git").mkdir(parents=True)
+    rewrite_history(person_repo, str(out / "dst.git"))
+    assert os.listdir(out) == ["dst.git"]
+    assert sorted(head_files(str(out / "dst.git"))) == [GETTER_PATH_NEW, SETTER_PATH_NEW]
 
 
 def test_conversion_is_deterministic(tmp_path):
