@@ -825,15 +825,11 @@ class _Extractor:
                 j = self._new_expr(j, hi, chain)
                 continue
             kind = None
-            if (
-                txt == "class"
-                and t.kind == TokenKind.KEYWORD
-                and (j == 0 or toks[j - 1].text != ".")
-                and j + 1 < hi
-                and toks[j + 1].kind == TokenKind.IDENTIFIER
-            ):
+            # A type keyword must name a type (_class_like raises if not);
+            # only a class literal, `X.class`, is something else.
+            if txt == "class" and (j == 0 or toks[j - 1].text != "."):
                 kind = txt
-            elif txt in ("interface", "enum") and j + 1 < hi and toks[j + 1].kind == TokenKind.IDENTIFIER:
+            elif txt in ("interface", "enum"):
                 kind = txt
             elif txt == "@" and j + 1 < hi and toks[j + 1].text == "interface":
                 kind = "@interface"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +20,8 @@ from methodgit import (
     extract,
     render,
 )
+from methodgit.errors import ParseError
+from methodgit.rewrite import ConversionConfig, convert_blob
 
 from conftest import (
     FINER,
@@ -377,22 +380,18 @@ def test_sealed_as_a_nested_type_name_is_a_field_type():
     assert "; RETURN" in got
 
 
-def test_type_keyword_without_a_name_is_not_a_declaration():
-    # javac rejects this; the extractor skips the keyword, so the walker
-    # reads the rest as a statement.
-    src = """
-    class N {
-      void f(int n) {
-        class { int x; }
+@pytest.mark.parametrize("keyword", ["class", "interface", "enum"])
+def test_type_keyword_without_a_name_is_not_a_declaration(keyword):
+    # javac rejects a type keyword with no name after it, so the file is
+    # skipped rather than converted with guessed tags.
+    src = f"""
+    class N {{
+      void f(int n) {{
+        {keyword} {{ int x; }}
         g(n);
-      }
-    }
+      }}
+    }}
     """
-    assert lines(src, "f", FINER_NO_H2)[7:13] == [
-        "class",
-        "{ ARRAY_INITIALIZER",
-        "int",
-        "x",
-        "; OTHER",
-        "} ARRAY_INITIALIZER",
-    ]
+    with pytest.raises(ParseError, match="expected type name"):
+        extract(src)
+    assert convert_blob(src.encode(), ConversionConfig()) is None
