@@ -40,7 +40,6 @@ class RenderConfig:
     line_format: LineFormat = LineFormat.TOKEN_PER_LINE
     heuristic1: bool = True
     heuristic2: bool = True
-    include_javadoc: bool = True
 
 
 SEMICOLON_TAGS = (
@@ -630,9 +629,7 @@ def render(decl: MethodDecl | FieldDecl, config: RenderConfig) -> bytes:
     Every line is LF-terminated; there is no trailing blank line.  Tagged
     terminator lines are '<token> <TAG>'.
     """
-    lines: list[str] = []
-    if config.include_javadoc:
-        lines.extend(decl.javadoc_lines)
+    lines = list(decl.javadoc_lines)
     if config.line_format is LineFormat.PLAIN:
         lines.extend(decl.plain_lines)
     else:

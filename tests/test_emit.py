@@ -268,13 +268,6 @@ class J {
     assert got[3] == "void"
 
 
-def test_javadoc_can_be_disabled():
-    src = "class J { /** doc */ void f() {} }"
-    config = RenderConfig(heuristic2=False, include_javadoc=False)
-    got = lines(src, "f", config)
-    assert got[0] == "void"
-
-
 def test_categorize_is_total_on_every_terminator():
     methods, _ = extract(KITCHEN)
     for m in methods:
@@ -295,13 +288,14 @@ ALL_TAGS = frozenset(SEMICOLON_TAGS) | frozenset(BRACKET_TAGS) | frozenset(PAREN
 
 
 def reconstruct(rendered: bytes, decl) -> list[str]:
-    """Strip tags and re-insert elided delimiters; yields token texts.
+    """Drop the javadoc, strip tags and re-insert elided delimiters; yields
+    token texts.
 
     Only terminator tokens carry tags, so a tagged line is exactly one
     delimiter character, a space, and a known tag.
     """
     texts: list[str] = []
-    for ln in rendered.decode().split("\n")[:-1]:
+    for ln in rendered.decode().split("\n")[len(decl.javadoc_lines):-1]:
         if len(ln) > 2 and ln[0] in ";{}()" and ln[1] == " " and ln[2:] in ALL_TAGS:
             texts.append(ln[0])
         else:
@@ -311,7 +305,7 @@ def reconstruct(rendered: bytes, decl) -> list[str]:
     return texts
 
 
-RECONSTRUCT_CONFIG = RenderConfig(include_javadoc=False)
+RECONSTRUCT_CONFIG = RenderConfig()
 
 
 def test_reconstruction_roundtrip_kitchen():
