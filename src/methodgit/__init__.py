@@ -1,160 +1,51 @@
 """methodgit: rewrite Java Git repositories at method-file granularity and
-track per-method histories with Git-compatible rename detection."""
+track per-method histories with Git-compatible rename detection.
+
+The package root exports the API the README documents; everything else is
+imported from its submodule (``methodgit.tracking``, ``methodgit.errors``,
+...)."""
 
 from __future__ import annotations
 
-from .emit import (
-    BRACKET_TAGS,
-    PAREN_TAGS,
-    SEMICOLON_TAGS,
-    LineFormat,
-    RenderConfig,
-    categorize,
-    elided_indices,
-    render,
-)
-from .errors import (
-    LexError,
-    MethodGitError,
-    NameError_,
-    OracleError,
-    ParseError,
-    RepositoryError,
-    TrackError,
-)
-from .evaluate import (
-    DEFAULT_THRESHOLDS,
-    CompareReport,
-    EvalMetrics,
-    OracleEntry,
-    PairResult,
-    UnmappedPath,
-    compare_modes,
-    evaluate,
-    load_oracle,
-    load_pairs,
-    metrics_to_csv,
-    parse_oracle,
-)
-from .extract import FieldDecl, MethodDecl, extract
-from .gitstore import (
-    CommitRecord,
-    ObjectStore,
-    RepoWriter,
-    TreeEntry,
-    hash_object,
-    parse_commit,
-    parse_tree,
-)
-from .lexer import LexResult, Token, TokenKind, tokenize
-from .naming import (
-    FIELD_EXT,
-    METHOD_EXT,
-    NamePolicy,
-    field_base_name,
-    field_file_name,
-    join_chain,
-    method_base_name,
-    method_file_name,
-    shorten,
-)
-from .rewrite import (
-    ConversionConfig,
-    ConversionStats,
-    convert_blob,
-    convert_source,
-    rewrite_history,
-)
+from .emit import LineFormat, RenderConfig, render
+from .errors import MethodGitError
+from .evaluate import compare_modes, evaluate
+from .extract import extract
+from .gitstore import ObjectStore, RepoWriter
+from .lexer import tokenize
+from .naming import NamePolicy, method_file_name
+from .rewrite import ConversionConfig, rewrite_history
 from .tracking import (
-    AmbiguousStart,
-    Fingerprint,
-    FollowCaches,
     Metric,
-    PathNotFound,
-    SimilarityScore,
-    StepKind,
     TrackerConfig,
-    TrackStep,
     count_renames,
     fingerprint,
     follow,
     similarity,
-    steps_to_json,
-    steps_to_tsv,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRACKET_TAGS",
-    "PAREN_TAGS",
-    "SEMICOLON_TAGS",
-    "LineFormat",
-    "RenderConfig",
-    "categorize",
-    "elided_indices",
-    "render",
-    "LexError",
-    "MethodGitError",
-    "NameError_",
-    "OracleError",
-    "ParseError",
-    "RepositoryError",
-    "TrackError",
-    "DEFAULT_THRESHOLDS",
-    "CompareReport",
-    "EvalMetrics",
-    "OracleEntry",
-    "PairResult",
-    "UnmappedPath",
-    "compare_modes",
-    "evaluate",
-    "load_oracle",
-    "load_pairs",
-    "metrics_to_csv",
-    "parse_oracle",
-    "FieldDecl",
-    "MethodDecl",
-    "extract",
-    "CommitRecord",
-    "ObjectStore",
-    "RepoWriter",
-    "TreeEntry",
-    "hash_object",
-    "parse_commit",
-    "parse_tree",
-    "LexResult",
-    "Token",
-    "TokenKind",
-    "tokenize",
-    "FIELD_EXT",
-    "METHOD_EXT",
-    "NamePolicy",
-    "field_base_name",
-    "field_file_name",
-    "join_chain",
-    "method_base_name",
-    "method_file_name",
-    "shorten",
     "ConversionConfig",
-    "ConversionStats",
-    "convert_blob",
-    "convert_source",
-    "rewrite_history",
-    "AmbiguousStart",
-    "Fingerprint",
-    "FollowCaches",
+    "LineFormat",
     "Metric",
-    "PathNotFound",
-    "SimilarityScore",
-    "StepKind",
+    "MethodGitError",
+    "NamePolicy",
+    "ObjectStore",
+    "RenderConfig",
+    "RepoWriter",
     "TrackerConfig",
-    "TrackStep",
+    "compare_modes",
     "count_renames",
+    "evaluate",
+    "extract",
     "fingerprint",
     "follow",
+    "method_file_name",
+    "render",
+    "rewrite_history",
     "similarity",
-    "steps_to_json",
-    "steps_to_tsv",
+    "tokenize",
     "__version__",
 ]

@@ -12,13 +12,13 @@ from methodgit import (
     Metric,
     RenderConfig,
     RepoWriter,
-    TreeEntry,
     extract,
     fingerprint,
     render,
     rewrite_history,
     similarity,
 )
+from methodgit.gitstore import TreeEntry
 
 PERSON_JAVA = """\
 public class Person {

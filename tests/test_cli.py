@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from methodgit import hash_object
+from methodgit.gitstore import hash_object
 from methodgit.cli import main
 
 from conftest import (

@@ -9,19 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from methodgit import (
+from methodgit import ConversionConfig, LineFormat, RenderConfig, extract, render
+from methodgit.emit import (
     BRACKET_TAGS,
     PAREN_TAGS,
     SEMICOLON_TAGS,
-    LineFormat,
-    RenderConfig,
     categorize,
     elided_indices,
-    extract,
-    render,
 )
 from methodgit.errors import ParseError
-from methodgit.rewrite import ConversionConfig, convert_blob
+from methodgit.rewrite import convert_blob
 
 from conftest import (
     FINER,

@@ -10,17 +10,19 @@ from fractions import Fraction
 import pytest
 
 from methodgit import (
-    DEFAULT_THRESHOLDS,
     Metric,
     ObjectStore,
-    OracleEntry,
-    OracleError,
     TrackerConfig,
-    UnmappedPath,
     compare_modes,
     count_renames,
     evaluate,
     follow,
+)
+from methodgit.errors import OracleError
+from methodgit.evaluate import (
+    DEFAULT_THRESHOLDS,
+    OracleEntry,
+    UnmappedPath,
     load_pairs,
     metrics_to_csv,
     parse_oracle,

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from methodgit import MethodDecl, ParseError, extract
+from methodgit import extract
+from methodgit.errors import ParseError
+from methodgit.extract import MethodDecl
 
 from conftest import PERSON_JAVA
 

@@ -11,15 +11,9 @@ import zlib
 
 import pytest
 
-from methodgit import (
-    CommitRecord,
-    ObjectStore,
-    RepositoryError,
-    RepoWriter,
-    TreeEntry,
-    hash_object,
-    parse_commit,
-)
+from methodgit import ObjectStore, RepoWriter
+from methodgit.errors import RepositoryError
+from methodgit.gitstore import CommitRecord, TreeEntry, hash_object, parse_commit
 
 from conftest import AUTHOR, build_linear_repo, requires_git, write_tree_dict
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from methodgit import LexError, TokenKind, tokenize
-from methodgit.lexer import CommentSpan
+from methodgit import tokenize
+from methodgit.errors import LexError
+from methodgit.lexer import CommentSpan, TokenKind
 
 
 def texts(source: str) -> list[str]:

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from methodgit import (
-    NameError_,
-    NamePolicy,
-    extract,
-    field_file_name,
-    method_file_name,
-    shorten,
-)
+from methodgit import NamePolicy, extract, method_file_name
+from methodgit.errors import NameError_
+from methodgit.naming import field_file_name, shorten
 
 from conftest import PERSON_JAVA
 

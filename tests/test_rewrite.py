@@ -15,14 +15,13 @@ from methodgit import (
     ConversionConfig,
     ObjectStore,
     RenderConfig,
-    RepositoryError,
     RepoWriter,
-    TreeEntry,
-    convert_blob,
-    convert_source,
     rewrite_history,
     tokenize,
 )
+from methodgit.errors import RepositoryError
+from methodgit.gitstore import TreeEntry
+from methodgit.rewrite import convert_blob, convert_source
 
 from conftest import (
     AUTHOR,

@@ -11,20 +11,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from methodgit import (
-    AmbiguousStart,
-    FollowCaches,
     Metric,
     ObjectStore,
-    PathNotFound,
     RepoWriter,
-    SimilarityScore,
-    StepKind,
-    TrackError,
     TrackerConfig,
     count_renames,
     fingerprint,
     follow,
     similarity,
+)
+from methodgit.errors import TrackError
+from methodgit.tracking import (
+    AmbiguousStart,
+    FollowCaches,
+    PathNotFound,
+    SimilarityScore,
+    StepKind,
     steps_to_json,
     steps_to_tsv,
 )
@@ -471,7 +473,7 @@ def test_steps_to_json_golden(tmp_path):
 
 
 def test_count_renames_counts_renames_and_copies():
-    from methodgit import TrackStep
+    from methodgit.tracking import TrackStep
 
     steps = [
         TrackStep("c3", StepKind.MODIFY, "a", "a", None),
