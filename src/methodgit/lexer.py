@@ -105,9 +105,11 @@ OPERATORS = frozenset(
 )
 
 
-# Order matters: the first alternative that matches wins.  Numbers keep
-# javac's forms (hex float, hex, binary, decimal float, exponent, suffixed,
-# plain) and punctuation is longest first, so each match is a longest munch.
+# Order matters: the first alternative that matches wins.  Numbers are
+# tried as hex float, hex, binary, decimal float, exponent, suffixed, plain,
+# and punctuation longest first, so each match is a longest munch.  A text
+# block ends at its first run of three or more quotes and takes the whole
+# run: surplus quotes belong to the content.
 _TOKEN_RE = re.compile(
     r"""
       (?P<space>[ \t\f\r\n]+)
@@ -140,6 +142,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# LexError messages of the error alternatives; "{!r}" names the character.
 _ERRORS = {
     "open_comment": "unterminated block comment",
     "open_text_block": "unterminated text block",
