@@ -237,36 +237,39 @@ def rewrite_history(
     sibling directory and renamed into place, so dst_path appears only when
     the conversion succeeds.
     """
+    start = time.monotonic()
     if os.path.exists(dst_path) and os.listdir(dst_path):
         raise RepositoryError(f"destination exists and is not empty: {dst_path}")
-    parent = os.path.dirname(os.path.abspath(dst_path))
-    os.makedirs(parent, exist_ok=True)
-    scratch = tempfile.mkdtemp(prefix=".methodgit-", dir=parent)
+    store = ObjectStore(src_path)
     try:
-        built = os.path.join(scratch, "repo")
-        stats = _rewrite(src_path, built, config or ConversionConfig(), ref_names, progress)
-        os.replace(built, dst_path)
+        refs = _select_refs(store, ref_names)
+        if not refs:
+            raise RepositoryError(f"no branches or tags to convert in {src_path}")
+        parent = os.path.dirname(os.path.abspath(dst_path))
+        os.makedirs(parent, exist_ok=True)
+        scratch = tempfile.mkdtemp(prefix=".methodgit-", dir=parent)
+        try:
+            built = os.path.join(scratch, "repo")
+            stats = _rewrite(store, refs, built, config or ConversionConfig(), progress)
+            os.replace(built, dst_path)
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        store.close()
+    stats.wall_seconds = time.monotonic() - start
     return stats
 
 
 def _rewrite(
-    src_path: str,
+    store: ObjectStore,
+    refs: dict[str, str],
     dst_path: str,
     config: ConversionConfig,
-    ref_names: list[str] | None,
     progress: Callable[[int, int], None] | None,
 ) -> ConversionStats:
-    start = time.monotonic()
-    store = ObjectStore(src_path)
     writer = RepoWriter(dst_path)
     writer.init_bare()
     stats = ConversionStats()
-
-    refs = _select_refs(store, ref_names)
-    if not refs:
-        raise RepositoryError(f"no branches or tags to convert in {src_path}")
     order = _topo_order(store, list(refs.values()))
 
     converter = _TreeConverter(store, writer, config, stats)
@@ -306,7 +309,4 @@ def _rewrite(
     with open(os.path.join(writer.path, "commit-map.tsv"), "w", encoding="utf-8") as f:
         for line in map_lines:
             f.write(line + "\n")
-
-    store.close()
-    stats.wall_seconds = time.monotonic() - start
     return stats
