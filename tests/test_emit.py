@@ -371,18 +371,18 @@ def test_sealed_as_a_nested_type_name_is_a_field_type():
     assert "; RETURN" in got
 
 
-@pytest.mark.parametrize("keyword", ["class", "interface", "enum"])
-def test_type_keyword_without_a_name_is_not_a_declaration(keyword):
+def test_type_keyword_without_a_name_is_not_a_declaration():
     # javac rejects a type keyword with no name after it, so the file is
     # skipped rather than converted with guessed tags.
-    src = f"""
-    class N {{
-      void f(int n) {{
-        {keyword} {{ int x; }}
-        g(n);
-      }}
-    }}
-    """
-    with pytest.raises(ParseError, match="expected type name"):
-        extract(src)
-    assert convert_blob(src.encode(), ConversionConfig()) is None
+    for keyword in ("class", "interface", "enum"):
+        src = f"""
+        class N {{
+          void f(int n) {{
+            {keyword} {{ int x; }}
+            g(n);
+          }}
+        }}
+        """
+        with pytest.raises(ParseError, match="expected type name"):
+            extract(src)
+        assert convert_blob(src.encode(), ConversionConfig()) is None
