@@ -183,12 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    try:
         if args.command == "convert":
             return _cmd_convert(args)
         if args.command == "track":
@@ -201,10 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except MethodGitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MethodGitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,9 +4,12 @@ Terminator tokens (semicolons, braces, parens) optionally carry a role tag on
 their line, and the four outermost method delimiters can be elided.  The
 declaration-level tags (type bodies, enum constants, member parameters,
 bodies and field terminators) follow the records of extract's walk; the
-statement and expression walker here classifies the rest.  Tagging is
-best-effort: if the walker gets confused it stops, and a final pass fills
-every remaining terminator with a generic tag so output is total.
+statement and expression walker here classifies the rest.  The tagger works
+in the file token indices of those records, over the file's tokens up to
+the declaration's last one, so a token gets the same tag in its own
+declaration and in any declaration enclosing it.  Tagging is best-effort: if
+the walker gets confused it stops, and a final pass fills every remaining
+terminator with a generic tag so output is total.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .extract import (
     match_paren,
     scan_type,
 )
-from .lexer import Token, TokenKind
+from .lexer import TokenKind
 
 
 class LineFormat(enum.Enum):
@@ -76,10 +79,12 @@ _CAST_NEXT = frozenset({"(", "!", "~", "new", "this", "super"})
 
 
 class _Tagger:
-    def __init__(self, decl: MethodDecl | FieldDecl):
-        self.toks = decl.tokens
+    def __init__(self, decl: MethodDecl | FieldDecl, last: int):
+        # Nothing past last is walked, so a bracket the declaration leaves
+        # open is never paired with one in a later declaration.
+        self.toks = decl.file_tokens[: last + 1]
         self.types = decl.types
-        self.tags: list[str | None] = [None] * len(decl.tokens)
+        self.tags: list[str | None] = [None] * (last + 1)
 
     # -- pair helpers ---------------------------------------------------
 
@@ -121,8 +126,12 @@ class _Tagger:
             else:
                 j += 1
 
-    def _find_semi(self, lo: int, hi: int) -> int:
-        """Index of the first semicolon at zero bracket depth, or hi."""
+    def _scan_to(self, lo: int, hi: int, stops: tuple[str, ...]) -> int:
+        """Index of the first stop token in [lo, hi) outside brackets, or hi.
+
+        A stop counts at depth zero or below, so a stray closer in broken
+        input does not carry the scan past the end of its statement.
+        """
         toks = self.toks
         depth = 0
         j = lo
@@ -132,112 +141,99 @@ class _Tagger:
                 depth += 1
             elif txt in (")", "]", "}"):
                 depth -= 1
-            elif txt == ";" and depth <= 0:
+            elif depth <= 0 and txt in stops:
                 return j
             j += 1
         return hi
 
-    # -- declaration entry points ---------------------------------------
-
-    def method(self, decl: MethodDecl) -> None:
-        m = decl.member
-        o = m.start
-        self._annotations(0, (m.params[0] if m.params else m.body) - o)
-        self._callable(m, o)
-
-    def fielddecl(self, decl: FieldDecl) -> None:
-        last = len(self.toks) - 1
-        if decl.initializer is None:
-            self._annotations(0, last)
-        else:
-            lo, hi = decl.initializer
-            self._annotations(0, lo - 1)
-            self._expr(lo, hi, False)
-        self.tags[last] = "FIELD"
-
     # -- records of extract's walk ----------------------------------------
-    #
-    # Record indices point into the file's tokens; o is what to subtract to
-    # get an index into this declaration's tokens.
 
-    def _type(self, rec: TypeDecl, o: int, hi: int) -> int:
+    def field(self, decl: FieldDecl) -> None:
+        """Tag one variable of a field declaration: the shared head, its
+        own initializer and its ',' or ';', which stands for the ';'."""
+        m = decl.member
+        _, init, end = decl.declarator
+        self._annotations(m.start, m.declarators[0][0])
+        self._expr(init, end, False)
+        self.tags[end] = "FIELD"
+
+    def _type(self, rec: TypeDecl, hi: int) -> int:
         """Tag a type declaration in a region ending at hi; returns the
         index after it."""
-        stop = (rec.end if rec.body_open is None else rec.body_open) - o
+        stop = rec.end if rec.body_open is None else rec.body_open
         if stop >= hi:
             # extract looked for the body past the end of the enclosing
             # block; only the header lies inside it
-            self._annotations(rec.header - o, hi)
+            self._annotations(rec.header, hi)
             return hi
-        self._annotations(rec.header - o, stop)
+        self._annotations(rec.header, stop)
         if rec.body_open is None:
             return stop + 1
-        return self._type_body(rec, o, _TYPE_TAGS[rec.kind])
+        return self._type_body(rec, _TYPE_TAGS[rec.kind])
 
-    def _type_body(self, rec: TypeDecl, o: int, tag: str) -> int:
+    def _type_body(self, rec: TypeDecl, tag: str) -> int:
         """Tag a type body: enum constants, then members."""
-        b = rec.body_open - o
-        end = rec.end - o
-        if end >= len(self.toks):
-            raise ParseError("type body runs past the declaration")
-        self._pair(b, end, tag)
-        j = b + 1
+        self._pair(rec.body_open, rec.end, tag)
+        j = rec.body_open + 1
         for const in rec.constants:
-            self._annotations(j, const.name - o)
-            j = const.name - o + 1
+            self._annotations(j, const.name)
+            j = const.name + 1
             if const.args is not None:
-                lo, c = const.args[0] - o, const.args[1] - o
+                lo, c = const.args
                 self._pair(lo, c, "CONSTRUCTOR_CALL")
                 self._expr(lo + 1, c, False)
                 j = c + 1
             if const.body is not None:
-                j = self._type_body(const.body, o, "ANONYMOUS_CLASS")
+                j = self._type_body(const.body, "ANONYMOUS_CLASS")
         if rec.kind == "enum":
-            semi = end if rec.constants_end is None else rec.constants_end - o
+            semi = rec.end if rec.constants_end is None else rec.constants_end
             self._annotations(j, semi)
-            if semi < end:
+            if semi < rec.end:
                 self.tags[semi] = "ENUM_CONSTANT_LIST"
         for m in rec.members:
-            self._member(m, o, end)
-        return end + 1
+            self._member(m, rec.end)
+        return rec.end + 1
 
-    def _member(self, m: Member, o: int, hi: int) -> None:
-        self._annotations(m.start - o, m.head - o)
-        end = m.end - o
+    def _member(self, m: Member, hi: int) -> None:
+        """Tag a member.  Its header annotations run up to its parameter
+        list or body (method), its first variable (field), or its keyword or
+        block (type, initializer)."""
         if m.kind == "type":
-            self._type(m.type, o, hi)
+            self._annotations(m.start, m.head)
+            self._type(m.type, hi)
         elif m.kind == "initializer":
-            self._pair(m.body - o, end, "STATIC_INIT" if "static" in m.modifiers else "INSTANCE_INIT")
-            self._block(m.body - o + 1, end, False)
+            self._annotations(m.start, m.head)
+            self._pair(m.body, m.end, "STATIC_INIT" if "static" in m.modifiers else "INSTANCE_INIT")
+            self._block(m.body + 1, m.end, False)
         elif m.kind == "method":
-            self._callable(m, o)
+            self._annotations(m.start, m.body if m.params is None else m.params[0])
+            self._callable(m)
         else:
-            for lo, init_end in m.inits:
-                self._expr(lo - o, init_end - o, False)
-            self.tags[end] = "FIELD"
+            self._annotations(m.start, m.declarators[0][0])
+            for _, init, init_end in m.declarators:
+                self._expr(init, init_end, False)
+            self.tags[m.end] = "FIELD"
 
-    def _callable(self, m: Member, o: int) -> None:
+    def _callable(self, m: Member) -> None:
         """Tag a method or constructor from its parameter list on."""
-        end = m.end - o
-        body = None if m.body is None else m.body - o
-        tail = body
+        tail = m.body
         if m.params is not None:
-            popen, pclose = m.params[0] - o, m.params[1] - o
+            popen, pclose = m.params
             self._pair(popen, pclose, "METHOD_PARAMS")
             self._annotations(popen + 1, pclose)
             tail = pclose + 1
-        if body is not None:
-            self._pair(body, end, "METHOD_BODY")
-            self._annotations(tail, body)
-            self._block(body + 1, end, False)
+        if m.body is not None:
+            self._pair(m.body, m.end, "METHOD_BODY")
+            self._annotations(tail, m.body)
+            self._block(m.body + 1, m.end, False)
             return
         if m.default is None:
-            self._annotations(tail, end)
+            self._annotations(tail, m.end)
         else:
-            lo = m.default[0] - o
+            lo, hi = m.default
             self._annotations(tail, lo - 1)
-            self._expr(lo, m.default[1] - o, False)
-        self.tags[end] = "ABSTRACT_METHOD"
+            self._expr(lo, hi, False)
+        self.tags[m.end] = "ABSTRACT_METHOD"
 
     # -- statements -----------------------------------------------------
 
@@ -281,19 +277,19 @@ class _Tagger:
                 return self._body(c + 1, hi, "SYNCHRONIZED", in_switch)
             if txt in ("return", "throw", "assert"):
                 tag = {"return": "RETURN", "throw": "THROW", "assert": "ASSERT"}[txt]
-                s = self._find_semi(j + 1, hi)
+                s = self._scan_to(j + 1, hi, (";",))
                 self._expr(j + 1, s, in_switch)
                 if s < hi:
                     self.tags[s] = tag
                 return s + 1
             if txt in ("break", "continue"):
-                s = self._find_semi(j + 1, hi)
+                s = self._scan_to(j + 1, hi, (";",))
                 if s < hi:
                     self.tags[s] = "BREAK" if txt == "break" else "CONTINUE"
                 return s + 1
 
         if in_switch and t.kind == TokenKind.IDENTIFIER and txt == "yield":
-            s = self._find_semi(j + 1, hi)
+            s = self._scan_to(j + 1, hi, (";",))
             self._expr(j + 1, s, in_switch)
             if s < hi:
                 self.tags[s] = "YIELD"
@@ -317,11 +313,11 @@ class _Tagger:
                 k += 1
                 continue
             break
-        local = self.types.get(toks[k].offset) if k < hi and toks[k].text != "{" else None
+        local = self.types.get(k) if k < hi and toks[k].text != "{" else None
         if local is not None:
-            return self._type(local, local.start - k, hi)
+            return self._type(local, hi)
 
-        s = self._find_semi(j, hi)
+        s = self._scan_to(j, hi, (";",))
         self._expr(j, s, in_switch)
         if s < hi:
             self.tags[s] = self._stmt_semi_tag(k, s)
@@ -374,11 +370,11 @@ class _Tagger:
         toks = self.toks
         popen = j + 1
         pclose = match_paren(toks, popen)
-        first = self._find_semi(popen + 1, pclose)
+        first = self._scan_to(popen + 1, pclose, (";",))
         if first < pclose:
             self._pair(popen, pclose, "FOR")
             self.tags[first] = "FOR_INIT"
-            second = self._find_semi(first + 1, pclose)
+            second = self._scan_to(first + 1, pclose, (";",))
             if second < pclose:
                 self.tags[second] = "FOR_COND"
             self._expr(popen + 1, first, in_switch)
@@ -397,7 +393,7 @@ class _Tagger:
             c = self._paren(j, "TRY_RESOURCE")
             k = j + 1
             while k < c:
-                s = self._find_semi(k, c)
+                s = self._scan_to(k, c, (";",))
                 self._expr(k, s, in_switch)
                 if s < c:
                     self.tags[s] = "LOCAL_VARIABLE"
@@ -428,7 +424,7 @@ class _Tagger:
         while j < hi:
             t = toks[j]
             if t.kind == TokenKind.KEYWORD and t.text == "case":
-                k = self._label_end(j + 1, hi)
+                k = self._scan_to(j + 1, hi, (":", "->"))
                 self._expr(j + 1, k, True)
                 j = k + 1 if k < hi else hi
                 continue
@@ -436,22 +432,6 @@ class _Tagger:
                 j += 2
                 continue
             j = self._statement(j, hi, True)
-
-    def _label_end(self, lo: int, hi: int) -> int:
-        """Scan a case label to its ':' or '->' at depth zero."""
-        toks = self.toks
-        depth = 0
-        j = lo
-        while j < hi:
-            txt = toks[j].text
-            if txt in ("(", "[", "{"):
-                depth += 1
-            elif txt in (")", "]", "}"):
-                depth -= 1
-            elif depth == 0 and txt in (":", "->"):
-                return j
-            j += 1
-        return hi
 
     # -- expressions ------------------------------------------------------
 
@@ -578,9 +558,9 @@ class _Tagger:
             c = self._paren(k, "CONSTRUCTOR_CALL")
             self._expr(k + 1, c, False)
             if c + 1 < hi and toks[c + 1].text == "{":
-                body = self.types.get(toks[c + 1].offset)
+                body = self.types.get(c + 1)
                 if body is not None:
-                    return self._type_body(body, body.body_open - c - 1, "ANONYMOUS_CLASS")
+                    return self._type_body(body, "ANONYMOUS_CLASS")
             return c + 1
         return k
 
@@ -591,15 +571,21 @@ def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
     Always total: every ';', brace, and paren token receives a tag, falling
     back to a generic one where the walker could not classify.
     """
-    tagger = _Tagger(decl)
+    m = decl.member
+    if isinstance(decl, MethodDecl):
+        indices = range(m.start, m.end + 1)
+    else:
+        lo, _, end = decl.declarator
+        indices = [*range(m.start, m.declarators[0][0]), *range(lo, end), end]
+    tagger = _Tagger(decl, indices[-1])
     try:
         if isinstance(decl, MethodDecl):
-            tagger.method(decl)
+            tagger._member(m, m.end + 1)
         else:
-            tagger.fielddecl(decl)
+            tagger.field(decl)
     except (ParseError, IndexError):
         pass
-    tags = tagger.tags
+    tags = [tagger.tags[k] for k in indices]
     for i, tok in enumerate(decl.tokens):
         if tags[i] is not None:
             continue
@@ -616,11 +602,11 @@ def elided_indices(decl: MethodDecl | FieldDecl) -> frozenset[int]:
     """Token indices removed by the delimiter-elision heuristic."""
     if not isinstance(decl, MethodDecl):
         return frozenset()
-    drop = set()
-    for idx in (decl.param_open, decl.param_close, decl.body_open, decl.body_close):
-        if idx is not None:
-            drop.add(idx)
-    return frozenset(drop)
+    m = decl.member
+    drop = set(m.params or ())
+    if m.body is not None:
+        drop.update((m.body, m.end))
+    return frozenset(i - m.start for i in drop)
 
 
 def render(decl: MethodDecl | FieldDecl, config: RenderConfig) -> bytes:

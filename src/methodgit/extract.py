@@ -6,7 +6,8 @@ downstream stages need.  It does not build expression trees and it never
 resolves names.  Anything it cannot make sense of raises ParseError and the
 caller falls back to passing the file through untouched.  The structure it
 walks is kept as records (TypeDecl, EnumConstant, Member), from which the
-renderer tags the terminators of nested declarations.
+renderer tags terminators.  Every position a record or declaration carries
+is an index into the file's token list, which each declaration also holds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .lexer import Javadoc, LexResult, Token, TokenKind, tokenize
+from .lexer import LexResult, Token, TokenKind, tokenize
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
@@ -75,10 +76,12 @@ class Member:
 
     kind is 'type', 'initializer', 'method' or 'field'.  head is the index
     after the member's annotations and modifiers, end its last token.  A
-    method body or initializer block runs from body to end; a method
-    without one ends in ';'.  default is the [lo, hi) range of an
-    annotation element's default value, inits the [lo, hi) initializer
-    ranges of a field's declarators.
+    method's params are its parameter parens, None only for a compact
+    constructor.  A method body or initializer block runs from body to end;
+    a method without one ends in ';'.  default is the [lo, hi) range of an
+    annotation element's default value.  declarators holds, for each of a
+    field's variables, the index of its name, of its initializer's first
+    token (the third value when it has none) and of the ',' or ';' after it.
     """
 
     kind: str
@@ -90,7 +93,7 @@ class Member:
     params: tuple[int, int] | None = None
     body: int | None = None
     default: tuple[int, int] | None = None
-    inits: list[tuple[int, int]] = field(default_factory=list)
+    declarators: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -98,30 +101,22 @@ class MethodDecl:
     """A method, constructor, or compact record constructor.
 
     tokens is the contiguous token run of the whole declaration including
-    annotations; the *_open/*_close indices are relative to it.  param_open
-    is None only for compact constructors, body_open only for declarations
-    without a body (abstract/interface/annotation members).  member is the
-    walk's record of the declaration.  types maps the character offsets of
-    the first token and of the body's '{' of each type declared inside a
-    method body or an initializer of the file to its record.
+    annotations, file_tokens[member.start : member.end + 1].  member is the
+    walk's record of the declaration.  types maps the index of the keyword
+    and of the body's '{' of each type declared inside a method body or an
+    initializer of the file to its record.
     """
 
     class_chain: list[str]
     modifiers: list[str]
-    type_params: str | None
     return_type: str
     name: str
     param_types: list[str]
     tokens: list[Token]
-    javadoc: str | None
-    is_abstract: bool
-    param_open: int | None
-    param_close: int | None
-    body_open: int | None
-    body_close: int | None
     plain_lines: list[str]
     javadoc_lines: list[str]
     member: Member
+    file_tokens: list[Token]
     types: dict[int, TypeDecl]
 
 
@@ -130,9 +125,9 @@ class FieldDecl:
     """One declared field variable.
 
     A multi-variable declaration yields one FieldDecl per variable; tokens
-    then share the leading modifier/type tokens and the closing semicolon.
-    initializer is the [lo, hi) range of the variable's initializer in
-    tokens; types is as in MethodDecl.
+    are the shared annotations, modifiers and type, this variable's
+    declarator (one of member.declarators) and the closing semicolon.
+    file_tokens and types are as in MethodDecl.
     """
 
     class_chain: list[str]
@@ -140,10 +135,11 @@ class FieldDecl:
     field_type: str
     name: str
     tokens: list[Token]
-    javadoc: str | None
     plain_lines: list[str]
     javadoc_lines: list[str]
-    initializer: tuple[int, int] | None
+    member: Member
+    declarator: tuple[int, int, int]
+    file_tokens: list[Token]
     types: dict[int, TypeDecl]
 
 
@@ -324,15 +320,6 @@ class _Extractor:
         self._anon += 1
         return f"${self._anon}"
 
-    def _javadoc_for(self, start: int, name_idx: int) -> Javadoc | None:
-        found = None
-        for jd in self.javadocs:
-            if start <= jd.attach_index <= name_idx:
-                found = jd
-            elif jd.attach_index > name_idx:
-                break
-        return found
-
     def _source_lines(self, lo: int, hi: int) -> list[str]:
         """Full source lines covering character span [lo, hi), with
         non-Javadoc comments spliced out.  Lines that a removal left
@@ -372,10 +359,16 @@ class _Extractor:
             out.append(text)
         return out
 
-    def _javadoc_lines(self, jd: Javadoc | None) -> list[str]:
-        if jd is None:
-            return []
-        return self._source_lines(jd.start, jd.end)
+    def _javadoc_lines(self, start: int, name_idx: int) -> list[str]:
+        """Source lines of the last javadoc attached to a token in
+        [start, name_idx]."""
+        found = None
+        for jd in self.javadocs:
+            if start <= jd.attach_index <= name_idx:
+                found = jd
+            elif jd.attach_index > name_idx:
+                break
+        return [] if found is None else self._source_lines(found.start, found.end)
 
     # ------------------------------------------------------------------
     # top level
@@ -412,27 +405,36 @@ class _Extractor:
     def _type_decl(self, i: int, chain: list[str]) -> TypeDecl:
         """Parse a top-level type declaration whose annotations/modifiers
         start at i."""
+        n = len(self.toks)
+        j, _ = self._modifiers(i, n)
+        _expect(j < n, "unexpected end of file")
+        kind = self._type_kind(j, n)
+        if kind is None:
+            raise _fail("expected a type declaration", self.toks[j])
+        return self._class_like(j, chain, kind)
+
+    def _modifiers(self, i: int, hi: int) -> tuple[int, list[str]]:
+        """Skip the annotations and modifiers at i, before hi; returns the
+        index after them and the modifiers.  'sealed' and 'non-sealed' are
+        modifiers only before a type declaration."""
         toks = self.toks
-        n = len(toks)
+        mods: list[str] = []
         j = i
-        while j < n:
+        while j < hi:
             t = toks[j]
-            if t.text == "@" and j + 1 < n and toks[j + 1].text == "interface":
+            if t.text == "@" and j + 1 < hi and toks[j + 1].text == "interface":
                 break
             if t.text == "@":
                 j = scan_annotation(toks, j)
                 continue
             if (t.kind == TokenKind.KEYWORD and t.text in MODIFIER_KEYWORDS) or (
-                t.text in CONTEXTUAL_MODIFIERS
+                t.text in CONTEXTUAL_MODIFIERS and self._is_type_decl_ahead(j + 1)
             ):
+                mods.append(t.text)
                 j += 1
                 continue
             break
-        _expect(j < n, "unexpected end of file")
-        kind = self._type_kind(j, n)
-        if kind is None:
-            raise _fail("expected a type declaration", toks[j])
-        return self._class_like(j, chain, kind)
+        return j, mods
 
     def _type_kind(self, j: int, hi: int) -> str | None:
         """The kind of the type declaration whose keyword is at j, if any."""
@@ -543,24 +545,7 @@ class _Extractor:
 
     def _member(self, start: int, close: int, chain: list[str], class_name: str | None) -> Member:
         toks = self.toks
-        mods: list[str] = []
-        j = start
-        while j < close:
-            t = toks[j]
-            if t.text == "@" and j + 1 < close and toks[j + 1].text == "interface":
-                break
-            if t.text == "@":
-                j = scan_annotation(toks, j)
-                continue
-            if t.kind == TokenKind.KEYWORD and t.text in MODIFIER_KEYWORDS:
-                mods.append(t.text)
-                j += 1
-                continue
-            if t.text in CONTEXTUAL_MODIFIERS and self._is_type_decl_ahead(j + 1):
-                mods.append(t.text)
-                j += 1
-                continue
-            break
+        j, mods = self._modifiers(start, close)
         _expect(j < close, "truncated member", toks[start])
         t = toks[j]
         head = j
@@ -575,11 +560,9 @@ class _Extractor:
             self._scan_for_types(j + 1, b, chain)
             return Member("initializer", start, head, mods, b, body=j)
 
-        type_params = None
         if t.text == "<":
             g = match_angle(toks, j)
             _expect(g is not None, "malformed method type parameters", t)
-            type_params = self.source[toks[j].offset : toks[g - 1].end]
             j = g
             _expect(j < close, "truncated member", t)
             t = toks[j]
@@ -591,7 +574,7 @@ class _Extractor:
             and j + 1 < close
             and toks[j + 1].text in ("(", "{")
         ):
-            return self._method(start, head, mods, type_params, "", j, chain, close)
+            return self._method(start, head, mods, "", j, chain, close)
 
         st = scan_type(toks, j)
         if st is None:
@@ -601,7 +584,7 @@ class _Extractor:
         name_tok = toks[type_end]
         _expect(name_tok.kind == TokenKind.IDENTIFIER, "expected member name", name_tok)
         if type_end + 1 < close and toks[type_end + 1].text == "(":
-            return self._method(start, head, mods, type_params, type_text, type_end, chain, close)
+            return self._method(start, head, mods, type_text, type_end, chain, close)
         return self._field(start, head, mods, type_text, type_end, chain, close)
 
     def _method(
@@ -609,7 +592,6 @@ class _Extractor:
         start: int,
         head: int,
         mods: list[str],
-        type_params: str | None,
         return_type: str,
         name_idx: int,
         chain: list[str],
@@ -651,26 +633,18 @@ class _Extractor:
             j += 1
 
         end = member.end
-        jd = self._javadoc_for(start, name_idx)
-        popen, pclose = member.params or (None, None)
         self.methods.append(
             MethodDecl(
                 class_chain=list(chain),
                 modifiers=mods,
-                type_params=type_params,
                 return_type=ret,
                 name=toks[name_idx].text,
                 param_types=param_types,
                 tokens=toks[start : end + 1],
-                javadoc=jd.text if jd else None,
-                is_abstract=member.body is None,
-                param_open=popen - start if popen is not None else None,
-                param_close=pclose - start if pclose is not None else None,
-                body_open=member.body - start if member.body is not None else None,
-                body_close=end - start if member.body is not None else None,
                 plain_lines=self._source_lines(toks[start].offset, toks[end].end),
-                javadoc_lines=self._javadoc_lines(jd),
+                javadoc_lines=self._javadoc_lines(start, name_idx),
                 member=member,
+                file_tokens=toks,
                 types=self.types,
             )
         )
@@ -739,10 +713,8 @@ class _Extractor:
         close: int,
     ) -> Member:
         toks = self.toks
-        head_toks = toks[start:first_name_idx]
-        jd = self._javadoc_for(start, first_name_idx)
         member = Member("field", start, head, mods, close)
-        declarators: list[tuple[Token, str, int, int, tuple[int, int] | None]] = []
+        all_dims: list[str] = []
         j = first_name_idx
         while True:
             name_tok = toks[j]
@@ -753,15 +725,14 @@ class _Extractor:
             while j + 1 < close and toks[j].text == "[" and toks[j + 1].text == "]":
                 dims += "[]"
                 j += 2
-            init = None
+            init = j
             if j < close and toks[j].text == "=":
-                init_lo = j + 1
-                j = self._expr_end(init_lo, close, (",", ";"))
-                self._scan_for_types(init_lo, j, chain)
-                init = (init_lo, j)
-                member.inits.append(init)
+                init = j + 1
+                j = self._expr_end(init, close, (",", ";"))
+                self._scan_for_types(init, j, chain)
             _expect(j < close, "unterminated field", name_tok)
-            declarators.append((name_tok, dims, d_start, j, init))
+            member.declarators.append((d_start, init, j))
+            all_dims.append(dims)
             if toks[j].text == ",":
                 j += 1
                 continue
@@ -769,20 +740,22 @@ class _Extractor:
             break
         member.end = j
         semi = toks[j]
-        for name_tok, dims, lo, hi, init in declarators:
-            # tokens are head_toks + toks[lo:hi] + [semi]
-            shift = len(head_toks) - lo
+        plain_lines = self._source_lines(toks[start].offset, semi.end)
+        javadoc_lines = self._javadoc_lines(start, first_name_idx)
+        for declarator, dims in zip(member.declarators, all_dims):
+            lo, _, hi = declarator
             self.fields.append(
                 FieldDecl(
                     class_chain=list(chain),
                     modifiers=list(mods),
                     field_type=type_text + dims,
-                    name=name_tok.text,
-                    tokens=head_toks + toks[lo:hi] + [semi],
-                    javadoc=jd.text if jd else None,
-                    plain_lines=self._source_lines(toks[start].offset, semi.end),
-                    javadoc_lines=self._javadoc_lines(jd),
-                    initializer=(init[0] + shift, init[1] + shift) if init else None,
+                    name=toks[lo].text,
+                    tokens=toks[start:first_name_idx] + toks[lo:hi] + [semi],
+                    plain_lines=plain_lines,
+                    javadoc_lines=javadoc_lines,
+                    member=member,
+                    declarator=declarator,
+                    file_tokens=toks,
                     types=self.types,
                 )
             )
@@ -845,9 +818,9 @@ class _Extractor:
                 j += 1
                 continue
             rec = self._class_like(j, chain, kind)
-            self.types[t.offset] = rec
+            self.types[j] = rec
             if rec.body_open is not None:
-                self.types[toks[rec.body_open].offset] = rec
+                self.types[rec.body_open] = rec
             j = rec.end + 1
 
     def _new_expr(self, i: int, hi: int, chain: list[str]) -> int:
@@ -875,7 +848,7 @@ class _Extractor:
             self._scan_for_types(k + 1, c, chain)
             if c + 1 < hi and toks[c + 1].text == "{":
                 rec = self._anonymous(c + 1, chain)
-                self.types[toks[c + 1].offset] = rec
+                self.types[c + 1] = rec
                 return rec.end + 1
             return c + 1
         return k

@@ -50,8 +50,8 @@ public class Engineer {
 
 # Method bodies and field initializers that declare types of their own: the
 # tags inside come from the walk over local, anonymous and enum-constant
-# class bodies.  Type annotations inside a nested member's type are left to
-# the generic fallback tags, unlike those of a top-level declaration.
+# class bodies.  Type annotations in a nested member's header are tagged as
+# in a top-level declaration.
 NESTED_JAVA = """
 class Outer {
   @Deprecated(since = "1") private final Runnable task = new Runnable() {

@@ -386,3 +386,36 @@ def test_type_keyword_without_a_name_is_not_a_declaration():
         with pytest.raises(ParseError, match="expected type name"):
             extract(src)
         assert convert_blob(src.encode(), ConversionConfig()) is None
+
+
+@pytest.mark.parametrize("source", [PERSON_JAVA, NESTED_JAVA], ids=["person", "nested"])
+def test_a_token_has_one_tag_in_every_declaration(source):
+    # A nested method's tokens are rendered in its own file and in the file
+    # of each declaration around it; their tags must agree.
+    methods, fields = extract(source)
+    first: dict[int, tuple[str, str | None]] = {}
+    mismatches = []
+    for decl in methods + fields:
+        for tok, tag in zip(decl.tokens, categorize(decl)):
+            name, seen = first.setdefault(id(tok), (decl.name, tag))
+            if seen != tag:
+                mismatches.append((tok.text, tok.line, name, seen, decl.name, tag))
+    assert mismatches == []
+
+
+def test_a_bracket_left_open_does_not_reach_other_declarations():
+    # g( is never closed inside f; a later ')' belongs to another method.
+    broken = "void f() { g( ; }"
+    variants = [
+        f"class A {{ {broken} }}",
+        f"class A {{ {broken} void h() {{ k(); }} }}",
+        f"class A {{ {broken} void h() {{ k()); }} }}",
+        f"class A {{ {broken} int x = (3); void h() {{ ) }} }}",
+    ]
+    for src in variants:
+        assert lines(src, "f", FINER_NO_H2) == [
+            "void", "f", "( METHOD_PARAMS", ") METHOD_PARAMS", "{ METHOD_BODY",
+            "g", "( OTHER", "; OTHER", "} METHOD_BODY",
+        ]
+    fixed = "class A { void f() { g(); } void h() { k(); } }"
+    assert render_method(variants[1], "h", FINER) == render_method(fixed, "h", FINER)

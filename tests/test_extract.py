@@ -37,11 +37,13 @@ def test_person_fixture_inventory():
 def test_delimiter_indices_point_at_delimiters():
     methods, _ = extract(PERSON_JAVA)
     for m in methods:
-        assert m.tokens[m.param_open].text == "("
-        assert m.tokens[m.param_close].text == ")"
-        assert m.tokens[m.body_open].text == "{"
-        assert m.tokens[m.body_close].text == "}"
-        assert m.tokens[m.body_close] is m.tokens[-1]
+        toks, member = m.file_tokens, m.member
+        popen, pclose = member.params
+        assert toks[popen].text == "("
+        assert toks[pclose].text == ")"
+        assert toks[member.body].text == "{"
+        assert toks[member.end].text == "}"
+        assert m.tokens == toks[member.start : member.end + 1]
 
 
 def test_nested_and_anonymous_chains():
@@ -80,7 +82,7 @@ def test_constructor_and_compact_constructor():
     compact = by_name[(("Pair",), "Pair")]
     assert compact.return_type == ""
     assert compact.param_types == []
-    assert compact.param_open is None
+    assert compact.member.params is None
     ctor = by_name[(("Box",), "Box")]
     assert ctor.param_types == ["int"]
     assert ctor.return_type == ""
@@ -126,7 +128,7 @@ def test_generic_method_and_types():
     assert m.modifiers == ["static"]
     assert m.return_type == "java.util.List<T>"
     assert m.param_types == ["T[]"]
-    assert m.type_params is not None
+    assert m.file_tokens[m.member.head].text == "<"
 
 
 def test_c_style_array_dims_move_to_return_type():
@@ -157,10 +159,10 @@ def test_abstract_and_interface_methods_have_no_body():
     """
     methods, _ = extract(src)
     by_name = {m.name: m for m in methods}
-    assert by_name["size"].is_abstract
-    assert by_name["size"].body_open is None
-    assert not by_name["twice"].is_abstract
-    assert by_name["go"].is_abstract
+    assert by_name["size"].member.body is None
+    assert by_name["size"].tokens[-1].text == ";"
+    assert by_name["twice"].member.body is not None
+    assert by_name["go"].member.body is None
     assert by_name["go"].modifiers == ["protected", "abstract"]
 
 
@@ -194,9 +196,9 @@ def test_javadoc_attaches_to_following_member():
     """
     methods, fields = extract(src)
     by_name = {m.name: m for m in methods}
-    assert by_name["f"].javadoc == "/** for f */"
-    assert by_name["g"].javadoc is None
-    assert fields[0].javadoc == "/** for x */"
+    assert by_name["f"].javadoc_lines == ["      /** for f */"]
+    assert by_name["g"].javadoc_lines == []
+    assert fields[0].javadoc_lines == ["      /** for x */"]
 
 
 def test_javadoc_survives_annotations_between():
@@ -208,7 +210,7 @@ def test_javadoc_survives_annotations_between():
     }
     """
     (m,) = extract(src)[0]
-    assert m.javadoc == "/** doc */"
+    assert m.javadoc_lines == ["      /** doc */"]
 
 
 def test_plain_lines_are_verbatim_source():
@@ -296,8 +298,10 @@ def test_record_components_are_not_fields():
 
 
 def test_unbalanced_source_raises_parse_error():
-    with pytest.raises(ParseError):
-        extract("class A { void f() { ")
+    # The last two end inside a member after a complete top-level type.
+    for src in ("class A { void f() { ", "class X {} int a,", "class X {} void f("):
+        with pytest.raises(ParseError):
+            extract(src)
 
 
 def test_interface_constants_are_fields():
