@@ -164,7 +164,9 @@ class _PackFile:
             base_oid = self._map[pos : pos + 20].hex()
             pos += 20
             kind, base = store.read(base_oid)
-            base_type = {"commit": 1, "tree": 2, "blob": 3, "tag": 4}[kind]
+            base_type = _TYPE_NUMBERS.get(kind)
+            if base_type is None:
+                raise ValueError(f"delta base {base_oid} has unknown type {kind!r}")
             return base_type, _apply_delta(base, self._inflate(pos, size))
         raise ValueError(f"unknown pack object type {obj_type}")
 
@@ -216,6 +218,7 @@ def _apply_delta(base: bytes, delta: bytes) -> bytes:
 
 
 _TYPE_NAMES = {1: "commit", 2: "tree", 3: "blob", 4: "tag"}
+_TYPE_NUMBERS = {name: num for num, name in _TYPE_NAMES.items()}
 
 
 class ObjectStore:
@@ -286,24 +289,22 @@ class ObjectStore:
 
     def _read_uncached(self, oid: str) -> tuple[str, bytes]:
         loose = os.path.join(self.gitdir, "objects", oid[:2], oid[2:])
-        if os.path.exists(loose):
+        try:
             with open(loose, "rb") as f:
                 raw = zlib.decompress(f.read())
+        except FileNotFoundError:
+            raw = None
+        if raw is not None:
             nul = raw.index(b"\x00")
             kind, _, _ = raw[:nul].partition(b" ")
-            result = (kind.decode(), raw[nul + 1 :])
-        else:
-            result = None
-            oid_bin = bytes.fromhex(oid)
-            for pack in self._load_packs():
-                offset = pack.find(oid_bin)
-                if offset is not None:
-                    type_num, payload = pack.read_at(offset, self)
-                    result = (_TYPE_NAMES[type_num], payload)
-                    break
-            if result is None:
-                raise RepositoryError(f"object not found: {oid}")
-        return result
+            return kind.decode(), raw[nul + 1 :]
+        oid_bin = bytes.fromhex(oid)
+        for pack in self._load_packs():
+            offset = pack.find(oid_bin)
+            if offset is not None:
+                type_num, payload = pack.read_at(offset, self)
+                return _TYPE_NAMES[type_num], payload
+        raise RepositoryError(f"object not found: {oid}")
 
     def read_commit(self, oid: str) -> CommitRecord:
         kind, payload = self.read(oid)

@@ -1,9 +1,12 @@
 """Content-similarity tracking of files across a repository's history.
 
-The walk runs newest to oldest.  When the tracked path disappears from the
+The walk runs newest to oldest.  At each commit it looks the tracked path up
+in the parents' trees, one tree per path component, so a commit costs only
+the trees that changed along that path.  When the path disappears from the
 parent, every file the commit deleted (and, with copy detection, every file
 it retained) is scored against the tracked content, and the best candidate
-at or above the threshold continues the chain as a rename or copy.
+at or above the threshold continues the chain as a rename or copy; only
+there are whole trees flattened into path -> blob maps.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from hashlib import blake2b
 
 from .errors import TrackError
-from .gitstore import FILE_MODES, ObjectStore
+from .gitstore import FILE_MODES, ObjectStore, TreeEntry
 
 _CHUNK = 64
 
@@ -51,16 +53,12 @@ class SimilarityScore:
 class Fingerprint:
     chunks: Counter
     total_bytes: int
-    line_hashes: Counter
+    lines: Counter
     line_count: int
 
 
-def _hash(data: bytes) -> int:
-    return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
-
-
 def fingerprint(content: bytes) -> Fingerprint:
-    """Chunk and line multisets of the content.
+    """Chunk and line multisets of the content, keyed by the bytes themselves.
 
     Lines are split on LF with terminators kept; lines longer than 64 bytes
     contribute 64-byte chunks instead of one whole-line chunk.
@@ -69,22 +67,37 @@ def fingerprint(content: bytes) -> Fingerprint:
     lines = [part + b"\n" for part in parts[:-1]]
     if parts[-1]:
         lines.append(parts[-1])
-    chunks: Counter = Counter()
-    line_hashes: Counter = Counter()
-    for line in lines:
-        line_hashes[_hash(line)] += 1
-        if len(line) <= _CHUNK:
-            chunks[(_hash(line), len(line))] += 1
-        else:
-            for i in range(0, len(line), _CHUNK):
-                piece = line[i : i + _CHUNK]
-                chunks[(_hash(piece), len(piece))] += 1
+    counted = Counter(lines)
+    chunks = counted
+    if any(len(line) > _CHUNK for line in counted):
+        chunks = Counter()
+        for line, n in counted.items():
+            if len(line) <= _CHUNK:
+                chunks[line] += n
+            else:
+                for i in range(0, len(line), _CHUNK):
+                    chunks[line[i : i + _CHUNK]] += n
     return Fingerprint(
         chunks=chunks,
         total_bytes=len(content),
-        line_hashes=line_hashes,
+        lines=counted,
         line_count=len(lines),
     )
+
+
+def _common(a: Counter, b: Counter, by_length: bool) -> int:
+    """Size of the multiset intersection of a and b, each common piece
+    weighed by its length if by_length; loops over the smaller Counter."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    total = 0
+    for piece, n in a.items():
+        m = get(piece)
+        if m:
+            common = n if n < m else m
+            total += len(piece) * common if by_length else common
+    return total
 
 
 def similarity(a: Fingerprint, b: Fingerprint, metric: Metric) -> SimilarityScore:
@@ -92,13 +105,12 @@ def similarity(a: Fingerprint, b: Fingerprint, metric: Metric) -> SimilarityScor
     if metric is Metric.GIT_BYTES:
         if a.total_bytes == 0 and b.total_bytes == 0:
             return SimilarityScore(1, 1)
-        common = a.chunks & b.chunks
-        num = sum(length * count for (_h, length), count in common.items())
+        num = _common(a.chunks, b.chunks, True)
         return SimilarityScore(num, max(a.total_bytes, b.total_bytes))
     if a.line_count == 0 and b.line_count == 0:
         return SimilarityScore(1, 1)
-    common = a.line_hashes & b.line_hashes
-    return SimilarityScore(sum(common.values()), max(a.line_count, b.line_count))
+    num = _common(a.lines, b.lines, False)
+    return SimilarityScore(num, max(a.line_count, b.line_count))
 
 
 @dataclass(frozen=True)
@@ -130,9 +142,14 @@ class TrackStep:
 
 @dataclass
 class FollowCaches:
-    """Shared lookup state, reusable across follow() calls on one store."""
+    """Shared lookup state, reusable across follow() calls on one store.
+
+    trees maps a tree id to its entries by decoded name; flat maps a tree id
+    to the path -> blob map of every regular file under it.
+    """
 
     trees: dict = field(default_factory=dict)
+    flat: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
 
@@ -153,20 +170,48 @@ def _read_commit(store: ObjectStore, oid: str, caches: FollowCaches):
     return record
 
 
+def _entries(
+    store: ObjectStore, tree_oid: str, caches: FollowCaches
+) -> dict[str, TreeEntry]:
+    entries = caches.trees.get(tree_oid)
+    if entries is None:
+        entries = {
+            entry.name.decode("utf-8", errors="surrogateescape"): entry
+            for entry in store.read_tree(tree_oid)
+        }
+        caches.trees[tree_oid] = entries
+    return entries
+
+
+def _lookup(
+    store: ObjectStore, tree_oid: str, path: str, caches: FollowCaches
+) -> str | None:
+    """The blob id of the regular file at path under the tree, or None."""
+    *dirs, name = path.split("/")
+    for part in dirs:
+        entry = _entries(store, tree_oid, caches).get(part)
+        if entry is None or not entry.is_tree:
+            return None
+        tree_oid = entry.oid
+    entry = _entries(store, tree_oid, caches).get(name)
+    if entry is None or entry.mode not in FILE_MODES:
+        return None
+    return entry.oid
+
+
 def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[str, str]:
     """path -> blob id for every regular file under the tree."""
-    cached = caches.trees.get(tree_oid)
-    if cached is not None:
-        return cached
-    flat: dict[str, str] = {}
-    for entry in store.read_tree(tree_oid):
-        name = entry.name.decode("utf-8", errors="surrogateescape")
+    flat = caches.flat.get(tree_oid)
+    if flat is not None:
+        return flat
+    flat = {}
+    for name, entry in _entries(store, tree_oid, caches).items():
         if entry.is_tree:
             for sub_path, sub_oid in _flatten(store, entry.oid, caches).items():
                 flat[f"{name}/{sub_path}"] = sub_oid
         elif entry.mode in FILE_MODES:
             flat[name] = entry.oid
-    caches.trees[tree_oid] = flat
+    caches.flat[tree_oid] = flat
     return flat
 
 
@@ -184,13 +229,17 @@ def resolve_start(
 ) -> str:
     """The commit a walk of path starts from: ref's commit, or else the
     single branch tip that has path."""
+
+    def has_path(commit_id: str) -> bool:
+        tree = _read_commit(store, commit_id, caches).tree
+        return _lookup(store, tree, path, caches) is not None
+
     if ref is not None:
         oid = store.resolve_ref(ref)
         if oid is None:
             raise TrackError(f"ref not found: {ref}")
         commit_id = store.peel_to_commit(oid)
-        flat = _flatten(store, _read_commit(store, commit_id, caches).tree, caches)
-        if path not in flat:
+        if not has_path(commit_id):
             raise PathNotFound(f"path {path} not found at {ref}")
         return commit_id
     heads = {
@@ -201,8 +250,7 @@ def resolve_start(
     containing: dict[str, list[str]] = {}
     for name in sorted(heads):
         commit_id = store.peel_to_commit(heads[name])
-        flat = _flatten(store, _read_commit(store, commit_id, caches).tree, caches)
-        if path in flat:
+        if has_path(commit_id):
             containing.setdefault(commit_id, []).append(name)
     if not containing:
         raise PathNotFound(f"path {path} not found on any branch")
@@ -231,7 +279,6 @@ def _disappearance(
     parent_flat = _flatten(store, parent_tree_oid, caches)
     target = _blob_fingerprint(store, blob_oid, caches)
     best: _Winner | None = None
-    best_value: Fraction | None = None
     for old_path in sorted(parent_flat):
         old_oid = parent_flat[old_path]
         deleted = old_path not in cur_flat
@@ -240,9 +287,11 @@ def _disappearance(
         score = similarity(
             _blob_fingerprint(store, old_oid, caches), target, config.metric
         )
-        value = score.as_fraction()
-        if best_value is None or value > best_value:
-            best_value = value
+        # Strictly greater, by cross-multiplication: denominators are >= 1.
+        if best is None or (
+            score.numerator * best.score.denominator
+            > best.score.numerator * score.denominator
+        ):
             best = _Winner(
                 score=score,
                 old_path=old_path,
@@ -269,16 +318,16 @@ def follow(
     commit_id = resolve_start(store, path, ref, caches)
     cur_path = path
     record = _read_commit(store, commit_id, caches)
-    blob = _flatten(store, record.tree, caches)[cur_path]
+    blob = _lookup(store, record.tree, cur_path, caches)
     steps: list[TrackStep] = []
     while True:
         record = _read_commit(store, commit_id, caches)
         chosen = None
         for parent in record.parents:
             parent_record = _read_commit(store, parent, caches)
-            parent_flat = _flatten(store, parent_record.tree, caches)
-            if cur_path in parent_flat:
-                chosen = (parent, parent_flat[cur_path])
+            parent_blob = _lookup(store, parent_record.tree, cur_path, caches)
+            if parent_blob is not None:
+                chosen = (parent, parent_blob)
                 break
         if chosen is not None:
             parent, parent_blob = chosen
@@ -296,7 +345,8 @@ def follow(
             )
             if (
                 winner is not None
-                and winner.score.as_fraction() >= Fraction(config.threshold, 100)
+                and winner.score.numerator * 100
+                >= config.threshold * winner.score.denominator
             ):
                 steps.append(
                     TrackStep(commit_id, winner.kind, winner.old_path, cur_path, winner.score)

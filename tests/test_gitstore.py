@@ -288,6 +288,48 @@ def test_truncated_pack_raises_repository_error(tmp_path):
 
 
 @requires_git
+def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
+    repo = tmp_path / "r.git"
+    git("init", "-q", "--bare", str(repo), cwd=str(tmp_path))
+    base = "\n".join(f"line {i} of the payload" for i in range(400)) + "\n"
+    (tmp_path / "a").write_text(base)
+    (tmp_path / "b").write_text(base + "tail\n")
+    oids = [git("hash-object", "-w", str(tmp_path / name), cwd=str(repo)).strip()
+            for name in ("a", "b")]
+    # Without offset deltas, git names each delta's base by id (REF_DELTA).
+    subprocess.run(
+        ["git", "pack-objects", "--no-delta-base-offset", "objects/pack/pack"],
+        cwd=str(repo), input="".join(oid + "\n" for oid in oids),
+        check=True, capture_output=True, text=True,
+    )
+    (idx,) = (repo / "objects" / "pack").glob("*.idx")
+    # verify-pack -v: id, type, size, packed size, offset, depth, base id
+    listing = git("verify-pack", "-v", str(idx), cwd=str(repo))
+    (delta, delta_base) = next(
+        (fields[0], fields[6])
+        for fields in map(str.split, listing.splitlines())
+        if len(fields) == 7
+    )
+    for oid in oids:
+        os.remove(repo / "objects" / oid[:2] / oid[2:])
+    store = ObjectStore(str(repo))
+    kind, payload = store.read(delta)
+    assert hash_object(kind.encode(), payload) == delta
+    store.close()
+
+    # A loose object is read before the pack, so the delta's base now has a
+    # type that no pack object can have.
+    (repo / "objects" / delta_base[:2]).mkdir(exist_ok=True)
+    (repo / "objects" / delta_base[:2] / delta_base[2:]).write_bytes(
+        zlib.compress(b"bogus 3\x00abc")
+    )
+    store = ObjectStore(str(repo))
+    with pytest.raises(RepositoryError, match=f"corrupt object {delta}"):
+        store.read(delta)
+    store.close()
+
+
+@requires_git
 def test_peel_annotated_tag(tmp_path):
     work = tmp_path / "work"
     work.mkdir()

@@ -4,10 +4,11 @@ backward walk over hand-built histories."""
 from __future__ import annotations
 
 import os
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from methodgit import (
@@ -21,16 +22,20 @@ from methodgit import (
     similarity,
 )
 from methodgit.errors import TrackError
+from methodgit.gitstore import FILE_MODES, TreeEntry
 from methodgit.tracking import (
     AmbiguousStart,
     FollowCaches,
     PathNotFound,
     SimilarityScore,
     StepKind,
+    _flatten,
+    _lookup,
     steps_to_json,
     steps_to_tsv,
 )
 
+from brute import brute_follow
 from conftest import AUTHOR, build_linear_repo, sim, write_tree_dict
 
 
@@ -38,7 +43,7 @@ def test_fingerprint_counts_lines_and_bytes():
     fp = fingerprint(b"one\ntwo\n")
     assert fp.line_count == 2
     assert fp.total_bytes == 8
-    assert sum(fp.line_hashes.values()) == 2
+    assert sum(fp.lines.values()) == 2
     assert sum(fp.chunks.values()) == 2
 
 
@@ -59,7 +64,7 @@ def test_long_lines_split_into_64_byte_chunks():
     line = b"x" * 150 + b"\n"
     fp = fingerprint(line)
     assert fp.line_count == 1
-    sizes = sorted(length for (_h, length), n in fp.chunks.items() for _ in range(n))
+    sizes = sorted(len(piece) for piece, n in fp.chunks.items() for _ in range(n))
     assert sizes == [23, 64, 64]
 
 
@@ -427,6 +432,141 @@ def test_disappearance_cache_is_threshold_independent(tmp_path):
     high = follow(store, "new.txt", TrackerConfig(threshold=80), caches=caches)
     assert count_renames(low) == 1
     assert count_renames(high) == 0
+    store.close()
+
+
+# A tree is {name: subtree or (mode, blob content)}; a gitlink's content is
+# None, since it names a commit of another repository.
+_LEAVES = st.one_of(
+    st.tuples(st.sampled_from([b"100644", b"100755", b"120000"]), st.binary(max_size=8)),
+    st.just((b"160000", None)),
+)
+_NAMES = st.sampled_from(["a", "b", "f.txt", "x"])
+_TREES = st.recursive(
+    st.dictionaries(_NAMES, _LEAVES, max_size=4),
+    lambda trees: st.dictionaries(_NAMES, st.one_of(_LEAVES, trees), max_size=4),
+    max_leaves=12,
+)
+
+
+def _write_nested(writer: RepoWriter, tree: dict) -> str:
+    entries = []
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            entries.append(TreeEntry(b"40000", name.encode(), _write_nested(writer, value)))
+        else:
+            mode, content = value
+            oid = "1" * 40 if content is None else writer.write_blob(content)
+            entries.append(TreeEntry(mode, name.encode(), oid))
+    return writer.write_tree(entries)
+
+
+def _walk(tree: dict, prefix: str = ""):
+    """(path, value) for every entry of the tree and its subtrees."""
+    for name, value in tree.items():
+        yield prefix + name, value
+        if isinstance(value, dict):
+            yield from _walk(value, prefix + name + "/")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TREES)
+def test_lookup_agrees_with_flatten(tree):
+    entries = list(_walk(tree))
+    paths = {"", "/", "missing", "missing/f.txt"}
+    for path, _value in entries:
+        paths.update({
+            path, path + "/", path + "/x", path + "/missing",
+            "missing/" + path, path.replace("/", "//", 1),
+        })
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = RepoWriter(os.path.join(tmp, "r.git"))
+        writer.init_bare()
+        root = _write_nested(writer, tree)
+        store = ObjectStore(writer.path)
+        caches = FollowCaches()
+        flat = _flatten(store, root, caches)
+        assert set(flat) == {
+            path for path, value in entries
+            if not isinstance(value, dict) and value[0] in FILE_MODES
+        }
+        for path in sorted(paths):
+            assert _lookup(store, root, path, caches) == flat.get(path), path
+        store.close()
+
+
+def test_walk_flattens_no_tree_where_the_path_stays(tmp_path, monkeypatch):
+    flattened = []
+    original = _flatten
+
+    def counting(store, tree_oid, caches):
+        flattened.append(tree_oid)
+        return original(store, tree_oid, caches)
+
+    monkeypatch.setattr("methodgit.tracking._flatten", counting)
+    counts = {}
+    for n in (3, 30):
+        repo = str(tmp_path / f"r{n}.git")
+        # keep/k.txt appears at commit 1; every commit edits other/o.txt.
+        snapshots = [{"other/o.txt": b"%d\n" % i} for i in range(n)]
+        for files in snapshots[1:]:
+            files["keep/k.txt"] = b"k\n"
+        ids = build_linear_repo(repo, snapshots)
+        flattened.clear()
+        steps = track(repo, "keep/k.txt", threshold=50, detect_copies=True)
+        assert [(s.kind, s.commit_id) for s in steps] == [(StepKind.ADD, ids[1])]
+        counts[n] = len(flattened)
+    # Only the one disappearance, at the path's first commit, flattens.
+    assert counts[3] == counts[30]
+
+
+@pytest.mark.parametrize("shadow", ["symlink", "directory"])
+def test_follow_skips_a_first_parent_with_no_file_at_the_path(tmp_path, shadow):
+    repo = str(tmp_path / "r.git")
+    writer = RepoWriter(repo)
+    writer.init_bare()
+    keep = TreeEntry(b"100644", b"keep.txt", writer.write_blob(b"k\n"))
+
+    def commit(only: TreeEntry, parents, n):
+        stamp = AUTHOR % (1700000000 + n * 60)
+        return writer.write_commit(
+            tree=writer.write_tree([keep, only]),
+            parents=parents,
+            author=stamp,
+            committer=stamp,
+            message=b"c%d\n" % n,
+        )
+
+    def regular(content: bytes) -> TreeEntry:
+        return TreeEntry(b"100644", b"only.txt", writer.write_blob(content))
+
+    if shadow == "symlink":
+        in_left = TreeEntry(b"120000", b"only.txt", writer.write_blob(b"keep.txt"))
+    else:
+        inner = writer.write_tree([regular(b"o\n")])
+        in_left = TreeEntry(b"40000", b"only.txt", inner)
+    base = commit(regular(b"o0\n"), [], 0)
+    left = commit(in_left, [base], 1)
+    right = commit(regular(b"o\n"), [base], 2)
+    merge = commit(regular(b"o\n"), [left, right], 3)
+    writer.write_refs({"refs/heads/master": merge})
+    writer.set_head("refs/heads/master")
+
+    store = ObjectStore(repo)
+    for copies in (False, True):
+        for metric in Metric:
+            config = TrackerConfig(threshold=50, detect_copies=copies, metric=metric)
+            steps = follow(store, "only.txt", config)
+            assert [(s.kind, s.commit_id) for s in steps] == [
+                (StepKind.MODIFY, right),
+                (StepKind.ADD, base),
+            ]
+            got = [
+                (s.commit_id, s.kind.value, s.old_path, s.new_path,
+                 s.score.as_fraction() if s.score is not None else None)
+                for s in steps
+            ]
+            assert got == brute_follow(store, "only.txt", merge, 50, copies, metric.value)
     store.close()
 
 
