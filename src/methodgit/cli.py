@@ -142,8 +142,8 @@ def _cmd_track(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         detect_copies=args.copy_threshold is not None,
         metric=Metric(args.metric),
     )
-    store = ObjectStore(args.repo)
-    steps = follow(store, args.path, config)
+    with ObjectStore(args.repo) as store:
+        steps = follow(store, args.path, config)
     if args.format == "json":
         print(json.dumps(steps_to_json(steps), indent=2))
     else:
@@ -156,8 +156,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not oracle:
         print("error: oracle contains no entries", file=sys.stderr)
         return 1
-    store = ObjectStore(args.repo)
-    metrics, skipped = evaluate(store, oracle, thresholds=args.thresholds)
+    with ObjectStore(args.repo) as store:
+        metrics, skipped = evaluate(store, oracle, thresholds=args.thresholds)
     sys.stdout.write(metrics_to_csv(metrics))
     for path in skipped:
         print(f"warning: skipped unresolvable path: {path}", file=sys.stderr)
@@ -166,15 +166,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     pairs = load_pairs(args.pairs)
-    store_a = ObjectStore(args.repo_a)
-    store_b = ObjectStore(args.repo_b)
-    report = compare_modes(
-        store_a,
-        store_b,
-        pairs,
-        TrackerConfig(threshold=args.threshold_a, detect_copies=True),
-        TrackerConfig(threshold=args.threshold_b, detect_copies=True),
-    )
+    with ObjectStore(args.repo_a) as store_a, ObjectStore(args.repo_b) as store_b:
+        report = compare_modes(
+            store_a,
+            store_b,
+            pairs,
+            TrackerConfig(threshold=args.threshold_a, detect_copies=True),
+            TrackerConfig(threshold=args.threshold_b, detect_copies=True),
+        )
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

@@ -79,26 +79,37 @@ _CAST_NEXT = frozenset({"(", "!", "~", "new", "this", "super"})
 
 
 class _Tagger:
-    def __init__(self, decl: MethodDecl | FieldDecl, last: int):
+    def __init__(self, decl: MethodDecl | FieldDecl, first: int, last: int):
         # Nothing past last is walked, so a bracket the declaration leaves
-        # open is never paired with one in a later declaration.
-        self.toks = decl.file_tokens[: last + 1]
+        # open is never paired with one in a later declaration: the walk
+        # reads toks[:end], and tagging or reading past it raises
+        # IndexError.  Tags are kept for first..last only, so the work is
+        # bounded by the declaration's size, not by its place in the file.
+        self.toks = decl.file_tokens
+        self.end = last + 1
         self.types = decl.types
-        self.tags: list[str | None] = [None] * (last + 1)
+        self.base = first
+        self.tags: list[str | None] = [None] * (last + 1 - first)
 
     # -- pair helpers ---------------------------------------------------
 
+    def _tag(self, k: int, tag: str) -> None:
+        self.tags[k - self.base] = tag
+
+    def _tag_of(self, k: int) -> str | None:
+        return self.tags[k - self.base]
+
     def _pair(self, open_idx: int, close_idx: int, tag: str) -> None:
-        self.tags[open_idx] = tag
-        self.tags[close_idx] = tag
+        self._tag(open_idx, tag)
+        self._tag(close_idx, tag)
 
     def _paren(self, j: int, tag: str) -> int:
-        c = match_paren(self.toks, j)
+        c = match_paren(self.toks, j, self.end)
         self._pair(j, c, tag)
         return c
 
     def _brace(self, j: int, tag: str) -> int:
-        c = match_brace(self.toks, j)
+        c = match_brace(self.toks, j, self.end)
         self._pair(j, c, tag)
         return c
 
@@ -155,7 +166,7 @@ class _Tagger:
         _, init, end = decl.declarator
         self._annotations(m.start, m.declarators[0][0])
         self._expr(init, end, False)
-        self.tags[end] = "FIELD"
+        self._tag(end, "FIELD")
 
     def _type(self, rec: TypeDecl, hi: int) -> int:
         """Tag a type declaration in a region ending at hi; returns the
@@ -189,7 +200,7 @@ class _Tagger:
             semi = rec.end if rec.constants_end is None else rec.constants_end
             self._annotations(j, semi)
             if semi < rec.end:
-                self.tags[semi] = "ENUM_CONSTANT_LIST"
+                self._tag(semi, "ENUM_CONSTANT_LIST")
         for m in rec.members:
             self._member(m, rec.end)
         return rec.end + 1
@@ -212,7 +223,7 @@ class _Tagger:
             self._annotations(m.start, m.declarators[0][0])
             for _, init, init_end in m.declarators:
                 self._expr(init, init_end, False)
-            self.tags[m.end] = "FIELD"
+            self._tag(m.end, "FIELD")
 
     def _callable(self, m: Member) -> None:
         """Tag a method or constructor from its parameter list on."""
@@ -233,7 +244,7 @@ class _Tagger:
             lo, hi = m.default
             self._annotations(tail, lo - 1)
             self._expr(lo, hi, False)
-        self.tags[m.end] = "ABSTRACT_METHOD"
+        self._tag(m.end, "ABSTRACT_METHOD")
 
     # -- statements -----------------------------------------------------
 
@@ -244,11 +255,14 @@ class _Tagger:
 
     def _statement(self, j: int, hi: int, in_switch: bool) -> int:
         toks = self.toks
+        if j >= self.end:
+            # a label that ends the declaration
+            raise IndexError(j)
         t = toks[j]
         txt = t.text
 
         if txt == ";":
-            self.tags[j] = "EMPTY"
+            self._tag(j, "EMPTY")
             return j + 1
 
         if txt == "{":
@@ -280,19 +294,19 @@ class _Tagger:
                 s = self._scan_to(j + 1, hi, (";",))
                 self._expr(j + 1, s, in_switch)
                 if s < hi:
-                    self.tags[s] = tag
+                    self._tag(s, tag)
                 return s + 1
             if txt in ("break", "continue"):
                 s = self._scan_to(j + 1, hi, (";",))
                 if s < hi:
-                    self.tags[s] = "BREAK" if txt == "break" else "CONTINUE"
+                    self._tag(s, "BREAK" if txt == "break" else "CONTINUE")
                 return s + 1
 
         if in_switch and t.kind == TokenKind.IDENTIFIER and txt == "yield":
             s = self._scan_to(j + 1, hi, (";",))
             self._expr(j + 1, s, in_switch)
             if s < hi:
-                self.tags[s] = "YIELD"
+                self._tag(s, "YIELD")
             return s + 1
 
         # labeled statement
@@ -320,12 +334,12 @@ class _Tagger:
         s = self._scan_to(j, hi, (";",))
         self._expr(j, s, in_switch)
         if s < hi:
-            self.tags[s] = self._stmt_semi_tag(k, s)
+            self._tag(s, self._stmt_semi_tag(k, s))
         return s + 1
 
     def _stmt_semi_tag(self, lo: int, semi: int) -> str:
         toks = self.toks
-        st = scan_type(toks, lo)
+        st = scan_type(toks, lo, self.end)
         if st is not None:
             end, _ = st
             if end < semi and toks[end].kind == TokenKind.IDENTIFIER:
@@ -362,21 +376,21 @@ class _Tagger:
             self._expr(j + 2, c, in_switch)
             j = c + 1
             if j < hi and toks[j].text == ";":
-                self.tags[j] = "DO_WHILE"
+                self._tag(j, "DO_WHILE")
                 j += 1
         return j
 
     def _for(self, j: int, hi: int, in_switch: bool) -> int:
         toks = self.toks
         popen = j + 1
-        pclose = match_paren(toks, popen)
+        pclose = match_paren(toks, popen, self.end)
         first = self._scan_to(popen + 1, pclose, (";",))
         if first < pclose:
             self._pair(popen, pclose, "FOR")
-            self.tags[first] = "FOR_INIT"
+            self._tag(first, "FOR_INIT")
             second = self._scan_to(first + 1, pclose, (";",))
             if second < pclose:
-                self.tags[second] = "FOR_COND"
+                self._tag(second, "FOR_COND")
             self._expr(popen + 1, first, in_switch)
             self._expr(first + 1, min(second, pclose), in_switch)
             if second < pclose:
@@ -396,7 +410,7 @@ class _Tagger:
                 s = self._scan_to(k, c, (";",))
                 self._expr(k, s, in_switch)
                 if s < c:
-                    self.tags[s] = "LOCAL_VARIABLE"
+                    self._tag(s, "LOCAL_VARIABLE")
                 k = s + 1
             j = c + 1
         j = self._body(j, hi, "TRY", in_switch)
@@ -443,13 +457,13 @@ class _Tagger:
             txt = t.text
 
             if txt == "(":
-                if self.tags[j] is None:
+                if self._tag_of(j) is None:
                     self._classify_paren(j, lo)
                 j += 1
                 continue
 
             if txt == "{":
-                if self.tags[j] is not None:
+                if self._tag_of(j) is not None:
                     j += 1
                     continue
                 if j > lo and toks[j - 1].text == "->":
@@ -474,7 +488,7 @@ class _Tagger:
                 continue
 
             if txt == "<" and j > lo and toks[j - 1].kind == TokenKind.IDENTIFIER:
-                g = match_angle(toks, j)
+                g = match_angle(toks, j, self.end)
                 if g is not None and g < hi and toks[g].text in ("(", "::"):
                     if toks[g].text == "(":
                         self._paren(g, "METHOD_CALL")
@@ -485,8 +499,8 @@ class _Tagger:
 
     def _classify_paren(self, j: int, lo: int) -> None:
         toks = self.toks
-        c = match_paren(toks, j)
-        nxt = toks[c + 1] if c + 1 < len(toks) else None
+        c = match_paren(toks, j, self.end)
+        nxt = toks[c + 1] if c + 1 < self.end else None
 
         if nxt is not None and nxt.text == "->":
             self._pair(j, c, "LAMBDA_PARAMS")
@@ -500,7 +514,7 @@ class _Tagger:
                 self._pair(j, c, "METHOD_CALL")
                 return
             if prev.text == ")":
-                tag = "GROUPING" if self.tags[j - 1] == "CAST" else "METHOD_CALL"
+                tag = "GROUPING" if self._tag_of(j - 1) == "CAST" else "METHOD_CALL"
                 self._pair(j, c, tag)
                 return
         if self._is_cast(j, c):
@@ -510,12 +524,12 @@ class _Tagger:
 
     def _is_cast(self, j: int, c: int) -> bool:
         toks = self.toks
-        if c + 1 >= len(toks):
+        if c + 1 >= self.end:
             return False
         k = j + 1
         primitive = False
         while True:
-            st = scan_type(toks, k)
+            st = scan_type(toks, k, self.end)
             if st is None:
                 return False
             if toks[k].text in PRIMITIVE_TYPES:
@@ -546,12 +560,12 @@ class _Tagger:
         if k >= hi or toks[k].kind != TokenKind.IDENTIFIER:
             return j + 1
         k += 1
-        g = match_angle(toks, k) if k < hi and toks[k].text == "<" else None
+        g = match_angle(toks, k, self.end) if k < hi and toks[k].text == "<" else None
         if g is not None:
             k = g
         while k + 1 < hi and toks[k].text == "." and toks[k + 1].kind == TokenKind.IDENTIFIER:
             k += 2
-            g = match_angle(toks, k) if k < hi and toks[k].text == "<" else None
+            g = match_angle(toks, k, self.end) if k < hi and toks[k].text == "<" else None
             if g is not None:
                 k = g
         if k < hi and toks[k].text == "(":
@@ -577,7 +591,7 @@ def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
     else:
         lo, _, end = decl.declarator
         indices = [*range(m.start, m.declarators[0][0]), *range(lo, end), end]
-    tagger = _Tagger(decl, indices[-1])
+    tagger = _Tagger(decl, indices[0], indices[-1])
     try:
         if isinstance(decl, MethodDecl):
             tagger._member(m, m.end + 1)
@@ -585,7 +599,7 @@ def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
             tagger.field(decl)
     except (ParseError, IndexError):
         pass
-    tags = [tagger.tags[k] for k in indices]
+    tags = [tagger._tag_of(k) for k in indices]
     for i, tok in enumerate(decl.tokens):
         if tags[i] is not None:
             continue

@@ -153,15 +153,16 @@ def _expect(cond: bool, msg: str, tok: Token | None = None) -> None:
         raise _fail(msg, tok)
 
 
-def _match(toks: list[Token], i: int, open_text: str, close_text: str) -> int:
+def _match(toks: list[Token], i: int, open_text: str, close_text: str, end: int | None) -> int:
+    n = len(toks) if end is None else end
     _expect(
-        i < len(toks) and toks[i].text == open_text,
+        i < n and toks[i].text == open_text,
         f"expected {open_text!r}",
-        toks[i] if i < len(toks) else None,
+        toks[i] if i < n else None,
     )
     depth = 0
     j = i
-    while j < len(toks):
+    while j < n:
         t = toks[j].text
         if t == open_text:
             depth += 1
@@ -173,26 +174,30 @@ def _match(toks: list[Token], i: int, open_text: str, close_text: str) -> int:
     raise _fail(f"unbalanced {open_text!r}", toks[i])
 
 
-def match_paren(toks: list[Token], i: int) -> int:
-    return _match(toks, i, "(", ")")
+# The scanners below read toks[:end] only; end defaults to the whole list.
 
 
-def match_brace(toks: list[Token], i: int) -> int:
-    return _match(toks, i, "{", "}")
+def match_paren(toks: list[Token], i: int, end: int | None = None) -> int:
+    return _match(toks, i, "(", ")", end)
 
 
-def scan_annotation(toks: list[Token], i: int) -> int:
+def match_brace(toks: list[Token], i: int, end: int | None = None) -> int:
+    return _match(toks, i, "{", "}", end)
+
+
+def scan_annotation(toks: list[Token], i: int, end: int | None = None) -> int:
     """Skip an annotation starting at '@'; returns the index after it."""
-    _expect(i < len(toks) and toks[i].text == "@", "expected '@'",
-            toks[i] if i < len(toks) else None)
+    n = len(toks) if end is None else end
+    _expect(i < n and toks[i].text == "@", "expected '@'",
+            toks[i] if i < n else None)
     j = i + 1
-    _expect(j < len(toks) and toks[j].kind == TokenKind.IDENTIFIER,
+    _expect(j < n and toks[j].kind == TokenKind.IDENTIFIER,
             "expected annotation name", toks[i])
     j += 1
-    while j + 1 < len(toks) and toks[j].text == "." and toks[j + 1].kind == TokenKind.IDENTIFIER:
+    while j + 1 < n and toks[j].text == "." and toks[j + 1].kind == TokenKind.IDENTIFIER:
         j += 2
-    if j < len(toks) and toks[j].text == "(":
-        j = match_paren(toks, j) + 1
+    if j < n and toks[j].text == "(":
+        j = match_paren(toks, j, n) + 1
     return j
 
 
@@ -200,17 +205,18 @@ _ANGLE_WORDS = frozenset({"extends", "super"}) | PRIMITIVE_TYPES
 _ANGLE_PUNCT = frozenset({".", ",", "?", "[", "]", "&"})
 
 
-def match_angle(toks: list[Token], i: int) -> int | None:
+def match_angle(toks: list[Token], i: int, end: int | None = None) -> int | None:
     """Try to match generic arguments starting at '<'.
 
     Returns the index one past the closing token, or None when the region
     cannot be type arguments and '<' must be a comparison.
     """
-    if i >= len(toks) or toks[i].text != "<":
+    n = len(toks) if end is None else end
+    if i >= n or toks[i].text != "<":
         return None
     depth = 1
     j = i + 1
-    while j < len(toks):
+    while j < n:
         t = toks[j]
         txt = t.text
         if txt == "<":
@@ -227,7 +233,7 @@ def match_angle(toks: list[Token], i: int) -> int | None:
             continue
         if txt == "@":
             try:
-                j = scan_annotation(toks, j)
+                j = scan_annotation(toks, j, n)
             except ParseError:
                 return None
             continue
@@ -250,19 +256,19 @@ def _angle_text(toks: list[Token], lo: int, hi: int) -> str:
     return "".join(out)
 
 
-def scan_type(toks: list[Token], i: int) -> tuple[int, str] | None:
+def scan_type(toks: list[Token], i: int, end: int | None = None) -> tuple[int, str] | None:
     """Scan a type at i: annotations, a primitive or dotted name with
     generics, then trailing dimensions.
 
     Returns (end, text); text has no whitespace and no annotations.  Returns
     None when i does not start a type.
     """
-    n = len(toks)
+    n = len(toks) if end is None else end
     j = i
     parts: list[str] = []
     while j < n and toks[j].text == "@" and not (j + 1 < n and toks[j + 1].text == "interface"):
         try:
-            j = scan_annotation(toks, j)
+            j = scan_annotation(toks, j, n)
         except ParseError:
             return None
     if j >= n:
@@ -274,14 +280,14 @@ def scan_type(toks: list[Token], i: int) -> tuple[int, str] | None:
     elif t.kind == TokenKind.IDENTIFIER:
         parts.append(t.text)
         j += 1
-        g = match_angle(toks, j)
+        g = match_angle(toks, j, n)
         if g is not None:
             parts.append(_angle_text(toks, j, g))
             j = g
         while j + 1 < n and toks[j].text == "." and toks[j + 1].kind == TokenKind.IDENTIFIER:
             parts.append("." + toks[j + 1].text)
             j += 2
-            g = match_angle(toks, j)
+            g = match_angle(toks, j, n)
             if g is not None:
                 parts.append(_angle_text(toks, j, g))
                 j = g
@@ -291,7 +297,7 @@ def scan_type(toks: list[Token], i: int) -> tuple[int, str] | None:
         k = j
         while k < n and toks[k].text == "@":
             try:
-                k = scan_annotation(toks, k)
+                k = scan_annotation(toks, k, n)
             except ParseError:
                 return None
         if k + 1 < n and toks[k].text == "[" and toks[k + 1].text == "]":

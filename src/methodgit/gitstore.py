@@ -1,5 +1,5 @@
 """Minimal git object database access: loose and packed object reading, and
-loose object / ref writing for building a destination repository.
+pack and ref writing for building a destination repository.
 
 Only what the history rewriter and tracker need is implemented: blobs,
 trees, commits, and annotated tags, plus refs and HEAD.
@@ -11,6 +11,7 @@ import mmap
 import os
 import posixpath
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass
 from hashlib import sha1
@@ -77,8 +78,8 @@ class _PackFile:
             idx = f.read()
         if idx[:4] != b"\xfftOc" or struct.unpack(">I", idx[4:8])[0] != 2:
             raise RepositoryError(f"unsupported pack index: {idx_path}")
-        fanout = struct.unpack(">256I", idx[8 : 8 + 1024])
-        self.count = fanout[255]
+        self._fanout = struct.unpack(">256I", idx[8 : 8 + 1024])
+        self.count = self._fanout[255]
         names_off = 8 + 1024
         crc_off = names_off + 20 * self.count
         ofs_off = crc_off + 4 * self.count
@@ -95,7 +96,9 @@ class _PackFile:
         self._file.close()
 
     def find(self, oid_bin: bytes) -> int | None:
-        lo, hi = 0, self.count
+        first = oid_bin[0]
+        lo = self._fanout[first - 1] if first else 0
+        hi = self._fanout[first]
         names = self._names
         while lo < hi:
             mid = (lo + hi) // 2
@@ -130,45 +133,67 @@ class _PackFile:
     def _inflate(self, pos: int, expected: int) -> bytes:
         d = zlib.decompressobj()
         out = []
-        got = 0
         data = self._map
         n = len(data)
+        # By zlib's compressBound, deflating n bytes gives at most about
+        # n + n/4096 + 13, so the first slice nearly always holds the whole
+        # stream without copying the map beyond it.
+        step = expected + (expected >> 10) + 32
         while not d.eof and pos < n:
-            chunk = data[pos : min(pos + 65536, n)]
+            chunk = data[pos : min(pos + step, n)]
             pos += len(chunk)
-            piece = d.decompress(chunk)
-            out.append(piece)
-            got += len(piece)
+            out.append(d.decompress(chunk))
+            step = 65536
         payload = b"".join(out)
         if len(payload) != expected:
             raise ValueError("corrupt pack data")
         return payload
 
     def read_at(self, offset: int, store: "ObjectStore") -> tuple[int, bytes]:
-        """(git object type number, payload) for the object at offset."""
-        obj_type, size, pos = self._read_varint_header(offset)
-        if obj_type in (1, 2, 3, 4):
-            return obj_type, self._inflate(pos, size)
-        if obj_type == 6:  # OFS_DELTA
-            data = self._map
-            byte = data[pos]
-            pos += 1
-            rel = byte & 0x7F
-            while byte & 0x80:
+        """(git object type number, payload) for the object at offset.
+
+        A delta chain is followed in a loop down to a whole object, or to a
+        REF_DELTA base that is not in this pack, and its deltas are then
+        applied oldest first, so a chain's depth costs no stack.
+        """
+        data = self._map
+        deltas: list[tuple[int, int]] = []  # (data position, size), newest first
+        while True:
+            obj_type, size, pos = self._read_varint_header(offset)
+            if obj_type in (1, 2, 3, 4):
+                base_type, base = obj_type, self._inflate(pos, size)
+                break
+            if len(deltas) >= self.count:
+                raise ValueError("delta chain longer than the pack")
+            if obj_type == 6:  # OFS_DELTA
                 byte = data[pos]
                 pos += 1
-                rel = ((rel + 1) << 7) | (byte & 0x7F)
-            base_type, base = self.read_at(offset - rel, store)
-            return base_type, _apply_delta(base, self._inflate(pos, size))
-        if obj_type == 7:  # REF_DELTA
-            base_oid = self._map[pos : pos + 20].hex()
-            pos += 20
-            kind, base = store.read(base_oid)
-            base_type = _TYPE_NUMBERS.get(kind)
-            if base_type is None:
-                raise ValueError(f"delta base {base_oid} has unknown type {kind!r}")
-            return base_type, _apply_delta(base, self._inflate(pos, size))
-        raise ValueError(f"unknown pack object type {obj_type}")
+                rel = byte & 0x7F
+                while byte & 0x80:
+                    byte = data[pos]
+                    pos += 1
+                    rel = ((rel + 1) << 7) | (byte & 0x7F)
+                if not 0 < rel <= offset:
+                    raise ValueError(f"delta base offset {rel} out of range")
+                deltas.append((pos, size))
+                offset -= rel
+                continue
+            if obj_type == 7:  # REF_DELTA
+                base_bin = data[pos : pos + 20]
+                deltas.append((pos + 20, size))
+                base_offset = self.find(base_bin)
+                if base_offset is not None:
+                    offset = base_offset
+                    continue
+                kind, base = store.read(base_bin.hex())
+                base_type = _TYPE_NUMBERS.get(kind)
+                if base_type is None:
+                    raise ValueError(f"delta base {base_bin.hex()} has unknown type {kind!r}")
+                break
+            raise ValueError(f"unknown pack object type {obj_type}")
+        for pos, size in reversed(deltas):
+            base = _apply_delta(base, self._inflate(pos, size))
+        return base_type, base
 
 
 def _delta_size(data: bytes, pos: int) -> tuple[int, int]:
@@ -219,16 +244,24 @@ def _apply_delta(base: bytes, delta: bytes) -> bytes:
 
 _TYPE_NAMES = {1: "commit", 2: "tree", 3: "blob", 4: "tag"}
 _TYPE_NUMBERS = {name: num for num, name in _TYPE_NAMES.items()}
+_PACK_TYPES = {name.encode(): num for num, name in _TYPE_NAMES.items()}
 
 
 class ObjectStore:
-    """Read-only view of an existing repository."""
+    """Read-only view of an existing repository.  close(), or leaving a
+    with block, releases the packs it has mapped."""
 
     def __init__(self, path: str):
         gitdir = self._discover(path)
         self.gitdir = gitdir
         self._packs: list[_PackFile] | None = None
         self._cache: dict[str, tuple[str, bytes]] = {}
+
+    def __enter__(self) -> "ObjectStore":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     @staticmethod
     def _discover(path: str) -> str:
@@ -288,23 +321,22 @@ class ObjectStore:
         return result
 
     def _read_uncached(self, oid: str) -> tuple[str, bytes]:
-        loose = os.path.join(self.gitdir, "objects", oid[:2], oid[2:])
-        try:
-            with open(loose, "rb") as f:
-                raw = zlib.decompress(f.read())
-        except FileNotFoundError:
-            raw = None
-        if raw is not None:
-            nul = raw.index(b"\x00")
-            kind, _, _ = raw[:nul].partition(b" ")
-            return kind.decode(), raw[nul + 1 :]
+        # Packs first, then loose objects, as git looks them up.
         oid_bin = bytes.fromhex(oid)
         for pack in self._load_packs():
             offset = pack.find(oid_bin)
             if offset is not None:
                 type_num, payload = pack.read_at(offset, self)
                 return _TYPE_NAMES[type_num], payload
-        raise RepositoryError(f"object not found: {oid}")
+        loose = os.path.join(self.gitdir, "objects", oid[:2], oid[2:])
+        try:
+            with open(loose, "rb") as f:
+                raw = zlib.decompress(f.read())
+        except FileNotFoundError:
+            raise RepositoryError(f"object not found: {oid}") from None
+        nul = raw.index(b"\x00")
+        kind, _, _ = raw[:nul].partition(b" ")
+        return kind.decode(), raw[nul + 1 :]
 
     def read_commit(self, oid: str) -> CommitRecord:
         kind, payload = self.read(oid)
@@ -464,14 +496,96 @@ def parse_tree(payload: bytes) -> list[TreeEntry]:
     return entries
 
 
+def _pack_entry_header(type_num: int, size: int) -> bytes:
+    """A pack entry's type and inflated size: 4 size bits in the first
+    byte, then 7 per byte, each byte but the last with its high bit set."""
+    out = bytearray()
+    byte = (type_num << 4) | (size & 0x0F)
+    size >>= 4
+    while size:
+        out.append(byte | 0x80)
+        byte = size & 0x7F
+        size >>= 7
+    out.append(byte)
+    return bytes(out)
+
+
+def _pack_index(entries: dict[bytes, tuple[int, int]], pack_sha: bytes) -> bytes:
+    """A version 2 pack index for {20-byte id: (offset, crc32)} of the pack
+    whose trailer is pack_sha.
+
+    Offsets of 2**31 and above go in the table of 64-bit offsets, and the
+    32-bit slot holds their position there with the high bit set.
+    """
+    names = sorted(entries)
+    fanout = [0] * 256
+    for name in names:
+        fanout[name[0]] += 1
+    total = 0
+    for i, count in enumerate(fanout):
+        total += count
+        fanout[i] = total
+    crcs = []
+    small = []
+    big = []
+    for name in names:
+        offset, crc = entries[name]
+        crcs.append(crc)
+        if offset < 0x80000000:
+            small.append(offset)
+        else:
+            small.append(0x80000000 | len(big))
+            big.append(offset)
+    n = len(names)
+    body = b"".join((
+        b"\xfftOc",
+        struct.pack(">I", 2),
+        struct.pack(">256I", *fanout),
+        *names,
+        struct.pack(f">{n}I", *crcs),
+        struct.pack(f">{n}I", *small),
+        struct.pack(f">{len(big)}Q", *big),
+        pack_sha,
+    ))
+    return body + sha1(body).digest()
+
+
 class RepoWriter:
-    """Writes loose objects and refs into a bare repository."""
+    """Writes a new bare repository: its objects as one pack, and refs.
+
+    Each new object is appended, zlib-compressed and undeltified, to a
+    temporary pack in the order it is first written; only its id, offset
+    and CRC-32 stay in memory.  close() completes the pack, writes its
+    version 2 index and moves both into objects/pack, so the objects can
+    be read only after close().  Refs and HEAD are written at once,
+    before or after close().
+
+    As a context manager, a clean exit closes the writer; an exception
+    removes the temporary pack and publishes nothing.
+    """
 
     def __init__(self, path: str):
         self.path = os.path.abspath(path)
-        self.objects = os.path.join(self.path, "objects")
+        self.pack_dir = os.path.join(self.path, "objects", "pack")
+        # 20-byte id -> (offset in the pack, CRC-32 of the entry)
+        self._entries: dict[bytes, tuple[int, int]] = {}
+        self._pack = None
+        self._pack_tmp = ""
+        self._offset = 0
+        self._closed = False
+
+    def __enter__(self) -> "RepoWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._discard()
 
     def init_bare(self) -> None:
+        # An empty destination means the in-memory index knows every object
+        # of the repository, so write_object never looks at the disk.
         if os.path.exists(self.path) and os.listdir(self.path):
             raise RepositoryError(f"destination exists and is not empty: {self.path}")
         for sub in (
@@ -494,17 +608,67 @@ class RepoWriter:
 
     def write_object(self, kind: bytes, payload: bytes) -> str:
         oid = hash_object(kind, payload)
-        obj_dir = os.path.join(self.objects, oid[:2])
-        obj_path = os.path.join(obj_dir, oid[2:])
-        if os.path.exists(obj_path):
-            return oid
-        os.makedirs(obj_dir, exist_ok=True)
-        data = zlib.compress(_object_header(kind, len(payload)) + payload, 1)
-        tmp = obj_path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, obj_path)
+        oid_bin = bytes.fromhex(oid)
+        if oid_bin not in self._entries:
+            if self._closed:
+                raise ValueError("write to a closed RepoWriter")
+            if self._pack is None:
+                # The object count is not known yet; close() fills it in.
+                fd, self._pack_tmp = tempfile.mkstemp(prefix="tmp_pack_", dir=self.pack_dir)
+                self._pack = os.fdopen(fd, "w+b")
+                self._pack.write(b"PACK" + struct.pack(">II", 2, 0))
+                self._offset = 12
+            # zlib's default level, which is also git's
+            entry = _pack_entry_header(_PACK_TYPES[kind], len(payload)) + zlib.compress(payload)
+            self._pack.write(entry)
+            self._entries[oid_bin] = (self._offset, zlib.crc32(entry))
+            self._offset += len(entry)
         return oid
+
+    def close(self) -> None:
+        """Complete the pack and publish it with its index.  A writer that
+        wrote no object leaves no pack."""
+        self._closed = True
+        f = self._pack
+        if f is None:
+            return
+        idx_tmp = self._pack_tmp + ".idx"
+        try:
+            f.seek(8)
+            f.write(struct.pack(">I", len(self._entries)))
+            # Re-read the pack once for its trailer, as git fast-import
+            # does; memory stays bounded by the index, not by the pack.
+            f.seek(0)
+            digest = sha1()
+            while chunk := f.read(65536):
+                digest.update(chunk)
+            trailer = digest.digest()
+            f.write(trailer)
+            f.close()
+            with open(idx_tmp, "wb") as idx:
+                idx.write(_pack_index(self._entries, trailer))
+            base = os.path.join(self.pack_dir, "pack-" + trailer.hex())
+            for tmp, final in ((self._pack_tmp, base + ".pack"), (idx_tmp, base + ".idx")):
+                # The pack first, so a reader never finds an index without it.
+                os.chmod(tmp, 0o444)
+                os.replace(tmp, final)
+        except BaseException:
+            self._discard()
+            if os.path.exists(idx_tmp):
+                os.remove(idx_tmp)
+            raise
+        self._pack = None
+
+    def _discard(self) -> None:
+        """Close and remove the temporary pack; publish nothing."""
+        self._closed = True
+        f = self._pack
+        if f is None:
+            return
+        self._pack = None
+        f.close()
+        if os.path.exists(self._pack_tmp):
+            os.remove(self._pack_tmp)
 
     def write_blob(self, content: bytes) -> str:
         return self.write_object(b"blob", content)

@@ -267,29 +267,28 @@ def _rewrite(
     config: ConversionConfig,
     progress: Callable[[int, int], None] | None,
 ) -> ConversionStats:
-    writer = RepoWriter(dst_path)
-    writer.init_bare()
     stats = ConversionStats()
-    order = _topo_order(store, list(refs.values()))
-
-    converter = _TreeConverter(store, writer, config, stats)
     commit_map: dict[str, str] = {}
     map_lines: list[str] = []
-    for i, oid in enumerate(order):
-        record = store.read_commit(oid)
-        new_tree = converter.convert_tree(record.tree)
-        new_id = writer.write_commit(
-            tree=new_tree,
-            parents=[commit_map[p] for p in record.parents],
-            author=record.author,
-            committer=record.committer,
-            message=record.message,
-            encoding=record.encoding,
-        )
-        commit_map[oid] = new_id
-        map_lines.append(f"{oid}\t{new_id}")
-        if progress is not None and (i + 1) % 100 == 0:
-            progress(i + 1, len(order))
+    with RepoWriter(dst_path) as writer:
+        writer.init_bare()
+        order = _topo_order(store, list(refs.values()))
+        converter = _TreeConverter(store, writer, config, stats)
+        for i, oid in enumerate(order):
+            record = store.read_commit(oid)
+            new_tree = converter.convert_tree(record.tree)
+            new_id = writer.write_commit(
+                tree=new_tree,
+                parents=[commit_map[p] for p in record.parents],
+                author=record.author,
+                committer=record.committer,
+                message=record.message,
+                encoding=record.encoding,
+            )
+            commit_map[oid] = new_id
+            map_lines.append(f"{oid}\t{new_id}")
+            if progress is not None and (i + 1) % 100 == 0:
+                progress(i + 1, len(order))
     stats.commits_processed = len(order)
 
     new_refs = {name: commit_map[oid] for name, oid in refs.items()}

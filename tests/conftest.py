@@ -136,22 +136,22 @@ def build_linear_repo(
 
     Returns commit ids oldest first.
     """
-    writer = RepoWriter(dst)
-    writer.init_bare()
     ids: list[str] = []
     parent: list[str] = []
-    for i, files in enumerate(snapshots):
-        tree = write_tree_dict(writer, files)
-        stamp = AUTHOR % (start_time + i * 60)
-        cid = writer.write_commit(
-            tree=tree,
-            parents=parent,
-            author=stamp,
-            committer=stamp,
-            message=b"commit %d\n" % i,
-        )
-        ids.append(cid)
-        parent = [cid]
+    with RepoWriter(dst) as writer:
+        writer.init_bare()
+        for i, files in enumerate(snapshots):
+            tree = write_tree_dict(writer, files)
+            stamp = AUTHOR % (start_time + i * 60)
+            cid = writer.write_commit(
+                tree=tree,
+                parents=parent,
+                author=stamp,
+                committer=stamp,
+                message=b"commit %d\n" % i,
+            )
+            ids.append(cid)
+            parent = [cid]
     writer.write_refs({branch: ids[-1]})
     writer.set_head(branch)
     return ids

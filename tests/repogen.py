@@ -81,6 +81,7 @@ def generate_java_repo(
         )
         ids.append(cid)
         parent = [cid]
+    writer.close()
     writer.write_refs({"refs/heads/master": ids[-1]})
     writer.set_head("refs/heads/master")
     return ids
@@ -143,6 +144,7 @@ def build_metrics_repo(dst: str) -> dict[str, int]:
         del files[f"m{i}_before.mjava"]
         files[f"m{i}.mjava"] = after[f"m{i}.mjava"]
         commit(b"rename m%d\n" % i)
+    writer.close()
     writer.write_refs({"refs/heads/master": parent[0]})
     writer.set_head("refs/heads/master")
     return {f"m{i}.mjava": 1 for i in range(1, 6)}
@@ -237,6 +239,7 @@ def generate_text_repo(
             parent = [cid]
         c += 1
 
+    writer.close()
     writer.write_refs({"refs/heads/master": ids[-1]})
     writer.set_head("refs/heads/master")
     return ids

@@ -146,11 +146,11 @@ def test_criterion_4_end_to_end_tracking(tmp_path, verdict):
     convert(src, plain, PLAIN)
 
     def renames(repo: str, path: str, threshold: int) -> int:
-        store = ObjectStore(repo)
         # line-ratio metric: the scenario's 4/6, 7/11, and 1/3 scores are
         # matched-lines over max-lines
         cfg = TrackerConfig(threshold=threshold, metric=Metric.LINES)
-        return count_renames(follow(store, path, cfg))
+        with ObjectStore(repo) as store:
+            return count_renames(follow(store, path, cfg))
 
     ok = renames(finer, GETTER_PATH_NEW, 60) == 1
     ok = ok and renames(finer, SETTER_PATH_NEW, 60) == 1
@@ -171,6 +171,11 @@ def snapshot_store(root: str) -> dict[str, bytes]:
     return out
 
 
+def packed_object_count(root: str) -> int:
+    with ObjectStore(root) as store:
+        return sum(pack.count for pack in store._load_packs())
+
+
 def test_criterion_5_deterministic_conversion(tmp_path, verdict):
     started = time.monotonic()
     src = str(tmp_path / "src.git")
@@ -181,7 +186,7 @@ def test_criterion_5_deterministic_conversion(tmp_path, verdict):
     rewrite_history(src, second)
     snap_a, snap_b = snapshot_store(first), snapshot_store(second)
     ok = stats.commits_processed == 100
-    ok = ok and len(snap_a) > 100 and snap_a == snap_b
+    ok = ok and packed_object_count(first) > 100 and snap_a == snap_b
     ok = ok and time.monotonic() - started < 60.0
     verdict(5, "deterministic conversion", ok)
 
@@ -221,6 +226,7 @@ def test_criterion_6_brute_force_equivalence(tmp_path, verdict):
                     checked += 1
                     if got != want:
                         mismatches += 1
+        store.close()
     ok = mismatches == 0 and checked >= 500
     ok = ok and time.monotonic() - started < 120.0
     verdict(6, "brute-force tracking equivalence", ok)
@@ -432,6 +438,7 @@ def test_criterion_9_metrics_arithmetic(tmp_path, verdict):
         fn,
     )
     ok = ok and tp + fn == sum(e.expected_rename_count for e in oracle)
+    store.close()
     verdict(9, "evaluation metrics arithmetic", ok)
 
 

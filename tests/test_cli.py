@@ -3,6 +3,7 @@ stdout data contracts of all four subcommands."""
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from methodgit.gitstore import hash_object
+from methodgit.gitstore import _PackFile, hash_object
 from methodgit.cli import main
 
 from conftest import (
@@ -338,7 +339,13 @@ def test_convert_corrupt_object_fails_without_traceback(tmp_path):
     src = str(tmp_path / "src.git")
     build_linear_repo(src, [{"Person.java": PERSON_JAVA.encode()}])
     blob = hash_object(b"blob", PERSON_JAVA.encode())
-    with open(os.path.join(src, "objects", blob[:2], blob[2:]), "wb") as f:
+    (pack_path,) = glob.glob(os.path.join(src, "objects", "pack", "*.pack"))
+    pack = _PackFile(pack_path)
+    _, _, data_pos = pack._read_varint_header(pack.find(bytes.fromhex(blob)))
+    pack.close()
+    os.chmod(pack_path, 0o644)
+    with open(pack_path, "r+b") as f:
+        f.seek(data_pos)
         f.write(b"not zlib data")
     result = run_module("convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
     assert result.returncode == 1

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from methodgit import ConversionConfig, LineFormat, RenderConfig, extract, render
+from methodgit import emit
 from methodgit.emit import (
     BRACKET_TAGS,
     PAREN_TAGS,
@@ -419,3 +420,24 @@ def test_a_bracket_left_open_does_not_reach_other_declarations():
         ]
     fixed = "class A { void f() { g(); } void h() { k(); } }"
     assert render_method(variants[1], "h", FINER) == render_method(fixed, "h", FINER)
+
+
+def test_tagging_work_is_bounded_by_each_declaration(monkeypatch):
+    # Tag slots kept per declaration, summed over a class of many one-line
+    # methods: bounded by the file's tokens, not by methods x tokens.
+    slots = []
+    original = emit._Tagger.__init__
+
+    def counting(self, *args):
+        original(self, *args)
+        slots.append(len(self.tags))
+
+    monkeypatch.setattr(emit._Tagger, "__init__", counting)
+    source = "class C {\n" + "".join(
+        f"  int m{i}() {{ return {i}; }}\n" for i in range(1000)
+    ) + "}\n"
+    methods, _ = extract(source)
+    for m in methods:
+        render(m, FINER)
+    assert len(slots) == 1000
+    assert sum(slots) <= 2 * len(methods[0].file_tokens)

@@ -5,15 +5,29 @@ Tests marked requires_git cross-check against the real git binary.
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import os
+import random
+import struct
 import subprocess
+import sys
 import zlib
 
 import pytest
 
 from methodgit import ObjectStore, RepoWriter
 from methodgit.errors import RepositoryError
-from methodgit.gitstore import CommitRecord, TreeEntry, hash_object, parse_commit
+from methodgit.gitstore import (
+    CommitRecord,
+    TreeEntry,
+    _pack_entry_header,
+    _pack_index,
+    _PackFile,
+    hash_object,
+    parse_commit,
+)
+from methodgit.rewrite import rewrite_history
 
 from conftest import AUTHOR, build_linear_repo, requires_git, write_tree_dict
 
@@ -39,6 +53,7 @@ def test_write_then_read_blob(tmp_path):
     writer = RepoWriter(str(tmp_path / "r.git"))
     writer.init_bare()
     oid = writer.write_blob(b"hello\n")
+    writer.close()
     store = ObjectStore(writer.path)
     kind, payload = store.read(oid)
     assert (kind, payload) == ("blob", b"hello\n")
@@ -59,6 +74,7 @@ def test_tree_round_trip_and_sort_rule(tmp_path):
             TreeEntry(b"100644", b"a", blob),
         ]
     )
+    writer.close()
     store = ObjectStore(writer.path)
     names = [e.name for e in store.read_tree(tree)]
     assert names == [b"a", b"foo.bar", b"foo"]
@@ -78,6 +94,7 @@ def test_commit_round_trip(tmp_path):
         message=b"first\n",
         encoding=b"ISO-8859-1",
     )
+    writer.close()
     store = ObjectStore(writer.path)
     record = store.read_commit(cid)
     assert record.tree == tree
@@ -123,6 +140,110 @@ def test_init_bare_refuses_non_empty(tmp_path):
     writer = RepoWriter(str(target))
     with pytest.raises(RepositoryError):
         writer.init_bare()
+
+
+def _pack_ids(store: ObjectStore) -> list[str]:
+    """The ids that the store's pack indices list."""
+    return [
+        pack._names[i : i + 20].hex()
+        for pack in store._load_packs()
+        for i in range(0, len(pack._names), 20)
+    ]
+
+
+def test_converted_objects_read_back_and_rehash(person_repo, tmp_path):
+    dst = str(tmp_path / "dst.git")
+    rewrite_history(person_repo, dst)
+    assert len(os.listdir(os.path.join(dst, "objects", "pack"))) == 2
+    with ObjectStore(dst) as store:
+        oids = _pack_ids(store)
+        assert len(oids) > 5
+        for oid in oids:
+            kind, payload = store.read(oid)
+            assert hash_object(kind.encode(), payload) == oid
+
+
+def test_empty_writer_leaves_no_pack(tmp_path):
+    with RepoWriter(str(tmp_path / "r.git")) as writer:
+        writer.init_bare()
+    assert os.listdir(os.path.join(writer.path, "objects", "pack")) == []
+
+
+def test_exception_in_writer_publishes_nothing(tmp_path):
+    with pytest.raises(KeyError):
+        with RepoWriter(str(tmp_path / "r.git")) as writer:
+            writer.init_bare()
+            writer.write_blob(b"x\n")
+            raise KeyError("conversion failed")
+    assert os.listdir(os.path.join(writer.path, "objects", "pack")) == []
+
+
+def test_repeated_object_is_written_once(tmp_path):
+    with RepoWriter(str(tmp_path / "r.git")) as writer:
+        writer.init_bare()
+        first = writer.write_blob(b"same\n")
+        assert writer.write_blob(b"same\n") == first
+        writer.write_blob(b"other\n")
+    with ObjectStore(writer.path) as store:
+        assert sorted(_pack_ids(store)) == sorted([first, hash_object(b"blob", b"other\n")])
+        assert store.read(first) == ("blob", b"same\n")
+
+
+def test_pack_index_offsets_of_2_gib_and_above_round_trip(tmp_path):
+    # Ids spread over the fanout table, small and 64-bit offsets mixed.
+    offsets = {
+        bytes([first]) + bytes([n]) * 19: offset
+        for n, (first, offset) in enumerate([
+            (0x00, 12),
+            (0x00, 2**31 - 1),
+            (0x7F, 2**31),
+            (0x80, 300),
+            (0xFF, 2**40 + 5),
+            (0xFF, 2**33),
+        ])
+    }
+    pack_sha = bytes(range(20))
+    index = _pack_index({oid: (offset, 0) for oid, offset in offsets.items()}, pack_sha)
+    # Three offsets take a 64-bit slot each.
+    assert len(index) == 8 + 1024 + len(offsets) * 28 + 3 * 8 + 40
+    pack_path = tmp_path / "pack-test.pack"
+    pack_path.write_bytes(b"PACK" + bytes(8) + pack_sha)
+    (tmp_path / "pack-test.idx").write_bytes(index)
+    pack = _PackFile(str(pack_path))
+    try:
+        for oid, offset in offsets.items():
+            assert pack.find(oid) == offset
+        assert pack.find(b"\x7f" + b"\x00" * 19) is None
+        assert pack.find(b"\xfe" * 20) is None
+    finally:
+        pack.close()
+
+
+def test_delta_cycles_raise_repository_error(tmp_path):
+    # a and b are REF_DELTAs naming each other as base; c is an OFS_DELTA
+    # whose base offset is its own.
+    a, b, c = (bytes([n]) * 20 for n in (1, 2, 3))
+    delta = zlib.compress(b"\x00\x00")
+    bodies = [
+        (a, _pack_entry_header(7, 2) + b + delta),
+        (b, _pack_entry_header(7, 2) + a + delta),
+        (c, _pack_entry_header(6, 2) + b"\x00" + delta),
+    ]
+    pack = bytearray(b"PACK" + struct.pack(">II", 2, len(bodies)))
+    entries = {}
+    for oid, body in bodies:
+        entries[oid] = (len(pack), zlib.crc32(body))
+        pack += body
+    trailer = hashlib.sha1(pack).digest()
+    repo = tmp_path / "r.git"
+    (repo / "objects" / "pack").mkdir(parents=True)
+    (repo / "HEAD").write_text("ref: refs/heads/master\n")
+    (repo / "objects" / "pack" / "pack-x.pack").write_bytes(pack + trailer)
+    (repo / "objects" / "pack" / "pack-x.idx").write_bytes(_pack_index(entries, trailer))
+    with ObjectStore(str(repo)) as store:
+        for oid in (a, c):
+            with pytest.raises(RepositoryError, match=f"corrupt object {oid.hex()}"):
+                store.read(oid.hex())
 
 
 def test_parse_commit_skips_signature_lines():
@@ -181,9 +302,12 @@ def test_missing_object_raises(tmp_path):
 def test_corrupt_loose_object_raises_repository_error(tmp_path):
     dst = str(tmp_path / "r.git")
     build_linear_repo(dst, [{"a": b"1\n", "b": b"2\n"}])
-    bad_zlib = hash_object(b"blob", b"1\n")
-    no_header = hash_object(b"blob", b"2\n")
+    # Packs are read first, so the corrupt loose objects take ids that the
+    # repository's pack does not hold.
+    bad_zlib = hash_object(b"blob", b"3\n")
+    no_header = hash_object(b"blob", b"4\n")
     for oid, data in ((bad_zlib, b"not zlib data"), (no_header, zlib.compress(b"blob 2"))):
+        os.makedirs(os.path.join(dst, "objects", oid[:2]), exist_ok=True)
         with open(os.path.join(dst, "objects", oid[:2], oid[2:]), "wb") as f:
             f.write(data)
     store = ObjectStore(dst)
@@ -207,6 +331,89 @@ def test_written_objects_satisfy_git_fsck(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr.strip() == ""
+
+
+@requires_git
+def test_git_lists_exactly_the_written_objects_undeltified(person_repo, tmp_path, monkeypatch):
+    written = set()
+    original = RepoWriter.write_object
+
+    def recording(self, kind, payload):
+        oid = original(self, kind, payload)
+        written.add(oid)
+        return oid
+
+    monkeypatch.setattr(RepoWriter, "write_object", recording)
+    dst = str(tmp_path / "dst.git")
+    rewrite_history(person_repo, dst)
+    listed = git("cat-file", "--batch-check", "--batch-all-objects", cwd=dst)
+    assert {line.split()[0] for line in listed.splitlines()} == written
+    (idx,) = glob.glob(os.path.join(dst, "objects", "pack", "*.idx"))
+    # verify-pack -v: id, type, size, packed size, offset (and depth and
+    # base id for a delta), then a summary.
+    rows = [
+        fields for fields in map(str.split, git("verify-pack", "-v", idx, cwd=dst).splitlines())
+        if len(fields) >= 5 and fields[1] in ("blob", "tree", "commit", "tag")
+    ]
+    assert {fields[0] for fields in rows} == written
+    assert all(len(fields) == 5 for fields in rows)
+    counts = dict(
+        line.split(": ", 1) for line in git("count-objects", "-v", cwd=dst).splitlines()
+    )
+    assert (counts["count"], counts["packs"]) == ("0", "1")
+    fsck = subprocess.run(["git", "fsck", "--strict"], cwd=dst, capture_output=True, text=True)
+    assert fsck.returncode == 0, fsck.stderr
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@requires_git
+def test_delta_chain_deeper_than_the_recursion_limit(tmp_path):
+    repo = tmp_path / "r.git"
+    git("init", "-q", "--bare", str(repo), cwd=str(tmp_path))
+    # Each version changes a few lines of the one before, so git deltas it
+    # against its neighbour and the versions form a chain.
+    rng = random.Random(1)
+    lines = [f"line {i} of the payload {rng.random()}\n" for i in range(300)]
+    paths = []
+    for k in range(80):
+        for _ in range(8):
+            lines[rng.randrange(len(lines))] = f"changed {k} {rng.random()}\n"
+        lines.append(f"tail {k}\n")
+        path = tmp_path / f"v{k}"
+        path.write_text("".join(lines))
+        paths.append(str(path))
+    oids = subprocess.run(
+        ["git", "hash-object", "-w", "--stdin-paths"], cwd=str(repo),
+        input="".join(p + "\n" for p in paths), check=True, capture_output=True, text=True,
+    ).stdout
+    subprocess.run(
+        ["git", "pack-objects", "-q", "--depth=4095", "--window=250", "objects/pack/pack"],
+        cwd=str(repo), input=oids, check=True, capture_output=True, text=True,
+    )
+    git("prune-packed", cwd=str(repo))
+    (idx,) = (repo / "objects" / "pack").glob("*.idx")
+    # verify-pack -v: id, type, size, packed size, offset, depth, base id
+    depth, deepest = max(
+        (int(fields[5]), fields[0])
+        for fields in map(str.split, git("verify-pack", "-v", str(idx), cwd=str(repo)).splitlines())
+        if len(fields) == 7
+    )
+    assert depth >= 30
+    store = ObjectStore(str(repo))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + depth // 2)
+    try:
+        kind, payload = store.read(deepest)
+    finally:
+        sys.setrecursionlimit(limit)
+        store.close()
+    assert hash_object(kind.encode(), payload) == deepest
 
 
 @requires_git
@@ -317,8 +524,15 @@ def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
     assert hash_object(kind.encode(), payload) == delta
     store.close()
 
-    # A loose object is read before the pack, so the delta's base now has a
-    # type that no pack object can have.
+    # An index that lists only the delta: its base is then found only as a
+    # loose object, of a type that no pack object can have.
+    (pack,) = (repo / "objects" / "pack").glob("*.pack")
+    data = pack.read_bytes()
+    fields = next(f for f in map(str.split, listing.splitlines()) if f and f[0] == delta)
+    size, offset = int(fields[3]), int(fields[4])
+    only_delta = {bytes.fromhex(delta): (offset, zlib.crc32(data[offset : offset + size]))}
+    os.chmod(idx, 0o644)
+    idx.write_bytes(_pack_index(only_delta, data[-20:]))
     (repo / "objects" / delta_base[:2]).mkdir(exist_ok=True)
     (repo / "objects" / delta_base[:2] / delta_base[2:]).write_bytes(
         zlib.compress(b"bogus 3\x00abc")

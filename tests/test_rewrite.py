@@ -147,6 +147,7 @@ def test_merge_topology_preserved(tmp_path):
         [left, right],
         3,
     )
+    writer.close()
     writer.write_refs({"refs/heads/master": merge})
     writer.set_head("refs/heads/master")
 
@@ -284,6 +285,7 @@ def test_gitlink_entries_are_preserved(tmp_path):
     cid = writer.write_commit(
         tree=tree, parents=[], author=stamp, committer=stamp, message=b"c\n"
     )
+    writer.close()
     writer.write_refs({"refs/heads/master": cid})
     dst = str(tmp_path / "dst.git")
     rewrite_history(src, dst)
@@ -314,6 +316,7 @@ def test_ref_subset_selection(tmp_path):
 
     main_tip = commit({"A.java": b"class A { void f() {} }"}, [], 0)
     side_tip = commit({"B.java": b"class B { void g() {} }"}, [main_tip], 1)
+    writer.close()
     writer.write_refs(
         {"refs/heads/master": main_tip, "refs/heads/side": side_tip}
     )
@@ -339,6 +342,7 @@ def test_head_falls_back_to_first_branch(tmp_path):
         committer=stamp,
         message=b"c\n",
     )
+    writer.close()
     writer.write_refs({"refs/heads/trunk": cid})
     writer.set_head("refs/heads/gone")
     dst = str(tmp_path / "dst.git")

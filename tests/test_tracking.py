@@ -283,6 +283,7 @@ def test_follow_prefers_first_parent(tmp_path):
     left = commit({"f.txt": b"left\n"}, [base], 1)
     right = commit({"f.txt": b"right\n"}, [base], 2)
     merge = commit({"f.txt": b"left\n"}, [left, right], 3)
+    writer.close()
     writer.write_refs({"refs/heads/master": merge})
     writer.set_head("refs/heads/master")
 
@@ -312,6 +313,7 @@ def test_follow_falls_back_to_second_parent(tmp_path):
     left = commit({"keep.txt": b"k\n"}, [base], 1)
     right = commit({"keep.txt": b"k\n", "only.txt": b"o\n"}, [base], 2)
     merge = commit({"keep.txt": b"k\n", "only.txt": b"o\n"}, [left, right], 3)
+    writer.close()
     writer.write_refs({"refs/heads/master": merge})
     writer.set_head("refs/heads/master")
 
@@ -368,6 +370,7 @@ def test_ambiguous_start_needs_ref(tmp_path):
     base = commit({"f.txt": b"0\n"}, [], 0)
     one = commit({"f.txt": b"1\n"}, [base], 1)
     two = commit({"f.txt": b"2\n"}, [base], 2)
+    writer.close()
     writer.write_refs({"refs/heads/one": one, "refs/heads/two": two})
     writer.set_head("refs/heads/one")
 
@@ -483,6 +486,7 @@ def test_lookup_agrees_with_flatten(tree):
         writer = RepoWriter(os.path.join(tmp, "r.git"))
         writer.init_bare()
         root = _write_nested(writer, tree)
+        writer.close()
         store = ObjectStore(writer.path)
         caches = FollowCaches()
         flat = _flatten(store, root, caches)
@@ -549,6 +553,7 @@ def test_follow_skips_a_first_parent_with_no_file_at_the_path(tmp_path, shadow):
     left = commit(in_left, [base], 1)
     right = commit(regular(b"o\n"), [base], 2)
     merge = commit(regular(b"o\n"), [left, right], 3)
+    writer.close()
     writer.write_refs({"refs/heads/master": merge})
     writer.set_head("refs/heads/master")
 
