@@ -10,11 +10,13 @@ from __future__ import annotations
 import mmap
 import os
 import posixpath
+import re
 import struct
 import tempfile
 import zlib
 from dataclasses import dataclass
 from hashlib import sha1
+from typing import NamedTuple
 
 from .errors import RepositoryError
 
@@ -24,8 +26,7 @@ TREE_MODE = b"40000"
 FILE_MODES = (b"100644", b"100755")
 
 
-@dataclass(frozen=True)
-class TreeEntry:
+class TreeEntry(NamedTuple):
     mode: bytes
     name: bytes
     oid: str
@@ -149,6 +150,43 @@ class _PackFile:
             raise ValueError("corrupt pack data")
         return payload
 
+    def _inflate_head(self, pos: int, n: int) -> bytes:
+        """At most the first n bytes of the zlib stream at pos."""
+        d = zlib.decompressobj()
+        data = self._map
+        end = len(data)
+        out = b""
+        while len(out) < n and not d.eof and pos < end:
+            chunk = data[pos : pos + 64]
+            pos += len(chunk)
+            out += d.decompress(chunk, n - len(out))
+        return out
+
+    def size_at(self, offset: int) -> int:
+        """The payload size of the object at offset.
+
+        A whole object's is its entry header's size.  A delta's header
+        gives the delta's own size; the payload's is the result size that
+        starts the delta data, so only that far is inflated and the base
+        is never read.
+        """
+        data = self._map
+        obj_type, size, pos = self._read_varint_header(offset)
+        if obj_type in (1, 2, 3, 4):
+            return size
+        if obj_type == 6:  # OFS_DELTA: step over the base offset
+            while data[pos] & 0x80:
+                pos += 1
+            pos += 1
+        elif obj_type == 7:  # REF_DELTA: step over the base id
+            pos += 20
+        else:
+            raise ValueError(f"unknown pack object type {obj_type}")
+        # Base size, then result size: varints of at most 10 bytes each.
+        head = self._inflate_head(pos, 20)
+        _, head_pos = _delta_size(head, 0)
+        return _delta_size(head, head_pos)[0]
+
     def read_at(self, offset: int, store: "ObjectStore") -> tuple[int, bytes]:
         """(git object type number, payload) for the object at offset.
 
@@ -242,6 +280,19 @@ def _apply_delta(base: bytes, delta: bytes) -> bytes:
     return bytes(out)
 
 
+def _loose_header(raw: bytes) -> tuple[str, int, int]:
+    """(type name, payload size, payload start) from the start of an
+    inflated loose object: its type, a space, its size in decimal, a NUL."""
+    nul = raw.index(b"\x00")
+    kind, _, size = raw[:nul].partition(b" ")
+    if not size.isdigit():
+        raise ValueError(f"bad size in loose object header {raw[:nul]!r}")
+    return kind.decode(), int(size), nul + 1
+
+
+# What the decoding of bad object data raises, in the pack and loose readers.
+_CORRUPT = (zlib.error, struct.error, IndexError, ValueError)
+
 _TYPE_NAMES = {1: "commit", 2: "tree", 3: "blob", 4: "tag"}
 _TYPE_NUMBERS = {name: num for num, name in _TYPE_NAMES.items()}
 _PACK_TYPES = {name.encode(): num for num, name in _TYPE_NAMES.items()}
@@ -314,29 +365,62 @@ class ObjectStore:
             return cached
         try:
             result = self._read_uncached(oid)
-        except (zlib.error, struct.error, IndexError, ValueError) as exc:
+        except _CORRUPT as exc:
             raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
         if result[0] != "blob":
             self._cache[oid] = result
         return result
 
-    def _read_uncached(self, oid: str) -> tuple[str, bytes]:
+    def size(self, oid: str) -> int:
+        """The object's payload length, without inflating the payload.
+
+        A whole packed object's size is in its pack entry header; a packed
+        delta inflates only the sizes at the start of its delta data, and a
+        loose object only its own header.  A missing object or a header
+        that does not decode raises RepositoryError.
+        """
+        cached = self._cache.get(oid)
+        if cached is not None:
+            return len(cached[1])
+        try:
+            packed = self._find_packed(oid)
+            if packed is not None:
+                pack, offset = packed
+                return pack.size_at(offset)
+            head = zlib.decompressobj().decompress(self._read_loose(oid), 32)
+            return _loose_header(head)[1]
+        except _CORRUPT as exc:
+            raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
+
+    def _find_packed(self, oid: str) -> tuple[_PackFile, int] | None:
         # Packs first, then loose objects, as git looks them up.
         oid_bin = bytes.fromhex(oid)
         for pack in self._load_packs():
             offset = pack.find(oid_bin)
             if offset is not None:
-                type_num, payload = pack.read_at(offset, self)
-                return _TYPE_NAMES[type_num], payload
-        loose = os.path.join(self.gitdir, "objects", oid[:2], oid[2:])
+                return pack, offset
+        return None
+
+    def _read_loose(self, oid: str) -> bytes:
+        """The loose object's file, still deflated."""
+        path = os.path.join(self.gitdir, "objects", oid[:2], oid[2:])
         try:
-            with open(loose, "rb") as f:
-                raw = zlib.decompress(f.read())
+            with open(path, "rb") as f:
+                return f.read()
         except FileNotFoundError:
             raise RepositoryError(f"object not found: {oid}") from None
-        nul = raw.index(b"\x00")
-        kind, _, _ = raw[:nul].partition(b" ")
-        return kind.decode(), raw[nul + 1 :]
+
+    def _read_uncached(self, oid: str) -> tuple[str, bytes]:
+        packed = self._find_packed(oid)
+        if packed is not None:
+            pack, offset = packed
+            type_num, payload = pack.read_at(offset, self)
+            return _TYPE_NAMES[type_num], payload
+        raw = zlib.decompress(self._read_loose(oid))
+        kind, size, start = _loose_header(raw)
+        if len(raw) - start != size:
+            raise ValueError("loose object size mismatch")
+        return kind, raw[start:]
 
     def read_commit(self, oid: str) -> CommitRecord:
         kind, payload = self.read(oid)
@@ -481,19 +565,24 @@ def parse_commit(oid: str, payload: bytes) -> CommitRecord:
     )
 
 
+# One tree entry: an octal mode, a space, a non-empty name, a NUL and a
+# 20-byte binary id.
+_TREE_ENTRY = re.compile(rb"([0-7]+) ([^\x00]+)\x00(.{20})", re.DOTALL)
+
+
 def parse_tree(payload: bytes) -> list[TreeEntry]:
-    entries = []
-    pos = 0
-    n = len(payload)
-    while pos < n:
-        sp = payload.index(b" ", pos)
-        mode = payload[pos:sp]
-        nul = payload.index(b"\x00", sp)
-        name = payload[sp + 1 : nul]
-        oid = payload[nul + 1 : nul + 21].hex()
-        entries.append(TreeEntry(mode=mode, name=name, oid=oid))
-        pos = nul + 21
-    return entries
+    """The entries of a tree payload, in order.
+
+    The entries must tile the payload exactly; a gap, a truncated last
+    entry, a mode that is not octal digits or an empty name raises
+    ValueError.
+    """
+    # split puts the bytes between matches at every fourth place, then
+    # each match's three groups.
+    parts = _TREE_ENTRY.split(payload)
+    if any(parts[::4]):
+        raise ValueError("malformed tree entry")
+    return list(map(TreeEntry, parts[1::4], parts[2::4], map(bytes.hex, parts[3::4])))
 
 
 def _pack_entry_header(type_num: int, size: int) -> bytes:

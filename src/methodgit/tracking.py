@@ -2,11 +2,21 @@
 
 The walk runs newest to oldest.  At each commit it looks the tracked path up
 in the parents' trees, one tree per path component, so a commit costs only
-the trees that changed along that path.  When the path disappears from the
-parent, every file the commit deleted (and, with copy detection, every file
-it retained) is scored against the tracked content, and the best candidate
-at or above the threshold continues the chain as a rename or copy; only
-there are whole trees flattened into path -> blob maps.
+the trees that changed along that path; trees are parsed once per id and
+keyed by raw name bytes.  When the path disappears from the parent, every
+file the commit deleted (and, with copy detection, every file it retained)
+is a candidate, in path order, and the best candidate at or above the
+threshold continues the chain as a rename or copy; only there are whole
+trees flattened into path -> blob maps.
+
+A score is at most min(size)/max(size) of the two files, in bytes or in
+lines by the metric, so once a best candidate exists any candidate whose
+bound does not beat it strictly is skipped unscored.  The prune compares
+with the best so far, never with the threshold, so the best candidate is
+the same as without it even when it falls below the threshold.  Byte sizes
+come from the object's pack or loose header (ObjectStore.size), as git's
+rename detection takes them from oid_object_info, so under the byte metric
+a skipped candidate is never inflated; line counts need its fingerprint.
 """
 
 from __future__ import annotations
@@ -144,12 +154,14 @@ class TrackStep:
 class FollowCaches:
     """Shared lookup state, reusable across follow() calls on one store.
 
-    trees maps a tree id to its entries by decoded name; flat maps a tree id
-    to the path -> blob map of every regular file under it.
+    trees maps a tree id to its entries by raw name; flat maps a tree id to
+    the path -> blob map of every regular file under it, and candidates to
+    the same files as (path, blob) pairs sorted by path.
     """
 
     trees: dict = field(default_factory=dict)
     flat: dict = field(default_factory=dict)
+    candidates: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
 
@@ -172,13 +184,10 @@ def _read_commit(store: ObjectStore, oid: str, caches: FollowCaches):
 
 def _entries(
     store: ObjectStore, tree_oid: str, caches: FollowCaches
-) -> dict[str, TreeEntry]:
+) -> dict[bytes, TreeEntry]:
     entries = caches.trees.get(tree_oid)
     if entries is None:
-        entries = {
-            entry.name.decode("utf-8", errors="surrogateescape"): entry
-            for entry in store.read_tree(tree_oid)
-        }
+        entries = {entry.name: entry for entry in store.read_tree(tree_oid)}
         caches.trees[tree_oid] = entries
     return entries
 
@@ -187,7 +196,11 @@ def _lookup(
     store: ObjectStore, tree_oid: str, path: str, caches: FollowCaches
 ) -> str | None:
     """The blob id of the regular file at path under the tree, or None."""
-    *dirs, name = path.split("/")
+    try:
+        raw_path = path.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # no name in a tree decodes to such a path
+        return None
+    *dirs, name = raw_path.split(b"/")
     for part in dirs:
         entry = _entries(store, tree_oid, caches).get(part)
         if entry is None or not entry.is_tree:
@@ -205,7 +218,8 @@ def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[st
     if flat is not None:
         return flat
     flat = {}
-    for name, entry in _entries(store, tree_oid, caches).items():
+    for raw_name, entry in _entries(store, tree_oid, caches).items():
+        name = raw_name.decode("utf-8", "surrogateescape")
         if entry.is_tree:
             for sub_path, sub_oid in _flatten(store, entry.oid, caches).items():
                 flat[f"{name}/{sub_path}"] = sub_oid
@@ -215,6 +229,18 @@ def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[st
     return flat
 
 
+def _candidates(
+    store: ObjectStore, tree_oid: str, caches: FollowCaches
+) -> list[tuple[str, str]]:
+    """(path, blob id) for every regular file under the tree, by path;
+    sorted once per tree id, not once per disappearance."""
+    items = caches.candidates.get(tree_oid)
+    if items is None:
+        items = sorted(_flatten(store, tree_oid, caches).items())
+        caches.candidates[tree_oid] = items
+    return items
+
+
 def _blob_fingerprint(store: ObjectStore, oid: str, caches: FollowCaches) -> Fingerprint:
     fp = caches.fingerprints.get(oid)
     if fp is None:
@@ -222,6 +248,15 @@ def _blob_fingerprint(store: ObjectStore, oid: str, caches: FollowCaches) -> Fin
         fp = fingerprint(content)
         caches.fingerprints[oid] = fp
     return fp
+
+
+def _size(store: ObjectStore, oid: str, metric: Metric, caches: FollowCaches) -> int:
+    """The blob's size in the metric's unit: lines, or bytes, which are
+    read from the object's header unless the blob was fingerprinted."""
+    if metric is Metric.LINES:
+        return _blob_fingerprint(store, oid, caches).line_count
+    fp = caches.fingerprints.get(oid)
+    return fp.total_bytes if fp is not None else store.size(oid)
 
 
 def resolve_start(
@@ -276,17 +311,25 @@ def _disappearance(
     scored against the first parent's files, whatever its score; the
     caller applies the threshold."""
     cur_flat = _flatten(store, tree_oid, caches)
-    parent_flat = _flatten(store, parent_tree_oid, caches)
     target = _blob_fingerprint(store, blob_oid, caches)
+    metric = config.metric
+    target_size = target.line_count if metric is Metric.LINES else target.total_bytes
     best: _Winner | None = None
-    for old_path in sorted(parent_flat):
-        old_oid = parent_flat[old_path]
+    for old_path, old_oid in _candidates(store, parent_tree_oid, caches):
         deleted = old_path not in cur_flat
         if not deleted and not config.detect_copies:
             continue
-        score = similarity(
-            _blob_fingerprint(store, old_oid, caches), target, config.metric
-        )
+        if best is not None:
+            # A score is at most min(size)/max(size), or 1/1 when both are
+            # empty; a candidate that cannot beat best strictly is skipped.
+            size = _size(store, old_oid, metric, caches)
+            top = max(size, target_size)
+            if top and (
+                min(size, target_size) * best.score.denominator
+                <= best.score.numerator * top
+            ):
+                continue
+        score = similarity(_blob_fingerprint(store, old_oid, caches), target, metric)
         # Strictly greater, by cross-multiplication: denominators are >= 1.
         if best is None or (
             score.numerator * best.score.denominator

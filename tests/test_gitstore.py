@@ -26,6 +26,7 @@ from methodgit.gitstore import (
     _PackFile,
     hash_object,
     parse_commit,
+    parse_tree,
 )
 from methodgit.rewrite import rewrite_history
 
@@ -306,15 +307,101 @@ def test_corrupt_loose_object_raises_repository_error(tmp_path):
     # repository's pack does not hold.
     bad_zlib = hash_object(b"blob", b"3\n")
     no_header = hash_object(b"blob", b"4\n")
-    for oid, data in ((bad_zlib, b"not zlib data"), (no_header, zlib.compress(b"blob 2"))):
-        os.makedirs(os.path.join(dst, "objects", oid[:2]), exist_ok=True)
-        with open(os.path.join(dst, "objects", oid[:2], oid[2:]), "wb") as f:
-            f.write(data)
-    store = ObjectStore(dst)
-    for oid in (bad_zlib, no_header):
-        with pytest.raises(RepositoryError, match=oid):
-            store.read(oid)
-    store.close()
+    wrong_size = hash_object(b"blob", b"5\n")
+    for oid, data in (
+        (bad_zlib, b"not zlib data"),
+        (no_header, zlib.compress(b"blob 2")),
+        (wrong_size, zlib.compress(b"blob 3\x005\n")),
+    ):
+        _write_loose(dst, oid, data)
+    with ObjectStore(dst) as store:
+        for oid in (bad_zlib, no_header, wrong_size):
+            with pytest.raises(RepositoryError, match=oid):
+                store.read(oid)
+
+
+def _write_loose(repo: str, oid: str, data: bytes) -> None:
+    os.makedirs(os.path.join(repo, "objects", oid[:2]), exist_ok=True)
+    with open(os.path.join(repo, "objects", oid[:2], oid[2:]), "wb") as f:
+        f.write(data)
+
+
+def test_size_matches_the_payload_of_loose_and_whole_packed_objects(tmp_path):
+    dst = str(tmp_path / "r.git")
+    build_linear_repo(dst, [{"a/b.txt": b"1\n" * 500, "empty": b""}])
+    loose_payload = b"loose\n" * 7
+    loose = hash_object(b"blob", loose_payload)
+    _write_loose(dst, loose, zlib.compress(b"blob %d\x00" % len(loose_payload) + loose_payload))
+    with ObjectStore(dst) as store:
+        oids = _pack_ids(store) + [loose]
+        # Before any read, so no size comes from the cache of read trees
+        # and commits.
+        sizes = [store.size(oid) for oid in oids]
+    with ObjectStore(dst) as store:
+        assert sizes == [len(store.read(oid)[1]) for oid in oids]
+        assert 1000 in sizes and 0 in sizes
+
+
+def test_size_of_a_missing_or_malformed_object_raises_repository_error(tmp_path):
+    dst = str(tmp_path / "r.git")
+    build_linear_repo(dst, [{"a": b"1\n"}])
+    loose = {
+        hash_object(b"blob", b"loose %d\n" % n): data
+        for n, data in enumerate([
+            b"not zlib data",
+            zlib.compress(b"blob 2"),
+            zlib.compress(b"blob x\x00ab"),
+            zlib.compress(b"blob +2\x00ab"),
+        ])
+    }
+    for oid, data in loose.items():
+        _write_loose(dst, oid, data)
+    # A second pack: an unknown object type, an OFS_DELTA whose delta data
+    # is not zlib, one whose delta data ends inside its sizes, and last an
+    # entry header cut off by the end of the file.
+    bodies = [
+        _pack_entry_header(5, 2) + zlib.compress(b"ab"),
+        _pack_entry_header(6, 4) + b"\x01" + b"not zlib",
+        _pack_entry_header(6, 1) + b"\x01" + zlib.compress(b"\x80"),
+        b"\xb5",
+    ]
+    pack = bytearray(b"PACK" + struct.pack(">II", 2, len(bodies)))
+    entries = {}
+    for n, body in enumerate(bodies):
+        entries[bytes([0xF0 + n]) * 20] = (len(pack), zlib.crc32(body))
+        pack += body
+    pack_dir = os.path.join(dst, "objects", "pack")
+    with open(os.path.join(pack_dir, "pack-x.pack"), "wb") as f:
+        f.write(pack)
+    with open(os.path.join(pack_dir, "pack-x.idx"), "wb") as f:
+        f.write(_pack_index(entries, bytes(20)))
+    with ObjectStore(dst) as store:
+        for oid in ["f" * 40, *loose, *(name.hex() for name in entries)]:
+            for method in (store.size, store.read):
+                with pytest.raises(RepositoryError, match=oid):
+                    method(oid)
+
+
+@pytest.mark.parametrize(
+    "bad_entry",
+    [
+        pytest.param(b"100644 a\x00" + b"\x01" * 7, id="truncated-id"),
+        pytest.param(b"100844 a\x00" + b"\x01" * 20, id="non-octal-mode"),
+        pytest.param(b"100644 \x00" + b"\x01" * 20, id="empty-name"),
+    ],
+)
+def test_malformed_tree_raises_repository_error(tmp_path, bad_entry):
+    good_entry = b"100644 ok\x00" + b"\x02" * 20
+    for payload in (bad_entry, good_entry + bad_entry):
+        with pytest.raises(ValueError):
+            parse_tree(payload)
+    assert parse_tree(good_entry) == [(b"100644", b"ok", "02" * 20)]
+    with RepoWriter(str(tmp_path / "r.git")) as writer:
+        writer.init_bare()
+        tree = writer.write_object(b"tree", good_entry + bad_entry)
+    with ObjectStore(writer.path) as store:
+        with pytest.raises(RepositoryError, match=f"corrupt tree {tree}"):
+            store.read_tree(tree)
 
 
 def test_discover_rejects_non_repo(tmp_path):
@@ -372,12 +459,13 @@ def _frame_depth() -> int:
     return depth
 
 
-@requires_git
-def test_delta_chain_deeper_than_the_recursion_limit(tmp_path):
+def _delta_chain_repo(tmp_path, *pack_args: str):
+    """A bare repository whose one pack holds 80 versions of a file, each
+    changing a few lines of the one before, so git deltas each against its
+    neighbour and the versions form a chain.  pack_args go to
+    pack-objects."""
     repo = tmp_path / "r.git"
     git("init", "-q", "--bare", str(repo), cwd=str(tmp_path))
-    # Each version changes a few lines of the one before, so git deltas it
-    # against its neighbour and the versions form a chain.
     rng = random.Random(1)
     lines = [f"line {i} of the payload {rng.random()}\n" for i in range(300)]
     paths = []
@@ -393,10 +481,17 @@ def test_delta_chain_deeper_than_the_recursion_limit(tmp_path):
         input="".join(p + "\n" for p in paths), check=True, capture_output=True, text=True,
     ).stdout
     subprocess.run(
-        ["git", "pack-objects", "-q", "--depth=4095", "--window=250", "objects/pack/pack"],
+        ["git", "pack-objects", "-q", "--depth=4095", "--window=250", *pack_args,
+         "objects/pack/pack"],
         cwd=str(repo), input=oids, check=True, capture_output=True, text=True,
     )
     git("prune-packed", cwd=str(repo))
+    return repo
+
+
+@requires_git
+def test_delta_chain_deeper_than_the_recursion_limit(tmp_path):
+    repo = _delta_chain_repo(tmp_path)
     (idx,) = (repo / "objects" / "pack").glob("*.idx")
     # verify-pack -v: id, type, size, packed size, offset, depth, base id
     depth, deepest = max(
@@ -414,6 +509,25 @@ def test_delta_chain_deeper_than_the_recursion_limit(tmp_path):
         sys.setrecursionlimit(limit)
         store.close()
     assert hash_object(kind.encode(), payload) == deepest
+
+
+def _fail_if_called(*args):
+    raise AssertionError("a payload was inflated")
+
+
+@requires_git
+def test_size_of_ofs_deltas_inflates_no_payload(tmp_path, monkeypatch):
+    repo = _delta_chain_repo(tmp_path, "--delta-base-offset")
+    with ObjectStore(str(repo)) as store:
+        oids = _pack_ids(store)
+        (pack,) = store._load_packs()
+        types = {pack._read_varint_header(pack.find(bytes.fromhex(oid)))[0] for oid in oids}
+        assert 6 in types  # OFS_DELTA
+        want = {oid: len(store.read(oid)[1]) for oid in oids}
+    monkeypatch.setattr(_PackFile, "_inflate", _fail_if_called)
+    monkeypatch.setattr("methodgit.gitstore._apply_delta", _fail_if_called)
+    with ObjectStore(str(repo)) as store:
+        assert {oid: store.size(oid) for oid in oids} == want
 
 
 @requires_git
@@ -494,8 +608,10 @@ def test_truncated_pack_raises_repository_error(tmp_path):
     assert failed > 0
 
 
-@requires_git
-def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
+def _ref_delta_outside_the_pack(tmp_path):
+    """A bare repository with two blobs, one a REF_DELTA against the other,
+    in a pack whose index lists only the delta, and no loose objects; so
+    the delta's base is found in no pack.  (repo, delta id, base id)."""
     repo = tmp_path / "r.git"
     git("init", "-q", "--bare", str(repo), cwd=str(tmp_path))
     base = "\n".join(f"line {i} of the payload" for i in range(400)) + "\n"
@@ -524,8 +640,6 @@ def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
     assert hash_object(kind.encode(), payload) == delta
     store.close()
 
-    # An index that lists only the delta: its base is then found only as a
-    # loose object, of a type that no pack object can have.
     (pack,) = (repo / "objects" / "pack").glob("*.pack")
     data = pack.read_bytes()
     fields = next(f for f in map(str.split, listing.splitlines()) if f and f[0] == delta)
@@ -534,6 +648,14 @@ def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
     os.chmod(idx, 0o644)
     idx.write_bytes(_pack_index(only_delta, data[-20:]))
     (repo / "objects" / delta_base[:2]).mkdir(exist_ok=True)
+    return repo, delta, delta_base
+
+
+@requires_git
+def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
+    repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
+    # The base is found only as a loose object, of a type that no pack
+    # object can have.
     (repo / "objects" / delta_base[:2] / delta_base[2:]).write_bytes(
         zlib.compress(b"bogus 3\x00abc")
     )
@@ -541,6 +663,19 @@ def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
     with pytest.raises(RepositoryError, match=f"corrupt object {delta}"):
         store.read(delta)
     store.close()
+
+
+@requires_git
+def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, monkeypatch):
+    repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
+    git("hash-object", "-w", str(tmp_path / "a"), str(tmp_path / "b"), cwd=str(repo))
+    with ObjectStore(str(repo)) as store:
+        kind, payload = store.read(delta)
+        assert hash_object(kind.encode(), payload) == delta
+    monkeypatch.setattr(_PackFile, "_inflate", _fail_if_called)
+    monkeypatch.setattr(ObjectStore, "read", _fail_if_called)
+    with ObjectStore(str(repo)) as store:
+        assert store.size(delta) == len(payload)
 
 
 @requires_git

@@ -29,13 +29,14 @@ from methodgit.tracking import (
     PathNotFound,
     SimilarityScore,
     StepKind,
+    _disappearance,
     _flatten,
     _lookup,
     steps_to_json,
     steps_to_tsv,
 )
 
-from brute import brute_follow
+from brute import brute_follow, brute_similarity
 from conftest import AUTHOR, build_linear_repo, sim, write_tree_dict
 
 
@@ -476,7 +477,8 @@ def _walk(tree: dict, prefix: str = ""):
 @given(_TREES)
 def test_lookup_agrees_with_flatten(tree):
     entries = list(_walk(tree))
-    paths = {"", "/", "missing", "missing/f.txt"}
+    # A lone surrogate outside surrogateescape's range encodes to no name.
+    paths = {"", "/", "missing", "missing/f.txt", "\ud800", "a/\ud800"}
     for path, _value in entries:
         paths.update({
             path, path + "/", path + "/x", path + "/missing",
@@ -522,6 +524,88 @@ def test_walk_flattens_no_tree_where_the_path_stays(tmp_path, monkeypatch):
         counts[n] = len(flattened)
     # Only the one disappearance, at the path's first commit, flattens.
     assert counts[3] == counts[30]
+
+
+def _numbered(prefix: str, n: int, start: int = 0) -> list[bytes]:
+    return [b"%s %d of the file\n" % (prefix.encode(), i) for i in range(start, start + n)]
+
+
+# Candidates of very different sizes for one disappearance: tracked (40
+# lines) and low (20 lines) appear at commit 1, where every old file but
+# keep/k.txt is deleted.  mid/a.txt and mid/b.txt are equal, so they tie
+# for low; mid/c.txt, later in path order, beats them for tracked.
+_TARGET = _numbered("target", 40)
+_OTHER = _numbered("other", 10)
+_HEAVY_TAILED = [
+    {
+        "big/huge.txt": b"".join(_TARGET[:20] + _numbered("huge", 380)),
+        "keep/k.txt": b"".join(_TARGET[:3] + _numbered("keep", 90)),
+        "mid/a.txt": b"".join(_TARGET[:30] + _OTHER),
+        "mid/b.txt": b"".join(_TARGET[:30] + _OTHER),
+        "mid/c.txt": b"".join(_TARGET[:36] + _numbered("c", 4)),
+        "small/s1.txt": b"".join(_TARGET[:2]),
+        "small/s2.txt": _TARGET[5],
+        "x/empty.txt": b"",
+        "x/other.txt": b"z\n",
+    },
+    {
+        "keep/k.txt": b"".join(_TARGET[:3] + _numbered("keep", 90)),
+        "new/tracked.txt": b"".join(_TARGET),
+        "new/low.txt": b"".join(_OTHER[:6] + _numbered("low", 14)),
+        "new/empty.txt": b"",
+    },
+]
+
+
+def test_size_prune_is_exact_on_heavy_tailed_sizes(tmp_path, monkeypatch):
+    repo = str(tmp_path / "r.git")
+    ids = build_linear_repo(repo, _HEAVY_TAILED)
+    scored = []
+    original = similarity
+
+    def counting(a, b, metric):
+        scored.append(metric)
+        return original(a, b, metric)
+
+    monkeypatch.setattr("methodgit.tracking.similarity", counting)
+    old_files = _HEAVY_TAILED[0]
+    expected_old = {"new/tracked.txt": "mid/c.txt", "new/low.txt": "mid/a.txt",
+                    "new/empty.txt": "x/empty.txt"}
+    candidates = 0
+    with ObjectStore(repo) as store:
+        trees = [store.read_commit(cid).tree for cid in ids]
+        for metric in Metric:
+            for copies in (False, True):
+                n_candidates = len(old_files) - (0 if copies else 1)
+                for path, old_path in expected_old.items():
+                    # The best candidate whatever its score: tracked scores
+                    # 36/40 lines, low only 6/40, below any -M used below.
+                    config = TrackerConfig(threshold=50, detect_copies=copies, metric=metric)
+                    caches = FollowCaches()
+                    blob = _lookup(store, trees[1], path, caches)
+                    winner = _disappearance(
+                        store, ids[1], trees[1], trees[0], blob, config, caches
+                    )
+                    want = max(
+                        brute_similarity(old_files[old], _HEAVY_TAILED[1][path], metric.value)
+                        for old in old_files if copies or old != "keep/k.txt"
+                    )
+                    assert (winner.old_path, winner.score.as_fraction()) == (old_path, want)
+                    candidates += n_candidates
+                    for threshold in (10, 50, 90):
+                        config = TrackerConfig(threshold, copies, metric)
+                        got = [
+                            (s.commit_id, s.kind.value, s.old_path, s.new_path,
+                             s.score.as_fraction() if s.score is not None else None)
+                            for s in follow(store, path, config)
+                        ]
+                        assert got == brute_follow(
+                            store, path, ids[1], threshold, copies, metric.value
+                        ), (path, config)
+                        candidates += n_candidates
+    # Some candidates were skipped on their sizes alone.
+    assert 0 < len(scored) < candidates
+    assert set(scored) == set(Metric)
 
 
 @pytest.mark.parametrize("shadow", ["symlink", "directory"])
