@@ -309,3 +309,21 @@ def test_interface_constants_are_fields():
     _, fields = extract(src)
     assert [f.name for f in fields] == ["LIMIT"]
     assert fields[0].field_type == "int"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("int x;", "expected a type declaration near line 1"),
+        ("/* a\n * b\n */\nclass A {\n  int 5;\n}", "expected member name near line 5"),
+        ('class A {\n  String s = """\n    x\n    """;\n  int 5;\n}',
+         "expected member name near line 5"),
+        ("class A {\r\n  void f() {}\r\n  int = 3;\r\n}\r\n", "expected member name near line 3"),
+        ("class A {\n  @ 5 void f() {}\n}", "expected annotation name near line 2"),
+        ("class A {\n  void f(int) {}\n}", "expected parameter name"),
+    ],
+)
+def test_parse_error_message_names_the_line(source, message):
+    with pytest.raises(ParseError) as info:
+        extract(source)
+    assert str(info.value) == message
