@@ -21,7 +21,12 @@ class LexError(MethodGitError):
 
 
 class ParseError(MethodGitError):
-    """Raised when the member extractor cannot make sense of a token stream."""
+    """Raised when the member extractor cannot make sense of a token stream;
+    offset is the source offset of the token it stopped at, if any."""
+
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message)
+        self.offset = offset
 
 
 class NameError_(MethodGitError):

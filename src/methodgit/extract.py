@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .lexer import LexResult, Token, TokenKind, tokenize
+from .lexer import LexResult, Token, TokenKind, position, tokenize
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
@@ -144,8 +144,7 @@ class FieldDecl:
 
 
 def _fail(msg: str, tok: Token | None = None) -> ParseError:
-    where = f" near line {tok.line}" if tok is not None else ""
-    return ParseError(msg + where)
+    return ParseError(msg, None if tok is None else tok.offset)
 
 
 def _expect(cond: bool, msg: str, tok: Token | None = None) -> None:
@@ -866,7 +865,11 @@ def extract(source: str) -> tuple[list[MethodDecl], list[FieldDecl]]:
     Raises LexError or ParseError when the file cannot be processed; callers
     then keep the original file untouched.
     """
-    lex = tokenize(source)
-    ex = _Extractor(source, lex)
-    ex.run()
+    ex = _Extractor(source, tokenize(source))
+    try:
+        ex.run()
+    except ParseError as e:
+        if e.offset is not None:
+            e.args = (f"{e} near line {position(source, e.offset)[0]}",)
+        raise
     return ex.methods, ex.fields

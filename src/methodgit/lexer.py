@@ -12,6 +12,9 @@ alternative follows it, and a final catch-all takes any other character, so
 every error is a match and ``tokenize`` raises in one place.  String and
 text-block bodies are unrolled loops with a single way to match any text,
 so unterminated input fails in linear time.
+
+Tokens carry source offsets only.  Lines and columns are not tracked while
+lexing; ``position`` computes them from an offset when an error is raised.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -31,21 +35,11 @@ class TokenKind(Enum):
     SEPARATOR = "separator"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: TokenKind
-    line: int
-    column: int
     offset: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.text)
-
-    @property
-    def byte_len(self) -> int:
-        return len(self.text.encode("utf-8"))
+    end: int
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,6 @@ class Javadoc:
     attach_index: int
     start: int
     end: int
-    line: int
 
 
 @dataclass(frozen=True)
@@ -160,6 +153,11 @@ _KINDS = {
 }
 
 
+def position(source: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of offset; only "\\n" ends a line."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
 def tokenize(source: str) -> LexResult:
     """Tokenize Java source.
 
@@ -171,29 +169,23 @@ def tokenize(source: str) -> LexResult:
     tokens: list[Token] = []
     javadocs: list[Javadoc] = []
     comments: list[CommentSpan] = []
-    line = 1
-    line_start = 0
     for m in _TOKEN_RE.finditer(source):
         group = m.lastgroup
-        text = m.group()
-        start = m.start()
-        if group == "word" or group == "punct":
-            kind = _KINDS.get(text, TokenKind.IDENTIFIER)
-            tokens.append(Token(text, kind, line, start - line_start + 1, start))
+        if group == "space":
             continue
-        if group in _ERRORS:
-            raise LexError(_ERRORS[group].format(text), line, start - line_start + 1)
-        if group == "line_comment":
-            comments.append(CommentSpan(start, m.end(), False))
+        text = m.group()
+        start, end = m.span()
+        if group == "word" or group == "punct":
+            tokens.append(Token(text, _KINDS.get(text, TokenKind.IDENTIFIER), start, end))
+        elif group in _ERRORS:
+            raise LexError(_ERRORS[group].format(text), *position(source, start))
+        elif group == "line_comment":
+            comments.append(CommentSpan(start, end, False))
         elif group == "comment":
             is_doc = text.startswith("/**") and len(text) >= 5
-            comments.append(CommentSpan(start, m.end(), is_doc))
+            comments.append(CommentSpan(start, end, is_doc))
             if is_doc:
-                javadocs.append(Javadoc(text, len(tokens), start, m.end(), line))
-        elif group != "space":
-            tokens.append(Token(text, TokenKind.LITERAL, line, start - line_start + 1, start))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = start + text.rfind("\n") + 1
+                javadocs.append(Javadoc(text, len(tokens), start, end))
+        else:
+            tokens.append(Token(text, TokenKind.LITERAL, start, end))
     return LexResult(tokens, javadocs, comments)

@@ -400,7 +400,7 @@ def test_a_token_has_one_tag_in_every_declaration(source):
         for tok, tag in zip(decl.tokens, categorize(decl)):
             name, seen = first.setdefault(id(tok), (decl.name, tag))
             if seen != tag:
-                mismatches.append((tok.text, tok.line, name, seen, decl.name, tag))
+                mismatches.append((tok.text, tok.offset, name, seen, decl.name, tag))
     assert mismatches == []
 
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from methodgit import tokenize
 from methodgit.errors import LexError
-from methodgit.lexer import CommentSpan, TokenKind
+from methodgit.lexer import _ERRORS, _TOKEN_RE, CommentSpan, TokenKind, position
 
 
 def texts(source: str) -> list[str]:
@@ -109,15 +109,9 @@ def test_line_column_offset():
     src = "int a;\n  b++;"
     toks = tokenize(src).tokens
     b = next(t for t in toks if t.text == "b")
-    assert (b.line, b.column) == (2, 3)
+    assert position(src, b.offset) == (2, 3)
     assert src[b.offset] == "b"
     assert b.end == b.offset + 1
-
-
-def test_byte_len_multibyte():
-    (tok,) = tokenize("élève").tokens
-    assert tok.byte_len == len("élève".encode("utf-8"))
-    assert len(tok.text) == 5
 
 
 def test_unterminated_string_raises():
@@ -160,7 +154,7 @@ def test_lex_error_message_and_position(source, message, line, column):
 
 
 def spans(source: str) -> list[tuple[str, TokenKind, int, int, int]]:
-    return [(t.text, t.kind, t.line, t.column, t.offset) for t in tokenize(source).tokens]
+    return [(t.text, t.kind, *position(source, t.offset), t.offset) for t in tokenize(source).tokens]
 
 
 def test_text_block_takes_surplus_closing_quotes():
@@ -217,8 +211,9 @@ def test_line_and_column_after_crlf_and_form_feed():
 
 
 def test_comment_opener_does_not_close_itself():
-    result = tokenize("/*/ x */ y")
-    assert [(t.text, t.column) for t in result.tokens] == [("y", 10)]
+    src = "/*/ x */ y"
+    result = tokenize(src)
+    assert [(t.text, position(src, t.offset)[1]) for t in result.tokens] == [("y", 10)]
     assert result.comments == [CommentSpan(0, 8, False)]
 
 
@@ -257,3 +252,39 @@ def test_space_separated_items_roundtrip(items):
     assert [t.text for t in toks] == items
     for tok in toks:
         assert src[tok.offset : tok.end] == tok.text
+
+
+def naive_position(source: str, offset: int) -> tuple[int, int]:
+    line, column = 1, 1
+    for ch in source[:offset]:
+        if ch == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    return line, column
+
+
+LEXER_PIECES = [
+    "a", "x1", "int", "7", ".5", " ", "\t", "\n", "\r", "\r\n", "\f", "é",
+    '"', "'", "\\", "/", "*", "/*", "*/", "/**", "//", '"""', ";", "+", "#",
+    '"q"', "'c'", "/* c\n*/", "// c\n", '"""\n t"""',
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=12).map("".join))
+def test_offsets_and_positions_agree_with_a_naive_scan(source):
+    for offset in range(len(source) + 1):
+        assert position(source, offset) == naive_position(source, offset)
+    try:
+        toks = tokenize(source).tokens
+    except LexError as e:
+        # The lexer stops at the first match of an error alternative.
+        stop = next(m for m in _TOKEN_RE.finditer(source) if m.lastgroup in _ERRORS)
+        assert (e.line, e.column) == naive_position(source, stop.start())
+        return
+    last_end = 0
+    for tok in toks:
+        assert source[tok.offset : tok.end] == tok.text
+        assert last_end <= tok.offset < tok.end
+        last_end = tok.end
