@@ -55,10 +55,9 @@ def test_write_then_read_blob(tmp_path):
     writer.init_bare()
     oid = writer.write_blob(b"hello\n")
     writer.close()
-    store = ObjectStore(writer.path)
-    kind, payload = store.read(oid)
-    assert (kind, payload) == ("blob", b"hello\n")
-    store.close()
+    with ObjectStore(writer.path) as store:
+        kind, payload = store.read(oid)
+        assert (kind, payload) == ("blob", b"hello\n")
 
 
 def test_tree_round_trip_and_sort_rule(tmp_path):
@@ -76,10 +75,9 @@ def test_tree_round_trip_and_sort_rule(tmp_path):
         ]
     )
     writer.close()
-    store = ObjectStore(writer.path)
-    names = [e.name for e in store.read_tree(tree)]
-    assert names == [b"a", b"foo.bar", b"foo"]
-    store.close()
+    with ObjectStore(writer.path) as store:
+        names = [e.name for e in store.read_tree(tree)]
+        assert names == [b"a", b"foo.bar", b"foo"]
 
 
 def test_commit_round_trip(tmp_path):
@@ -96,30 +94,28 @@ def test_commit_round_trip(tmp_path):
         encoding=b"ISO-8859-1",
     )
     writer.close()
-    store = ObjectStore(writer.path)
-    record = store.read_commit(cid)
-    assert record.tree == tree
-    assert record.parents == []
-    assert record.author == stamp
-    assert record.encoding == b"ISO-8859-1"
-    assert record.message == b"first\n"
-    assert record.commit_time == 1700000000
-    store.close()
+    with ObjectStore(writer.path) as store:
+        record = store.read_commit(cid)
+        assert record.tree == tree
+        assert record.parents == []
+        assert record.author == stamp
+        assert record.encoding == b"ISO-8859-1"
+        assert record.message == b"first\n"
+        assert record.commit_time == 1700000000
 
 
 def test_refs_and_head(tmp_path):
     dst = str(tmp_path / "r.git")
     ids = build_linear_repo(dst, [{"a": b"1\n"}, {"a": b"2\n"}])
-    store = ObjectStore(dst)
-    refs = store.refs()
-    assert refs["refs/heads/master"] == ids[-1]
-    assert store.head_target() == ("ref", "refs/heads/master")
-    assert store.resolve_ref("master") == ids[-1]
-    assert store.resolve_ref("refs/heads/master") == ids[-1]
-    assert store.resolve_ref("HEAD") == ids[-1]
-    assert store.resolve_ref(ids[0]) == ids[0]
-    assert store.resolve_ref("nope") is None
-    store.close()
+    with ObjectStore(dst) as store:
+        refs = store.refs()
+        assert refs["refs/heads/master"] == ids[-1]
+        assert store.head_target() == ("ref", "refs/heads/master")
+        assert store.resolve_ref("master") == ids[-1]
+        assert store.resolve_ref("refs/heads/master") == ids[-1]
+        assert store.resolve_ref("HEAD") == ids[-1]
+        assert store.resolve_ref(ids[0]) == ids[0]
+        assert store.resolve_ref("nope") is None
 
 
 def test_loose_ref_overrides_packed(tmp_path):
@@ -129,9 +125,8 @@ def test_loose_ref_overrides_packed(tmp_path):
     os.makedirs(os.path.dirname(loose), exist_ok=True)
     with open(loose, "w") as f:
         f.write(ids[0] + "\n")
-    store = ObjectStore(dst)
-    assert store.refs()["refs/heads/master"] == ids[0]
-    store.close()
+    with ObjectStore(dst) as store:
+        assert store.refs()["refs/heads/master"] == ids[0]
 
 
 def test_init_bare_refuses_non_empty(tmp_path):
@@ -294,10 +289,9 @@ def test_commit_record_time_fallback():
 def test_missing_object_raises(tmp_path):
     dst = str(tmp_path / "r.git")
     build_linear_repo(dst, [{"a": b"1\n"}])
-    store = ObjectStore(dst)
-    with pytest.raises(RepositoryError):
-        store.read("f" * 40)
-    store.close()
+    with ObjectStore(dst) as store:
+        with pytest.raises(RepositoryError):
+            store.read("f" * 40)
 
 
 def test_corrupt_loose_object_raises_repository_error(tmp_path):
@@ -500,14 +494,13 @@ def test_delta_chain_deeper_than_the_recursion_limit(tmp_path):
         if len(fields) == 7
     )
     assert depth >= 30
-    store = ObjectStore(str(repo))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + depth // 2)
-    try:
-        kind, payload = store.read(deepest)
-    finally:
-        sys.setrecursionlimit(limit)
-        store.close()
+    with ObjectStore(str(repo)) as store:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + depth // 2)
+        try:
+            kind, payload = store.read(deepest)
+        finally:
+            sys.setrecursionlimit(limit)
     assert hash_object(kind.encode(), payload) == deepest
 
 
@@ -541,10 +534,9 @@ def test_read_workdir_repository(tmp_path):
     git("add", ".", cwd=str(work))
     git("commit", "-q", "-m", "one", cwd=str(work))
     head = git("rev-parse", "HEAD", cwd=str(work)).strip()
-    store = ObjectStore(str(work))
-    record = store.read_commit(head)
-    assert record.message == b"one\n"
-    store.close()
+    with ObjectStore(str(work)) as store:
+        record = store.read_commit(head)
+        assert record.message == b"one\n"
 
 
 @requires_git
@@ -566,12 +558,11 @@ def test_read_packed_objects_with_deltas(tmp_path):
         for line in git("rev-list", "--objects", "--all", cwd=str(work)).splitlines()
     ]
     assert len(oids) > 10
-    store = ObjectStore(str(work))
-    for oid in oids:
-        kind, payload = store.read(oid)
-        # Re-hashing proves the inflate/delta path reproduced the object.
-        assert hash_object(kind.encode(), payload) == oid
-    store.close()
+    with ObjectStore(str(work)) as store:
+        for oid in oids:
+            kind, payload = store.read(oid)
+            # Re-hashing proves the inflate/delta path reproduced the object.
+            assert hash_object(kind.encode(), payload) == oid
 
 
 @requires_git
@@ -594,17 +585,16 @@ def test_truncated_pack_raises_repository_error(tmp_path):
     (pack,) = pack_dir.glob("*.pack")
     data = pack.read_bytes()
     pack.write_bytes(data[: len(data) // 2])
-    store = ObjectStore(str(work))
-    failed = 0
-    for oid in oids:
-        try:
-            kind, payload = store.read(oid)
-        except RepositoryError as exc:
-            assert oid in str(exc)
-            failed += 1
-            continue
-        assert hash_object(kind.encode(), payload) == oid
-    store.close()
+    with ObjectStore(str(work)) as store:
+        failed = 0
+        for oid in oids:
+            try:
+                kind, payload = store.read(oid)
+            except RepositoryError as exc:
+                assert oid in str(exc)
+                failed += 1
+                continue
+            assert hash_object(kind.encode(), payload) == oid
     assert failed > 0
 
 
@@ -635,10 +625,9 @@ def _ref_delta_outside_the_pack(tmp_path):
     )
     for oid in oids:
         os.remove(repo / "objects" / oid[:2] / oid[2:])
-    store = ObjectStore(str(repo))
-    kind, payload = store.read(delta)
-    assert hash_object(kind.encode(), payload) == delta
-    store.close()
+    with ObjectStore(str(repo)) as store:
+        kind, payload = store.read(delta)
+        assert hash_object(kind.encode(), payload) == delta
 
     (pack,) = (repo / "objects" / "pack").glob("*.pack")
     data = pack.read_bytes()
@@ -659,10 +648,9 @@ def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
     (repo / "objects" / delta_base[:2] / delta_base[2:]).write_bytes(
         zlib.compress(b"bogus 3\x00abc")
     )
-    store = ObjectStore(str(repo))
-    with pytest.raises(RepositoryError, match=f"corrupt object {delta}"):
-        store.read(delta)
-    store.close()
+    with ObjectStore(str(repo)) as store:
+        with pytest.raises(RepositoryError, match=f"corrupt object {delta}"):
+            store.read(delta)
 
 
 @requires_git
@@ -690,12 +678,11 @@ def test_peel_annotated_tag(tmp_path):
     git("commit", "-q", "-m", "one", cwd=str(work))
     git("tag", "-a", "v1", "-m", "release", cwd=str(work))
     head = git("rev-parse", "HEAD", cwd=str(work)).strip()
-    store = ObjectStore(str(work))
-    tag_oid = store.resolve_ref("v1")
-    assert tag_oid is not None
-    assert store.read(tag_oid)[0] == "tag"
-    assert store.peel_to_commit(tag_oid) == head
-    store.close()
+    with ObjectStore(str(work)) as store:
+        tag_oid = store.resolve_ref("v1")
+        assert tag_oid is not None
+        assert store.read(tag_oid)[0] == "tag"
+        assert store.peel_to_commit(tag_oid) == head
 
 
 @requires_git
@@ -713,6 +700,5 @@ def test_gitfile_worktree_discovery(tmp_path):
     git("add", ".", cwd=str(work))
     git("commit", "-q", "-m", "one", cwd=str(work))
     head = git("rev-parse", "HEAD", cwd=str(work)).strip()
-    store = ObjectStore(str(work))
-    assert store.read_commit(head).message == b"one\n"
-    store.close()
+    with ObjectStore(str(work)) as store:
+        assert store.read_commit(head).message == b"one\n"

@@ -141,11 +141,8 @@ def test_tracker_config_threshold_bounds():
 
 
 def track(repo: str, path: str, **kwargs):
-    store = ObjectStore(repo)
-    try:
+    with ObjectStore(repo) as store:
         return follow(store, path, TrackerConfig(**kwargs))
-    finally:
-        store.close()
 
 
 def test_follow_add_only(tmp_path):
@@ -347,10 +344,9 @@ def test_follow_rename_chain_across_three_names(tmp_path):
 def test_path_not_found(tmp_path):
     repo = str(tmp_path / "r.git")
     build_linear_repo(repo, [{"a.txt": b"1\n"}])
-    store = ObjectStore(repo)
-    with pytest.raises(PathNotFound):
-        follow(store, "missing.txt", TrackerConfig())
-    store.close()
+    with ObjectStore(repo) as store:
+        with pytest.raises(PathNotFound):
+            follow(store, "missing.txt", TrackerConfig())
 
 
 def test_ambiguous_start_needs_ref(tmp_path):
@@ -375,14 +371,13 @@ def test_ambiguous_start_needs_ref(tmp_path):
     writer.write_refs({"refs/heads/one": one, "refs/heads/two": two})
     writer.set_head("refs/heads/one")
 
-    store = ObjectStore(repo)
-    with pytest.raises(AmbiguousStart):
-        follow(store, "f.txt", TrackerConfig())
-    steps = follow(store, "f.txt", TrackerConfig(), ref="two")
-    assert steps[0].commit_id == two
-    with pytest.raises(TrackError):
-        follow(store, "f.txt", TrackerConfig(), ref="refs/heads/absent")
-    store.close()
+    with ObjectStore(repo) as store:
+        with pytest.raises(AmbiguousStart):
+            follow(store, "f.txt", TrackerConfig())
+        steps = follow(store, "f.txt", TrackerConfig(), ref="two")
+        assert steps[0].commit_id == two
+        with pytest.raises(TrackError):
+            follow(store, "f.txt", TrackerConfig(), ref="refs/heads/absent")
 
 
 def test_shared_tip_is_not_ambiguous(tmp_path):
@@ -392,15 +387,14 @@ def test_shared_tip_is_not_ambiguous(tmp_path):
         "refs/heads/master": ids[0],
         "refs/heads/alias": ids[0],
     }
-    store = ObjectStore(repo)
-    # Re-point refs so two branch names share one tip commit.
-    with open(os.path.join(repo, "packed-refs"), "w") as f:
-        f.write("# pack-refs with: peeled fully-peeled sorted \n")
-        for name in sorted(writer_refs):
-            f.write(f"{writer_refs[name]} {name}\n")
-    steps = follow(store, "f.txt", TrackerConfig())
-    assert [s.kind for s in steps] == [StepKind.ADD]
-    store.close()
+    with ObjectStore(repo) as store:
+        # Re-point refs so two branch names share one tip commit.
+        with open(os.path.join(repo, "packed-refs"), "w") as f:
+            f.write("# pack-refs with: peeled fully-peeled sorted \n")
+            for name in sorted(writer_refs):
+                f.write(f"{writer_refs[name]} {name}\n")
+        steps = follow(store, "f.txt", TrackerConfig())
+        assert [s.kind for s in steps] == [StepKind.ADD]
 
 
 def test_caches_are_shared_between_follows(tmp_path):
@@ -412,13 +406,12 @@ def test_caches_are_shared_between_follows(tmp_path):
             {"a2.txt": b"1\n2\n3\n", "b.txt": b"x\ny\nz\n"},
         ],
     )
-    store = ObjectStore(repo)
-    caches = FollowCaches()
-    first = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
-    assert caches.trees
-    second = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
-    assert [s.kind for s in first] == [s.kind for s in second]
-    store.close()
+    with ObjectStore(repo) as store:
+        caches = FollowCaches()
+        first = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
+        assert caches.trees
+        second = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
+        assert [s.kind for s in first] == [s.kind for s in second]
 
 
 def test_disappearance_cache_is_threshold_independent(tmp_path):
@@ -430,13 +423,12 @@ def test_disappearance_cache_is_threshold_independent(tmp_path):
             {"new.txt": b"a\nb\nx\ny\n"},
         ],
     )
-    store = ObjectStore(repo)
-    caches = FollowCaches()
-    low = follow(store, "new.txt", TrackerConfig(threshold=40), caches=caches)
-    high = follow(store, "new.txt", TrackerConfig(threshold=80), caches=caches)
-    assert count_renames(low) == 1
-    assert count_renames(high) == 0
-    store.close()
+    with ObjectStore(repo) as store:
+        caches = FollowCaches()
+        low = follow(store, "new.txt", TrackerConfig(threshold=40), caches=caches)
+        high = follow(store, "new.txt", TrackerConfig(threshold=80), caches=caches)
+        assert count_renames(low) == 1
+        assert count_renames(high) == 0
 
 
 # A tree is {name: subtree or (mode, blob content)}; a gitlink's content is
@@ -489,16 +481,15 @@ def test_lookup_agrees_with_flatten(tree):
         writer.init_bare()
         root = _write_nested(writer, tree)
         writer.close()
-        store = ObjectStore(writer.path)
-        caches = FollowCaches()
-        flat = _flatten(store, root, caches)
-        assert set(flat) == {
-            path for path, value in entries
-            if not isinstance(value, dict) and value[0] in FILE_MODES
-        }
-        for path in sorted(paths):
-            assert _lookup(store, root, path, caches) == flat.get(path), path
-        store.close()
+        with ObjectStore(writer.path) as store:
+            caches = FollowCaches()
+            flat = _flatten(store, root, caches)
+            assert set(flat) == {
+                path for path, value in entries
+                if not isinstance(value, dict) and value[0] in FILE_MODES
+            }
+            for path in sorted(paths):
+                assert _lookup(store, root, path, caches) == flat.get(path), path
 
 
 def test_walk_flattens_no_tree_where_the_path_stays(tmp_path, monkeypatch):
@@ -641,22 +632,21 @@ def test_follow_skips_a_first_parent_with_no_file_at_the_path(tmp_path, shadow):
     writer.write_refs({"refs/heads/master": merge})
     writer.set_head("refs/heads/master")
 
-    store = ObjectStore(repo)
-    for copies in (False, True):
-        for metric in Metric:
-            config = TrackerConfig(threshold=50, detect_copies=copies, metric=metric)
-            steps = follow(store, "only.txt", config)
-            assert [(s.kind, s.commit_id) for s in steps] == [
-                (StepKind.MODIFY, right),
-                (StepKind.ADD, base),
-            ]
-            got = [
-                (s.commit_id, s.kind.value, s.old_path, s.new_path,
-                 s.score.as_fraction() if s.score is not None else None)
-                for s in steps
-            ]
-            assert got == brute_follow(store, "only.txt", merge, 50, copies, metric.value)
-    store.close()
+    with ObjectStore(repo) as store:
+        for copies in (False, True):
+            for metric in Metric:
+                config = TrackerConfig(threshold=50, detect_copies=copies, metric=metric)
+                steps = follow(store, "only.txt", config)
+                assert [(s.kind, s.commit_id) for s in steps] == [
+                    (StepKind.MODIFY, right),
+                    (StepKind.ADD, base),
+                ]
+                got = [
+                    (s.commit_id, s.kind.value, s.old_path, s.new_path,
+                     s.score.as_fraction() if s.score is not None else None)
+                    for s in steps
+                ]
+                assert got == brute_follow(store, "only.txt", merge, 50, copies, metric.value)
 
 
 def test_steps_to_tsv_golden(tmp_path):
