@@ -223,6 +223,8 @@ class _PackFile:
                 if base_offset is not None:
                     offset = base_offset
                     continue
+                if len(base_bin) < 20:
+                    raise ValueError("delta base id cut off by the end of the pack")
                 kind, base = store.read(base_bin.hex())
                 base_type = _TYPE_NUMBERS.get(kind)
                 if base_type is None:

@@ -12,9 +12,12 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from methodgit import ObjectStore, RepoWriter
 from methodgit.errors import RepositoryError
@@ -702,3 +705,148 @@ def test_gitfile_worktree_discovery(tmp_path):
     head = git("rev-parse", "HEAD", cwd=str(work)).strip()
     with ObjectStore(str(work)) as store:
         assert store.read_commit(head).message == b"one\n"
+
+
+def _varint(n: int) -> bytes:
+    """A delta's size: 7 bits per byte, least significant first."""
+    out = bytearray()
+    while n > 0x7F:
+        out.append(0x80 | (n & 0x7F))
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def _append_delta(base: bytes, suffix: bytes) -> bytes:
+    """Delta data that copies all of base, then inserts suffix."""
+    assert 0 < len(base) < 0x10000 and 0 < len(suffix) < 0x80
+    copy = bytes([0x80 | 0x10 | 0x20, len(base) & 0xFF, len(base) >> 8])
+    return _varint(len(base)) + _varint(len(base) + len(suffix)) + copy + bytes([len(suffix)]) + suffix
+
+
+def _ofs(rel: int) -> bytes:
+    """An OFS_DELTA's distance back to its base, as git encodes it."""
+    out = [rel & 0x7F]
+    rel >>= 7
+    while rel:
+        rel -= 1
+        out.append(0x80 | (rel & 0x7F))
+        rel >>= 7
+    return bytes(reversed(out))
+
+
+def _fuzz_repository() -> tuple[dict[str, bytes], list[str], list[tuple[str, int, int]]]:
+    """Files of a bare repository, by path relative to it, whose pack holds
+    whole objects, an OFS_DELTA chain, a REF_DELTA against a packed base
+    and one against a loose blob; and three loose objects.  Returns (files,
+    every object id, (pack path, start, end) of each pack entry)."""
+    blob = b"base line\n" * 40
+    loose_blob = b"loose base\n" * 30
+    tree = b"100644 a.txt\x00" + bytes.fromhex(hash_object(b"blob", blob))
+    commit = b"tree %s\nauthor %s\ncommitter %s\n\nmsg\n" % (
+        hash_object(b"tree", tree).encode(), AUTHOR, AUTHOR)
+    one, two, three, four = blob + b"one\n", blob + b"one\ntwo\n", blob + b"three\n", loose_blob + b"four\n"
+    whole = {3: blob, 2: tree, 1: commit}
+    pack = bytearray(b"PACK" + struct.pack(">II", 2, 7))
+    entries, offsets = {}, {}
+
+    def add(oid: str, header: bytes, data: bytes) -> None:
+        offsets[oid] = len(pack)
+        body = header + zlib.compress(data)
+        entries[bytes.fromhex(oid)] = (len(pack), zlib.crc32(body))
+        pack.extend(body)
+
+    for type_num, payload in whole.items():
+        add(hash_object(_TYPE_NAME_BYTES[type_num], payload), _pack_entry_header(type_num, len(payload)), payload)
+    for base, result in ((blob, one), (one, two)):
+        delta = _append_delta(base, result[len(base):])
+        rel = len(pack) - offsets[hash_object(b"blob", base)]
+        add(hash_object(b"blob", result), _pack_entry_header(6, len(delta)) + _ofs(rel), delta)
+    for base, result in ((blob, three), (loose_blob, four)):
+        delta = _append_delta(base, result[len(base):])
+        base_id = bytes.fromhex(hash_object(b"blob", base))
+        add(hash_object(b"blob", result), _pack_entry_header(7, len(delta)) + base_id, delta)
+    pack_sha = hashlib.sha1(pack).digest()
+    pack_path = "objects/pack/pack-fuzz.pack"
+    files = {
+        "HEAD": b"ref: refs/heads/master\n",
+        pack_path: bytes(pack) + pack_sha,
+        "objects/pack/pack-fuzz.idx": _pack_index(entries, pack_sha),
+    }
+    loose = {b"blob": loose_blob, b"tree": tree + b"100644 b\x00" + bytes(20), b"commit": commit + b"2\n"}
+    for kind, payload in loose.items():
+        oid = hash_object(kind, payload)
+        files[f"objects/{oid[:2]}/{oid[2:]}"] = zlib.compress(b"%s %d\x00" % (kind, len(payload)) + payload)
+        offsets[oid] = None
+    ends = sorted(o for o in offsets.values() if o is not None) + [len(pack)]
+    units = [(pack_path, start, end) for start, end in zip(ends, ends[1:])]
+    units += [(path, 0, len(data)) for path, data in files.items() if path.startswith("objects/") and "pack" not in path]
+    return files, list(offsets), units
+
+
+_TYPE_NAME_BYTES = {1: b"commit", 2: b"tree", 3: b"blob"}
+FUZZ_FILES, FUZZ_IDS, FUZZ_UNITS = _fuzz_repository()
+
+
+def test_fuzz_repository_reads_back():
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_files(tmp, FUZZ_FILES)
+        with ObjectStore(tmp) as store:
+            for oid in FUZZ_IDS:
+                kind, payload = store.read(oid)
+                assert hash_object(kind.encode(), payload) == oid
+                assert store.size(oid) == len(payload)
+
+
+def _write_files(root: str, files: dict[str, bytes]) -> None:
+    for path, data in files.items():
+        os.makedirs(os.path.dirname(os.path.join(root, path)), exist_ok=True)
+        with open(os.path.join(root, path), "wb") as f:
+            f.write(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupt_objects_raise_only_repository_error(data):
+    # One bit of one pack entry or loose object is flipped, or the file is
+    # cut inside it.  Reading every object, damaged or resting on damaged
+    # data, must return or raise RepositoryError.
+    path, start, end = data.draw(st.sampled_from(FUZZ_UNITS))
+    at = data.draw(st.integers(start, end - 1))
+    files = dict(FUZZ_FILES)
+    raw = bytearray(files[path])
+    if data.draw(st.booleans()):
+        raw[at] ^= 1 << data.draw(st.integers(0, 7))
+    else:
+        del raw[at:]
+    files[path] = bytes(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_files(tmp, files)
+        with ObjectStore(tmp) as store:
+            for method in (store.size, store.read):
+                for oid in FUZZ_IDS:
+                    try:
+                        method(oid)
+                    except RepositoryError:
+                        pass
+
+
+def test_ref_delta_cut_inside_its_base_id_raises_repository_error():
+    # Found by the fuzz test above.  A pack that ends one byte into a
+    # REF_DELTA's base id made the reader look up the loose object named by
+    # that byte's two hex digits, whose path is a fan-out directory.
+    path, start, _ = FUZZ_UNITS[5]
+    delta = FUZZ_IDS[5]
+    pack = FUZZ_FILES[path]
+    assert pack[start] >> 4 & 7 == 7  # REF_DELTA, with a packed base
+    base_at = start + 1
+    while pack[base_at - 1] & 0x80:
+        base_at += 1
+    files = {**FUZZ_FILES, path: pack[: base_at + 1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_files(tmp, files)
+        os.makedirs(os.path.join(tmp, "objects", pack[base_at : base_at + 1].hex()), exist_ok=True)
+        with ObjectStore(tmp) as store:
+            for method in (store.size, store.read):
+                with pytest.raises(RepositoryError, match=f"corrupt object {delta}"):
+                    method(delta)
