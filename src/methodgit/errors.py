@@ -21,8 +21,7 @@ class LexError(MethodGitError):
 
 
 class ParseError(MethodGitError):
-    """Raised when the member extractor cannot make sense of a token stream;
-    offset is the source offset of the token it stopped at, if any."""
+    """Raised when extraction fails; offset is the source offset of the failing token, or None."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)

@@ -1,9 +1,11 @@
 """Java tokenizer.
 
 Produces a flat token stream (identifiers, keywords, literals, operators,
-separators) with comments removed.  Javadoc comments are captured separately
-together with the index of the token they precede, so declaration extraction
-can reattach them.  Unicode escape pre-translation is not applied.
+separators) with comments removed.  Tokens carry source offsets only:
+``position`` computes a line and column when an error is raised.  Javadoc
+comments are captured separately together with the index of the token they
+precede, so declaration extraction can reattach them.  Unicode escape
+pre-translation is not applied.
 
 One compiled pattern of ordered, named alternatives does the lexing: each
 match is one token, comment or whitespace run.  Where a form can open but
@@ -12,9 +14,6 @@ alternative follows it, and a final catch-all takes any other character, so
 every error is a match and ``tokenize`` raises in one place.  String and
 text-block bodies are unrolled loops with a single way to match any text,
 so unterminated input fails in linear time.
-
-Tokens carry source offsets only.  Lines and columns are not tracked while
-lexing; ``position`` computes them from an offset when an error is raised.
 """
 
 from __future__ import annotations
