@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import LexError
 
@@ -34,7 +33,8 @@ class TokenKind(Enum):
     SEPARATOR = "separator"
 
 
-class Token(NamedTuple):
+@dataclass(slots=True)
+class Token:
     text: str
     kind: TokenKind
     offset: int
