@@ -24,6 +24,7 @@ from methodgit.errors import RepositoryError
 from methodgit.gitstore import (
     CommitRecord,
     TreeEntry,
+    _PACK_TYPES,
     _pack_entry_header,
     _pack_index,
     _PackFile,
@@ -735,57 +736,56 @@ def _ofs(rel: int) -> bytes:
     return bytes(reversed(out))
 
 
-def _fuzz_repository() -> tuple[dict[str, bytes], list[str], list[tuple[str, int, int]]]:
-    """Files of a bare repository, by path relative to it, whose pack holds
-    whole objects, an OFS_DELTA chain, a REF_DELTA against a packed base
-    and one against a loose blob; and three loose objects.  Returns (files,
-    every object id, (pack path, start, end) of each pack entry)."""
+def _fuzz_repository() -> tuple[dict[str, bytes], list[tuple[str, str, int, int]]]:
+    """A bare repository as {path relative to it: bytes}, and its objects
+    as (id, path, start, end) of their bytes in that file.  The pack holds
+    whole objects, an OFS_DELTA chain two deep, and REF_DELTAs against a
+    packed and a loose blob; three objects are loose."""
     blob = b"base line\n" * 40
     loose_blob = b"loose base\n" * 30
     tree = b"100644 a.txt\x00" + bytes.fromhex(hash_object(b"blob", blob))
+    stamp = AUTHOR % 1700000000
     commit = b"tree %s\nauthor %s\ncommitter %s\n\nmsg\n" % (
-        hash_object(b"tree", tree).encode(), AUTHOR, AUTHOR)
-    one, two, three, four = blob + b"one\n", blob + b"one\ntwo\n", blob + b"three\n", loose_blob + b"four\n"
-    whole = {3: blob, 2: tree, 1: commit}
+        hash_object(b"tree", tree).encode(), stamp, stamp)
+    pack_path = "objects/pack/pack-fuzz.pack"
     pack = bytearray(b"PACK" + struct.pack(">II", 2, 7))
-    entries, offsets = {}, {}
+    objects, entries, starts = [], {}, {}
 
-    def add(oid: str, header: bytes, data: bytes) -> None:
-        offsets[oid] = len(pack)
-        body = header + zlib.compress(data)
+    def add(oid: str, type_num: int, data: bytes, base_ref: bytes = b"") -> None:
+        body = _pack_entry_header(type_num, len(data)) + base_ref + zlib.compress(data)
+        starts[oid] = len(pack)
         entries[bytes.fromhex(oid)] = (len(pack), zlib.crc32(body))
+        objects.append((oid, pack_path, len(pack), len(pack) + len(body)))
         pack.extend(body)
 
-    for type_num, payload in whole.items():
-        add(hash_object(_TYPE_NAME_BYTES[type_num], payload), _pack_entry_header(type_num, len(payload)), payload)
-    for base, result in ((blob, one), (one, two)):
-        delta = _append_delta(base, result[len(base):])
-        rel = len(pack) - offsets[hash_object(b"blob", base)]
-        add(hash_object(b"blob", result), _pack_entry_header(6, len(delta)) + _ofs(rel), delta)
-    for base, result in ((blob, three), (loose_blob, four)):
-        delta = _append_delta(base, result[len(base):])
+    for kind, payload in ((b"blob", blob), (b"tree", tree), (b"commit", commit)):
+        add(hash_object(kind, payload), _PACK_TYPES[kind], payload)
+    base = blob
+    for suffix in (b"one\n", b"two\n"):
+        rel = len(pack) - starts[hash_object(b"blob", base)]
+        add(hash_object(b"blob", base + suffix), 6, _append_delta(base, suffix), _ofs(rel))
+        base += suffix
+    for base in (blob, loose_blob):
         base_id = bytes.fromhex(hash_object(b"blob", base))
-        add(hash_object(b"blob", result), _pack_entry_header(7, len(delta)) + base_id, delta)
+        add(hash_object(b"blob", base + b"three\n"), 7, _append_delta(base, b"three\n"), base_id)
     pack_sha = hashlib.sha1(pack).digest()
-    pack_path = "objects/pack/pack-fuzz.pack"
     files = {
         "HEAD": b"ref: refs/heads/master\n",
         pack_path: bytes(pack) + pack_sha,
         "objects/pack/pack-fuzz.idx": _pack_index(entries, pack_sha),
     }
-    loose = {b"blob": loose_blob, b"tree": tree + b"100644 b\x00" + bytes(20), b"commit": commit + b"2\n"}
-    for kind, payload in loose.items():
+    for kind, payload in (
+        (b"blob", loose_blob), (b"tree", tree + b"100644 b\x00" + bytes(20)), (b"commit", commit + b"2\n"),
+    ):
         oid = hash_object(kind, payload)
-        files[f"objects/{oid[:2]}/{oid[2:]}"] = zlib.compress(b"%s %d\x00" % (kind, len(payload)) + payload)
-        offsets[oid] = None
-    ends = sorted(o for o in offsets.values() if o is not None) + [len(pack)]
-    units = [(pack_path, start, end) for start, end in zip(ends, ends[1:])]
-    units += [(path, 0, len(data)) for path, data in files.items() if path.startswith("objects/") and "pack" not in path]
-    return files, list(offsets), units
+        path = f"objects/{oid[:2]}/{oid[2:]}"
+        files[path] = zlib.compress(b"%s %d\x00" % (kind, len(payload)) + payload)
+        objects.append((oid, path, 0, len(files[path])))
+    return files, objects
 
 
-_TYPE_NAME_BYTES = {1: b"commit", 2: b"tree", 3: b"blob"}
-FUZZ_FILES, FUZZ_IDS, FUZZ_UNITS = _fuzz_repository()
+FUZZ_FILES, FUZZ_OBJECTS = _fuzz_repository()
+FUZZ_IDS = [oid for oid, *_ in FUZZ_OBJECTS]
 
 
 def test_fuzz_repository_reads_back():
@@ -811,7 +811,7 @@ def test_corrupt_objects_raise_only_repository_error(data):
     # One bit of one pack entry or loose object is flipped, or the file is
     # cut inside it.  Reading every object, damaged or resting on damaged
     # data, must return or raise RepositoryError.
-    path, start, end = data.draw(st.sampled_from(FUZZ_UNITS))
+    _, path, start, end = data.draw(st.sampled_from(FUZZ_OBJECTS))
     at = data.draw(st.integers(start, end - 1))
     files = dict(FUZZ_FILES)
     raw = bytearray(files[path])
@@ -835,8 +835,7 @@ def test_ref_delta_cut_inside_its_base_id_raises_repository_error():
     # Found by the fuzz test above.  A pack that ends one byte into a
     # REF_DELTA's base id made the reader look up the loose object named by
     # that byte's two hex digits, whose path is a fan-out directory.
-    path, start, _ = FUZZ_UNITS[5]
-    delta = FUZZ_IDS[5]
+    delta, path, start, _ = FUZZ_OBJECTS[5]
     pack = FUZZ_FILES[path]
     assert pack[start] >> 4 & 7 == 7  # REF_DELTA, with a packed base
     base_at = start + 1

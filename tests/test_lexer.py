@@ -154,7 +154,9 @@ def test_lex_error_message_and_position(source, message, line, column):
 
 
 def spans(source: str) -> list[tuple[str, TokenKind, int, int, int]]:
-    return [(t.text, t.kind, *position(source, t.offset), t.offset) for t in tokenize(source).tokens]
+    return [
+        (t.text, t.kind, *position(source, t.offset), t.offset) for t in tokenize(source).tokens
+    ]
 
 
 def test_text_block_takes_surplus_closing_quotes():
