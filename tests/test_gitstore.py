@@ -788,6 +788,13 @@ FUZZ_FILES, FUZZ_OBJECTS = _fuzz_repository()
 FUZZ_IDS = [oid for oid, *_ in FUZZ_OBJECTS]
 
 
+def _write_files(root: str, files: dict[str, bytes]) -> None:
+    for path, data in files.items():
+        os.makedirs(os.path.dirname(os.path.join(root, path)), exist_ok=True)
+        with open(os.path.join(root, path), "wb") as f:
+            f.write(data)
+
+
 def test_fuzz_repository_reads_back():
     with tempfile.TemporaryDirectory() as tmp:
         _write_files(tmp, FUZZ_FILES)
@@ -796,13 +803,6 @@ def test_fuzz_repository_reads_back():
                 kind, payload = store.read(oid)
                 assert hash_object(kind.encode(), payload) == oid
                 assert store.size(oid) == len(payload)
-
-
-def _write_files(root: str, files: dict[str, bytes]) -> None:
-    for path, data in files.items():
-        os.makedirs(os.path.dirname(os.path.join(root, path)), exist_ok=True)
-        with open(os.path.join(root, path), "wb") as f:
-            f.write(data)
 
 
 @settings(max_examples=200, deadline=None)
