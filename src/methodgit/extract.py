@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .lexer import LexResult, Token, TokenKind, position, tokenize
+from .lexer import LexBase, LexResult, Token, TokenKind, position, tokenize
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
@@ -859,13 +859,17 @@ class _Extractor:
         return k
 
 
-def extract(source: str) -> tuple[list[MethodDecl], list[FieldDecl]]:
+def extract(
+    source: str, base: LexBase | None = None
+) -> tuple[list[MethodDecl], list[FieldDecl]]:
     """Extract all method and field declarations from Java source.
 
-    Raises LexError or ParseError when the file cannot be processed; callers
-    then keep the original file untouched.
+    base is passed to tokenize: an earlier version of the file to lex
+    against, updated to record this one.  Raises LexError or ParseError when
+    the file cannot be processed; callers then keep the original file
+    untouched.
     """
-    ex = _Extractor(source, tokenize(source))
+    ex = _Extractor(source, tokenize(source, base))
     try:
         ex.run()
     except ParseError as e:

@@ -395,8 +395,15 @@ class ObjectStore:
             raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
 
     def _find_packed(self, oid: str) -> tuple[_PackFile, int] | None:
-        # Packs first, then loose objects, as git looks them up.
-        oid_bin = bytes.fromhex(oid)
+        # Packs first, then loose objects, as git looks them up.  An id that
+        # is not 40 hex digits is rejected before a loose object's path is
+        # built from it.  (fromhex skips whitespace, hence both lengths.)
+        try:
+            oid_bin = bytes.fromhex(oid)
+        except ValueError:
+            oid_bin = b""
+        if len(oid) != 40 or len(oid_bin) != 20:
+            raise RepositoryError(f"malformed object id {oid!r}")
         for pack in self._load_packs():
             offset = pack.find(oid_bin)
             if offset is not None:
@@ -513,7 +520,8 @@ class ObjectStore:
             target = None
             for line in payload.split(b"\n"):
                 if line.startswith(b"object "):
-                    target = line[7:].decode()
+                    # latin-1 never fails; read rejects a malformed id
+                    target = line[7:].decode("latin-1")
                     break
             if target is None:
                 raise RepositoryError(f"malformed tag object {oid}")
@@ -544,10 +552,11 @@ def parse_commit(oid: str, payload: bytes) -> CommitRecord:
             i += 1
             continue
         key, _, value = line.partition(b" ")
+        # latin-1 never fails; read rejects an id that is not 40 hex digits
         if key == b"tree":
-            tree = value.decode()
+            tree = value.decode("latin-1")
         elif key == b"parent":
-            parents.append(value.decode())
+            parents.append(value.decode("latin-1"))
         elif key == b"author":
             author = value
         elif key == b"committer":

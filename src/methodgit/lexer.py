@@ -14,13 +14,33 @@ alternative follows it, and a final catch-all takes any other character, so
 every error is a match and ``tokenize`` raises in one place.  String and
 text-block bodies are unrolled loops with a single way to match any text,
 so unterminated input fails in linear time.
+
+Lexing against a base, an earlier lexed version of the file, relexes only
+what the edit can have changed.  Two locality rules make that exact:
+
+- Prefix rule.  In a source that lexes without error, the match at p
+  examines nothing past the first newline at or after the match's end:
+  numbers, words, punctuation and line comments never cross a newline, and
+  a comment, string or text block examines at most one character past its
+  own end.  So every token or comment that ends at or before the last
+  newline before the first changed character is lexed as before, and
+  lexing resumes at the end of the last of them.
+- Suffix rule.  The pattern has no anchors and no lookbehind, so a match
+  at q depends only on source[q:].  Once the new source has a token or
+  comment at q inside the suffix it shares with the old one, and q - delta
+  (delta being the change in length) also starts an old token or comment,
+  the rest of the old stream follows: offsets shift by delta and javadoc
+  attach indices by the difference in token count.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .errors import LexError
 
@@ -67,6 +87,21 @@ class LexResult:
     tokens: list[Token]
     javadocs: list[Javadoc]
     comments: list[CommentSpan]
+
+
+@dataclass(slots=True)
+class LexBase:
+    """A compact record of the last source lexed against it: the source,
+    token offsets and ends, token kind codes, and the comment and javadoc
+    lists.  It holds no Token objects, so keeping one per file costs a few
+    bytes per token.  A new LexBase records the empty source."""
+
+    source: str = ""
+    offsets: array = field(default_factory=lambda: array("q"))
+    ends: array = field(default_factory=lambda: array("q"))
+    kinds: bytes = b""
+    javadocs: list[Javadoc] = field(default_factory=list)
+    comments: list[CommentSpan] = field(default_factory=list)
 
 
 # Reserved words.  Contextual keywords (var, record, yield, sealed, ...)
@@ -143,12 +178,19 @@ _ERRORS = {
     "unexpected": "unexpected character {!r}",
 }
 
-# Kinds of words and punctuation; any other word is an identifier.
-_KINDS = {
-    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
-    **dict.fromkeys(LITERAL_WORDS, TokenKind.LITERAL),
-    **dict.fromkeys(SEPARATORS, TokenKind.SEPARATOR),
-    **dict.fromkeys(OPERATORS, TokenKind.OPERATOR),
+# A token kind's code in LexBase.kinds is its index here.
+_KIND_CODES = (
+    TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL, TokenKind.OPERATOR,
+    TokenKind.SEPARATOR,
+)
+_IDENTIFIER, _KEYWORD, _LITERAL, _OPERATOR, _SEPARATOR = range(len(_KIND_CODES))
+
+# Codes of words and punctuation; any other word is an identifier.
+_CODES = {
+    **dict.fromkeys(KEYWORDS, _KEYWORD),
+    **dict.fromkeys(LITERAL_WORDS, _LITERAL),
+    **dict.fromkeys(SEPARATORS, _SEPARATOR),
+    **dict.fromkeys(OPERATORS, _OPERATOR),
 }
 
 
@@ -157,34 +199,117 @@ def position(source: str, offset: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def tokenize(source: str) -> LexResult:
+def _common_prefix(a: str, b: str, limit: int) -> int:
+    """Length of the longest common prefix of a and b, at most limit."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+_start = attrgetter("start")
+_end = attrgetter("end")
+
+
+def _tokens(source: str, offsets: array, ends: array, kinds: bytes) -> list[Token]:
+    """Tokens rebuilt from a LexBase's arrays over source."""
+    return [Token(source[o:e], _KIND_CODES[k], o, e) for o, e, k in zip(offsets, ends, kinds)]
+
+
+def tokenize(source: str, base: LexBase | None = None) -> LexResult:
     """Tokenize Java source.
 
     Comments never become tokens.  Javadoc comments (block comments opening
     with ``/**``, at least five characters long) are collected verbatim in
     the result.  Raises LexError for unterminated comments or literals and
     for characters that fit no token class.
+
+    With a base, the parts of source that the locality rules (see the
+    module docstring) show to lex as in base.source are copied from it
+    instead of lexed again; the result is the same for any base.  When
+    lexing succeeds, base is updated in place to record source, so one base
+    passed with each new version of a file lexes it against the last.
     """
-    tokens: list[Token] = []
-    javadocs: list[Javadoc] = []
-    comments: list[CommentSpan] = []
-    for m in _TOKEN_RE.finditer(source):
+    old = base if base is not None else LexBase()
+    old_src = old.source
+    n_old, n_new = len(old_src), len(source)
+    prefix = _common_prefix(old_src, source, min(n_old, n_new))
+    suffix = _common_prefix(old_src[::-1], source[::-1], min(n_old, n_new) - prefix)
+    delta = n_new - n_old
+
+    # Prefix rule: reproduce what ends at or before the last newline before
+    # the first change, and resume lexing after it.
+    cut = old_src.rfind("\n", 0, prefix)
+    i = bisect_right(old.ends, cut)
+    ci = bisect_right(old.comments, cut, key=_end)
+    offsets, ends, kinds = old.offsets[:i], old.ends[:i], bytearray(old.kinds[:i])
+    tokens = _tokens(source, offsets, ends, kinds)
+    comments = old.comments[:ci]
+    javadocs = old.javadocs[: bisect_right(old.javadocs, cut, key=_end)]
+    resume = max(ends[-1] if i else 0, comments[-1].end if ci else 0)
+
+    # Suffix rule: from the first token or comment in the common suffix that
+    # also starts an old one, the old stream is copied.
+    shared = n_new - suffix
+    tail = None
+    for m in _TOKEN_RE.finditer(source, resume):
         group = m.lastgroup
         if group == "space":
             continue
-        text = m.group()
         start, end = m.span()
+        if start >= shared:
+            q = start - delta
+            k = bisect_left(old.offsets, q)
+            c = bisect_left(old.comments, q, key=_start)
+            if (k < len(old.offsets) and old.offsets[k] == q) or (
+                c < len(old.comments) and old.comments[c].start == q
+            ):
+                tail = k, c, bisect_left(old.javadocs, q, key=_start)
+                break
+        text = m.group()
         if group == "word" or group == "punct":
-            tokens.append(Token(text, _KINDS.get(text, TokenKind.IDENTIFIER), start, end))
+            code = _CODES.get(text, _IDENTIFIER)
         elif group in _ERRORS:
             raise LexError(_ERRORS[group].format(text), *position(source, start))
         elif group == "line_comment":
             comments.append(CommentSpan(start, end, False))
+            continue
         elif group == "comment":
             is_doc = text.startswith("/**") and len(text) >= 5
             comments.append(CommentSpan(start, end, is_doc))
             if is_doc:
                 javadocs.append(Javadoc(text, len(tokens), start, end))
+            continue
         else:
-            tokens.append(Token(text, TokenKind.LITERAL, start, end))
+            code = _LITERAL
+        tokens.append(Token(text, _KIND_CODES[code], start, end))
+        offsets.append(start)
+        ends.append(end)
+        kinds.append(code)
+
+    if tail is not None:
+        k, c, j = tail
+        shift = len(tokens) - k
+        t_offsets = array("q", map(delta.__add__, old.offsets[k:]))
+        t_ends = array("q", map(delta.__add__, old.ends[k:]))
+        t_kinds = old.kinds[k:]
+        tokens.extend(_tokens(source, t_offsets, t_ends, t_kinds))
+        offsets.extend(t_offsets)
+        ends.extend(t_ends)
+        kinds.extend(t_kinds)
+        comments.extend(
+            CommentSpan(s.start + delta, s.end + delta, s.javadoc) for s in old.comments[c:]
+        )
+        javadocs.extend(
+            Javadoc(d.text, d.attach_index + shift, d.start + delta, d.end + delta)
+            for d in old.javadocs[j:]
+        )
+
+    if base is not None:
+        base.source, base.offsets, base.ends, base.kinds = source, offsets, ends, bytes(kinds)
+        base.comments, base.javadocs = list(comments), list(javadocs)
     return LexResult(tokens, javadocs, comments)

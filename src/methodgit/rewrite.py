@@ -13,12 +13,13 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
-from .emit import RenderConfig, render
+from .emit import LineFormat, RenderConfig, render
 from .errors import LexError, ParseError, RepositoryError
-from .extract import extract
+from .extract import FieldDecl, MethodDecl, extract
 from .gitstore import FILE_MODES, ObjectStore, RepoWriter, TreeEntry
+from .lexer import LexBase
 from .naming import NamePolicy, field_file_name, method_file_name
 
 
@@ -46,35 +47,53 @@ class ConversionStats:
         }
 
 
-def convert_source(source: str, config: ConversionConfig) -> list[tuple[str, bytes]]:
+Content = TypeVar("Content")
+
+
+def convert_source(
+    source: str,
+    config: ConversionConfig,
+    emit: Callable[[str, MethodDecl | FieldDecl], Content] | None = None,
+    base: LexBase | None = None,
+) -> list[tuple[str, Content]]:
     """All (file name, content) pairs for one Java source text.
 
-    Duplicate names keep the first occurrence.  Raises LexError or
-    ParseError when the source cannot be processed.
+    Duplicate names keep the first occurrence.  emit(source, decl) gives a
+    declaration's content, by default its rendering under config.render;
+    base is as in extract.  Raises LexError or ParseError when the source
+    cannot be processed.
     """
-    methods, fields = extract(source)
-    out: list[tuple[str, bytes]] = []
+    if emit is None:
+        def emit(source: str, decl: MethodDecl | FieldDecl) -> bytes:
+            return render(decl, config.render)
+    methods, fields = extract(source, base)
+    out: list[tuple[str, Content]] = []
     seen: set[str] = set()
     for m in methods:
         name = method_file_name(m, config.name_policy)
         if name in seen:
             continue
         seen.add(name)
-        out.append((name, render(m, config.render)))
+        out.append((name, emit(source, m)))
     if config.emit_fields:
         for f in fields:
             name = field_file_name(f, config.name_policy)
             if name in seen:
                 continue
             seen.add(name)
-            out.append((name, render(f, config.render)))
+            out.append((name, emit(source, f)))
     return out
 
 
-def convert_blob(content: bytes, config: ConversionConfig) -> list[tuple[str, bytes]] | None:
-    """Convert one .java blob; None when it cannot be decoded, lexed or
-    parsed, or nests too deeply.  Any other exception is a bug and
-    propagates."""
+def convert_blob(
+    content: bytes,
+    config: ConversionConfig,
+    emit: Callable[[str, MethodDecl | FieldDecl], Content] | None = None,
+    base: LexBase | None = None,
+) -> list[tuple[str, Content]] | None:
+    """Convert one .java blob as convert_source does; None when it cannot
+    be decoded, lexed or parsed, or nests too deeply.  Any other exception
+    is a bug and propagates."""
     if content.startswith(b"\xef\xbb\xbf"):
         content = content[3:]
     try:
@@ -82,15 +101,43 @@ def convert_blob(content: bytes, config: ConversionConfig) -> list[tuple[str, by
     except UnicodeDecodeError:
         return None
     try:
-        return convert_source(source, config)
+        return convert_source(source, config, emit, base)
     except (LexError, ParseError, RecursionError):
         return None
+
+
+def _render_key(source: str, decl: MethodDecl | FieldDecl, config: RenderConfig) -> tuple:
+    """Everything that render(decl, config) reads, for one fixed config.
+
+    Plain lines are whole source lines with comments spliced out, so under
+    LineFormat.PLAIN they are the key.  Otherwise render reads the text of
+    the declaration's tokens and its javadoc lines: the tagger walks forward
+    from member.start, and a field variable reads only the head it shares
+    with the other variables and its own declarator up to its ',' or ';'.
+    """
+    javadoc = tuple(decl.javadoc_lines)
+    if config.line_format is LineFormat.PLAIN:
+        return javadoc, tuple(decl.plain_lines)
+    toks, m = decl.file_tokens, decl.member
+    if isinstance(decl, MethodDecl):
+        return source[toks[m.start].offset : toks[m.end].end], javadoc
+    head_end = toks[m.declarators[0][0] - 1].end
+    lo, _, end = decl.declarator
+    return (
+        source[toks[m.start].offset : head_end],
+        source[toks[lo].offset : toks[end].end],
+        javadoc,
+    )
 
 
 @dataclass
 class _Caches:
     trees: dict[str, str] = field(default_factory=dict)
     blobs: dict[str, list[tuple[bytes, str]] | None] = field(default_factory=dict)
+    # _render_key of a declaration -> id of its rendered blob
+    rendered: dict[tuple, str] = field(default_factory=dict)
+    # .java file name -> the last version of a file of that name lexed
+    lexed: dict[bytes, LexBase] = field(default_factory=dict)
 
 
 class _TreeConverter:
@@ -107,20 +154,35 @@ class _TreeConverter:
         self.stats = stats
         self.caches = _Caches()
 
-    def _convert_java_blob(self, oid: str) -> list[tuple[bytes, str]] | None:
+    def _render_new(self, source: str, decl: MethodDecl | FieldDecl) -> tuple[tuple, bytes | None]:
+        """The declaration's _render_key, and its rendering unless a blob
+        for that key was written before in this conversion."""
+        config = self.config.render
+        key = _render_key(source, decl, config)
+        return key, None if key in self.caches.rendered else render(decl, config)
+
+    def _convert_java_blob(self, oid: str, *, java_name: bytes) -> list[tuple[bytes, str]] | None:
+        """File names and blob ids of a .java blob's declarations.  The
+        blob is lexed against the last file called java_name.  (java_name
+        is keyword-only because bench/spans.py keys its cache-hit count on
+        the positional arguments.)"""
         cached = self.caches.blobs.get(oid, False)
         if cached is not False:
             return cached
         _, content = self.store.read(oid)
-        files = convert_blob(content, self.config)
+        base = self.caches.lexed.setdefault(java_name, LexBase())
+        files = convert_blob(content, self.config, self._render_new, base)
         if files is None:
             self.stats.files_skipped += 1
             result = None
         else:
-            result = [
-                (name.encode("utf-8"), self.writer.write_blob(data))
-                for name, data in files
-            ]
+            # Written only now: a blob that fails to convert writes nothing.
+            rendered = self.caches.rendered
+            result = []
+            for file_name, (key, data) in files:
+                if data is not None:
+                    rendered[key] = self.writer.write_blob(data)
+                result.append((file_name.encode("utf-8"), rendered[key]))
             self.stats.files_emitted += len(result)
         self.caches.blobs[oid] = result
         return result
@@ -151,7 +213,7 @@ class _TreeConverter:
                 add(entry)
                 continue
             if entry.mode in FILE_MODES and entry.name.endswith(b".java"):
-                files = self._convert_java_blob(entry.oid)
+                files = self._convert_java_blob(entry.oid, java_name=entry.name)
                 if files is not None:
                     if self.config.keep_original_java:
                         add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import pytest
@@ -155,6 +156,20 @@ def build_linear_repo(
     writer.write_refs({branch: ids[-1]})
     writer.set_head(branch)
     return ids
+
+
+def build_tag_repo(dst: str, target: bytes) -> str:
+    """A one-commit repository whose tag refs/tags/bad is an annotated tag
+    with `object <target>`; objects/cd/ exists, as a fan-out directory
+    would.  Returns the tag's id."""
+    (commit,) = build_linear_repo(dst, [{"Person.java": PERSON_JAVA.encode()}])
+    stamp = AUTHOR % 1700000000
+    payload = b"object %s\ntype commit\ntag bad\ntagger %s\n\nbad\n" % (target, stamp)
+    with RepoWriter(dst) as writer:
+        tag = writer.write_object(b"tag", payload)
+    writer.write_refs({"refs/heads/master": commit, "refs/tags/bad": tag})
+    os.makedirs(os.path.join(dst, "objects", "cd"), exist_ok=True)
+    return tag
 
 
 def method_named(source: str, name: str):

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from methodgit import RepoWriter
 from methodgit.gitstore import _PackFile, hash_object
 from methodgit.cli import main
 
@@ -20,6 +21,7 @@ from conftest import (
     GETTER_PATH_OLD,
     PERSON_JAVA,
     build_linear_repo,
+    build_tag_repo,
 )
 from repogen import build_metrics_repo
 
@@ -355,3 +357,30 @@ def test_convert_corrupt_object_fails_without_traceback(tmp_path):
     # Neither the destination nor the temporary directory it was built in
     # is left behind.
     assert sorted(os.listdir(tmp_path)) == ["src.git"]
+
+
+@pytest.mark.parametrize("target", [b"cd", b"\xff"], ids=["short", "not-utf8"])
+def test_convert_tag_with_a_malformed_object_id_fails_without_traceback(tmp_path, target):
+    src = str(tmp_path / "src.git")
+    build_tag_repo(src, target)
+    result = run_module("convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert result.returncode == 1
+    assert f"malformed object id {target.decode('latin-1')!r}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["src.git"]
+
+
+@pytest.mark.parametrize("header", [b"tree \xff", b"tree cd", b"parent \xff\ntree " + b"0" * 40],
+                         ids=["tree-not-utf8", "tree-short", "parent-not-utf8"])
+def test_convert_commit_with_a_malformed_object_id_fails_without_traceback(tmp_path, header):
+    src = str(tmp_path / "src.git")
+    with RepoWriter(src) as writer:
+        writer.init_bare()
+        commit = writer.write_object(b"commit", header + b"\nauthor A <a@b> 1 +0000\n"
+                                     b"committer A <a@b> 1 +0000\n\nm\n")
+    writer.write_refs({"refs/heads/master": commit})
+    os.makedirs(os.path.join(src, "objects", "cd"))
+    result = run_module("convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert result.returncode == 1
+    assert "malformed object id" in result.stderr
+    assert "Traceback" not in result.stderr

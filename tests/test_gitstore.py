@@ -34,7 +34,7 @@ from methodgit.gitstore import (
 )
 from methodgit.rewrite import rewrite_history
 
-from conftest import AUTHOR, build_linear_repo, requires_git, write_tree_dict
+from conftest import AUTHOR, build_linear_repo, build_tag_repo, requires_git, write_tree_dict
 
 
 def git(*args: str, cwd: str) -> str:
@@ -687,6 +687,33 @@ def test_peel_annotated_tag(tmp_path):
         assert tag_oid is not None
         assert store.read(tag_oid)[0] == "tag"
         assert store.peel_to_commit(tag_oid) == head
+
+
+@pytest.mark.parametrize("target", [b"cd", b"\xff", b"cd" * 19 + b"\xff\xfe", b"g" * 40],
+                         ids=["short", "not-utf8", "not-utf8-40", "not-hex"])
+def test_tag_with_a_malformed_object_id_raises_repository_error(tmp_path, target):
+    src = str(tmp_path / "src.git")
+    tag = build_tag_repo(src, target)
+    with ObjectStore(src) as store:
+        with pytest.raises(RepositoryError, match="malformed object id"):
+            store.peel_to_commit(tag)
+
+
+@pytest.mark.parametrize(
+    "oid",
+    ["cd", "", "cd" + "0" * 37, "cd" + "0" * 39, "g" * 40, "\xff" * 40, "cd" * 20 + " ",
+     " " + "cd" * 19 + "0"],
+    ids=["fan-out-dir", "empty", "39-digits", "41-digits", "not-hex", "not-ascii",
+         "trailing-space", "inner-space"],
+)
+def test_read_and_size_reject_a_malformed_id(tmp_path, oid):
+    src = str(tmp_path / "src.git")
+    build_tag_repo(src, b"0" * 40)
+    with ObjectStore(src) as store:
+        for call in (store.read, store.size):
+            with pytest.raises(RepositoryError, match="malformed object id"):
+                call(oid)
+        assert not store.contains(oid)
 
 
 @requires_git

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from methodgit import tokenize
 from methodgit.errors import LexError
-from methodgit.lexer import _ERRORS, _TOKEN_RE, CommentSpan, TokenKind, position
+from methodgit.lexer import (
+    _ERRORS, _KIND_CODES, _TOKEN_RE, CommentSpan, LexBase, TokenKind, position,
+)
+
+from conftest import ENGINEER_JAVA, NESTED_JAVA, PERSON_JAVA
 
 
 def texts(source: str) -> list[str]:
@@ -290,3 +294,87 @@ def test_offsets_and_positions_agree_with_a_naive_scan(source):
         assert source[tok.offset : tok.end] == tok.text
         assert last_end <= tok.offset < tok.end
         last_end = tok.end
+
+
+# Pieces that open, close or extend a token across an edit's boundary.
+ADVERSARIAL = [
+    '"', "'", '"""', "/*", "*/", "/**", "//", "\n", "\r", "\\", "0x1.", "p", "e", "+",
+    ".", "non-sealed", "$", " ", "a", "1", ";", "{", "}",
+]
+
+JAVA = [
+    PERSON_JAVA,
+    ENGINEER_JAVA,
+    NESTED_JAVA,
+    "/** doc */\nint f() {}",
+    'String s = """\n  two\n  lines""";',
+    "int a; // line\nint b; /* block */ int c;",
+    "0x1F 1_000 3.14f 1e9 0b1010 077 2L .5d",
+    "/** A. */\nclass A {\n  /** f. */\n  int f() { return 1; }\n  /** g. */\n  int g;\n}\n",
+]
+
+alphabet_text = st.lists(st.sampled_from(ADVERSARIAL), max_size=16).map("".join)
+edits = st.lists(
+    st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=12), alphabet_text),
+    min_size=1,
+    max_size=3,
+)
+
+
+def apply_edits(source: str, changes: list[tuple[int, int, str]]) -> str:
+    """Replace, at each position (modulo the length), a run of characters
+    by a text."""
+    for pos, cut, text in changes:
+        i = pos % (len(source) + 1)
+        source = source[:i] + text + source[i + cut :]
+    return source
+
+
+texts_to_lex = st.one_of(
+    alphabet_text,
+    st.sampled_from(JAVA),
+    st.builds(apply_edits, st.sampled_from(JAVA), edits),
+)
+
+
+@st.composite
+def lex_pairs(draw) -> tuple[str, str]:
+    old = draw(texts_to_lex)
+    new = draw(
+        st.one_of(
+            st.builds(apply_edits, st.just(old), edits),
+            texts_to_lex,  # unrelated to old
+            st.just(old),
+            st.just(""),
+        )
+    )
+    return old, new
+
+
+def lexed(source: str, base: LexBase | None = None):
+    """The LexResult, or the LexError's args."""
+    try:
+        return tokenize(source, base)
+    except LexError as e:
+        return e.args
+
+
+@settings(max_examples=300, deadline=None)
+@given(lex_pairs())
+def test_lexing_against_any_base_equals_a_full_lex(pair):
+    old, new = pair
+    base = LexBase()
+    lexed(old, base)
+    before = LexBase(base.source, base.offsets[:], base.ends[:], base.kinds,
+                     list(base.javadocs), list(base.comments))
+    expected = lexed(new)
+    assert lexed(new, base) == expected
+    # The base now records new, or is unchanged where new does not lex.
+    if isinstance(expected, tuple):
+        assert base == before
+        return
+    assert base.source == new
+    assert [(o, e, _KIND_CODES[k]) for o, e, k in zip(base.offsets, base.ends, base.kinds)] == [
+        (t.offset, t.end, t.kind) for t in expected.tokens
+    ]
+    assert (base.comments, base.javadocs) == (expected.comments, expected.javadocs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import methodgit.rewrite
 from methodgit import (
     ConversionConfig,
+    LineFormat,
     ObjectStore,
     RenderConfig,
     RepoWriter,
@@ -20,7 +22,8 @@ from methodgit import (
     tokenize,
 )
 from methodgit.errors import RepositoryError
-from methodgit.gitstore import TreeEntry
+from methodgit.gitstore import TreeEntry, hash_object
+from methodgit.lexer import tokenize as full_tokenize
 from methodgit.rewrite import convert_blob, convert_source
 
 from conftest import (
@@ -36,6 +39,7 @@ from conftest import (
     requires_git,
     write_tree_dict,
 )
+from repogen import generate_java_repo
 
 
 def flatten(store: ObjectStore, tree_oid: str, prefix: str = "") -> dict[str, str]:
@@ -263,7 +267,7 @@ def test_convert_blob_returns_files_or_none_on_mutated_java(source, edits):
 
 
 def test_convert_blob_lets_internal_errors_propagate(monkeypatch):
-    def broken(source):
+    def broken(source, base=None):
         raise KeyError("walker bug")
 
     monkeypatch.setattr(methodgit.rewrite, "extract", broken)
@@ -464,3 +468,171 @@ def test_git_follow_agrees_on_fixture(person_repo, tmp_path):
 
     # At 60% git itself crosses the rename, reaching both commits.
     assert subjects("60%") == ["commit 1", "commit 0"]
+
+# Declarations that render alike from different places, and ones that
+# differ only outside their tokens.  Two files are called Util.java, so one
+# is lexed against the other.
+UTIL_A = """\
+package a;
+/** Util. */
+class Util {
+  int twin(int x) { return x + 1; }
+  /** One. */
+  int doc() { return 1; }
+  int f = 1, g = f + 1; int h() { return 2; } int k; // trailing
+  @Deprecated int[] arr = {1, 2}, brr;
+  int same() { return (int) 2L; } int same2() { return 3; }
+}
+"""
+
+UTIL_B = """\
+package b;
+class Util {
+  int twin(int x) { return x + 1; }
+  /** Two. */
+  int doc() { return 1; }
+  int f = 1, g = f + 2; int h() { return 2; } int k = 5;
+  @Deprecated int[] arr = {1, 2}, brr;
+}
+"""
+
+TWINS = """\
+class Left { int twin(int x) { return x + 1; } int w = 0, v; }
+class Right { int twin(int x) { return x + 1; } long w = 0, u; int v; }
+"""
+
+MEMO_SNAPSHOTS = [
+    {"a/Util.java": UTIL_A, "b/Util.java": UTIL_B, "c/Twins.java": TWINS},
+    {"a/Util.java": UTIL_A.replace("x + 1", "x + 2"), "b/Util.java": UTIL_B,
+     "c/Twins.java": TWINS},
+    {"a/Util.java": UTIL_A.replace("x + 1", "x + 2"),
+     "b/Util.java": UTIL_B.replace("/** Two. */", "/** Three. */").replace("k = 5", "k = 6"),
+     "c/Twins.java": TWINS.replace("int w = 0, u;", "int w = 1, u;")},
+    {"a/Util.java": UTIL_A.replace("// trailing", "// changed").replace("/** One. */", ""),
+     "b/Util.java": UTIL_B, "c/Twins.java": TWINS + "// end\n"},
+]
+
+MEMO_CONFIGS = [
+    RenderConfig(),
+    RenderConfig(heuristic1=False),
+    RenderConfig(heuristic2=False),
+    RenderConfig(heuristic1=False, heuristic2=False),
+    RenderConfig(line_format=LineFormat.PLAIN),
+]
+
+
+def assert_files_render_fresh(
+    src: ObjectStore, dst: ObjectStore, src_tree: str, dst_tree: str,
+    config: ConversionConfig,
+) -> int:
+    """Check that every file the conversion emitted for a .java blob is a
+    fresh render of a fresh extract of that blob; returns how many files
+    were checked.  Names repeat as the converter handles them: first wins."""
+    emitted = {e.name: e.oid for e in dst.read_tree(dst_tree)}
+    seen: set[bytes] = set()
+    checked = 0
+    for entry in src.read_tree(src_tree):
+        files = None
+        if entry.is_tree:
+            checked += assert_files_render_fresh(src, dst, entry.oid, emitted[entry.name], config)
+        elif entry.name.endswith(b".java"):
+            files = convert_blob(src.read(entry.oid)[1], config)
+        if files is None:
+            seen.add(entry.name)
+            continue
+        for name, data in files:
+            if name.encode() in seen:
+                continue
+            seen.add(name.encode())
+            assert emitted[name.encode()] == hash_object(b"blob", data), name
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("history", ["repogen", "crafted"])
+@pytest.mark.parametrize("render_config", MEMO_CONFIGS, ids=["h1-h2", "h2", "h1", "none", "plain"])
+def test_memoised_conversion_equals_fresh_rendering(tmp_path, monkeypatch, history, render_config):
+    src = str(tmp_path / "src.git")
+    if history == "repogen":
+        generate_java_repo(src, n_commits=14, n_files=6, seed=11)
+    else:
+        build_linear_repo(src, [
+            {path: text.encode() for path, text in snap.items()} for snap in MEMO_SNAPSHOTS
+        ])
+    renders = 0
+    real_render = methodgit.rewrite.render
+
+    def counted(decl, config):
+        nonlocal renders
+        renders += 1
+        return real_render(decl, config)
+
+    monkeypatch.setattr(methodgit.rewrite, "render", counted)
+    config = ConversionConfig(render=render_config, emit_fields=True)
+    dst = str(tmp_path / "dst.git")
+    stats = rewrite_history(src, dst, config)
+    monkeypatch.undo()
+    checked = 0
+    with open(os.path.join(dst, "commit-map.tsv"), encoding="utf-8") as f:
+        pairs = [line.split() for line in f]
+    with ObjectStore(src) as src_store, ObjectStore(dst) as dst_store:
+        for src_commit, dst_commit in pairs:
+            checked += assert_files_render_fresh(
+                src_store, dst_store,
+                src_store.read_commit(src_commit).tree,
+                dst_store.read_commit(dst_commit).tree,
+                config,
+            )
+    assert checked >= stats.files_emitted > 0
+    assert renders <= stats.files_emitted
+    if history == "crafted":
+        # Declarations repeat, so fewer are rendered than emitted.
+        assert renders < stats.files_emitted
+
+
+def test_every_lex_of_a_conversion_goes_through_extracts_tokenize(tmp_path, monkeypatch):
+    """Per-layer lexer metrics wrap methodgit.extract.tokenize: every blob
+    a conversion lexes must pass through it, and the tokens it returns must
+    be those of a full lex."""
+    src = str(tmp_path / "src.git")
+    generate_java_repo(src, n_commits=10, n_files=5, seed=5)
+    lexed: list[tuple[str, int]] = []
+    # import_module: the package rebinds the name extract to the function.
+    m_extract = import_module("methodgit.extract")
+    real_tokenize = m_extract.tokenize
+
+    def counted(source, *args):
+        result = real_tokenize(source, *args)
+        lexed.append((source, len(result.tokens)))
+        return result
+
+    converted = 0
+    real_convert_blob = methodgit.rewrite.convert_blob
+
+    def counted_blob(*args):
+        nonlocal converted
+        converted += 1
+        return real_convert_blob(*args)
+
+    monkeypatch.setattr(m_extract, "tokenize", counted)
+    monkeypatch.setattr(methodgit.rewrite, "convert_blob", counted_blob)
+    rewrite_history(src, str(tmp_path / "dst.git"))
+    monkeypatch.undo()
+    assert len(lexed) == converted > 10
+    assert [n for _, n in lexed] == [len(full_tokenize(source).tokens) for source, _ in lexed]
+
+
+def test_a_blob_that_fails_to_render_writes_no_object(tmp_path):
+    # extract walks blocks without recursing; the tagger recurses per block
+    # and gives up on the second method, after the first was rendered.
+    deep = "class A { int g() { return 1; } void f() {" + "if (x) {" * 2000 + "}" * 2000 + "} }"
+    config = ConversionConfig()
+    assert convert_blob(deep.encode(), config) is None
+    (g,) = convert_source("class A { int g() { return 1; } }", config)
+    src = str(tmp_path / "src.git")
+    build_linear_repo(src, [{"A.java": deep.encode()}])
+    dst = str(tmp_path / "dst.git")
+    stats = rewrite_history(src, dst, config)
+    assert stats.files_skipped == 1
+    with ObjectStore(dst) as store:
+        assert not store.contains(hash_object(b"blob", g[1]))
