@@ -82,8 +82,8 @@ class _Tagger:
     def __init__(self, decl: MethodDecl | FieldDecl, first: int, last: int):
         # Nothing past last is walked, so a bracket the declaration leaves
         # open is never paired with one in a later declaration: the walk
-        # reads toks[:end], and tagging or reading past it raises
-        # IndexError.  Tags are kept for first..last only, so the work is
+        # reads toks[:end], and a statement, tag or tag read past it raises
+        # ParseError.  Tags are kept for first..last only, so the work is
         # bounded by the declaration's size, not by its place in the file.
         self.toks = decl.file_tokens
         self.end = last + 1
@@ -94,9 +94,13 @@ class _Tagger:
     # -- pair helpers ---------------------------------------------------
 
     def _tag(self, k: int, tag: str) -> None:
+        if k >= self.end:
+            raise ParseError(f"tag past the declaration at token {k}")
         self.tags[k - self.base] = tag
 
     def _tag_of(self, k: int) -> str | None:
+        if k >= self.end:
+            raise ParseError(f"tag read past the declaration at token {k}")
         return self.tags[k - self.base]
 
     def _pair(self, open_idx: int, close_idx: int, tag: str) -> None:
@@ -257,7 +261,7 @@ class _Tagger:
         toks = self.toks
         if j >= self.end:
             # a label that ends the declaration
-            raise IndexError(j)
+            raise ParseError(f"statement past the declaration at token {j}")
         t = toks[j]
         txt = t.text
 
@@ -597,7 +601,7 @@ def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
             tagger._member(m, m.end + 1)
         else:
             tagger.field(decl)
-    except (ParseError, IndexError):
+    except ParseError:
         pass
     tags = [tagger._tag_of(k) for k in indices]
     for i, tok in enumerate(decl.tokens):

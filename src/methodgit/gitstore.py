@@ -3,6 +3,12 @@ pack and ref writing for building a destination repository.
 
 Only what the history rewriter and tracker need is implemented: blobs,
 trees, commits, and annotated tags, plus refs and HEAD.
+
+A tree reads back as a name map, {raw name: (mode, hex id)}, decoded by
+parse_tree in one regex split with no object per entry.  A whole packed
+object, or a delta's data, inflates in one zlib call on a slice sized
+from its entry header; only a stream longer than that slice, or a
+corrupt one, is inflated piece by piece.
 """
 
 from __future__ import annotations
@@ -27,13 +33,12 @@ FILE_MODES = (b"100644", b"100755")
 
 
 class TreeEntry(NamedTuple):
+    """One entry to write with RepoWriter.write_tree.  Trees read back as
+    parse_tree's name map."""
+
     mode: bytes
     name: bytes
     oid: str
-
-    @property
-    def is_tree(self) -> bool:
-        return self.mode == TREE_MODE
 
 
 @dataclass
@@ -132,20 +137,27 @@ class _PackFile:
         return obj_type, size, pos
 
     def _inflate(self, pos: int, expected: int) -> bytes:
-        d = zlib.decompressobj()
-        out = []
         data = self._map
-        n = len(data)
         # By zlib's compressBound, deflating n bytes gives at most about
         # n + n/4096 + 13, so the first slice nearly always holds the whole
-        # stream without copying the map beyond it.
+        # stream without copying the map beyond it, and one call inflates
+        # it; zlib.decompress ignores what follows the end of the stream.
+        # Only a longer stream, or corrupt data, takes the incremental loop.
+        # No output buffer is sized from expected, which comes from the
+        # entry header and may be corrupt.
         step = expected + (expected >> 10) + 32
-        while not d.eof and pos < n:
-            chunk = data[pos : min(pos + step, n)]
-            pos += len(chunk)
-            out.append(d.decompress(chunk))
-            step = 65536
-        payload = b"".join(out)
+        try:
+            payload = zlib.decompress(data[pos : pos + step])
+        except zlib.error:
+            d = zlib.decompressobj()
+            out = []
+            n = len(data)
+            while not d.eof and pos < n:
+                chunk = data[pos : min(pos + step, n)]
+                pos += len(chunk)
+                out.append(d.decompress(chunk))
+                step = 65536
+            payload = b"".join(out)
         if len(payload) != expected:
             raise ValueError("corrupt pack data")
         return payload
@@ -437,7 +449,9 @@ class ObjectStore:
             raise RepositoryError(f"not a commit: {oid}")
         return parse_commit(oid, payload)
 
-    def read_tree(self, oid: str) -> list[TreeEntry]:
+    def read_tree(self, oid: str) -> dict[bytes, tuple[bytes, str]]:
+        """The tree's name map, as parse_tree gives it; a payload that
+        parse_tree rejects raises RepositoryError."""
         kind, payload = self.read(oid)
         if kind != "tree":
             raise RepositoryError(f"not a tree: {oid}")
@@ -449,6 +463,12 @@ class ObjectStore:
     # -- refs --------------------------------------------------------------
 
     def refs(self) -> dict[str, str]:
+        """Full ref name -> object id, loose refs over packed ones.
+
+        A value that is not 40 bytes long, or a symbolic ref, is skipped;
+        latin-1 never fails, and read rejects a value that is not an id.  A
+        packed ref name that is not UTF-8 raises RepositoryError.
+        """
         out: dict[str, str] = {}
         packed = os.path.join(self.gitdir, "packed-refs")
         if os.path.exists(packed):
@@ -458,7 +478,7 @@ class ObjectStore:
                         continue
                     sha, _, name = raw.partition(b" ")
                     if len(sha) == 40 and name:
-                        out[name.decode()] = sha.decode()
+                        out[_utf8(name, "ref name in packed-refs")] = sha.decode("latin-1")
         refs_dir = os.path.join(self.gitdir, "refs")
         for root, _dirs, files in os.walk(refs_dir):
             for fname in files:
@@ -466,17 +486,16 @@ class ObjectStore:
                 rel = os.path.relpath(full, self.gitdir)
                 name = posixpath.join(*rel.split(os.sep))
                 with open(full, "rb") as f:
-                    value = f.read().strip().decode()
-                if value.startswith("ref: "):
-                    continue
-                if len(value) == 40:
-                    out[name] = value
+                    value = f.read().strip()
+                if len(value) == 40 and not value.startswith(b"ref: "):
+                    out[name] = value.decode("latin-1")
         return out
 
     def head_target(self) -> tuple[str, str]:
-        """('ref', refname) for a symbolic HEAD, ('oid', sha) when detached."""
-        with open(os.path.join(self.gitdir, "HEAD"), "r", encoding="utf-8") as f:
-            value = f.read().strip()
+        """('ref', refname) for a symbolic HEAD, ('oid', sha) when detached.
+        A HEAD that is not UTF-8 raises RepositoryError."""
+        with open(os.path.join(self.gitdir, "HEAD"), "rb") as f:
+            value = _utf8(f.read().strip(), "HEAD")
         if value.startswith("ref: "):
             return "ref", value[5:]
         return "oid", value
@@ -534,6 +553,13 @@ class ObjectStore:
         self._packs = None
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise RepositoryError(f"malformed {what}: {raw!r}") from None
+
+
 def parse_commit(oid: str, payload: bytes) -> CommitRecord:
     tree = ""
     parents: list[str] = []
@@ -581,19 +607,27 @@ def parse_commit(oid: str, payload: bytes) -> CommitRecord:
 _TREE_ENTRY = re.compile(rb"([0-7]+) ([^\x00]+)\x00(.{20})", re.DOTALL)
 
 
-def parse_tree(payload: bytes) -> list[TreeEntry]:
-    """The entries of a tree payload, in order.
+def parse_tree(payload: bytes) -> dict[bytes, tuple[bytes, str]]:
+    """The entries of a tree payload as {raw name: (mode, hex id)}, in
+    the tree's order.
 
     The entries must tile the payload exactly; a gap, a truncated last
     entry, a mode that is not octal digits or an empty name raises
-    ValueError.
+    ValueError, and so does a name that occurs twice (git fsck's
+    duplicateEntries).  The map is built by one C-level expression, with
+    no Python object per entry, as git's tree-walk.c looks names up in
+    the raw tree buffer.
     """
     # split puts the bytes between matches at every fourth place, then
     # each match's three groups.
     parts = _TREE_ENTRY.split(payload)
     if any(parts[::4]):
         raise ValueError("malformed tree entry")
-    return list(map(TreeEntry, parts[1::4], parts[2::4], map(bytes.hex, parts[3::4])))
+    names = parts[2::4]
+    tree = dict(zip(names, zip(parts[1::4], map(bytes.hex, parts[3::4]))))
+    if len(tree) != len(names):
+        raise ValueError("duplicate tree entry name")
+    return tree
 
 
 def _pack_entry_header(type_num: int, size: int) -> bytes:
@@ -775,7 +809,7 @@ class RepoWriter:
 
     def write_tree(self, entries: list[TreeEntry]) -> str:
         def sort_key(e: TreeEntry) -> bytes:
-            return e.name + b"/" if e.is_tree else e.name
+            return e.name + b"/" if e.mode == TREE_MODE else e.name
 
         payload = b"".join(
             e.mode + b" " + e.name + b"\x00" + bytes.fromhex(e.oid)

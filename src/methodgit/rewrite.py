@@ -18,7 +18,7 @@ from typing import Callable, TypeVar
 from .emit import LineFormat, RenderConfig, render
 from .errors import LexError, ParseError, RepositoryError
 from .extract import FieldDecl, MethodDecl, extract
-from .gitstore import FILE_MODES, ObjectStore, RepoWriter, TreeEntry
+from .gitstore import FILE_MODES, TREE_MODE, ObjectStore, RepoWriter, TreeEntry
 from .lexer import LexBase
 from .naming import NamePolicy, field_file_name, method_file_name
 
@@ -195,7 +195,6 @@ class _TreeConverter:
         cached = self.caches.trees.get(tree_oid)
         if cached is not None:
             return cached
-        entries = self.store.read_tree(tree_oid)
         out: list[TreeEntry] = []
         seen_names: set[bytes] = set()
 
@@ -205,22 +204,22 @@ class _TreeConverter:
             seen_names.add(entry.name)
             out.append(entry)
 
-        for entry in entries:
-            if entry.is_tree:
-                add(TreeEntry(entry.mode, entry.name, self.convert_tree(entry.oid)))
+        for name, (mode, oid) in self.store.read_tree(tree_oid).items():
+            if mode == TREE_MODE:
+                add(TreeEntry(mode, name, self.convert_tree(oid)))
                 continue
-            if entry.mode == b"160000":
-                add(entry)
+            if mode == b"160000":
+                add(TreeEntry(mode, name, oid))
                 continue
-            if entry.mode in FILE_MODES and entry.name.endswith(b".java"):
-                files = self._convert_java_blob(entry.oid, java_name=entry.name)
+            if mode in FILE_MODES and name.endswith(b".java"):
+                files = self._convert_java_blob(oid, java_name=name)
                 if files is not None:
                     if self.config.keep_original_java:
-                        add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))
-                    for name, blob_oid in files:
-                        add(TreeEntry(b"100644", name, blob_oid))
+                        add(TreeEntry(mode, name, self._copy_blob(oid)))
+                    for file_name, blob_oid in files:
+                        add(TreeEntry(b"100644", file_name, blob_oid))
                     continue
-            add(TreeEntry(entry.mode, entry.name, self._copy_blob(entry.oid)))
+            add(TreeEntry(mode, name, self._copy_blob(oid)))
         new_oid = self.writer.write_tree(out)
         self.caches.trees[tree_oid] = new_oid
         return new_oid

@@ -2,12 +2,13 @@
 
 The walk runs newest to oldest.  At each commit it looks the tracked path up
 in the parents' trees, one tree per path component, so a commit costs only
-the trees that changed along that path; trees are parsed once per id and
-keyed by raw name bytes.  When the path disappears from the parent, every
-file the commit deleted (and, with copy detection, every file it retained)
-is a candidate, in path order, and the best candidate at or above the
-threshold continues the chain as a rename or copy; only there are whole
-trees flattened into path -> blob maps.
+the trees that changed along that path.  Each tree is read and decoded once
+per id into gitstore's name map, {raw name: (mode, hex id)}, which is cached
+as it is and looked up by raw name bytes.  When the path disappears from the
+parent, every file the commit deleted (and, with copy detection, every file
+it retained) is a candidate, in path order, and the best candidate at or
+above the threshold continues the chain as a rename or copy; only there are
+whole trees flattened into path -> blob maps.
 
 A score is at most min(size)/max(size) of the two files, in bytes or in
 lines by the metric, so once a best candidate exists any candidate whose
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import TrackError
-from .gitstore import FILE_MODES, ObjectStore, TreeEntry
+from .gitstore import FILE_MODES, TREE_MODE, ObjectStore
 
 _CHUNK = 64
 
@@ -154,9 +155,9 @@ class TrackStep:
 class FollowCaches:
     """Shared lookup state, reusable across follow() calls on one store.
 
-    trees maps a tree id to its entries by raw name; flat maps a tree id to
-    the path -> blob map of every regular file under it, and candidates to
-    the same files as (path, blob) pairs sorted by path.
+    trees maps a tree id to its name map (ObjectStore.read_tree); flat maps
+    a tree id to the path -> blob map of every regular file under it, and
+    candidates to the same files as (path, blob) pairs sorted by path.
     """
 
     trees: dict = field(default_factory=dict)
@@ -184,11 +185,10 @@ def _read_commit(store: ObjectStore, oid: str, caches: FollowCaches):
 
 def _entries(
     store: ObjectStore, tree_oid: str, caches: FollowCaches
-) -> dict[bytes, TreeEntry]:
+) -> dict[bytes, tuple[bytes, str]]:
     entries = caches.trees.get(tree_oid)
     if entries is None:
-        entries = {entry.name: entry for entry in store.read_tree(tree_oid)}
-        caches.trees[tree_oid] = entries
+        entries = caches.trees[tree_oid] = store.read_tree(tree_oid)
     return entries
 
 
@@ -203,13 +203,13 @@ def _lookup(
     *dirs, name = raw_path.split(b"/")
     for part in dirs:
         entry = _entries(store, tree_oid, caches).get(part)
-        if entry is None or not entry.is_tree:
+        if entry is None or entry[0] != TREE_MODE:
             return None
-        tree_oid = entry.oid
+        tree_oid = entry[1]
     entry = _entries(store, tree_oid, caches).get(name)
-    if entry is None or entry.mode not in FILE_MODES:
+    if entry is None or entry[0] not in FILE_MODES:
         return None
-    return entry.oid
+    return entry[1]
 
 
 def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[str, str]:
@@ -218,13 +218,13 @@ def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[st
     if flat is not None:
         return flat
     flat = {}
-    for raw_name, entry in _entries(store, tree_oid, caches).items():
+    for raw_name, (mode, oid) in _entries(store, tree_oid, caches).items():
         name = raw_name.decode("utf-8", "surrogateescape")
-        if entry.is_tree:
-            for sub_path, sub_oid in _flatten(store, entry.oid, caches).items():
+        if mode == TREE_MODE:
+            for sub_path, sub_oid in _flatten(store, oid, caches).items():
                 flat[f"{name}/{sub_path}"] = sub_oid
-        elif entry.mode in FILE_MODES:
-            flat[name] = entry.oid
+        elif mode in FILE_MODES:
+            flat[name] = oid
     caches.flat[tree_oid] = flat
     return flat
 

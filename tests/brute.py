@@ -58,12 +58,12 @@ def brute_similarity(a: bytes, b: bytes, metric: str) -> Fraction:
 
 def _flatten(store: ObjectStore, tree_oid: str, prefix: str = "") -> dict[str, str]:
     out: dict[str, str] = {}
-    for entry in store.read_tree(tree_oid):
-        name = entry.name.decode()
-        if entry.is_tree:
-            out.update(_flatten(store, entry.oid, prefix + name + "/"))
-        elif entry.mode in (b"100644", b"100755"):
-            out[prefix + name] = entry.oid
+    for raw_name, (mode, oid) in store.read_tree(tree_oid).items():
+        name = raw_name.decode()
+        if mode == b"40000":
+            out.update(_flatten(store, oid, prefix + name + "/"))
+        elif mode in (b"100644", b"100755"):
+            out[prefix + name] = oid
     return out
 
 

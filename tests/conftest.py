@@ -127,6 +127,25 @@ def write_tree_dict(writer: RepoWriter, files: dict[str, bytes]) -> str:
     return emit(root)
 
 
+def write_files(root: str, files: dict[str, bytes]) -> None:
+    """Write {path relative to root: bytes}, making directories as needed."""
+    for path, data in files.items():
+        os.makedirs(os.path.dirname(os.path.join(root, path)), exist_ok=True)
+        with open(os.path.join(root, path), "wb") as f:
+            f.write(data)
+
+
+def read_files(root: str) -> dict[str, bytes]:
+    """Every file under root as {path relative to root: bytes}."""
+    files = {}
+    for base, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
 def build_linear_repo(
     dst: str,
     snapshots: list[dict[str, bytes]],

@@ -3,25 +3,35 @@ stdout data contracts of all four subcommands."""
 
 from __future__ import annotations
 
+import functools
 import glob
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import zlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from methodgit import RepoWriter
 from methodgit.gitstore import _PackFile, hash_object
 from methodgit.cli import main
 
 from conftest import (
+    AUTHOR,
     GETTER_PATH_NEW,
     GETTER_PATH_OLD,
     PERSON_JAVA,
     build_linear_repo,
     build_tag_repo,
+    read_files,
+    write_files,
 )
 from repogen import build_metrics_repo
 
@@ -384,3 +394,113 @@ def test_convert_commit_with_a_malformed_object_id_fails_without_traceback(tmp_p
     assert result.returncode == 1
     assert "malformed object id" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_convert_tree_with_a_duplicate_name_fails_without_traceback(tmp_path):
+    src = str(tmp_path / "src.git")
+    with RepoWriter(src) as writer:
+        writer.init_bare()
+        blob = bytes.fromhex(writer.write_blob(b"x\n"))
+        tree = writer.write_object(b"tree", b"100644 a\x00" + blob + b"100755 a\x00" + blob)
+        stamp = AUTHOR % 1700000000
+        commit = writer.write_commit(tree=tree, parents=[], author=stamp, committer=stamp,
+                                     message=b"m\n")
+    writer.write_refs({"refs/heads/master": commit})
+    result = run_module("convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert result.returncode == 1
+    assert f"corrupt tree {tree}: duplicate tree entry name" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["src.git"]
+
+
+@pytest.mark.parametrize("path, data, message", [
+    ("HEAD", b"ref: refs/heads/\xff\n", "malformed HEAD"),
+    ("refs/heads/odd", b"\xff" * 40 + b"\n", "malformed object id"),
+    ("packed-refs", None, "malformed ref name in packed-refs"),
+], ids=["head", "loose-ref", "packed-ref-name"])
+def test_refs_that_are_not_utf8_fail_without_traceback(tmp_path, capsys, path, data, message):
+    # Found by the fuzz test below: each of these raised UnicodeDecodeError.
+    src = str(tmp_path / "src.git")
+    build_linear_repo(src, [{"Person.java": PERSON_JAVA.encode()}])
+    if data is None:
+        with open(os.path.join(src, path), "rb") as f:
+            data = f.read().replace(b"refs/heads/master", b"refs/heads/\xff")
+    with open(os.path.join(src, path), "wb") as f:
+        f.write(data)
+    code, _, err = run(capsys, "convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert code == 1
+    assert message in err
+    if path != "HEAD":  # track does not read HEAD
+        code, _, err = run(capsys, "track", "--repo", src, "--path", "Person.java", "-M", "50")
+        assert code == 1
+        assert message in err
+
+
+@functools.cache
+def _ref_fuzz_repository() -> tuple[dict[str, bytes], str, bytes]:
+    """A bare repository as {path: bytes} but for its one loose tag, the
+    path that tag is stored at, and the tag's payload.  Two commits of
+    Person.java; HEAD names master, a loose ref; packed-refs holds a stale
+    master, the tag v1 of the last commit and a branch that points at the
+    tag."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _, last = build_linear_repo(tmp, [
+            {"Person.java": PERSON_JAVA.encode()},
+            {"Person.java": PERSON_JAVA.replace("length", "size").encode()},
+        ])
+        files = read_files(tmp)
+    stamp = AUTHOR % 1700000000
+    tag = b"object %s\ntype commit\ntag v1\ntagger %s\n\nv1\n" % (last.encode(), stamp)
+    tag_id = hash_object(b"tag", tag)
+    tag_path = f"objects/{tag_id[:2]}/{tag_id[2:]}"
+    files["refs/heads/master"] = last.encode() + b"\n"
+    files["packed-refs"] = (
+        "# pack-refs with: peeled fully-peeled sorted \n"
+        f"{'0' * 40} refs/heads/master\n{tag_id} refs/heads/tagged\n"
+        f"{tag_id} refs/tags/v1\n^{last}\n"
+    ).encode()
+    return files, tag_path, tag
+
+
+def _loose(kind: bytes, payload: bytes) -> bytes:
+    return zlib.compress(b"%s %d\x00" % (kind, len(payload)) + payload)
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """data with one bit flipped, cut short, with bytes inserted, or
+    replaced outright."""
+    how = draw(st.sampled_from(["flip", "cut", "insert", "replace"]))
+    if how == "replace" or not data:
+        return draw(st.binary(max_size=64))
+    at = draw(st.integers(0, len(data) - 1))
+    if how == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1 :]
+    if how == "cut":
+        return data[:at]
+    return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_refs_and_tags_end_in_an_exit_status(data):
+    # HEAD, a loose ref, packed-refs, the tag's payload or its deflated
+    # file is mutated; convert and track must each return 0, 1 or 2 and
+    # raise nothing.
+    files, tag_path, tag = _ref_fuzz_repository()
+    files = {**files, tag_path: _loose(b"tag", tag)}
+    target = data.draw(st.sampled_from(
+        ["HEAD", "refs/heads/master", "packed-refs", "tag payload", tag_path]))
+    if target == "tag payload":
+        files[tag_path] = _loose(b"tag", data.draw(_mutated(tag)))
+    else:
+        files[target] = data.draw(_mutated(files[target]))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src.git")
+        write_files(src, files)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes = [
+                main(["convert", "--src", src, "--dst", os.path.join(tmp, "dst.git")]),
+                main(["track", "--repo", src, "--path", "Person.java", "-M", "50"]),
+            ]
+    assert set(codes) <= {0, 1, 2}, codes

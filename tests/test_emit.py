@@ -441,3 +441,35 @@ def test_tagging_work_is_bounded_by_each_declaration(monkeypatch):
         render(m, FINER)
     assert len(slots) == 1000
     assert sum(slots) <= 2 * len(methods[0].file_tokens)
+
+
+def test_tagger_signals_a_walk_past_the_declaration_as_parse_error():
+    # Tagging, reading a tag or starting a statement past the declaration's
+    # last token is the walker's own bound, so it raises ParseError, which
+    # categorize turns into generic tags.
+    decl = method_named(PERSON_JAVA, "getLength")
+    m = decl.member
+    tagger = emit._Tagger(decl, m.start, m.end)
+    for walk in (
+        lambda: tagger._tag(m.end + 1, "EMPTY"),
+        lambda: tagger._tag_of(m.end + 1),
+        lambda: tagger._statement(m.end + 1, m.end + 2, False),
+    ):
+        with pytest.raises(ParseError):
+            walk()
+    tagger._tag(m.end, "PLAIN_BLOCK")
+    assert tagger._tag_of(m.end) == "PLAIN_BLOCK"
+
+
+def test_categorize_lets_an_internal_index_error_propagate(monkeypatch):
+    def broken(self, *args):
+        raise IndexError("internal")
+
+    decl = method_named(PERSON_JAVA, "getLength")
+    monkeypatch.setattr(emit._Tagger, "_member", broken)
+    with pytest.raises(IndexError, match="internal"):
+        categorize(decl)
+    # A walk that stops at its bound leaves every terminator a generic tag.
+    monkeypatch.setattr(emit._Tagger, "_member", lambda self, *args: self._tag(10**6, "X"))
+    generic = {";": "OTHER", "(": "OTHER", ")": "OTHER", "{": "PLAIN_BLOCK", "}": "PLAIN_BLOCK"}
+    assert categorize(decl) == [generic.get(tok.text) for tok in decl.tokens]

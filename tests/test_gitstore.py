@@ -34,7 +34,9 @@ from methodgit.gitstore import (
 )
 from methodgit.rewrite import rewrite_history
 
-from conftest import AUTHOR, build_linear_repo, build_tag_repo, requires_git, write_tree_dict
+from conftest import (
+    AUTHOR, build_linear_repo, build_tag_repo, requires_git, write_files, write_tree_dict,
+)
 
 
 def git(*args: str, cwd: str) -> str:
@@ -80,7 +82,7 @@ def test_tree_round_trip_and_sort_rule(tmp_path):
     )
     writer.close()
     with ObjectStore(writer.path) as store:
-        names = [e.name for e in store.read_tree(tree)]
+        names = list(store.read_tree(tree))
         assert names == [b"a", b"foo.bar", b"foo"]
 
 
@@ -386,6 +388,9 @@ def test_size_of_a_missing_or_malformed_object_raises_repository_error(tmp_path)
         pytest.param(b"100644 a\x00" + b"\x01" * 7, id="truncated-id"),
         pytest.param(b"100844 a\x00" + b"\x01" * 20, id="non-octal-mode"),
         pytest.param(b"100644 \x00" + b"\x01" * 20, id="empty-name"),
+        # A name that occurs twice, which git fsck reports as duplicateEntries.
+        pytest.param(b"100644 a\x00" + b"\x01" * 20 + b"40000 a\x00" + b"\x03" * 20,
+                     id="duplicate-name"),
     ],
 )
 def test_malformed_tree_raises_repository_error(tmp_path, bad_entry):
@@ -393,13 +398,97 @@ def test_malformed_tree_raises_repository_error(tmp_path, bad_entry):
     for payload in (bad_entry, good_entry + bad_entry):
         with pytest.raises(ValueError):
             parse_tree(payload)
-    assert parse_tree(good_entry) == [(b"100644", b"ok", "02" * 20)]
+    assert parse_tree(good_entry) == {b"ok": (b"100644", "02" * 20)}
     with RepoWriter(str(tmp_path / "r.git")) as writer:
         writer.init_bare()
         tree = writer.write_object(b"tree", good_entry + bad_entry)
     with ObjectStore(writer.path) as store:
         with pytest.raises(RepositoryError, match=f"corrupt tree {tree}"):
             store.read_tree(tree)
+
+
+def _one_entry_pack(path: str, oid: str, body: bytes) -> None:
+    """A bare repository at path whose one pack holds body as oid's entry."""
+    with RepoWriter(path) as writer:
+        writer.init_bare()
+    pack = b"PACK" + struct.pack(">II", 2, 1) + body
+    pack_sha = hashlib.sha1(pack).digest()
+    entries = {bytes.fromhex(oid): (12, zlib.crc32(body))}
+    write_files(path, {
+        "objects/pack/pack-x.pack": pack + pack_sha,
+        "objects/pack/pack-x.idx": _pack_index(entries, pack_sha),
+    })
+
+
+def test_stream_longer_than_the_first_slice_inflates_through_the_loop(tmp_path, monkeypatch):
+    # Empty stored blocks after a full flush keep the stream valid but make
+    # it longer than the slice sized from the entry header, so the one-call
+    # inflate fails and the incremental loop reads the rest.
+    payload = b"class A {}\n" * 20
+    c = zlib.compressobj()
+    head = c.compress(payload) + c.flush(zlib.Z_FULL_FLUSH)
+    stream = head + b"\x00\x00\x00\xff\xff" * 200 + c.flush()
+    assert zlib.decompress(stream) == payload
+    assert len(stream) > 2 * len(payload)
+    oid = hash_object(b"blob", payload)
+    _one_entry_pack(str(tmp_path / "r.git"), oid, _pack_entry_header(3, len(payload)) + stream)
+    loops = []
+    decompressobj = zlib.decompressobj
+
+    def counting() -> object:
+        loops.append(1)
+        return decompressobj()
+
+    monkeypatch.setattr(zlib, "decompressobj", counting)
+    with ObjectStore(str(tmp_path / "r.git")) as store:
+        assert store.read(oid) == ("blob", payload)
+    assert loops == [1]
+
+
+def test_header_claiming_a_huge_object_raises_repository_error(tmp_path):
+    # No output buffer is sized from the entry header: a header that
+    # claims 2**40 bytes ends in a size mismatch, not a MemoryError.
+    oid = hash_object(b"blob", b"ab")
+    _one_entry_pack(str(tmp_path / "r.git"), oid, _pack_entry_header(3, 2**40) + zlib.compress(b"ab"))
+    with ObjectStore(str(tmp_path / "r.git")) as store:
+        with pytest.raises(RepositoryError, match=f"corrupt object {oid}"):
+            store.read(oid)
+
+
+_TREE_MODES = (b"100644", b"100755", b"40000", b"120000", b"160000")
+_tree_entries = st.tuples(
+    st.sampled_from(_TREE_MODES + (b"0", b"8", b"")),
+    st.binary(max_size=6),
+    st.binary(min_size=18, max_size=22),
+).map(lambda e: e[0] + b" " + e[1] + b"\x00" + e[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=80), st.lists(_tree_entries, max_size=4).map(b"".join)))
+def test_parse_tree_returns_a_name_map_or_raises_value_error(payload):
+    try:
+        tree = parse_tree(payload)
+    except ValueError:
+        return
+    assert type(tree) is dict
+    for name, (mode, oid) in tree.items():
+        assert name and b"\x00" not in name and mode.isdigit()
+        assert len(bytes.fromhex(oid)) == 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    st.binary(min_size=1, max_size=8).filter(lambda name: b"\x00" not in name),
+    st.tuples(st.sampled_from(_TREE_MODES), st.binary(min_size=20, max_size=20).map(bytes.hex)),
+    max_size=6,
+))
+def test_written_tree_reads_back_as_its_name_map(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        with RepoWriter(tmp) as writer:
+            writer.init_bare()
+            tree = writer.write_tree([TreeEntry(mode, name, oid) for name, (mode, oid) in entries.items()])
+        with ObjectStore(tmp) as store:
+            assert store.read_tree(tree) == entries
 
 
 def test_discover_rejects_non_repo(tmp_path):
@@ -815,16 +904,9 @@ FUZZ_FILES, FUZZ_OBJECTS = _fuzz_repository()
 FUZZ_IDS = [oid for oid, *_ in FUZZ_OBJECTS]
 
 
-def _write_files(root: str, files: dict[str, bytes]) -> None:
-    for path, data in files.items():
-        os.makedirs(os.path.dirname(os.path.join(root, path)), exist_ok=True)
-        with open(os.path.join(root, path), "wb") as f:
-            f.write(data)
-
-
 def test_fuzz_repository_reads_back():
     with tempfile.TemporaryDirectory() as tmp:
-        _write_files(tmp, FUZZ_FILES)
+        write_files(tmp, FUZZ_FILES)
         with ObjectStore(tmp) as store:
             for oid in FUZZ_IDS:
                 kind, payload = store.read(oid)
@@ -848,7 +930,7 @@ def test_corrupt_objects_raise_only_repository_error(data):
         del raw[at:]
     files[path] = bytes(raw)
     with tempfile.TemporaryDirectory() as tmp:
-        _write_files(tmp, files)
+        write_files(tmp, files)
         with ObjectStore(tmp) as store:
             for method in (store.size, store.read):
                 for oid in FUZZ_IDS:
@@ -870,7 +952,7 @@ def test_ref_delta_cut_inside_its_base_id_raises_repository_error():
         base_at += 1
     files = {**FUZZ_FILES, path: pack[: base_at + 1]}
     with tempfile.TemporaryDirectory() as tmp:
-        _write_files(tmp, files)
+        write_files(tmp, files)
         os.makedirs(os.path.join(tmp, "objects", pack[base_at : base_at + 1].hex()), exist_ok=True)
         with ObjectStore(tmp) as store:
             for method in (store.size, store.read):

@@ -44,12 +44,12 @@ from repogen import generate_java_repo
 
 def flatten(store: ObjectStore, tree_oid: str, prefix: str = "") -> dict[str, str]:
     out: dict[str, str] = {}
-    for entry in store.read_tree(tree_oid):
-        name = entry.name.decode()
-        if entry.is_tree:
-            out.update(flatten(store, entry.oid, prefix + name + "/"))
+    for raw_name, (mode, oid) in store.read_tree(tree_oid).items():
+        name = raw_name.decode()
+        if mode == b"40000":
+            out.update(flatten(store, oid, prefix + name + "/"))
         else:
-            out[prefix + name] = entry.oid
+            out[prefix + name] = oid
     return out
 
 
@@ -295,11 +295,8 @@ def test_gitlink_entries_are_preserved(tmp_path):
     rewrite_history(src, dst)
     store = ObjectStore(dst)
     head = store.resolve_ref("HEAD")
-    entries = {
-        e.name: e for e in store.read_tree(store.read_commit(head).tree)
-    }
-    assert entries[b"vendored"].mode == b"160000"
-    assert entries[b"vendored"].oid == "a" * 40
+    entries = store.read_tree(store.read_commit(head).tree)
+    assert entries[b"vendored"] == (b"160000", "a" * 40)
     store.close()
 
 
@@ -528,17 +525,17 @@ def assert_files_render_fresh(
     """Check that every file the conversion emitted for a .java blob is a
     fresh render of a fresh extract of that blob; returns how many files
     were checked.  Names repeat as the converter handles them: first wins."""
-    emitted = {e.name: e.oid for e in dst.read_tree(dst_tree)}
+    emitted = {name: oid for name, (_, oid) in dst.read_tree(dst_tree).items()}
     seen: set[bytes] = set()
     checked = 0
-    for entry in src.read_tree(src_tree):
+    for entry_name, (mode, oid) in src.read_tree(src_tree).items():
         files = None
-        if entry.is_tree:
-            checked += assert_files_render_fresh(src, dst, entry.oid, emitted[entry.name], config)
-        elif entry.name.endswith(b".java"):
-            files = convert_blob(src.read(entry.oid)[1], config)
+        if mode == b"40000":
+            checked += assert_files_render_fresh(src, dst, oid, emitted[entry_name], config)
+        elif entry_name.endswith(b".java"):
+            files = convert_blob(src.read(oid)[1], config)
         if files is None:
-            seen.add(entry.name)
+            seen.add(entry_name)
             continue
         for name, data in files:
             if name.encode() in seen:
