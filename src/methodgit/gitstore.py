@@ -612,11 +612,12 @@ def parse_tree(payload: bytes) -> dict[bytes, tuple[bytes, str]]:
     the tree's order.
 
     The entries must tile the payload exactly; a gap, a truncated last
-    entry, a mode that is not octal digits or an empty name raises
-    ValueError, and so does a name that occurs twice (git fsck's
-    duplicateEntries).  The map is built by one C-level expression, with
-    no Python object per entry, as git's tree-walk.c looks names up in
-    the raw tree buffer.
+    entry, a mode that is not octal digits, an empty name or a name that
+    contains "/" (git fsck's fullPathname) raises ValueError, and so does a
+    name that occurs twice (git fsck's duplicateEntries).  So every path
+    names at most one entry.  The map is built by one C-level expression,
+    with no Python object per entry, as git's tree-walk.c looks names up
+    in the raw tree buffer.
     """
     # split puts the bytes between matches at every fourth place, then
     # each match's three groups.
@@ -624,6 +625,10 @@ def parse_tree(payload: bytes) -> dict[bytes, tuple[bytes, str]]:
     if any(parts[::4]):
         raise ValueError("malformed tree entry")
     names = parts[2::4]
+    # One search of the joined names: a set [^\x00/] in the pattern would
+    # test every name byte against a set, which costs the split far more.
+    if b"/" in b"".join(names):
+        raise ValueError("tree entry name contains '/'")
     tree = dict(zip(names, zip(parts[1::4], map(bytes.hex, parts[3::4]))))
     if len(tree) != len(names):
         raise ValueError("duplicate tree entry name")

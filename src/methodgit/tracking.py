@@ -6,26 +6,35 @@ the trees that changed along that path.  Each tree is read and decoded once
 per id into gitstore's name map, {raw name: (mode, hex id)}, which is cached
 as it is and looked up by raw name bytes.  When the path disappears from the
 parent, every file the commit deleted (and, with copy detection, every file
-it retained) is a candidate, in path order, and the best candidate at or
-above the threshold continues the chain as a rename or copy; only there are
-whole trees flattened into path -> blob maps.
+it retained) is a candidate, and the best candidate at or above the
+threshold continues the chain as a rename or copy; of two equal scores the
+smaller path wins.
 
 A score is at most min(size)/max(size) of the two files, in bytes or in
-lines by the metric, so once a best candidate exists any candidate whose
-bound does not beat it strictly is skipped unscored.  The prune compares
-with the best so far, never with the threshold, so the best candidate is
-the same as without it even when it falls below the threshold.  Byte sizes
-come from the object's pack or loose header (ObjectStore.size), as git's
-rename detection takes them from oid_object_info, so under the byte metric
-a skipped candidate is never inflated; line counts need its fingerprint.
+lines by the metric, or 1/1 when both are empty.  So the first parent's
+files are indexed once per tree id and metric, sorted by (size, path), and
+a disappearance bisects to the target's size and walks outward, always on
+the side whose next bound is larger.  It stops at the first bound strictly
+below the best score, and a candidate whose bound only equals it is scored
+only if its path is smaller than the best's.  The winner, its score and its kind are those
+of scoring every candidate in path order, even when the best falls below
+the threshold.  Whether a candidate was deleted is one lookup in the
+commit's own tree, made only for the candidates visited (with copy
+detection, only for the winner), so that tree is never flattened.  Byte
+sizes come from the object's pack or loose header (ObjectStore.size), as
+git's rename detection takes them from oid_object_info, and are memoised
+per blob id, so under the byte metric a candidate that is not visited is
+never inflated; line counts need the fingerprint.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import TrackError
 from .gitstore import FILE_MODES, TREE_MODE, ObjectStore
@@ -155,13 +164,14 @@ class TrackStep:
 class FollowCaches:
     """Shared lookup state, reusable across follow() calls on one store.
 
-    trees maps a tree id to its name map (ObjectStore.read_tree); flat maps
-    a tree id to the path -> blob map of every regular file under it, and
-    candidates to the same files as (path, blob) pairs sorted by path.
+    trees maps a tree id to its name map (ObjectStore.read_tree); sizes maps
+    a blob id to its size in bytes; candidates maps (tree id, metric) to
+    every regular file under the tree as (size in the metric's unit, path,
+    blob id), sorted; fingerprints maps a blob id to its Fingerprint.
     """
 
     trees: dict = field(default_factory=dict)
-    flat: dict = field(default_factory=dict)
+    sizes: dict = field(default_factory=dict)
     candidates: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
@@ -213,31 +223,34 @@ def _lookup(
 
 
 def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[str, str]:
-    """path -> blob id for every regular file under the tree."""
-    flat = caches.flat.get(tree_oid)
-    if flat is not None:
-        return flat
+    """path -> blob id for every regular file under the tree, built in one
+    pass over the cached name maps; nothing per subtree is kept."""
     flat = {}
-    for raw_name, (mode, oid) in _entries(store, tree_oid, caches).items():
-        name = raw_name.decode("utf-8", "surrogateescape")
-        if mode == TREE_MODE:
-            for sub_path, sub_oid in _flatten(store, oid, caches).items():
-                flat[f"{name}/{sub_path}"] = sub_oid
-        elif mode in FILE_MODES:
-            flat[name] = oid
-    caches.flat[tree_oid] = flat
+    pending = [("", tree_oid)]
+    while pending:
+        prefix, oid = pending.pop()
+        for raw_name, (mode, sub_oid) in _entries(store, oid, caches).items():
+            path = prefix + raw_name.decode("utf-8", "surrogateescape")
+            if mode == TREE_MODE:
+                pending.append((path + "/", sub_oid))
+            elif mode in FILE_MODES:
+                flat[path] = sub_oid
     return flat
 
 
 def _candidates(
-    store: ObjectStore, tree_oid: str, caches: FollowCaches
-) -> list[tuple[str, str]]:
-    """(path, blob id) for every regular file under the tree, by path;
-    sorted once per tree id, not once per disappearance."""
-    items = caches.candidates.get(tree_oid)
+    store: ObjectStore, tree_oid: str, metric: Metric, caches: FollowCaches
+) -> list[tuple[int, str, str]]:
+    """(size, path, blob id) for every regular file under the tree, sorted;
+    built once per tree id and metric, not once per disappearance."""
+    key = (tree_oid, metric)
+    items = caches.candidates.get(key)
     if items is None:
-        items = sorted(_flatten(store, tree_oid, caches).items())
-        caches.candidates[tree_oid] = items
+        items = sorted(
+            (_size(store, oid, metric, caches), path, oid)
+            for path, oid in _flatten(store, tree_oid, caches).items()
+        )
+        caches.candidates[key] = items
     return items
 
 
@@ -252,11 +265,16 @@ def _blob_fingerprint(store: ObjectStore, oid: str, caches: FollowCaches) -> Fin
 
 def _size(store: ObjectStore, oid: str, metric: Metric, caches: FollowCaches) -> int:
     """The blob's size in the metric's unit: lines, or bytes, which are
-    read from the object's header unless the blob was fingerprinted."""
+    read from the object's header unless the blob was fingerprinted, once
+    per blob id."""
     if metric is Metric.LINES:
         return _blob_fingerprint(store, oid, caches).line_count
-    fp = caches.fingerprints.get(oid)
-    return fp.total_bytes if fp is not None else store.size(oid)
+    size = caches.sizes.get(oid)
+    if size is None:
+        fp = caches.fingerprints.get(oid)
+        size = fp.total_bytes if fp is not None else store.size(oid)
+        caches.sizes[oid] = size
+    return size
 
 
 def resolve_start(
@@ -298,6 +316,12 @@ def resolve_start(
     return next(iter(containing))
 
 
+def _ahead(numerator: int, denominator: int, score: SimilarityScore) -> int:
+    """Positive, zero or negative as numerator/denominator is above, equal
+    to or below score; by cross-multiplication, as denominators are >= 1."""
+    return numerator * score.denominator - score.numerator * denominator
+
+
 def _disappearance(
     store: ObjectStore,
     commit_id: str,
@@ -309,39 +333,54 @@ def _disappearance(
 ) -> _Winner | None:
     """Best rename/copy candidate for the blob that appeared at commit_id,
     scored against the first parent's files, whatever its score; the
-    caller applies the threshold."""
-    cur_flat = _flatten(store, tree_oid, caches)
+    caller applies the threshold.  Of equal scores the smaller path wins."""
     target = _blob_fingerprint(store, blob_oid, caches)
     metric = config.metric
-    target_size = target.line_count if metric is Metric.LINES else target.total_bytes
-    best: _Winner | None = None
-    for old_path, old_oid in _candidates(store, parent_tree_oid, caches):
-        deleted = old_path not in cur_flat
-        if not deleted and not config.detect_copies:
-            continue
+    size = target.line_count if metric is Metric.LINES else target.total_bytes
+    files = _candidates(store, parent_tree_oid, metric, caches)
+    # Left of `right` every file is smaller than the target, so bounds fall
+    # walking away from it on either side.
+    right = bisect_left(files, size, key=itemgetter(0))
+    left = right - 1
+    square = size * size
+    best: tuple[SimilarityScore, str, str] | None = None  # score, path, blob
+    while True:
+        # Next is the side with the larger bound, min/max: left's is
+        # files[left][0]/size and right's size/files[right][0].
+        if left >= 0 and (right == len(files) or files[left][0] * files[right][0] > square):
+            old_size, old_path, old_oid = files[left]
+            left -= 1
+        elif right < len(files):
+            old_size, old_path, old_oid = files[right]
+            right += 1
+        else:
+            break
         if best is not None:
-            # A score is at most min(size)/max(size), or 1/1 when both are
-            # empty; a candidate that cannot beat best strictly is skipped.
-            size = _size(store, old_oid, metric, caches)
-            top = max(size, target_size)
-            if top and (
-                min(size, target_size) * best.score.denominator
-                <= best.score.numerator * top
-            ):
-                continue
+            top = max(old_size, size)
+            # Two empty files bound their score by 1/1, at or above any best.
+            ahead = _ahead(min(old_size, size), top, best[0]) if top else 1
+            if ahead < 0:
+                break  # the largest bound left is below the best score
+            if ahead == 0 and old_path > best[1]:
+                continue  # at most a tie, which the smaller path wins
+        if not config.detect_copies and _lookup(store, tree_oid, old_path, caches) is not None:
+            continue  # retained, and only deleted files are candidates
         score = similarity(_blob_fingerprint(store, old_oid, caches), target, metric)
-        # Strictly greater, by cross-multiplication: denominators are >= 1.
-        if best is None or (
-            score.numerator * best.score.denominator
-            > best.score.numerator * score.denominator
-        ):
-            best = _Winner(
-                score=score,
-                old_path=old_path,
-                kind=StepKind.RENAME if deleted else StepKind.COPY,
-                blob=old_oid,
-            )
-    return best
+        if best is not None:
+            ahead = _ahead(score.numerator, score.denominator, best[0])
+            if ahead < 0 or (ahead == 0 and old_path > best[1]):
+                continue
+        best = (score, old_path, old_oid)
+    if best is None:
+        return None
+    score, old_path, old_oid = best
+    retained = config.detect_copies and _lookup(store, tree_oid, old_path, caches) is not None
+    return _Winner(
+        score=score,
+        old_path=old_path,
+        kind=StepKind.COPY if retained else StepKind.RENAME,
+        blob=old_oid,
+    )
 
 
 def follow(

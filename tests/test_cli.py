@@ -413,6 +413,24 @@ def test_convert_tree_with_a_duplicate_name_fails_without_traceback(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["src.git"]
 
 
+def test_track_tree_with_a_slash_in_a_name_fails_without_traceback(tmp_path):
+    src = str(tmp_path / "src.git")
+    with RepoWriter(src) as writer:
+        writer.init_bare()
+        blob = bytes.fromhex(writer.write_blob(b"x\n"))
+        # a/b names one entry, though it reads as the path of another.
+        tree = writer.write_object(b"tree", b"100644 a/b\x00" + blob)
+        stamp = AUTHOR % 1700000000
+        commit = writer.write_commit(tree=tree, parents=[], author=stamp, committer=stamp,
+                                     message=b"m\n")
+    writer.write_refs({"refs/heads/master": commit})
+    result = run_module("track", "--repo", src, "--path", "a/b", "-M", "50")
+    assert result.returncode == 1
+    assert f"corrupt tree {tree}: tree entry name contains '/'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("path, data, message", [
     ("HEAD", b"ref: refs/heads/\xff\n", "malformed HEAD"),
     ("refs/heads/odd", b"\xff" * 40 + b"\n", "malformed object id"),

@@ -388,6 +388,8 @@ def test_size_of_a_missing_or_malformed_object_raises_repository_error(tmp_path)
         pytest.param(b"100644 a\x00" + b"\x01" * 7, id="truncated-id"),
         pytest.param(b"100844 a\x00" + b"\x01" * 20, id="non-octal-mode"),
         pytest.param(b"100644 \x00" + b"\x01" * 20, id="empty-name"),
+        # A name with a slash, which git fsck reports as fullPathname.
+        pytest.param(b"100644 a/b\x00" + b"\x01" * 20, id="slash-in-name"),
         # A name that occurs twice, which git fsck reports as duplicateEntries.
         pytest.param(b"100644 a\x00" + b"\x01" * 20 + b"40000 a\x00" + b"\x03" * 20,
                      id="duplicate-name"),
@@ -458,7 +460,7 @@ def test_header_claiming_a_huge_object_raises_repository_error(tmp_path):
 _TREE_MODES = (b"100644", b"100755", b"40000", b"120000", b"160000")
 _tree_entries = st.tuples(
     st.sampled_from(_TREE_MODES + (b"0", b"8", b"")),
-    st.binary(max_size=6),
+    st.one_of(st.binary(max_size=6), st.sampled_from([b"a/b", b"/", b"a/"])),
     st.binary(min_size=18, max_size=22),
 ).map(lambda e: e[0] + b" " + e[1] + b"\x00" + e[2])
 
@@ -472,13 +474,13 @@ def test_parse_tree_returns_a_name_map_or_raises_value_error(payload):
         return
     assert type(tree) is dict
     for name, (mode, oid) in tree.items():
-        assert name and b"\x00" not in name and mode.isdigit()
+        assert name and b"\x00" not in name and b"/" not in name and mode.isdigit()
         assert len(bytes.fromhex(oid)) == 20
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(
-    st.binary(min_size=1, max_size=8).filter(lambda name: b"\x00" not in name),
+    st.binary(min_size=1, max_size=8).filter(lambda name: b"\x00" not in name and b"/" not in name),
     st.tuples(st.sampled_from(_TREE_MODES), st.binary(min_size=20, max_size=20).map(bytes.hex)),
     max_size=6,
 ))

@@ -8,7 +8,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from methodgit import (
@@ -501,7 +501,6 @@ def test_walk_flattens_no_tree_where_the_path_stays(tmp_path, monkeypatch):
         return original(store, tree_oid, caches)
 
     monkeypatch.setattr("methodgit.tracking._flatten", counting)
-    counts = {}
     for n in (3, 30):
         repo = str(tmp_path / f"r{n}.git")
         # keep/k.txt appears at commit 1; every commit edits other/o.txt.
@@ -510,11 +509,14 @@ def test_walk_flattens_no_tree_where_the_path_stays(tmp_path, monkeypatch):
             files["keep/k.txt"] = b"k\n"
         ids = build_linear_repo(repo, snapshots)
         flattened.clear()
-        steps = track(repo, "keep/k.txt", threshold=50, detect_copies=True)
-        assert [(s.kind, s.commit_id) for s in steps] == [(StepKind.ADD, ids[1])]
-        counts[n] = len(flattened)
-    # Only the one disappearance, at the path's first commit, flattens.
-    assert counts[3] == counts[30]
+        for copies in (False, True):
+            steps = track(repo, "keep/k.txt", threshold=50, detect_copies=copies)
+            assert [(s.kind, s.commit_id) for s in steps] == [(StepKind.ADD, ids[1])]
+        with ObjectStore(repo) as store:
+            parent_tree = store.read_commit(ids[0]).tree
+        # Only the one disappearance, at the path's first commit, flattens,
+        # and only its parent's tree: deletions are looked up in the other.
+        assert flattened == [parent_tree, parent_tree]
 
 
 def _numbered(prefix: str, n: int, start: int = 0) -> list[bytes]:
@@ -559,6 +561,20 @@ def test_size_prune_is_exact_on_heavy_tailed_sizes(tmp_path, monkeypatch):
         return original(a, b, metric)
 
     monkeypatch.setattr("methodgit.tracking.similarity", counting)
+    sized = []
+    original_size = ObjectStore.size
+
+    def counting_size(self, oid):
+        sized.append(oid)
+        return original_size(self, oid)
+
+    monkeypatch.setattr(ObjectStore, "size", counting_size)
+
+    def assert_sized_once_each():
+        # Sizes are memoised per blob id in FollowCaches.
+        assert len(sized) == len(set(sized))
+        sized.clear()
+
     old_files = _HEAVY_TAILED[0]
     expected_old = {"new/tracked.txt": "mid/c.txt", "new/low.txt": "mid/a.txt",
                     "new/empty.txt": "x/empty.txt"}
@@ -577,6 +593,7 @@ def test_size_prune_is_exact_on_heavy_tailed_sizes(tmp_path, monkeypatch):
                     winner = _disappearance(
                         store, ids[1], trees[1], trees[0], blob, config, caches
                     )
+                    assert_sized_once_each()
                     want = max(
                         brute_similarity(old_files[old], _HEAVY_TAILED[1][path], metric.value)
                         for old in old_files if copies or old != "keep/k.txt"
@@ -590,13 +607,83 @@ def test_size_prune_is_exact_on_heavy_tailed_sizes(tmp_path, monkeypatch):
                              s.score.as_fraction() if s.score is not None else None)
                             for s in follow(store, path, config)
                         ]
+                        assert_sized_once_each()
                         assert got == brute_follow(
                             store, path, ids[1], threshold, copies, metric.value
                         ), (path, config)
                         candidates += n_candidates
-    # Some candidates were skipped on their sizes alone.
-    assert 0 < len(scored) < candidates
-    assert set(scored) == set(Metric)
+    # Some candidates were skipped on their sizes alone: of these 408, the
+    # search in size order scores 60 per metric where scoring in path order
+    # with the same bound scored 88.
+    assert candidates == 408
+    assert len(scored) == 120
+    assert scored.count(Metric.LINES) == scored.count(Metric.GIT_BYTES)
+
+
+# Four-byte lines, so that byte sizes are four times line counts and equal
+# fractions occur at different sizes under both metrics; two longer lines
+# make the metrics differ.  The target's lines are t00-t09.
+_POOL = (
+    [b"t%02d\n" % i for i in range(10)]
+    + [b"f%02d\n" % i for i in range(4)]
+    + [b"a longer line %d\n" % i for i in range(2)]
+)
+_TARGET_10 = b"".join(_POOL[:10])
+_CONTENTS = st.lists(st.sampled_from(_POOL), max_size=20).map(b"".join)
+_PATHS = ("a.txt", "b.txt", "c/a.txt", "c/d.txt", "c/e/f.txt", "z.txt")
+_NEW = "new/target.txt"
+
+
+def _full_scan(parent: dict, current: dict, target: bytes, config: TrackerConfig):
+    """(old path, score, kind, content) of the first best candidate in path
+    order, scoring every candidate."""
+    best = None
+    for path in sorted(parent):
+        retained = path in current
+        if retained and not config.detect_copies:
+            continue
+        score = similarity(fingerprint(parent[path]), fingerprint(target), config.metric)
+        if best is None or score.as_fraction() > best[1].as_fraction():
+            kind = StepKind.COPY if retained else StepKind.RENAME
+            best = (path, score, kind, parent[path])
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parent=st.dictionaries(st.sampled_from(_PATHS), _CONTENTS, max_size=len(_PATHS)),
+    retained=st.sets(st.sampled_from(_PATHS)),
+    target=st.one_of(st.just(_TARGET_10), st.just(b""), _CONTENTS),
+)
+# 5/10 against 10/20: a.txt comes later in size order, but its path is
+# smaller, so it wins the tie.
+@example(
+    parent={"a.txt": _TARGET_10 + b"f00\n" * 10, "b.txt": _TARGET_10[:20] + b"f01\n" * 5},
+    retained=set(),
+    target=_TARGET_10,
+)
+@example(parent={"a.txt": b"", "b.txt": b"", "z.txt": b"t00\n"}, retained={"a.txt"}, target=b"")
+def test_size_ordered_search_equals_a_full_scan_in_path_order(parent, retained, target):
+    current = {path: parent[path] for path in retained if path in parent}
+    current[_NEW] = target
+    with tempfile.TemporaryDirectory() as tmp:
+        ids = build_linear_repo(os.path.join(tmp, "r.git"), [parent, current])
+        with ObjectStore(os.path.join(tmp, "r.git")) as store:
+            trees = [store.read_commit(cid).tree for cid in ids]
+            # One FollowCaches for all four searches, as evaluate shares it.
+            caches = FollowCaches()
+            blob = _lookup(store, trees[1], _NEW, caches)
+            for metric in Metric:
+                for copies in (False, True):
+                    config = TrackerConfig(threshold=50, detect_copies=copies, metric=metric)
+                    winner = _disappearance(
+                        store, ids[1], trees[1], trees[0], blob, config, caches
+                    )
+                    got = None
+                    if winner is not None:
+                        got = (winner.old_path, winner.score, winner.kind,
+                               store.read(winner.blob)[1])
+                    assert got == _full_scan(parent, current, target, config), config
 
 
 @pytest.mark.parametrize("shadow", ["symlink", "directory"])
