@@ -16,7 +16,6 @@ from .tracking import (
     TrackStep,
     count_renames,
     follow,
-    resolve_start,
 )
 
 DEFAULT_THRESHOLDS = tuple(range(20, 85, 5))
@@ -94,35 +93,28 @@ def evaluate(
 ) -> tuple[list[EvalMetrics], list[str]]:
     """Micro-averaged precision/recall/F per threshold.
 
-    Entries whose path cannot be resolved are skipped from every threshold
-    and returned in the second element.
+    Each oracle path is resolved and walked once.  Entries whose path
+    cannot be resolved are skipped from every threshold and returned in
+    the second element.
     """
     base = base_config or TrackerConfig(threshold=50, detect_copies=True)
-    caches = FollowCaches()
-    resolved: list[tuple[OracleEntry, str]] = []
-    skipped: list[str] = []
-    for entry in oracle:
-        try:
-            start = resolve_start(store, entry.method_path, None, caches)
-        except TrackError:
-            skipped.append(entry.method_path)
-            continue
-        resolved.append((entry, start))
-
+    # The walk at threshold t is the lowest threshold's walk cut at its
+    # first rename or copy scoring below t, so one walk per path serves all.
     configs = [
         TrackerConfig(threshold=t, detect_copies=base.detect_copies, metric=base.metric)
         for t in thresholds
     ]
-    if not configs:
-        return [], skipped
-    # The walk at threshold t is the lowest threshold's walk cut at its
-    # first rename or copy scoring below t, so one walk per path serves all.
-    lowest = min(configs, key=lambda c: c.threshold)
-    walks = [
-        (entry.expected_rename_count,
-         follow(store, entry.method_path, lowest, ref=start, caches=caches))
-        for entry, start in resolved
-    ]
+    lowest = min(configs, key=lambda c: c.threshold, default=base)
+    caches = FollowCaches()
+    walks: list[tuple[int, list[TrackStep]]] = []
+    skipped: list[str] = []
+    for entry in oracle:
+        try:
+            steps = follow(store, entry.method_path, lowest, caches=caches)
+        except TrackError:
+            skipped.append(entry.method_path)
+            continue
+        walks.append((entry.expected_rename_count, steps))
     results: list[EvalMetrics] = []
     for threshold in thresholds:
         tp = fp = fn = 0

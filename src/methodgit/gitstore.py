@@ -22,7 +22,6 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from hashlib import sha1
-from typing import NamedTuple
 
 from .errors import RepositoryError
 
@@ -30,15 +29,6 @@ TREE_MODE = b"40000"
 # Regular and executable files; symlinks (120000) and submodules (160000)
 # are neither.
 FILE_MODES = (b"100644", b"100755")
-
-
-class TreeEntry(NamedTuple):
-    """One entry to write with RepoWriter.write_tree.  Trees read back as
-    parse_tree's name map."""
-
-    mode: bytes
-    name: bytes
-    oid: str
 
 
 @dataclass
@@ -94,8 +84,12 @@ class _PackFile:
         self._offsets = idx[ofs_off:big_off]
         self._big = idx[big_off : len(idx) - 40]
         f = open(pack_path, "rb")
+        try:
+            self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except BaseException:
+            f.close()
+            raise
         self._file = f
-        self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
     def close(self) -> None:
         self._map.close()
@@ -122,19 +116,38 @@ class _PackFile:
         return None
 
     def _read_varint_header(self, pos: int) -> tuple[int, int, int]:
-        """(type, size, next_pos) for the object header at pos."""
-        data = self._map
-        byte = data[pos]
-        pos += 1
+        """(type, size, next_pos) for the object header at pos: 4 size
+        bits in the first byte, then the rest as in a delta's sizes."""
+        byte = self._map[pos]
         obj_type = (byte >> 4) & 0x7
         size = byte & 0x0F
-        shift = 4
-        while byte & 0x80:
+        if byte & 0x80:
+            rest, pos = _delta_size(self._map, pos + 1)
+            return obj_type, size | rest << 4, pos
+        return obj_type, size, pos + 1
+
+    def _entry_header(self, offset: int) -> tuple[int, int, int, int | bytes]:
+        """(type, size, data position, base) of the pack entry at offset.
+        base is an OFS_DELTA's base offset, a REF_DELTA's base id (short
+        if the pack ends inside it), or 0 for a whole object."""
+        data = self._map
+        obj_type, size, pos = self._read_varint_header(offset)
+        if obj_type == 6:  # OFS_DELTA
             byte = data[pos]
             pos += 1
-            size |= (byte & 0x7F) << shift
-            shift += 7
-        return obj_type, size, pos
+            rel = byte & 0x7F
+            while byte & 0x80:
+                byte = data[pos]
+                pos += 1
+                rel = ((rel + 1) << 7) | (byte & 0x7F)
+            if not 0 < rel <= offset:
+                raise ValueError(f"delta base offset {rel} out of range")
+            return obj_type, size, pos, offset - rel
+        if obj_type == 7:  # REF_DELTA
+            return obj_type, size, pos + 20, data[pos : pos + 20]
+        if obj_type in (1, 2, 3, 4):
+            return obj_type, size, pos, 0
+        raise ValueError(f"unknown pack object type {obj_type}")
 
     def _inflate(self, pos: int, expected: int) -> bytes:
         data = self._map
@@ -182,18 +195,9 @@ class _PackFile:
         starts the delta data, so only that far is inflated and the base
         is never read.
         """
-        data = self._map
-        obj_type, size, pos = self._read_varint_header(offset)
+        obj_type, size, pos, _ = self._entry_header(offset)
         if obj_type in (1, 2, 3, 4):
             return size
-        if obj_type == 6:  # OFS_DELTA: step over the base offset
-            while data[pos] & 0x80:
-                pos += 1
-            pos += 1
-        elif obj_type == 7:  # REF_DELTA: step over the base id
-            pos += 20
-        else:
-            raise ValueError(f"unknown pack object type {obj_type}")
         # Base size, then result size: varints of at most 10 bytes each.
         head = self._inflate_head(pos, 20)
         _, head_pos = _delta_size(head, 0)
@@ -206,43 +210,29 @@ class _PackFile:
         REF_DELTA base that is not in this pack, and its deltas are then
         applied oldest first, so a chain's depth costs no stack.
         """
-        data = self._map
         deltas: list[tuple[int, int]] = []  # (data position, size), newest first
         while True:
-            obj_type, size, pos = self._read_varint_header(offset)
+            obj_type, size, pos, base_at = self._entry_header(offset)
             if obj_type in (1, 2, 3, 4):
                 base_type, base = obj_type, self._inflate(pos, size)
                 break
             if len(deltas) >= self.count:
                 raise ValueError("delta chain longer than the pack")
+            deltas.append((pos, size))
             if obj_type == 6:  # OFS_DELTA
-                byte = data[pos]
-                pos += 1
-                rel = byte & 0x7F
-                while byte & 0x80:
-                    byte = data[pos]
-                    pos += 1
-                    rel = ((rel + 1) << 7) | (byte & 0x7F)
-                if not 0 < rel <= offset:
-                    raise ValueError(f"delta base offset {rel} out of range")
-                deltas.append((pos, size))
-                offset -= rel
+                offset = base_at
                 continue
-            if obj_type == 7:  # REF_DELTA
-                base_bin = data[pos : pos + 20]
-                deltas.append((pos + 20, size))
-                base_offset = self.find(base_bin)
-                if base_offset is not None:
-                    offset = base_offset
-                    continue
-                if len(base_bin) < 20:
-                    raise ValueError("delta base id cut off by the end of the pack")
-                kind, base = store.read(base_bin.hex())
-                base_type = _TYPE_NUMBERS.get(kind)
-                if base_type is None:
-                    raise ValueError(f"delta base {base_bin.hex()} has unknown type {kind!r}")
-                break
-            raise ValueError(f"unknown pack object type {obj_type}")
+            base_offset = self.find(base_at)
+            if base_offset is not None:
+                offset = base_offset
+                continue
+            if len(base_at) < 20:
+                raise ValueError("delta base id cut off by the end of the pack")
+            kind, base = store.read(base_at.hex())
+            base_type = _TYPE_NUMBERS.get(kind)
+            if base_type is None:
+                raise ValueError(f"delta base {base_at.hex()} has unknown type {kind!r}")
+            break
         for pos, size in reversed(deltas):
             base = _apply_delta(base, self._inflate(pos, size))
         return base_type, base
@@ -314,13 +304,16 @@ _PACK_TYPES = {name.encode(): num for num, name in _TYPE_NAMES.items()}
 
 class ObjectStore:
     """Read-only view of an existing repository.  close(), or leaving a
-    with block, releases the packs it has mapped."""
+    with block, releases the packs it has mapped.
+
+    Every read inflates the object again: the store keeps no object
+    cache, and the layers that parse objects memoise what they parse.
+    """
 
     def __init__(self, path: str):
         gitdir = self._discover(path)
         self.gitdir = gitdir
         self._packs: list[_PackFile] | None = None
-        self._cache: dict[str, tuple[str, bytes]] = {}
 
     def __enter__(self) -> "ObjectStore":
         return self
@@ -349,18 +342,25 @@ class ObjectStore:
     # -- object reading --------------------------------------------------
 
     def _load_packs(self) -> list[_PackFile]:
-        if self._packs is None:
-            self._packs = []
-            pack_dir = os.path.join(self.gitdir, "objects", "pack")
-            if os.path.isdir(pack_dir):
-                for name in sorted(os.listdir(pack_dir)):
-                    if name.endswith(".pack"):
-                        idx = os.path.join(pack_dir, name[:-5] + ".idx")
-                        if os.path.exists(idx):
-                            self._packs.append(
-                                _PackFile(os.path.join(pack_dir, name))
-                            )
-        return self._packs
+        """The packs with an index, in name order.  A pack that cannot be
+        opened raises RepositoryError, on this and on every later read,
+        and leaves none of the packs open."""
+        if self._packs is not None:
+            return self._packs
+        pack_dir = os.path.join(self.gitdir, "objects", "pack")
+        names = sorted(os.listdir(pack_dir)) if os.path.isdir(pack_dir) else []
+        packs: list[_PackFile] = []
+        for name in names:
+            path = os.path.join(pack_dir, name)
+            if name.endswith(".pack") and os.path.exists(path[:-5] + ".idx"):
+                try:
+                    packs.append(_PackFile(path))
+                except (OSError, ValueError, struct.error, RepositoryError) as exc:
+                    for pack in packs:
+                        pack.close()
+                    raise RepositoryError(f"cannot open pack {path}: {exc}") from exc
+        self._packs = packs
+        return packs
 
     def contains(self, oid: str) -> bool:
         try:
@@ -374,16 +374,19 @@ class ObjectStore:
 
         Data that does not decode as a git object raises RepositoryError.
         """
-        cached = self._cache.get(oid)
-        if cached is not None:
-            return cached
         try:
-            result = self._read_uncached(oid)
+            packed = self._find_packed(oid)
+            if packed is not None:
+                pack, offset = packed
+                type_num, payload = pack.read_at(offset, self)
+                return _TYPE_NAMES[type_num], payload
+            raw = zlib.decompress(self._read_loose(oid))
+            kind, size, start = _loose_header(raw)
+            if len(raw) - start != size:
+                raise ValueError("loose object size mismatch")
+            return kind, raw[start:]
         except _CORRUPT as exc:
             raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
-        if result[0] != "blob":
-            self._cache[oid] = result
-        return result
 
     def size(self, oid: str) -> int:
         """The object's payload length, without inflating the payload.
@@ -393,9 +396,6 @@ class ObjectStore:
         loose object only its own header.  A missing object or a header
         that does not decode raises RepositoryError.
         """
-        cached = self._cache.get(oid)
-        if cached is not None:
-            return len(cached[1])
         try:
             packed = self._find_packed(oid)
             if packed is not None:
@@ -430,18 +430,6 @@ class ObjectStore:
                 return f.read()
         except FileNotFoundError:
             raise RepositoryError(f"object not found: {oid}") from None
-
-    def _read_uncached(self, oid: str) -> tuple[str, bytes]:
-        packed = self._find_packed(oid)
-        if packed is not None:
-            pack, offset = packed
-            type_num, payload = pack.read_at(offset, self)
-            return _TYPE_NAMES[type_num], payload
-        raw = zlib.decompress(self._read_loose(oid))
-        kind, size, start = _loose_header(raw)
-        if len(raw) - start != size:
-            raise ValueError("loose object size mismatch")
-        return kind, raw[start:]
 
     def read_commit(self, oid: str) -> CommitRecord:
         kind, payload = self.read(oid)
@@ -812,13 +800,17 @@ class RepoWriter:
     def write_blob(self, content: bytes) -> str:
         return self.write_object(b"blob", content)
 
-    def write_tree(self, entries: list[TreeEntry]) -> str:
-        def sort_key(e: TreeEntry) -> bytes:
-            return e.name + b"/" if e.mode == TREE_MODE else e.name
+    def write_tree(self, entries: dict[bytes, tuple[bytes, str]]) -> str:
+        """Write a tree from a name map, {raw name: (mode, hex id)}, as
+        parse_tree returns it; the entries are sorted as git sorts them."""
+
+        def sort_key(entry: tuple[bytes, tuple[bytes, str]]) -> bytes:
+            name, (mode, _) = entry
+            return name + b"/" if mode == TREE_MODE else name
 
         payload = b"".join(
-            e.mode + b" " + e.name + b"\x00" + bytes.fromhex(e.oid)
-            for e in sorted(entries, key=sort_key)
+            mode + b" " + name + b"\x00" + bytes.fromhex(oid)
+            for name, (mode, oid) in sorted(entries.items(), key=sort_key)
         )
         return self.write_object(b"tree", payload)
 

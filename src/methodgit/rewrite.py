@@ -18,7 +18,7 @@ from typing import Callable, TypeVar
 from .emit import LineFormat, RenderConfig, render
 from .errors import LexError, ParseError, RepositoryError
 from .extract import FieldDecl, MethodDecl, extract
-from .gitstore import FILE_MODES, TREE_MODE, ObjectStore, RepoWriter, TreeEntry
+from .gitstore import FILE_MODES, TREE_MODE, CommitRecord, ObjectStore, RepoWriter
 from .lexer import LexBase
 from .naming import NamePolicy, field_file_name, method_file_name
 
@@ -195,31 +195,25 @@ class _TreeConverter:
         cached = self.caches.trees.get(tree_oid)
         if cached is not None:
             return cached
-        out: list[TreeEntry] = []
-        seen_names: set[bytes] = set()
-
-        def add(entry: TreeEntry) -> None:
-            if entry.name in seen_names:
-                return
-            seen_names.add(entry.name)
-            out.append(entry)
-
+        # The first entry of a name wins: a later file that would take it
+        # is dropped.
+        out: dict[bytes, tuple[bytes, str]] = {}
         for name, (mode, oid) in self.store.read_tree(tree_oid).items():
             if mode == TREE_MODE:
-                add(TreeEntry(mode, name, self.convert_tree(oid)))
+                out.setdefault(name, (mode, self.convert_tree(oid)))
                 continue
             if mode == b"160000":
-                add(TreeEntry(mode, name, oid))
+                out.setdefault(name, (mode, oid))
                 continue
             if mode in FILE_MODES and name.endswith(b".java"):
                 files = self._convert_java_blob(oid, java_name=name)
                 if files is not None:
                     if self.config.keep_original_java:
-                        add(TreeEntry(mode, name, self._copy_blob(oid)))
+                        out.setdefault(name, (mode, self._copy_blob(oid)))
                     for file_name, blob_oid in files:
-                        add(TreeEntry(b"100644", file_name, blob_oid))
+                        out.setdefault(file_name, (b"100644", blob_oid))
                     continue
-            add(TreeEntry(mode, name, self._copy_blob(oid)))
+            out.setdefault(name, (mode, self._copy_blob(oid)))
         new_oid = self.writer.write_tree(out)
         self.caches.trees[tree_oid] = new_oid
         return new_oid
@@ -242,42 +236,37 @@ def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, s
     return {name: store.peel_to_commit(oid) for name, oid in selected.items()}
 
 
-def _topo_order(store: ObjectStore, tips: list[str]) -> list[str]:
+def _topo_order(store: ObjectStore, tips: list[str]) -> list[CommitRecord]:
     """All ancestors of tips, parents before children, ties broken by
-    (commit time, id)."""
-    commits: dict[str, list[str]] = {}
+    (commit time, id); each commit is read once."""
+    commits: dict[str, CommitRecord] = {}
     stack = list(dict.fromkeys(tips))
     while stack:
         oid = stack.pop()
         if oid in commits:
             continue
-        record = store.read_commit(oid)
-        commits[oid] = record.parents
+        record = commits[oid] = store.read_commit(oid)
         for parent in record.parents:
             if parent not in commits:
                 stack.append(parent)
 
     children: dict[str, list[str]] = {oid: [] for oid in commits}
     pending: dict[str, int] = {}
-    for oid, parents in commits.items():
-        pending[oid] = len(parents)
-        for parent in parents:
+    for oid, record in commits.items():
+        pending[oid] = len(record.parents)
+        for parent in record.parents:
             children[parent].append(oid)
 
-    ready = [
-        (store.read_commit(oid).commit_time, oid)
-        for oid, count in pending.items()
-        if count == 0
-    ]
+    ready = [(commits[oid].commit_time, oid) for oid, count in pending.items() if count == 0]
     heapq.heapify(ready)
-    order: list[str] = []
+    order: list[CommitRecord] = []
     while ready:
         _, oid = heapq.heappop(ready)
-        order.append(oid)
+        order.append(commits[oid])
         for child in children[oid]:
             pending[child] -= 1
             if pending[child] == 0:
-                heapq.heappush(ready, (store.read_commit(child).commit_time, child))
+                heapq.heappush(ready, (commits[child].commit_time, child))
     if len(order) != len(commits):
         raise RepositoryError("commit graph contains a cycle")
     return order
@@ -335,8 +324,7 @@ def _rewrite(
         writer.init_bare()
         order = _topo_order(store, list(refs.values()))
         converter = _TreeConverter(store, writer, config, stats)
-        for i, oid in enumerate(order):
-            record = store.read_commit(oid)
+        for i, record in enumerate(order):
             new_tree = converter.convert_tree(record.tree)
             new_id = writer.write_commit(
                 tree=new_tree,
@@ -346,8 +334,8 @@ def _rewrite(
                 message=record.message,
                 encoding=record.encoding,
             )
-            commit_map[oid] = new_id
-            map_lines.append(f"{oid}\t{new_id}")
+            commit_map[record.id] = new_id
+            map_lines.append(f"{record.id}\t{new_id}")
             if progress is not None and (i + 1) % 100 == 0:
                 progress(i + 1, len(order))
     stats.commits_processed = len(order)

@@ -19,7 +19,6 @@ from methodgit import (
     rewrite_history,
     similarity,
 )
-from methodgit.gitstore import TreeEntry
 
 PERSON_JAVA = """\
 public class Person {
@@ -114,14 +113,12 @@ def write_tree_dict(writer: RepoWriter, files: dict[str, bytes]) -> str:
         node[parts[-1]] = content
 
     def emit(node: dict) -> str:
-        entries = []
+        entries = {}
         for name, value in node.items():
             if isinstance(value, dict):
-                entries.append(TreeEntry(b"40000", name.encode(), emit(value)))
+                entries[name.encode()] = (b"40000", emit(value))
             else:
-                entries.append(
-                    TreeEntry(b"100644", name.encode(), writer.write_blob(value))
-                )
+                entries[name.encode()] = (b"100644", writer.write_blob(value))
         return writer.write_tree(entries)
 
     return emit(root)
@@ -189,6 +186,18 @@ def build_tag_repo(dst: str, target: bytes) -> str:
     writer.write_refs({"refs/heads/master": commit, "refs/tags/bad": tag})
     os.makedirs(os.path.join(dst, "objects", "cd"), exist_ok=True)
     return tag
+
+
+def build_unreadable_pack_repo(dst: str) -> str:
+    """A one-commit repository whose pack directory also holds an empty
+    pack-0000.pack beside a copy of the real pack's index; the empty pack
+    sorts first and cannot be mapped.  Returns the commit id."""
+    (commit,) = build_linear_repo(dst, [{"Person.java": PERSON_JAVA.encode()}])
+    pack_dir = os.path.join(dst, "objects", "pack")
+    (idx,) = [name for name in os.listdir(pack_dir) if name.endswith(".idx")]
+    shutil.copyfile(os.path.join(pack_dir, idx), os.path.join(pack_dir, "pack-0000.idx"))
+    open(os.path.join(pack_dir, "pack-0000.pack"), "wb").close()
+    return commit
 
 
 def method_named(source: str, name: str):

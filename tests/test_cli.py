@@ -30,6 +30,7 @@ from conftest import (
     PERSON_JAVA,
     build_linear_repo,
     build_tag_repo,
+    build_unreadable_pack_repo,
     read_files,
     write_files,
 )
@@ -429,6 +430,15 @@ def test_track_tree_with_a_slash_in_a_name_fails_without_traceback(tmp_path):
     assert f"corrupt tree {tree}: tree entry name contains '/'" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_track_with_an_unreadable_pack_fails_without_traceback(tmp_path, capsys):
+    src = str(tmp_path / "src.git")
+    build_unreadable_pack_repo(src)
+    code, out, err = run(capsys, "track", "--repo", src, "--path", "Person.java", "-M", "50")
+    assert code == 1
+    assert "cannot open pack" in err and "pack-0000.pack" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("path, data, message", [

@@ -176,18 +176,28 @@ def test_one_walk_per_resolved_path(metrics_repo, monkeypatch):
     repo, expected = metrics_repo
     module = importlib.import_module("methodgit.evaluate")
     walked: list[str] = []
+    refs_calls = []
+    refs = ObjectStore.refs
 
     def counting_follow(store, path, config, **kwargs):
+        steps = follow(store, path, config, **kwargs)
         walked.append(path)
-        return follow(store, path, config, **kwargs)
+        return steps
+
+    def counting_refs(store):
+        refs_calls.append(1)
+        return refs(store)
 
     monkeypatch.setattr(module, "follow", counting_follow)
+    monkeypatch.setattr(ObjectStore, "refs", counting_refs)
     store = ObjectStore(repo)
     oracle = oracle_for(expected) + [OracleEntry("ghost.mjava", 3)]
     metrics, skipped = evaluate(store, oracle)
-    assert evaluate(store, oracle, thresholds=()) == ([], ["ghost.mjava"])
     assert skipped == ["ghost.mjava"]
     assert sorted(walked) == sorted(expected)
+    # Each path, the unresolvable one too, is resolved once: one ref scan.
+    assert len(refs_calls) == len(oracle)
+    assert evaluate(store, oracle, thresholds=()) == ([], ["ghost.mjava"])
 
     # Each threshold's counts equal those of a walk at that threshold.
     monkeypatch.undo()

@@ -23,7 +23,6 @@ from methodgit import ObjectStore, RepoWriter
 from methodgit.errors import RepositoryError
 from methodgit.gitstore import (
     CommitRecord,
-    TreeEntry,
     _PACK_TYPES,
     _pack_entry_header,
     _pack_index,
@@ -35,7 +34,8 @@ from methodgit.gitstore import (
 from methodgit.rewrite import rewrite_history
 
 from conftest import (
-    AUTHOR, build_linear_repo, build_tag_repo, requires_git, write_files, write_tree_dict,
+    AUTHOR, build_linear_repo, build_tag_repo, build_unreadable_pack_repo, requires_git,
+    write_files, write_tree_dict,
 )
 
 
@@ -70,15 +70,11 @@ def test_tree_round_trip_and_sort_rule(tmp_path):
     writer = RepoWriter(str(tmp_path / "r.git"))
     writer.init_bare()
     blob = writer.write_blob(b"x")
-    sub = writer.write_tree([TreeEntry(b"100644", b"leaf", blob)])
+    sub = writer.write_tree({b"leaf": (b"100644", blob)})
     # A directory named "foo" must sort after the file "foo.bar" because
     # trees compare as "foo/"; plain entries compare by raw name.
     tree = writer.write_tree(
-        [
-            TreeEntry(b"40000", b"foo", sub),
-            TreeEntry(b"100644", b"foo.bar", blob),
-            TreeEntry(b"100644", b"a", blob),
-        ]
+        {b"foo": (b"40000", sub), b"foo.bar": (b"100644", blob), b"a": (b"100644", blob)}
     )
     writer.close()
     with ObjectStore(writer.path) as store:
@@ -488,9 +484,24 @@ def test_written_tree_reads_back_as_its_name_map(entries):
     with tempfile.TemporaryDirectory() as tmp:
         with RepoWriter(tmp) as writer:
             writer.init_bare()
-            tree = writer.write_tree([TreeEntry(mode, name, oid) for name, (mode, oid) in entries.items()])
+            tree = writer.write_tree(entries)
         with ObjectStore(tmp) as store:
             assert store.read_tree(tree) == entries
+
+
+def test_an_unreadable_pack_fails_every_read_alike(tmp_path):
+    # Every read fails with the same error naming the pack, and the pack
+    # file is not left open (tier-1 turns a ResourceWarning into an error).
+    repo = str(tmp_path / "r.git")
+    head = build_unreadable_pack_repo(repo)
+    messages = []
+    with ObjectStore(repo) as store:
+        for _ in range(2):
+            with pytest.raises(RepositoryError) as info:
+                store.read(head)
+            messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "cannot open pack" in messages[0] and "pack-0000.pack" in messages[0]
 
 
 def test_discover_rejects_non_repo(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+from collections import Counter
 from importlib import import_module
 
 import pytest
@@ -22,7 +23,7 @@ from methodgit import (
     tokenize,
 )
 from methodgit.errors import RepositoryError
-from methodgit.gitstore import TreeEntry, hash_object
+from methodgit.gitstore import hash_object
 from methodgit.lexer import tokenize as full_tokenize
 from methodgit.rewrite import convert_blob, convert_source
 
@@ -121,8 +122,9 @@ def test_graph_isomorphism_and_metadata(person_repo, tmp_path):
     dst_store.close()
 
 
-def test_merge_topology_preserved(tmp_path):
-    src = str(tmp_path / "src.git")
+def _merge_history(src: str) -> tuple[str, str, str, str]:
+    """base, then left and right on top of it, then their merge; the
+    commit ids in that order."""
     writer = RepoWriter(src)
     writer.init_bare()
 
@@ -154,7 +156,12 @@ def test_merge_topology_preserved(tmp_path):
     writer.close()
     writer.write_refs({"refs/heads/master": merge})
     writer.set_head("refs/heads/master")
+    return base, left, right, merge
 
+
+def test_merge_topology_preserved(tmp_path):
+    src = str(tmp_path / "src.git")
+    _merge_history(src)
     dst = str(tmp_path / "dst.git")
     stats = rewrite_history(src, dst)
     assert stats.commits_processed == 4
@@ -169,6 +176,24 @@ def test_merge_topology_preserved(tmp_path):
     }
     assert len(grandparents) == 1
     dst_store.close()
+
+
+def test_conversion_reads_each_commit_once(tmp_path, monkeypatch):
+    src = str(tmp_path / "src.git")
+    base, left, right, merge = _merge_history(src)
+    reads = Counter()
+    read = ObjectStore.read
+
+    def counting_read(store, oid):
+        result = read(store, oid)
+        if result[0] == "commit":
+            reads[oid] += 1
+        return result
+
+    monkeypatch.setattr(ObjectStore, "read", counting_read)
+    rewrite_history(src, str(tmp_path / "dst.git"))
+    # The tip is read once more, when its ref is peeled to a commit.
+    assert reads == {base: 1, left: 1, right: 1, merge: 2}
 
 
 def test_non_java_files_pass_through(tmp_path):
@@ -280,10 +305,7 @@ def test_gitlink_entries_are_preserved(tmp_path):
     writer = RepoWriter(src)
     writer.init_bare()
     tree = writer.write_tree(
-        [
-            TreeEntry(b"160000", b"vendored", "a" * 40),
-            TreeEntry(b"100644", b"x.txt", writer.write_blob(b"x\n")),
-        ]
+        {b"vendored": (b"160000", "a" * 40), b"x.txt": (b"100644", writer.write_blob(b"x\n"))}
     )
     stamp = AUTHOR % 1700000000
     cid = writer.write_commit(

@@ -22,7 +22,7 @@ from methodgit import (
     similarity,
 )
 from methodgit.errors import TrackError
-from methodgit.gitstore import FILE_MODES, TreeEntry
+from methodgit.gitstore import FILE_MODES
 from methodgit.tracking import (
     AmbiguousStart,
     FollowCaches,
@@ -446,14 +446,14 @@ _TREES = st.recursive(
 
 
 def _write_nested(writer: RepoWriter, tree: dict) -> str:
-    entries = []
+    entries = {}
     for name, value in tree.items():
         if isinstance(value, dict):
-            entries.append(TreeEntry(b"40000", name.encode(), _write_nested(writer, value)))
+            entries[name.encode()] = (b"40000", _write_nested(writer, value))
         else:
             mode, content = value
             oid = "1" * 40 if content is None else writer.write_blob(content)
-            entries.append(TreeEntry(mode, name.encode(), oid))
+            entries[name.encode()] = (mode, oid)
     return writer.write_tree(entries)
 
 
@@ -691,26 +691,26 @@ def test_follow_skips_a_first_parent_with_no_file_at_the_path(tmp_path, shadow):
     repo = str(tmp_path / "r.git")
     writer = RepoWriter(repo)
     writer.init_bare()
-    keep = TreeEntry(b"100644", b"keep.txt", writer.write_blob(b"k\n"))
+    keep = (b"100644", writer.write_blob(b"k\n"))
 
-    def commit(only: TreeEntry, parents, n):
+    def commit(only: tuple[bytes, str], parents, n):
         stamp = AUTHOR % (1700000000 + n * 60)
         return writer.write_commit(
-            tree=writer.write_tree([keep, only]),
+            tree=writer.write_tree({b"keep.txt": keep, b"only.txt": only}),
             parents=parents,
             author=stamp,
             committer=stamp,
             message=b"c%d\n" % n,
         )
 
-    def regular(content: bytes) -> TreeEntry:
-        return TreeEntry(b"100644", b"only.txt", writer.write_blob(content))
+    def regular(content: bytes) -> tuple[bytes, str]:
+        return (b"100644", writer.write_blob(content))
 
     if shadow == "symlink":
-        in_left = TreeEntry(b"120000", b"only.txt", writer.write_blob(b"keep.txt"))
+        in_left = (b"120000", writer.write_blob(b"keep.txt"))
     else:
-        inner = writer.write_tree([regular(b"o\n")])
-        in_left = TreeEntry(b"40000", b"only.txt", inner)
+        inner = writer.write_tree({b"only.txt": regular(b"o\n")})
+        in_left = (b"40000", inner)
     base = commit(regular(b"o0\n"), [], 0)
     left = commit(in_left, [base], 1)
     right = commit(regular(b"o\n"), [base], 2)
