@@ -22,8 +22,12 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from hashlib import sha1
+from typing import TYPE_CHECKING
 
 from .errors import RepositoryError
+
+if TYPE_CHECKING:
+    from .commitgraph import CommitGraph
 
 TREE_MODE = b"40000"
 # Regular and executable files; symlinks (120000) and submodules (160000)
@@ -57,6 +61,25 @@ def _object_header(kind: bytes, size: int) -> bytes:
 
 def hash_object(kind: bytes, payload: bytes) -> str:
     return sha1(_object_header(kind, len(payload)) + payload).hexdigest()
+
+
+def find_sorted_id(fanout: tuple[int, ...], names: bytes, oid_bin: bytes) -> int | None:
+    """The index of oid_bin in names, 20-byte ids in sorted order, or None;
+    fanout[b] counts the ids whose first byte is at most b, as in a pack
+    index and a commit-graph file."""
+    first = oid_bin[0]
+    lo = fanout[first - 1] if first else 0
+    hi = fanout[first]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cand = names[mid * 20 : mid * 20 + 20]
+        if cand == oid_bin:
+            return mid
+        if cand < oid_bin:
+            lo = mid + 1
+        else:
+            hi = mid
+    return None
 
 
 class _PackFile:
@@ -96,24 +119,14 @@ class _PackFile:
         self._file.close()
 
     def find(self, oid_bin: bytes) -> int | None:
-        first = oid_bin[0]
-        lo = self._fanout[first - 1] if first else 0
-        hi = self._fanout[first]
-        names = self._names
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cand = names[mid * 20 : mid * 20 + 20]
-            if cand == oid_bin:
-                (raw,) = struct.unpack_from(">I", self._offsets, mid * 4)
-                if raw & 0x80000000:
-                    (big,) = struct.unpack_from(">Q", self._big, (raw & 0x7FFFFFFF) * 8)
-                    return big
-                return raw
-            if cand < oid_bin:
-                lo = mid + 1
-            else:
-                hi = mid
-        return None
+        i = find_sorted_id(self._fanout, self._names, oid_bin)
+        if i is None:
+            return None
+        (raw,) = struct.unpack_from(">I", self._offsets, i * 4)
+        if raw & 0x80000000:
+            (big,) = struct.unpack_from(">Q", self._big, (raw & 0x7FFFFFFF) * 8)
+            return big
+        return raw
 
     def _read_varint_header(self, pos: int) -> tuple[int, int, int]:
         """(type, size, next_pos) for the object header at pos: 4 size
@@ -308,12 +321,15 @@ class ObjectStore:
 
     Every read inflates the object again: the store keeps no object
     cache, and the layers that parse objects memoise what they parse.
+    The repository's commit-graph file is read once, on first use.
     """
 
     def __init__(self, path: str):
         gitdir = self._discover(path)
         self.gitdir = gitdir
         self._packs: list[_PackFile] | None = None
+        self._graph_loaded = False
+        self._graph = None
 
     def __enter__(self) -> "ObjectStore":
         return self
@@ -361,6 +377,18 @@ class ObjectStore:
                     raise RepositoryError(f"cannot open pack {path}: {exc}") from exc
         self._packs = packs
         return packs
+
+    def commit_graph(self) -> "CommitGraph | None":
+        """The repository's objects/info/commit-graph, read on the first
+        call, or None when there is none.  A file that is not a valid
+        commit-graph raises RepositoryError on every call."""
+        if not self._graph_loaded:
+            # commitgraph imports this module, so it is imported only here.
+            from .commitgraph import CommitGraph
+
+            self._graph = CommitGraph.load(self.gitdir)
+            self._graph_loaded = True
+        return self._graph
 
     def contains(self, oid: str) -> bool:
         try:

@@ -3,6 +3,13 @@
 The destination is a bare repository with an isomorphic commit graph:
 one commit per source commit, same parent structure, same author,
 committer, message, and encoding.  Signatures are not carried over.
+
+It also holds objects/info/commit-graph, git's commit-graph file with
+changed-path Bloom filters (see commitgraph), so that tracking and `git
+log -- <path>` skip the commits that leave a path alone.  Each commit's
+changed paths come from diffing the name maps its converted trees were
+written from against its first parent's, so the written pack is never
+read back.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
+from .commitgraph import CommitGraphWriter
 from .emit import LineFormat, RenderConfig, render
 from .errors import LexError, ParseError, RepositoryError
 from .extract import FieldDecl, MethodDecl, extract
@@ -133,6 +141,10 @@ def _render_key(source: str, decl: MethodDecl | FieldDecl, config: RenderConfig)
 @dataclass
 class _Caches:
     trees: dict[str, str] = field(default_factory=dict)
+    # converted tree id -> the name map it was written from
+    converted: dict[str, dict[bytes, tuple[bytes, str]]] = field(default_factory=dict)
+    # id of a blob copied as it is -> the id it was written under
+    copied: dict[str, str] = field(default_factory=dict)
     blobs: dict[str, list[tuple[bytes, str]] | None] = field(default_factory=dict)
     # _render_key of a declaration -> id of its rendered blob
     rendered: dict[tuple, str] = field(default_factory=dict)
@@ -188,8 +200,11 @@ class _TreeConverter:
         return result
 
     def _copy_blob(self, oid: str) -> str:
-        _, content = self.store.read(oid)
-        return self.writer.write_blob(content)
+        copied = self.caches.copied.get(oid)
+        if copied is None:
+            _, content = self.store.read(oid)
+            copied = self.caches.copied[oid] = self.writer.write_blob(content)
+        return copied
 
     def convert_tree(self, tree_oid: str) -> str:
         cached = self.caches.trees.get(tree_oid)
@@ -216,6 +231,7 @@ class _TreeConverter:
             out.setdefault(name, (mode, self._copy_blob(oid)))
         new_oid = self.writer.write_tree(out)
         self.caches.trees[tree_oid] = new_oid
+        self.caches.converted[new_oid] = out
         return new_oid
 
 
@@ -324,21 +340,25 @@ def _rewrite(
         writer.init_bare()
         order = _topo_order(store, list(refs.values()))
         converter = _TreeConverter(store, writer, config, stats)
+        graph = CommitGraphWriter(converter.caches.converted.__getitem__)
         for i, record in enumerate(order):
             new_tree = converter.convert_tree(record.tree)
+            new_parents = [commit_map[p] for p in record.parents]
             new_id = writer.write_commit(
                 tree=new_tree,
-                parents=[commit_map[p] for p in record.parents],
+                parents=new_parents,
                 author=record.author,
                 committer=record.committer,
                 message=record.message,
                 encoding=record.encoding,
             )
+            graph.add(new_id, new_tree, new_parents, record.committer)
             commit_map[record.id] = new_id
             map_lines.append(f"{record.id}\t{new_id}")
             if progress is not None and (i + 1) % 100 == 0:
                 progress(i + 1, len(order))
     stats.commits_processed = len(order)
+    graph.write(os.path.join(writer.path, "objects", "info", "commit-graph"))
 
     new_refs = {name: commit_map[oid] for name, oid in refs.items()}
     writer.write_refs(new_refs)

@@ -1,8 +1,14 @@
 """Content-similarity tracking of files across a repository's history.
 
-The walk runs newest to oldest.  At each commit it looks the tracked path up
-in the parents' trees, one tree per path component, so a commit costs only
-the trees that changed along that path.  Each tree is read and decoded once
+The walk runs newest to oldest.  A commit's tree and parents come from the
+repository's commit-graph when it holds the commit, and else from the
+commit object.  When the commit's changed-path Bloom filter rules the
+tracked path out, the first parent has the same file at that path, so the
+walk steps to it without reading a tree.  Otherwise it looks the tracked
+path up in the parents' trees, one tree per path component, so a commit
+costs only the trees that changed along that path.  Commits the graph does
+not hold, and filters that are missing, empty or written with other
+settings, take that lookup.  Each tree is read and decoded once
 per id into gitstore's name map, {raw name: (mode, hex id)}, which is cached
 as it is and looked up by raw name bytes.  When the path disappears from the
 parent, every file the commit deleted (and, with copy detection, every file
@@ -36,8 +42,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
+from .commitgraph import path_keys
 from .errors import TrackError
-from .gitstore import FILE_MODES, TREE_MODE, ObjectStore
+from .gitstore import FILE_MODES, TREE_MODE, ObjectStore, parse_commit
 
 _CHUNK = 64
 
@@ -167,7 +174,9 @@ class FollowCaches:
     trees maps a tree id to its name map (ObjectStore.read_tree); sizes maps
     a blob id to its size in bytes; candidates maps (tree id, metric) to
     every regular file under the tree as (size in the metric's unit, path,
-    blob id), sorted; fingerprints maps a blob id to its Fingerprint.
+    blob id), sorted; fingerprints maps a blob id to its Fingerprint;
+    commits maps a commit id to (tree id, parent ids, position in the
+    commit-graph or None).
     """
 
     trees: dict = field(default_factory=dict)
@@ -185,12 +194,37 @@ class _Winner:
     blob: str
 
 
-def _read_commit(store: ObjectStore, oid: str, caches: FollowCaches):
-    record = caches.commits.get(oid)
-    if record is None:
-        record = store.read_commit(oid)
-        caches.commits[oid] = record
-    return record
+def _commit(
+    store: ObjectStore, oid: str, caches: FollowCaches
+) -> tuple[str, list[str], int | None]:
+    """(tree id, parent ids, commit-graph position) of the commit, from
+    the commit-graph when it holds the commit, else read; once per id."""
+    entry = caches.commits.get(oid)
+    if entry is None:
+        graph = store.commit_graph()
+        pos = graph.position(oid) if graph is not None else None
+        if pos is not None:
+            entry = (*graph.commit(pos), pos)
+        else:
+            record = store.read_commit(oid)
+            entry = (record.tree, record.parents, None)
+        caches.commits[oid] = entry
+    return entry
+
+
+def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
+    """oid peeled to a commit.  A commit the caches or the commit-graph
+    hold is not read, and one that is read is cached, so a branch tip is
+    read at most once."""
+    graph = store.commit_graph()
+    if oid in caches.commits or (graph is not None and graph.position(oid) is not None):
+        return oid
+    kind, payload = store.read(oid)
+    if kind != "commit":
+        return store.peel_to_commit(oid)
+    record = parse_commit(oid, payload)
+    caches.commits[oid] = (record.tree, record.parents, None)
+    return oid
 
 
 def _entries(
@@ -284,14 +318,14 @@ def resolve_start(
     single branch tip that has path."""
 
     def has_path(commit_id: str) -> bool:
-        tree = _read_commit(store, commit_id, caches).tree
+        tree = _commit(store, commit_id, caches)[0]
         return _lookup(store, tree, path, caches) is not None
 
     if ref is not None:
         oid = store.resolve_ref(ref)
         if oid is None:
             raise TrackError(f"ref not found: {ref}")
-        commit_id = store.peel_to_commit(oid)
+        commit_id = _peel(store, oid, caches)
         if not has_path(commit_id):
             raise PathNotFound(f"path {path} not found at {ref}")
         return commit_id
@@ -302,7 +336,7 @@ def resolve_start(
     }
     containing: dict[str, list[str]] = {}
     for name in sorted(heads):
-        commit_id = store.peel_to_commit(heads[name])
+        commit_id = _peel(store, heads[name], caches)
         if has_path(commit_id):
             containing.setdefault(commit_id, []).append(name)
     if not containing:
@@ -397,17 +431,24 @@ def follow(
     is always an ADD.
     """
     caches = caches if caches is not None else FollowCaches()
+    graph = store.commit_graph()
     commit_id = resolve_start(store, path, ref, caches)
     cur_path = path
-    record = _read_commit(store, commit_id, caches)
-    blob = _lookup(store, record.tree, cur_path, caches)
+    blob = _lookup(store, _commit(store, commit_id, caches)[0], cur_path, caches)
+    keys = None  # cur_path's Bloom keys, made when a filter is first asked
     steps: list[TrackStep] = []
     while True:
-        record = _read_commit(store, commit_id, caches)
+        tree, parents, pos = _commit(store, commit_id, caches)
+        if parents and pos is not None:
+            if keys is None:
+                keys = path_keys(cur_path.encode("utf-8", "surrogateescape"))
+            if graph.rules_out(pos, keys):
+                # The first parent has the same file at cur_path.
+                commit_id = parents[0]
+                continue
         chosen = None
-        for parent in record.parents:
-            parent_record = _read_commit(store, parent, caches)
-            parent_blob = _lookup(store, parent_record.tree, cur_path, caches)
+        for parent in parents:
+            parent_blob = _lookup(store, _commit(store, parent, caches)[0], cur_path, caches)
             if parent_blob is not None:
                 chosen = (parent, parent_blob)
                 break
@@ -420,10 +461,15 @@ def follow(
                 blob = parent_blob
             commit_id = parent
             continue
-        if record.parents:
-            first_parent = _read_commit(store, record.parents[0], caches)
+        if parents:
             winner = _disappearance(
-                store, commit_id, record.tree, first_parent.tree, blob, config, caches
+                store,
+                commit_id,
+                tree,
+                _commit(store, parents[0], caches)[0],
+                blob,
+                config,
+                caches,
             )
             if (
                 winner is not None
@@ -434,8 +480,9 @@ def follow(
                     TrackStep(commit_id, winner.kind, winner.old_path, cur_path, winner.score)
                 )
                 cur_path = winner.old_path
+                keys = None
                 blob = winner.blob
-                commit_id = record.parents[0]
+                commit_id = parents[0]
                 continue
         steps.append(TrackStep(commit_id, StepKind.ADD, None, cur_path, None))
         return steps

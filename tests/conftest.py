@@ -11,6 +11,7 @@ from methodgit import (
     ConversionConfig,
     LineFormat,
     Metric,
+    ObjectStore,
     RenderConfig,
     RepoWriter,
     extract,
@@ -19,6 +20,8 @@ from methodgit import (
     rewrite_history,
     similarity,
 )
+from methodgit.commitgraph import CommitGraphWriter
+from methodgit.rewrite import _topo_order
 
 PERSON_JAVA = """\
 public class Person {
@@ -198,6 +201,25 @@ def build_unreadable_pack_repo(dst: str) -> str:
     shutil.copyfile(os.path.join(pack_dir, idx), os.path.join(pack_dir, "pack-0000.idx"))
     open(os.path.join(pack_dir, "pack-0000.pack"), "wb").close()
     return commit
+
+
+def write_commit_graph(repo: str, commits: int | None = None) -> str:
+    """Write the repository's commit-graph with methodgit's writer, for the
+    first `commits` of its commits in topological order (all by default),
+    so a prefix holds every parent of its commits.  Returns its path."""
+    with ObjectStore(repo) as store:
+        tips = [
+            store.peel_to_commit(oid)
+            for name, oid in store.refs().items()
+            if name.startswith(("refs/heads/", "refs/tags/"))
+        ]
+        graph = CommitGraphWriter(store.read_tree)
+        for record in _topo_order(store, tips)[:commits]:
+            graph.add(record.id, record.tree, record.parents, record.committer)
+        path = os.path.join(store.gitdir, "objects", "info", "commit-graph")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    graph.write(path)
+    return path
 
 
 def method_named(source: str, name: str):

@@ -44,6 +44,7 @@ from conftest import (
     extract,
     render_method,
     sim,
+    write_commit_graph,
 )
 from repogen import build_metrics_repo, generate_java_repo, generate_text_repo
 from test_emit import RECONSTRUCT_CONFIG, reconstruct
@@ -192,23 +193,40 @@ def test_criterion_5_deterministic_conversion(tmp_path, verdict):
 
 
 def test_criterion_6_brute_force_equivalence(tmp_path, verdict):
+    # Each history is walked three times: without a commit-graph, with one
+    # of every commit, and with one of an ancestor-closed prefix, where the
+    # walk reads the newer commits from their objects and the older ones
+    # from the graph.
     started = time.monotonic()
     mismatches = 0
     checked = 0
     for seed in range(20):
         repo = str(tmp_path / f"r{seed}.git")
-        generate_text_repo(repo, n_commits=8 + seed % 13, max_files=30, seed=seed)
-        store = ObjectStore(repo)
-        tip = store.peel_to_commit(store.resolve_ref("refs/heads/master"))
-        head_paths = sorted(flatten_tree(store, store.read_commit(tip).tree))
-        metric = Metric.GIT_BYTES if seed % 2 == 0 else Metric.LINES
-        caches = FollowCaches()
-        for path in head_paths:
-            for threshold in (20, 50, 80):
-                for copies in (False, True):
-                    cfg = TrackerConfig(
-                        threshold=threshold, detect_copies=copies, metric=metric
-                    )
+        n_commits = 8 + seed % 13
+        generate_text_repo(repo, n_commits=n_commits, max_files=30, seed=seed)
+        with ObjectStore(repo) as store:
+            tip = store.peel_to_commit(store.resolve_ref("refs/heads/master"))
+            head_paths = sorted(flatten_tree(store, store.read_commit(tip).tree))
+            metric = Metric.GIT_BYTES if seed % 2 == 0 else Metric.LINES
+            configs = [
+                TrackerConfig(threshold=threshold, detect_copies=copies, metric=metric)
+                for threshold in (20, 50, 80)
+                for copies in (False, True)
+            ]
+            wants = {
+                (path, cfg): brute_follow(
+                    store, path, tip, cfg.threshold, cfg.detect_copies, metric.value
+                )
+                for path in head_paths
+                for cfg in configs
+            }
+        for graph_commits in (0, None, n_commits // 2):
+            if graph_commits != 0:
+                write_commit_graph(repo, graph_commits)
+            with ObjectStore(repo) as store:
+                assert (store.commit_graph() is not None) == (graph_commits != 0)
+                caches = FollowCaches()
+                for (path, cfg), want in wants.items():
                     steps = follow(store, path, cfg, caches=caches)
                     got = [
                         (
@@ -220,14 +238,10 @@ def test_criterion_6_brute_force_equivalence(tmp_path, verdict):
                         )
                         for s in steps
                     ]
-                    want = brute_follow(
-                        store, path, tip, threshold, copies, metric.value
-                    )
                     checked += 1
                     if got != want:
                         mismatches += 1
-        store.close()
-    ok = mismatches == 0 and checked >= 500
+    ok = mismatches == 0 and checked >= 1500
     ok = ok and time.monotonic() - started < 120.0
     verdict(6, "brute-force tracking equivalence", ok)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import glob
+import hashlib
 import io
 import json
 import os
@@ -32,6 +33,7 @@ from conftest import (
     build_tag_repo,
     build_unreadable_pack_repo,
     read_files,
+    write_commit_graph,
     write_files,
 )
 from repogen import build_metrics_repo
@@ -468,14 +470,15 @@ def test_refs_that_are_not_utf8_fail_without_traceback(tmp_path, capsys, path, d
 def _ref_fuzz_repository() -> tuple[dict[str, bytes], str, bytes]:
     """A bare repository as {path: bytes} but for its one loose tag, the
     path that tag is stored at, and the tag's payload.  Two commits of
-    Person.java; HEAD names master, a loose ref; packed-refs holds a stale
-    master, the tag v1 of the last commit and a branch that points at the
-    tag."""
+    Person.java and a commit-graph of both; HEAD names master, a loose ref;
+    packed-refs holds a stale master, the tag v1 of the last commit and a
+    branch that points at the tag."""
     with tempfile.TemporaryDirectory() as tmp:
         _, last = build_linear_repo(tmp, [
             {"Person.java": PERSON_JAVA.encode()},
             {"Person.java": PERSON_JAVA.replace("length", "size").encode()},
         ])
+        write_commit_graph(tmp)
         files = read_files(tmp)
     stamp = AUTHOR % 1700000000
     tag = b"object %s\ntype commit\ntag v1\ntagger %s\n\nv1\n" % (last.encode(), stamp)
@@ -509,18 +512,26 @@ def _mutated(draw, data: bytes) -> bytes:
     return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
 
 
-@settings(max_examples=100, deadline=None)
+GRAPH = "objects/info/commit-graph"
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_mutated_refs_and_tags_end_in_an_exit_status(data):
     # HEAD, a loose ref, packed-refs, the tag's payload or its deflated
-    # file is mutated; convert and track must each return 0, 1 or 2 and
-    # raise nothing.
+    # file, or the commit-graph is mutated, the graph also with its
+    # checksum made right again; convert and track must each return 0, 1
+    # or 2 and raise nothing.
     files, tag_path, tag = _ref_fuzz_repository()
     files = {**files, tag_path: _loose(b"tag", tag)}
     target = data.draw(st.sampled_from(
-        ["HEAD", "refs/heads/master", "packed-refs", "tag payload", tag_path]))
+        ["HEAD", "refs/heads/master", "packed-refs", "tag payload", tag_path, GRAPH,
+         "graph body"]))
     if target == "tag payload":
         files[tag_path] = _loose(b"tag", data.draw(_mutated(tag)))
+    elif target == "graph body":
+        body = data.draw(_mutated(files[GRAPH][:-20]))
+        files[GRAPH] = body + hashlib.sha1(body).digest()
     else:
         files[target] = data.draw(_mutated(files[target]))
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,0 +1,452 @@
+"""Commit-graph tests: git's murmur3 and Bloom keys, the file a conversion
+writes against the one git writes, and the reader's checks.
+
+Tests marked requires_git cross-check against the real git binary.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import struct
+import subprocess
+from hashlib import sha1
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from methodgit import ObjectStore, RepoWriter, TrackerConfig, follow, rewrite_history
+from methodgit.commitgraph import (
+    CommitGraph,
+    _murmur3_pair,
+    bloom_key,
+    changed_paths,
+    commit_date,
+    path_keys,
+)
+from methodgit.errors import RepositoryError
+from methodgit.tracking import FollowCaches
+
+from conftest import AUTHOR, PERSON_JAVA, requires_git, write_tree_dict
+
+T = 1700000000
+
+
+def murmur3(seed: int, data: bytes) -> int:
+    return _murmur3_pair(data, seed, seed)[0]
+
+
+def _reference_murmur3(seed: int, data: bytes) -> int:
+    """bloom.c's murmur3_seeded line by line, with its `char` read as
+    signed, as on the platforms git's version 1 filters come from."""
+    m32 = 0xFFFFFFFF
+
+    def char(i: int) -> int:  # (uint32_t)data[i]
+        return data[i] - 256 & m32 if data[i] >= 0x80 else data[i]
+
+    def rotl(x: int, r: int) -> int:
+        return (x << r | x >> (32 - r)) & m32
+
+    h = seed
+    n4 = len(data) // 4
+    for i in range(n4):
+        k = char(4 * i) | char(4 * i + 1) << 8 | char(4 * i + 2) << 16 | char(4 * i + 3) << 24
+        k = rotl((k & m32) * 0xCC9E2D51 & m32, 15) * 0x1B873593 & m32
+        h ^= k
+        h = (rotl(h, 13) * 5 + 0xE6546B64) & m32
+    k1 = 0
+    rest = len(data) & 3
+    base = 4 * n4
+    if rest == 3:
+        k1 ^= char(base + 2) << 16 & m32
+    if rest >= 2:
+        k1 ^= char(base + 1) << 8 & m32
+    if rest >= 1:
+        k1 ^= char(base)
+        k1 = rotl(k1 * 0xCC9E2D51 & m32, 15) * 0x1B873593 & m32
+        h ^= k1
+    h ^= len(data)
+    h ^= h >> 16
+    h = h * 0x85EBCA6B & m32
+    h ^= h >> 13
+    h = h * 0xC2B2AE35 & m32
+    return h ^ h >> 16
+
+
+def test_murmur3_known_values():
+    # git's t/t0095-bloom.sh, seed 0.
+    assert murmur3(0, b"") == 0
+    assert murmur3(0, b"Hello world!") == 0x627B0C2C
+    assert murmur3(0, b"The quick brown fox jumps over the lazy dog") == 0x2E4FF723
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 0xFFFFFFFF), st.binary(max_size=23))
+def test_murmur3_sign_extends_every_high_byte(seed, data):
+    assert murmur3(seed, data) == _reference_murmur3(seed, data)
+
+
+def test_bloom_key_combines_two_seeded_hashes():
+    h0 = murmur3(0x293AE76F, b"dir/file")
+    h1 = murmur3(0x7E646E2C, b"dir/file")
+    assert bloom_key(b"dir/file") == tuple((h0 + i * h1) & 0xFFFFFFFF for i in range(7))
+    assert path_keys(b"a/b/c") == [bloom_key(b"a/b/c"), bloom_key(b"a/b"), bloom_key(b"a")]
+
+
+@pytest.mark.parametrize("committer, date", [
+    (AUTHOR % 1700000000, 1700000000),
+    (b"A <a@x>   42 +0100", 42),
+    (b"A <a@x> -5 +0000", 0),
+    (b"no email 12 +0000", 0),
+    (b"A <a@x> <b@y> 7 +0000", 0),
+])
+def test_commit_date_is_read_after_the_first_angle_bracket(committer, date):
+    assert commit_date(committer) == date
+
+
+def _changed(repo, old: dict | None, new: dict) -> set[bytes] | None:
+    """changed_paths between trees of {path: (mode, content)}."""
+    trees: dict[str, dict] = {}
+    with RepoWriter(str(repo)) as writer:
+        writer.init_bare()
+
+        def write(files: dict) -> str:
+            root: dict = {}
+            for path, value in files.items():
+                *dirs, name = path.split("/")
+                node = root
+                for part in dirs:
+                    node = node.setdefault(part, {})
+                node[name] = value
+
+            def emit(node: dict) -> str:
+                entries = {}
+                for name, value in node.items():
+                    if isinstance(value, dict):
+                        entries[name.encode()] = (b"40000", emit(value))
+                    else:
+                        mode, content = value
+                        entries[name.encode()] = (mode, writer.write_blob(content))
+                oid = writer.write_tree(entries)
+                trees[oid] = entries
+                return oid
+
+            return emit(root)
+
+        old_tree = write(old) if old is not None else None
+        new_tree = write(new)
+    return changed_paths(old_tree, new_tree, trees.__getitem__)
+
+
+F = b"100644"
+
+
+def test_changed_paths_are_the_diff_with_leading_directories(tmp_path):
+    old = {"a/x": (F, b"1"), "a/y": (F, b"2"), "b/z": (F, b"3"), "top": (F, b"4")}
+    new = {"a/x": (F, b"1"), "a/y": (F, b"5"), "b/z": (F, b"3"), "c/d/e": (F, b"6")}
+    assert _changed(tmp_path / "1", old, new) == {b"a", b"a/y", b"c", b"c/d", b"c/d/e", b"top"}
+    assert _changed(tmp_path / "2", None, {"a/x": (F, b"1")}) == {b"a", b"a/x"}
+    assert _changed(tmp_path / "3", new, new) == set()
+
+
+def test_changed_paths_count_a_mode_change_and_a_type_change(tmp_path):
+    old = {"run": (F, b"#!"), "a": (F, b"file")}
+    new = {"run": (b"100755", b"#!"), "a/in": (F, b"file")}
+    assert _changed(tmp_path, old, new) == {b"run", b"a", b"a/in"}
+
+
+def test_changed_paths_beyond_512_are_truncated(tmp_path):
+    wide = {f"d/f{i}": (F, b"%d" % i) for i in range(511)}
+    assert len(_changed(tmp_path / "1", None, wide)) == 512  # the files and d
+    assert _changed(tmp_path / "2", None, {**wide, "d/g": (F, b"g")}) is None
+
+
+# -- the file a conversion writes ---------------------------------------------
+
+# Each history is a list of commits (files, parent indices, commit time);
+# its last commit is the tip of master.
+_BASE = {"P.java": PERSON_JAVA.encode(), "README": b"readme\n"}
+# 505 files, 7 directories and gen: 513 paths, though only 505 files.
+_WIDE = {f"gen/d{i % 7}/f{i}.txt": b"%d\n" % i for i in range(505)}
+HISTORIES = {
+    "merge": [
+        (_BASE, [], T),
+        ({**_BASE, "side.txt": b"side\n"}, [0], T + 60),
+        ({**_BASE, "main.txt": b"main\n"}, [0], T + 120),
+        ({**_BASE, "main.txt": b"main\n", "side.txt": b"side\n"}, [2, 1], T + 180),
+    ],
+    "octopus": [
+        (_BASE, [], T),
+        ({**_BASE, "one/a.txt": b"1\n"}, [0], T + 60),
+        ({**_BASE, "two/b.txt": b"2\n"}, [0], T + 120),
+        ({**_BASE, "three/c.txt": b"3\n"}, [0], T + 180),
+        (
+            {**_BASE, "one/a.txt": b"1\n", "two/b.txt": b"2\n", "three/c.txt": b"3\n"},
+            [0, 1, 2, 3],
+            T + 240,
+        ),
+    ],
+    "empty commit": [
+        (_BASE, [], T),
+        (_BASE, [0], T + 60),
+        ({**_BASE, "README": b"changed\n"}, [1], T + 120),
+    ],
+    "over 512 paths": [
+        (_BASE, [], T),
+        ({**_BASE, **_WIDE}, [0], T + 60),
+        ({**_BASE, **_WIDE, "gen/one.txt": b"1\n"}, [1], T + 120),
+    ],
+    "non-ascii paths": [
+        (_BASE, [], T),
+        (
+            {
+                **_BASE,
+                "ü/é/日本.txt": b"x\n",
+                "ñandú": b"y\n",
+                "ÿÿÿÿÿ.txt": b"z\n",
+                "Größe.java": "class Größe { int größe() { return 1; } }\n".encode(),
+            },
+            [0],
+            T + 60,
+        ),
+    ],
+    "dates out of order": [
+        (_BASE, [], 9999999999),
+        ({**_BASE, "late.txt": b"x\n"}, [0], 5),
+        ({**_BASE, "late.txt": b"y\n"}, [1], 2**33 + 17),
+    ],
+    "type change": [
+        ({**_BASE, "a": b"file\n"}, [], T),
+        ({**_BASE, "a/in": b"dir\n"}, [0], T + 60),
+    ],
+}
+
+
+def build_history(dst: str, commits: list[tuple[dict, list[int], int]]) -> list[str]:
+    ids: list[str] = []
+    with RepoWriter(dst) as writer:
+        writer.init_bare()
+        for i, (files, parents, time) in enumerate(commits):
+            stamp = AUTHOR % time
+            ids.append(writer.write_commit(
+                tree=write_tree_dict(writer, files),
+                parents=[ids[p] for p in parents],
+                author=stamp,
+                committer=stamp,
+                message=b"commit %d\n" % i,
+            ))
+    writer.write_refs({"refs/heads/master": ids[-1]})
+    writer.set_head("refs/heads/master")
+    return ids
+
+
+def graph_path(repo: str) -> str:
+    return os.path.join(repo, "objects", "info", "commit-graph")
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def chunks_of(data: bytes) -> list[tuple[bytes, bytes]]:
+    """The (id, bytes) of each chunk of a commit-graph file, in order."""
+    count = data[6]
+    table = [struct.unpack_from(">4sQ", data, 8 + 12 * i) for i in range(count + 1)]
+    return [(cid, data[a:b]) for (cid, a), (_, b) in zip(table, table[1:])]
+
+
+def assemble(chunks: list[tuple[bytes, bytes]]) -> bytes:
+    """A commit-graph file of these chunks, with a valid checksum."""
+    offset = 8 + 12 * (len(chunks) + 1)
+    table = b""
+    for cid, data in chunks:
+        table += struct.pack(">4sQ", cid, offset)
+        offset += len(data)
+    table += struct.pack(">4sQ", b"\0\0\0\0", offset)
+    body = b"CGPH\x01\x01" + bytes((len(chunks), 0)) + table + b"".join(d for _, d in chunks)
+    return body + sha1(body).digest()
+
+
+@pytest.fixture(scope="module")
+def converted(tmp_path_factory) -> dict[str, str]:
+    """Each history of HISTORIES, converted; name -> converted repository."""
+    out = {}
+    for name, commits in HISTORIES.items():
+        root = tmp_path_factory.mktemp("cg")
+        build_history(str(root / "src.git"), commits)
+        rewrite_history(str(root / "src.git"), str(root / "dst.git"))
+        out[name] = str(root / "dst.git")
+    return out
+
+
+@requires_git
+@pytest.mark.parametrize("name", list(HISTORIES))
+def test_written_graph_is_the_one_git_writes(converted, name, tmp_path):
+    repo = converted[name]
+    ours = read_bytes(graph_path(repo))
+    subprocess.run(["git", "commit-graph", "verify"], cwd=repo, check=True, capture_output=True)
+    copy = str(tmp_path / "copy.git")
+    shutil.copytree(repo, copy)
+    os.remove(graph_path(copy))
+    subprocess.run(
+        ["git", "commit-graph", "write", "--reachable", "--changed-paths"],
+        cwd=copy, check=True, capture_output=True,
+    )
+    assert read_bytes(graph_path(copy)) == ours
+
+
+def test_each_history_reaches_the_case_it_is_named_for(converted):
+    ids = {name: [cid for cid, _ in chunks_of(read_bytes(graph_path(repo)))]
+           for name, repo in converted.items()}
+    assert b"EDGE" not in ids["merge"] and b"EDGE" in ids["octopus"]
+    assert b"GDO2" in ids["dates out of order"]
+    assert all(b"GDO2" not in chunk_ids for name, chunk_ids in ids.items()
+               if name != "dates out of order")
+    filters = {}
+    for name in ("empty commit", "over 512 paths"):
+        with ObjectStore(converted[name]) as store:
+            graph = store.commit_graph()
+            tip = store.resolve_ref("HEAD")
+            parent = graph.commit(graph.position(tip))[1][0]
+            filters[name] = _filter(graph, graph.position(parent))
+    assert filters == {"empty commit": b"\x00", "over 512 paths": b"\xff"}
+
+
+def _filter(graph: CommitGraph, pos: int) -> bytes:
+    end = struct.unpack_from(">I", graph._bidx, 4 * pos)[0]
+    start = struct.unpack_from(">I", graph._bidx, 4 * pos - 4)[0] if pos else 0
+    return bytes(graph._bdat[start:end])
+
+
+@pytest.mark.parametrize("name", list(HISTORIES))
+def test_graph_reads_back_every_commit_and_never_rules_out_a_changed_path(converted, name):
+    with ObjectStore(converted[name]) as store:
+        graph = store.commit_graph()
+        with open(os.path.join(converted[name], "commit-map.tsv")) as f:
+            commits = [line.split()[1] for line in f]
+        assert graph.count == len(commits)
+        ruled_out = 0
+        for oid in commits:
+            record = store.read_commit(oid)
+            pos = graph.position(oid)
+            assert graph.commit(pos) == (record.tree, record.parents)
+            if not record.parents:
+                continue
+            parent_tree = store.read_commit(record.parents[0]).tree
+            changed = changed_paths(parent_tree, record.tree, store.read_tree) or set()
+            for path in changed:
+                assert not graph.rules_out(pos, path_keys(path))
+            for i in range(40):
+                unchanged = b"no/such/path%d" % i
+                ruled_out += graph.rules_out(pos, path_keys(unchanged))
+        assert graph.position("0" * 40) is None
+    assert ruled_out > 0
+
+
+# -- the reader's checks --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def merge_graph(converted) -> tuple[str, bytes]:
+    return converted["merge"], read_bytes(graph_path(converted["merge"]))
+
+
+def _with_chunk(data: bytes, cid: bytes, edit) -> bytes:
+    return assemble([(c, edit(d) if c == cid else d) for c, d in chunks_of(data)])
+
+
+def _corrupt_files(data: bytes, count: int) -> dict[str, bytes]:
+    body = data[:-20]
+    flipped = bytes([body[100] ^ 1])
+    oidf = dict(chunks_of(data))[b"OIDF"]
+    bigger = struct.pack(">256I", *[min(n + 1, count + 1) if i == 255 else n
+                                    for i, n in enumerate(struct.unpack(">256I", oidf))])
+    table_end = data[:6] + bytes((200,)) + data[7:-20]
+    return {
+        "truncated": data[:30],
+        "cut": data[:-1],
+        "bad checksum": body[:100] + flipped + body[101:] + data[-20:],
+        "chunk table out of bounds": table_end + sha1(table_end).digest(),
+        "chunk past the end": data[:16] + struct.pack(">Q", len(data)) + data[24:-20]
+        + sha1(data[:16] + struct.pack(">Q", len(data)) + data[24:-20]).digest(),
+        "OIDL size": _with_chunk(data, b"OIDL", lambda d: d + b"\0" * 20),
+        "CDAT size": _with_chunk(data, b"CDAT", lambda d: d[:-36]),
+        "BIDX size": _with_chunk(data, b"BIDX", lambda d: d + b"\0" * 4),
+        "fanout count": _with_chunk(data, b"OIDF", lambda d: bigger),
+        "no CDAT": assemble([(c, d) for c, d in chunks_of(data) if c != b"CDAT"]),
+    }
+
+
+def test_a_corrupt_file_raises_on_load(merge_graph, tmp_path):
+    _, data = merge_graph
+    count = len(dict(chunks_of(data))[b"OIDL"]) // 20
+    for what, bad in _corrupt_files(data, count).items():
+        with pytest.raises(RepositoryError, match="corrupt commit-graph"):
+            CommitGraph(bad, what)
+
+
+def _cdat_slot(data: bytes, pos: int, slot: int, value: int) -> bytes:
+    def edit(cdat: bytes) -> bytes:
+        at = pos * 36 + 20 + 4 * slot
+        return cdat[:at] + struct.pack(">I", value) + cdat[at + 4 :]
+    return _with_chunk(data, b"CDAT", edit)
+
+
+def test_positions_and_filters_out_of_range_raise_when_read(merge_graph):
+    repo, data = merge_graph
+    with ObjectStore(repo) as store:
+        tip = store.resolve_ref("HEAD")
+        pos = store.commit_graph().position(tip)
+    count = len(dict(chunks_of(data))[b"OIDL"]) // 20
+    parents = lambda graph: graph.commit(pos)  # noqa: E731
+    bad = {
+        "parent": (_cdat_slot(data, pos, 0, count), parents),
+        "second parent": (_cdat_slot(data, pos, 1, count + 3), parents),
+        "EDGE index": (_cdat_slot(data, pos, 1, 0x80000000 | 5), parents),
+        "BIDX offset": (
+            _with_chunk(
+                data, b"BIDX",
+                lambda d: d[: 4 * pos] + struct.pack(">I", 10**6) + d[4 * pos + 4 :],
+            ),
+            lambda graph: graph.rules_out(pos, path_keys(b"x")),
+        ),
+    }
+    for what, (file, read) in bad.items():
+        graph = CommitGraph(file, what)  # the file itself loads
+        with pytest.raises(RepositoryError, match="corrupt commit-graph"):
+            read(graph)
+
+
+@pytest.mark.parametrize("how", ["no filters", "hash version 2", "12 hashes", "empty filters"])
+def test_unusable_filters_give_the_steps_of_no_graph(converted, tmp_path, how):
+    repo = str(tmp_path / "repo.git")
+    shutil.copytree(converted["merge"], repo)
+    data = read_bytes(graph_path(repo))
+    if how == "no filters":
+        file = assemble([(c, d) for c, d in chunks_of(data) if c not in (b"BIDX", b"BDAT")])
+    elif how == "empty filters":
+        count = len(dict(chunks_of(data))[b"OIDL"]) // 20
+        file = _with_chunk(
+            _with_chunk(data, b"BIDX", lambda d: bytes(4 * count)),
+            b"BDAT", lambda d: d[:12],
+        )
+    else:
+        header = struct.pack(">III", *((2, 7, 10) if how == "hash version 2" else (1, 12, 10)))
+        file = _with_chunk(data, b"BDAT", lambda d: header + d[12:])
+    graph = CommitGraph(file, how)
+    keys = path_keys(b"no/such/path")
+    assert not any(graph.rules_out(pos, keys) for pos in range(graph.count))
+
+    def steps(path: str) -> list:
+        with ObjectStore(repo) as store:
+            return follow(store, path, TrackerConfig(threshold=50), caches=FollowCaches())
+
+    paths = ["main.txt", "side.txt", "README", "Person#public_int_getLength().mjava"]
+    with_graph = [steps(p) for p in paths]
+    os.remove(graph_path(repo))
+    assert [steps(p) for p in paths] == with_graph
+    with open(graph_path(repo), "wb") as f:
+        f.write(file)
+    assert [steps(p) for p in paths] == with_graph

@@ -196,6 +196,34 @@ def test_conversion_reads_each_commit_once(tmp_path, monkeypatch):
     assert reads == {base: 1, left: 1, right: 1, merge: 2}
 
 
+def test_conversion_reads_each_copied_blob_once(tmp_path, monkeypatch):
+    # README.md and docs/a.txt stay while Person.java changes beside them,
+    # so every commit has a new root tree that holds them.
+    src = str(tmp_path / "src.git")
+    snapshots = [
+        {
+            "Person.java": PERSON_JAVA.replace("length", f"length{i}").encode(),
+            "README.md": b"# readme\n",
+            "docs/a.txt": b"a\n" if i < 3 else b"b\n",
+        }
+        for i in range(6)
+    ]
+    build_linear_repo(src, snapshots)
+    reads = Counter()
+    read = ObjectStore.read
+
+    def counting_read(store, oid):
+        result = read(store, oid)
+        if result[0] == "blob":
+            reads[oid] += 1
+        return result
+
+    monkeypatch.setattr(ObjectStore, "read", counting_read)
+    rewrite_history(src, str(tmp_path / "dst.git"))
+    # Six Person.java versions, README.md, and two versions of docs/a.txt.
+    assert len(reads) == 9 and set(reads.values()) == {1}
+
+
 def test_non_java_files_pass_through(tmp_path):
     src = str(tmp_path / "src.git")
     build_linear_repo(
@@ -462,10 +490,9 @@ def test_rename_limit_policy_applies(tmp_path):
 def test_converted_repo_passes_fsck(person_repo, tmp_path):
     dst = str(tmp_path / "dst.git")
     rewrite_history(person_repo, dst)
-    result = subprocess.run(
-        ["git", "fsck", "--strict"], cwd=dst, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
+    for command in (["fsck", "--strict"], ["commit-graph", "verify"]):
+        result = subprocess.run(["git", *command], cwd=dst, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 @requires_git

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,10 @@ from methodgit import (
     follow,
     similarity,
 )
+from methodgit.commitgraph import path_keys
 from methodgit.errors import TrackError
 from methodgit.gitstore import FILE_MODES
+from methodgit.rewrite import rewrite_history
 from methodgit.tracking import (
     AmbiguousStart,
     FollowCaches,
@@ -37,7 +40,8 @@ from methodgit.tracking import (
 )
 
 from brute import brute_follow, brute_similarity
-from conftest import AUTHOR, build_linear_repo, sim, write_tree_dict
+from conftest import AUTHOR, build_linear_repo, sim, write_commit_graph, write_tree_dict
+from repogen import generate_java_repo, generate_text_repo
 
 
 def test_fingerprint_counts_lines_and_bytes():
@@ -789,3 +793,118 @@ def test_count_renames_counts_renames_and_copies():
     ]
     assert count_renames(steps) == 2
     assert count_renames([steps[-1]]) == 0
+
+
+def _record_reads(monkeypatch) -> Counter:
+    """Counts (type name, id) of every ObjectStore.read from now on."""
+    reads: Counter = Counter()
+    original = ObjectStore.read
+
+    def counting(self, oid):
+        kind, payload = original(self, oid)
+        reads[kind, oid] += 1
+        return kind, payload
+
+    monkeypatch.setattr(ObjectStore, "read", counting)
+    return reads
+
+
+def test_follows_sharing_caches_read_each_commit_once(tmp_path, monkeypatch):
+    repo = str(tmp_path / "r.git")
+    generate_text_repo(repo, n_commits=20, max_files=12, seed=3)
+    with ObjectStore(repo) as store:
+        tip = store.resolve_ref("HEAD")
+        paths = sorted(_flatten(store, store.read_commit(tip).tree, FollowCaches()))
+    reads = _record_reads(monkeypatch)
+
+    def commit_reads() -> Counter:
+        reads.clear()
+        with ObjectStore(repo) as store:
+            caches = FollowCaches()
+            for path in paths:
+                follow(store, path, TrackerConfig(threshold=50), caches=caches)
+        return Counter({oid: n for (kind, oid), n in reads.items() if kind == "commit"})
+
+    # The branch tip is peeled by the read that caches it, not read again.
+    first = commit_reads()
+    assert tip in first and set(first.values()) == {1}
+    # The commit-graph gives every commit's tree and parents.
+    write_commit_graph(repo)
+    assert commit_reads() == Counter()
+
+
+def _trees_on(store: ObjectStore, tree: str, path: str) -> set[str]:
+    """The trees a lookup of path in tree descends."""
+    out = {tree}
+    for part in path.split("/")[:-1]:
+        entry = store.read_tree(tree).get(part.encode())
+        if entry is None or entry[0] != b"40000":
+            break
+        tree = entry[1]
+        out.add(tree)
+    return out
+
+
+def _all_trees(store: ObjectStore, tree: str) -> set[str]:
+    out = {tree}
+    for mode, oid in store.read_tree(tree).values():
+        if mode == b"40000":
+            out |= _all_trees(store, oid)
+    return out
+
+
+def test_cold_follow_reads_trees_only_where_the_filter_admits_the_path(tmp_path, monkeypatch):
+    src, dst = str(tmp_path / "src.git"), str(tmp_path / "dst.git")
+    generate_java_repo(src, n_commits=40, n_files=8, seed=4)
+    rewrite_history(src, dst)
+    with ObjectStore(dst) as store:
+        tip = store.resolve_ref("HEAD")
+        paths = sorted(p for p in _flatten(store, store.read_commit(tip).tree, FollowCaches())
+                       if p.endswith(".mjava"))[::3]
+    read: list[str] = []
+    original = ObjectStore.read_tree
+
+    def recording(self, oid):
+        read.append(oid)
+        return original(self, oid)
+
+    skipped = 0
+    totals = {}
+    for graph_kept in (True, False):
+        totals[graph_kept] = 0
+        for path in paths:
+            read.clear()
+            monkeypatch.setattr(ObjectStore, "read_tree", recording)
+            with ObjectStore(dst) as store:
+                steps = follow(store, path, TrackerConfig(threshold=50), caches=FollowCaches())
+            monkeypatch.setattr(ObjectStore, "read_tree", original)
+            totals[graph_kept] += len(read)
+            if not graph_kept:
+                continue
+            with ObjectStore(dst) as store:
+                graph = store.commit_graph()
+                allowed = _trees_on(store, store.read_commit(tip).tree, path)
+                moves = {s.commit_id: s for s in steps if s.kind is not StepKind.MODIFY}
+                commit, cur = tip, path
+                while True:
+                    pos = graph.position(commit)
+                    tree, parents = graph.commit(pos)
+                    if commit in moves:
+                        # A disappearance flattens the first parent and
+                        # looks candidates up in the commit's own tree.
+                        allowed |= _all_trees(store, tree)
+                        if parents:
+                            allowed |= _all_trees(store, graph.commit(graph.position(parents[0]))[0])
+                        if moves[commit].kind is StepKind.ADD:
+                            break
+                        cur = moves[commit].old_path
+                    elif graph.rules_out(pos, path_keys(cur.encode())):
+                        skipped += 1
+                    else:
+                        allowed |= _trees_on(store, graph.commit(graph.position(parents[0]))[0], cur)
+                    commit = parents[0]
+            assert set(read) <= allowed, path
+        if graph_kept:
+            os.remove(os.path.join(dst, "objects", "info", "commit-graph"))
+    assert skipped > 0
+    assert totals[True] < totals[False]
