@@ -5,11 +5,12 @@ their line, and the four outermost method delimiters can be elided.  The
 declaration-level tags (type bodies, enum constants, member parameters,
 bodies and field terminators) follow the records of extract's walk; the
 statement and expression walker here classifies the rest.  The tagger works
-in the file token indices of those records, over the file's tokens up to
-the declaration's last one, so a token gets the same tag in its own
-declaration and in any declaration enclosing it.  Tagging is best-effort: if
-the walker gets confused it stops, and a final pass fills every remaining
-terminator with a generic tag so output is total.
+in the file token indices of those records, over the token texts and kind
+codes of the declaration's lexed file up to the declaration's last token, so
+a token gets the same tag in its own declaration and in any declaration
+enclosing it.  A declaration renders from its own token texts.  Tagging is
+best-effort: if the walker gets confused it stops, and a final pass fills
+every remaining terminator with a generic tag so output is total.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .extract import (
     match_paren,
     scan_type,
 )
-from .lexer import TokenKind
+from .lexer import IDENTIFIER, KEYWORD, LITERAL
 
 
 class LineFormat(enum.Enum):
@@ -85,7 +86,9 @@ class _Tagger:
         # reads toks[:end], and a statement, tag or tag read past it raises
         # ParseError.  Tags are kept for first..last only, so the work is
         # bounded by the declaration's size, not by its place in the file.
-        self.toks = decl.file_tokens
+        self.lex = decl.file
+        self.toks = decl.file.tokens
+        self.kinds = decl.file.kinds
         self.end = last + 1
         self.types = decl.types
         self.base = first
@@ -108,24 +111,24 @@ class _Tagger:
         self._tag(close_idx, tag)
 
     def _paren(self, j: int, tag: str) -> int:
-        c = match_paren(self.toks, j, self.end)
+        c = match_paren(self.lex, j, self.end)
         self._pair(j, c, tag)
         return c
 
     def _brace(self, j: int, tag: str) -> int:
-        c = match_brace(self.toks, j, self.end)
+        c = match_brace(self.lex, j, self.end)
         self._pair(j, c, tag)
         return c
 
     def _annotation(self, j: int, hi: int) -> int:
         """Skip an annotation, tagging its argument parens."""
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         k = j + 1
-        while k + 1 < hi and toks[k + 1].text == "." and toks[k].kind == TokenKind.IDENTIFIER:
+        while k + 1 < hi and toks[k + 1] == "." and kinds[k] == IDENTIFIER:
             k += 2
-        if k < hi and toks[k].kind == TokenKind.IDENTIFIER:
+        if k < hi and kinds[k] == IDENTIFIER:
             k += 1
-        if k < hi and toks[k].text == "(":
+        if k < hi and toks[k] == "(":
             c = self._paren(k, "ANNOTATION_ARGS")
             self._expr(k + 1, c, False)
             return c + 1
@@ -136,7 +139,7 @@ class _Tagger:
         toks = self.toks
         j = lo
         while j < hi:
-            if toks[j].text == "@":
+            if toks[j] == "@":
                 j = self._annotation(j, hi)
             else:
                 j += 1
@@ -151,7 +154,7 @@ class _Tagger:
         depth = 0
         j = lo
         while j < hi:
-            txt = toks[j].text
+            txt = toks[j]
             if txt in ("(", "[", "{"):
                 depth += 1
             elif txt in (")", "]", "}"):
@@ -258,12 +261,12 @@ class _Tagger:
             j = self._statement(j, hi, in_switch)
 
     def _statement(self, j: int, hi: int, in_switch: bool) -> int:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         if j >= self.end:
             # a label that ends the declaration
             raise ParseError(f"statement past the declaration at token {j}")
-        t = toks[j]
-        txt = t.text
+        txt = toks[j]
+        kind = kinds[j]
 
         if txt == ";":
             self._tag(j, "EMPTY")
@@ -274,7 +277,7 @@ class _Tagger:
             self._block(j + 1, c, in_switch)
             return c + 1
 
-        if t.kind == TokenKind.KEYWORD:
+        if kind == KEYWORD:
             if txt == "if":
                 return self._if(j, hi, in_switch)
             if txt == "while":
@@ -306,7 +309,7 @@ class _Tagger:
                     self._tag(s, "BREAK" if txt == "break" else "CONTINUE")
                 return s + 1
 
-        if in_switch and t.kind == TokenKind.IDENTIFIER and txt == "yield":
+        if in_switch and kind == IDENTIFIER and txt == "yield":
             s = self._scan_to(j + 1, hi, (";",))
             self._expr(j + 1, s, in_switch)
             if s < hi:
@@ -314,24 +317,24 @@ class _Tagger:
             return s + 1
 
         # labeled statement
-        if t.kind == TokenKind.IDENTIFIER and j + 1 < hi and toks[j + 1].text == ":":
+        if kind == IDENTIFIER and j + 1 < hi and toks[j + 1] == ":":
             return self._statement(j + 2, hi, in_switch)
 
         # annotations and local modifiers, then a declaration or expression
         k = j
         while k < hi:
             tk = toks[k]
-            if tk.text == "@" and not (k + 1 < hi and toks[k + 1].text == "interface"):
+            if tk == "@" and not (k + 1 < hi and toks[k + 1] == "interface"):
                 k = self._annotation(k, hi)
                 continue
-            if tk.text in _LOCAL_MODIFIERS and tk.kind == TokenKind.KEYWORD:
+            if tk in _LOCAL_MODIFIERS and kinds[k] == KEYWORD:
                 k += 1
                 continue
-            if tk.text in CONTEXTUAL_MODIFIERS:
+            if tk in CONTEXTUAL_MODIFIERS:
                 k += 1
                 continue
             break
-        local = self.types.get(k) if k < hi and toks[k].text != "{" else None
+        local = self.types.get(k) if k < hi and toks[k] != "{" else None
         if local is not None:
             return self._type(local, hi)
 
@@ -342,17 +345,16 @@ class _Tagger:
         return s + 1
 
     def _stmt_semi_tag(self, lo: int, semi: int) -> str:
-        toks = self.toks
-        st = scan_type(toks, lo, self.end)
+        st = scan_type(self.lex, lo, self.end)
         if st is not None:
             end, _ = st
-            if end < semi and toks[end].kind == TokenKind.IDENTIFIER:
+            if end < semi and self.kinds[end] == IDENTIFIER:
                 return "LOCAL_VARIABLE"
         return "EXPRESSION"
 
     def _body(self, j: int, hi: int, tag: str, in_switch: bool) -> int:
         """A statement body: a tagged block or a single statement."""
-        if j < hi and self.toks[j].text == "{":
+        if j < hi and self.toks[j] == "{":
             c = self._brace(j, tag)
             self._block(j + 1, c, in_switch)
             return c + 1
@@ -361,13 +363,13 @@ class _Tagger:
         return self._statement(j, hi, in_switch)
 
     def _if(self, j: int, hi: int, in_switch: bool) -> int:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         c = self._paren(j + 1, "IF_COND")
         self._expr(j + 2, c, in_switch)
         j = self._body(c + 1, hi, "IF", in_switch)
-        if j < hi and toks[j].text == "else" and toks[j].kind == TokenKind.KEYWORD:
+        if j < hi and toks[j] == "else" and kinds[j] == KEYWORD:
             j += 1
-            if j < hi and toks[j].text == "if" and toks[j].kind == TokenKind.KEYWORD:
+            if j < hi and toks[j] == "if" and kinds[j] == KEYWORD:
                 return self._if(j, hi, in_switch)
             return self._body(j, hi, "ELSE", in_switch)
         return j
@@ -375,11 +377,11 @@ class _Tagger:
     def _do(self, j: int, hi: int, in_switch: bool) -> int:
         toks = self.toks
         j = self._body(j + 1, hi, "DO", in_switch)
-        if j < hi and toks[j].text == "while":
+        if j < hi and toks[j] == "while":
             c = self._paren(j + 1, "DO_COND")
             self._expr(j + 2, c, in_switch)
             j = c + 1
-            if j < hi and toks[j].text == ";":
+            if j < hi and toks[j] == ";":
                 self._tag(j, "DO_WHILE")
                 j += 1
         return j
@@ -387,7 +389,7 @@ class _Tagger:
     def _for(self, j: int, hi: int, in_switch: bool) -> int:
         toks = self.toks
         popen = j + 1
-        pclose = match_paren(toks, popen, self.end)
+        pclose = match_paren(self.lex, popen, self.end)
         first = self._scan_to(popen + 1, pclose, (";",))
         if first < pclose:
             self._pair(popen, pclose, "FOR")
@@ -407,7 +409,7 @@ class _Tagger:
     def _try(self, j: int, hi: int, in_switch: bool) -> int:
         toks = self.toks
         j += 1
-        if j < hi and toks[j].text == "(":
+        if j < hi and toks[j] == "(":
             c = self._paren(j, "TRY_RESOURCE")
             k = j + 1
             while k < c:
@@ -418,10 +420,10 @@ class _Tagger:
                 k = s + 1
             j = c + 1
         j = self._body(j, hi, "TRY", in_switch)
-        while j < hi and toks[j].text == "catch":
+        while j < hi and toks[j] == "catch":
             c = self._paren(j + 1, "CATCH_PARAM")
             j = self._body(c + 1, hi, "CATCH", in_switch)
-        if j < hi and toks[j].text == "finally":
+        if j < hi and toks[j] == "finally":
             j = self._body(j + 1, hi, "FINALLY", in_switch)
         return j
 
@@ -430,23 +432,23 @@ class _Tagger:
         c = self._paren(j + 1, "SWITCH_SELECTOR")
         self._expr(j + 2, c, False)
         j = c + 1
-        if j < hi and toks[j].text == "{":
+        if j < hi and toks[j] == "{":
             b = self._brace(j, "SWITCH")
             self._switch_body(j + 1, b)
             return b + 1
         return j
 
     def _switch_body(self, lo: int, hi: int) -> None:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         j = lo
         while j < hi:
             t = toks[j]
-            if t.kind == TokenKind.KEYWORD and t.text == "case":
+            if kinds[j] == KEYWORD and t == "case":
                 k = self._scan_to(j + 1, hi, (":", "->"))
                 self._expr(j + 1, k, True)
                 j = k + 1 if k < hi else hi
                 continue
-            if t.kind == TokenKind.KEYWORD and t.text == "default" and j + 1 < hi and toks[j + 1].text in (":", "->"):
+            if kinds[j] == KEYWORD and t == "default" and j + 1 < hi and toks[j + 1] in (":", "->"):
                 j += 2
                 continue
             j = self._statement(j, hi, True)
@@ -454,11 +456,10 @@ class _Tagger:
     # -- expressions ------------------------------------------------------
 
     def _expr(self, lo: int, hi: int, in_switch: bool) -> None:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         j = lo
         while j < hi:
-            t = toks[j]
-            txt = t.text
+            txt = toks[j]
 
             if txt == "(":
                 if self._tag_of(j) is None:
@@ -470,7 +471,7 @@ class _Tagger:
                 if self._tag_of(j) is not None:
                     j += 1
                     continue
-                if j > lo and toks[j - 1].text == "->":
+                if j > lo and toks[j - 1] == "->":
                     c = self._brace(j, "LAMBDA_BODY")
                     self._block(j + 1, c, False)
                     j = c + 1
@@ -487,14 +488,14 @@ class _Tagger:
                 j = self._annotation(j, hi)
                 continue
 
-            if txt == "switch" and t.kind == TokenKind.KEYWORD:
+            if txt == "switch" and kinds[j] == KEYWORD:
                 j = self._switch(j, hi)
                 continue
 
-            if txt == "<" and j > lo and toks[j - 1].kind == TokenKind.IDENTIFIER:
-                g = match_angle(toks, j, self.end)
-                if g is not None and g < hi and toks[g].text in ("(", "::"):
-                    if toks[g].text == "(":
+            if txt == "<" and j > lo and kinds[j - 1] == IDENTIFIER:
+                g = match_angle(self.lex, j, self.end)
+                if g is not None and g < hi and toks[g] in ("(", "::"):
+                    if toks[g] == "(":
                         self._paren(g, "METHOD_CALL")
                     j = g + 1
                     continue
@@ -502,22 +503,20 @@ class _Tagger:
             j += 1
 
     def _classify_paren(self, j: int, lo: int) -> None:
-        toks = self.toks
-        c = match_paren(toks, j, self.end)
-        nxt = toks[c + 1] if c + 1 < self.end else None
-
-        if nxt is not None and nxt.text == "->":
+        toks, kinds = self.toks, self.kinds
+        c = match_paren(self.lex, j, self.end)
+        if c + 1 < self.end and toks[c + 1] == "->":
             self._pair(j, c, "LAMBDA_PARAMS")
             return
         if j > lo:
-            prev = toks[j - 1]
-            if prev.kind == TokenKind.KEYWORD and prev.text in ("super", "this"):
+            prev, prev_kind = toks[j - 1], kinds[j - 1]
+            if prev_kind == KEYWORD and prev in ("super", "this"):
                 self._pair(j, c, "SUPER_CALL")
                 return
-            if prev.kind == TokenKind.IDENTIFIER:
+            if prev_kind == IDENTIFIER:
                 self._pair(j, c, "METHOD_CALL")
                 return
-            if prev.text == ")":
+            if prev == ")":
                 tag = "GROUPING" if self._tag_of(j - 1) == "CAST" else "METHOD_CALL"
                 self._pair(j, c, tag)
                 return
@@ -527,55 +526,55 @@ class _Tagger:
         self._pair(j, c, "GROUPING")
 
     def _is_cast(self, j: int, c: int) -> bool:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         if c + 1 >= self.end:
             return False
         k = j + 1
         primitive = False
         while True:
-            st = scan_type(toks, k, self.end)
+            st = scan_type(self.lex, k, self.end)
             if st is None:
                 return False
-            if toks[k].text in PRIMITIVE_TYPES:
+            if toks[k] in PRIMITIVE_TYPES:
                 primitive = True
             k = st[0]
             if k == c:
                 break
-            if toks[k].text == "&":
+            if toks[k] == "&":
                 k += 1
                 continue
             return False
         nxt = toks[c + 1]
-        if nxt.kind in (TokenKind.IDENTIFIER, TokenKind.LITERAL):
+        if kinds[c + 1] in (IDENTIFIER, LITERAL):
             return True
-        if nxt.text in _CAST_NEXT:
+        if nxt in _CAST_NEXT:
             return True
-        if primitive and nxt.text in ("-", "+"):
+        if primitive and nxt in ("-", "+"):
             return True
         return False
 
     def _new_expr(self, j: int, hi: int) -> int:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         k = j + 1
-        while k < hi and toks[k].text == "@":
+        while k < hi and toks[k] == "@":
             k = self._annotation(k, hi)
-        if k < hi and toks[k].text in PRIMITIVE_TYPES:
+        if k < hi and toks[k] in PRIMITIVE_TYPES:
             return k + 1
-        if k >= hi or toks[k].kind != TokenKind.IDENTIFIER:
+        if k >= hi or kinds[k] != IDENTIFIER:
             return j + 1
         k += 1
-        g = match_angle(toks, k, self.end) if k < hi and toks[k].text == "<" else None
+        g = match_angle(self.lex, k, self.end) if k < hi and toks[k] == "<" else None
         if g is not None:
             k = g
-        while k + 1 < hi and toks[k].text == "." and toks[k + 1].kind == TokenKind.IDENTIFIER:
+        while k + 1 < hi and toks[k] == "." and kinds[k + 1] == IDENTIFIER:
             k += 2
-            g = match_angle(toks, k, self.end) if k < hi and toks[k].text == "<" else None
+            g = match_angle(self.lex, k, self.end) if k < hi and toks[k] == "<" else None
             if g is not None:
                 k = g
-        if k < hi and toks[k].text == "(":
+        if k < hi and toks[k] == "(":
             c = self._paren(k, "CONSTRUCTOR_CALL")
             self._expr(k + 1, c, False)
-            if c + 1 < hi and toks[c + 1].text == "{":
+            if c + 1 < hi and toks[c + 1] == "{":
                 body = self.types.get(c + 1)
                 if body is not None:
                     return self._type_body(body, "ANONYMOUS_CLASS")
@@ -607,11 +606,11 @@ def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
     for i, tok in enumerate(decl.tokens):
         if tags[i] is not None:
             continue
-        if tok.text == ";":
+        if tok == ";":
             tags[i] = "OTHER"
-        elif tok.text in ("{", "}"):
+        elif tok in ("{", "}"):
             tags[i] = "PLAIN_BLOCK"
-        elif tok.text in ("(", ")"):
+        elif tok in ("(", ")"):
             tags[i] = "OTHER"
     return tags
 
@@ -643,7 +642,7 @@ def render(decl: MethodDecl | FieldDecl, config: RenderConfig) -> bytes:
             if i in drop:
                 continue
             if tags is not None and tags[i] is not None:
-                lines.append(f"{tok.text} {tags[i]}")
+                lines.append(f"{tok} {tags[i]}")
             else:
-                lines.append(tok.text)
+                lines.append(tok)
     return "".join(line + "\n" for line in lines).encode("utf-8")

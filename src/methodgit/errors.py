@@ -21,11 +21,12 @@ class LexError(MethodGitError):
 
 
 class ParseError(MethodGitError):
-    """Raised when extraction fails; offset is the source offset of the failing token, or None."""
+    """Raised when extraction fails; index is the failing token's index in
+    the lexed file, or None."""
 
-    def __init__(self, message: str, offset: int | None = None):
+    def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
-        self.offset = offset
+        self.index = index
 
 
 class NameError_(MethodGitError):

@@ -1,4 +1,4 @@
-"""Structural extraction of Java methods and fields from token streams.
+"""Structural extraction of Java methods and fields from a lexed file.
 
 The walker is a lightweight structural parser: it matches brace, paren, and
 angle structure and recognizes declaration headers, which is all the
@@ -7,7 +7,10 @@ resolves names.  Anything it cannot make sense of raises ParseError and the
 caller falls back to passing the file through untouched.  The structure it
 walks is kept as records (TypeDecl, EnumConstant, Member), from which the
 renderer tags terminators.  Every position a record or declaration carries
-is an index into the file's token list, which each declaration also holds.
+is a token index into the file's LexBase, which each declaration also
+holds: the walker reads token texts from its tokens and kind codes from its
+kinds, and turns an index into a source offset only for plain lines and
+error messages.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .lexer import LexBase, LexResult, Token, TokenKind, position, tokenize
+from .lexer import IDENTIFIER, KEYWORD, LexBase, position, tokenize
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
@@ -100,11 +103,12 @@ class Member:
 class MethodDecl:
     """A method, constructor, or compact record constructor.
 
-    tokens is the contiguous token run of the whole declaration including
-    annotations, file_tokens[member.start : member.end + 1].  member is the
-    walk's record of the declaration.  types maps the index of the keyword
-    and of the body's '{' of each type declared inside a method body or an
-    initializer of the file to its record.
+    tokens holds the texts of the contiguous token run of the whole
+    declaration including annotations, file.tokens[member.start :
+    member.end + 1].  member is the walk's record of the declaration, and
+    file the lexed file.  types maps the index of the keyword and of the
+    body's '{' of each type declared inside a method body or an initializer
+    of the file to its record.
     """
 
     class_chain: list[str]
@@ -112,11 +116,11 @@ class MethodDecl:
     return_type: str
     name: str
     param_types: list[str]
-    tokens: list[Token]
+    tokens: list[str]
     plain_lines: list[str]
     javadoc_lines: list[str]
     member: Member
-    file_tokens: list[Token]
+    file: LexBase
     types: dict[int, TypeDecl]
 
 
@@ -125,44 +129,37 @@ class FieldDecl:
     """One declared field variable.
 
     A multi-variable declaration yields one FieldDecl per variable; tokens
-    are the shared annotations, modifiers and type, this variable's
-    declarator (one of member.declarators) and the closing semicolon.
-    file_tokens and types are as in MethodDecl.
+    are the texts of the shared annotations, modifiers and type, this
+    variable's declarator (one of member.declarators) and the closing
+    semicolon.  file and types are as in MethodDecl.
     """
 
     class_chain: list[str]
     modifiers: list[str]
     field_type: str
     name: str
-    tokens: list[Token]
+    tokens: list[str]
     plain_lines: list[str]
     javadoc_lines: list[str]
     member: Member
     declarator: tuple[int, int, int]
-    file_tokens: list[Token]
+    file: LexBase
     types: dict[int, TypeDecl]
 
 
-def _fail(msg: str, tok: Token | None = None) -> ParseError:
-    return ParseError(msg, None if tok is None else tok.offset)
-
-
-def _expect(cond: bool, msg: str, tok: Token | None = None) -> None:
+def _expect(cond: bool, msg: str, index: int | None = None) -> None:
     if not cond:
-        raise _fail(msg, tok)
+        raise ParseError(msg, index)
 
 
-def _match(toks: list[Token], i: int, open_text: str, close_text: str, end: int | None) -> int:
+def _match(lex: LexBase, i: int, open_text: str, close_text: str, end: int | None) -> int:
+    toks = lex.tokens
     n = len(toks) if end is None else end
-    _expect(
-        i < n and toks[i].text == open_text,
-        f"expected {open_text!r}",
-        toks[i] if i < n else None,
-    )
+    _expect(i < n and toks[i] == open_text, f"expected {open_text!r}", i if i < n else None)
     depth = 0
     j = i
     while j < n:
-        t = toks[j].text
+        t = toks[j]
         if t == open_text:
             depth += 1
         elif t == close_text:
@@ -170,33 +167,33 @@ def _match(toks: list[Token], i: int, open_text: str, close_text: str, end: int 
             if depth == 0:
                 return j
         j += 1
-    raise _fail(f"unbalanced {open_text!r}", toks[i])
+    raise ParseError(f"unbalanced {open_text!r}", i)
 
 
-# The scanners below read toks[:end] only; end defaults to the whole list.
+# The scanners below read the tokens before end only; end defaults to the
+# whole file.  Their errors carry the index of the failing token.
 
 
-def match_paren(toks: list[Token], i: int, end: int | None = None) -> int:
-    return _match(toks, i, "(", ")", end)
+def match_paren(lex: LexBase, i: int, end: int | None = None) -> int:
+    return _match(lex, i, "(", ")", end)
 
 
-def match_brace(toks: list[Token], i: int, end: int | None = None) -> int:
-    return _match(toks, i, "{", "}", end)
+def match_brace(lex: LexBase, i: int, end: int | None = None) -> int:
+    return _match(lex, i, "{", "}", end)
 
 
-def scan_annotation(toks: list[Token], i: int, end: int | None = None) -> int:
+def scan_annotation(lex: LexBase, i: int, end: int | None = None) -> int:
     """Skip an annotation starting at '@'; returns the index after it."""
+    toks, kinds = lex.tokens, lex.kinds
     n = len(toks) if end is None else end
-    _expect(i < n and toks[i].text == "@", "expected '@'",
-            toks[i] if i < n else None)
+    _expect(i < n and toks[i] == "@", "expected '@'", i if i < n else None)
     j = i + 1
-    _expect(j < n and toks[j].kind == TokenKind.IDENTIFIER,
-            "expected annotation name", toks[i])
+    _expect(j < n and kinds[j] == IDENTIFIER, "expected annotation name", i)
     j += 1
-    while j + 1 < n and toks[j].text == "." and toks[j + 1].kind == TokenKind.IDENTIFIER:
+    while j + 1 < n and toks[j] == "." and kinds[j + 1] == IDENTIFIER:
         j += 2
-    if j < n and toks[j].text == "(":
-        j = match_paren(toks, j, n) + 1
+    if j < n and toks[j] == "(":
+        j = match_paren(lex, j, n) + 1
     return j
 
 
@@ -204,20 +201,20 @@ _ANGLE_WORDS = frozenset({"extends", "super"}) | PRIMITIVE_TYPES
 _ANGLE_PUNCT = frozenset({".", ",", "?", "[", "]", "&"})
 
 
-def match_angle(toks: list[Token], i: int, end: int | None = None) -> int | None:
+def match_angle(lex: LexBase, i: int, end: int | None = None) -> int | None:
     """Try to match generic arguments starting at '<'.
 
     Returns the index one past the closing token, or None when the region
     cannot be type arguments and '<' must be a comparison.
     """
+    toks, kinds = lex.tokens, lex.kinds
     n = len(toks) if end is None else end
-    if i >= n or toks[i].text != "<":
+    if i >= n or toks[i] != "<":
         return None
     depth = 1
     j = i + 1
     while j < n:
-        t = toks[j]
-        txt = t.text
+        txt = toks[j]
         if txt == "<":
             depth += 1
             j += 1
@@ -232,74 +229,76 @@ def match_angle(toks: list[Token], i: int, end: int | None = None) -> int | None
             continue
         if txt == "@":
             try:
-                j = scan_annotation(toks, j, n)
+                j = scan_annotation(lex, j, n)
             except ParseError:
                 return None
             continue
-        if t.kind == TokenKind.IDENTIFIER or txt in _ANGLE_WORDS or txt in _ANGLE_PUNCT:
+        if kinds[j] == IDENTIFIER or txt in _ANGLE_WORDS or txt in _ANGLE_PUNCT:
             j += 1
             continue
         return None
     return None
 
 
-def _angle_text(toks: list[Token], lo: int, hi: int) -> str:
+def _angle_text(lex: LexBase, lo: int, hi: int) -> str:
+    toks = lex.tokens
     out = []
     j = lo
     while j < hi:
-        if toks[j].text == "@":
-            j = scan_annotation(toks, j)
+        if toks[j] == "@":
+            j = scan_annotation(lex, j)
             continue
-        out.append(toks[j].text)
+        out.append(toks[j])
         j += 1
     return "".join(out)
 
 
-def scan_type(toks: list[Token], i: int, end: int | None = None) -> tuple[int, str] | None:
+def scan_type(lex: LexBase, i: int, end: int | None = None) -> tuple[int, str] | None:
     """Scan a type at i: annotations, a primitive or dotted name with
     generics, then trailing dimensions.
 
     Returns (end, text); text has no whitespace and no annotations.  Returns
     None when i does not start a type.
     """
+    toks, kinds = lex.tokens, lex.kinds
     n = len(toks) if end is None else end
     j = i
     parts: list[str] = []
-    while j < n and toks[j].text == "@" and not (j + 1 < n and toks[j + 1].text == "interface"):
+    while j < n and toks[j] == "@" and not (j + 1 < n and toks[j + 1] == "interface"):
         try:
-            j = scan_annotation(toks, j, n)
+            j = scan_annotation(lex, j, n)
         except ParseError:
             return None
     if j >= n:
         return None
     t = toks[j]
-    if t.kind == TokenKind.KEYWORD and t.text in PRIMITIVE_TYPES:
-        parts.append(t.text)
+    if kinds[j] == KEYWORD and t in PRIMITIVE_TYPES:
+        parts.append(t)
         j += 1
-    elif t.kind == TokenKind.IDENTIFIER:
-        parts.append(t.text)
+    elif kinds[j] == IDENTIFIER:
+        parts.append(t)
         j += 1
-        g = match_angle(toks, j, n)
+        g = match_angle(lex, j, n)
         if g is not None:
-            parts.append(_angle_text(toks, j, g))
+            parts.append(_angle_text(lex, j, g))
             j = g
-        while j + 1 < n and toks[j].text == "." and toks[j + 1].kind == TokenKind.IDENTIFIER:
-            parts.append("." + toks[j + 1].text)
+        while j + 1 < n and toks[j] == "." and kinds[j + 1] == IDENTIFIER:
+            parts.append("." + toks[j + 1])
             j += 2
-            g = match_angle(toks, j, n)
+            g = match_angle(lex, j, n)
             if g is not None:
-                parts.append(_angle_text(toks, j, g))
+                parts.append(_angle_text(lex, j, g))
                 j = g
     else:
         return None
     while True:
         k = j
-        while k < n and toks[k].text == "@":
+        while k < n and toks[k] == "@":
             try:
-                k = scan_annotation(toks, k, n)
+                k = scan_annotation(lex, k, n)
             except ParseError:
                 return None
-        if k + 1 < n and toks[k].text == "[" and toks[k + 1].text == "]":
+        if k + 1 < n and toks[k] == "[" and toks[k + 1] == "]":
             parts.append("[]")
             j = k + 2
         else:
@@ -308,9 +307,11 @@ def scan_type(toks: list[Token], i: int, end: int | None = None) -> tuple[int, s
 
 
 class _Extractor:
-    def __init__(self, source: str, lex: LexResult):
-        self.source = source
+    def __init__(self, lex: LexBase):
+        self.lex = lex
+        self.source = lex.source
         self.toks = lex.tokens
+        self.kinds = lex.kinds
         self.javadocs = lex.javadocs
         self.comments = lex.comments
         self.methods: list[MethodDecl] = []
@@ -384,23 +385,23 @@ class _Extractor:
         i = 0
         while i < n:
             t = toks[i]
-            if t.text in ("package", "import"):
-                while i < n and toks[i].text != ";":
+            if t in ("package", "import"):
+                while i < n and toks[i] != ";":
                     i += 1
                 i += 1
                 continue
-            if t.text == ";":
+            if t == ";":
                 i += 1
                 continue
             i = self._type_decl(i, []).end + 1
 
     def _is_type_decl_ahead(self, j: int) -> bool:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         for k in range(j, min(j + 4, len(toks))):
-            txt = toks[k].text
+            txt = toks[k]
             if txt in TYPE_DECL_KEYWORDS or txt == "@":
                 return True
-            if txt == "record" and toks[k].kind == TokenKind.IDENTIFIER:
+            if txt == "record" and kinds[k] == IDENTIFIER:
                 return True
             if txt in MODIFIER_KEYWORDS or txt in CONTEXTUAL_MODIFIERS:
                 continue
@@ -415,27 +416,27 @@ class _Extractor:
         _expect(j < n, "unexpected end of file")
         kind = self._type_kind(j, n)
         if kind is None:
-            raise _fail("expected a type declaration", self.toks[j])
+            raise ParseError("expected a type declaration", j)
         return self._class_like(j, chain, kind)
 
     def _modifiers(self, i: int, hi: int) -> tuple[int, list[str]]:
         """Skip the annotations and modifiers at i, before hi; returns the
         index after them and the modifiers.  'sealed' and 'non-sealed' are
         modifiers only before a type declaration."""
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         mods: list[str] = []
         j = i
         while j < hi:
             t = toks[j]
-            if t.text == "@" and j + 1 < hi and toks[j + 1].text == "interface":
+            if t == "@" and j + 1 < hi and toks[j + 1] == "interface":
                 break
-            if t.text == "@":
-                j = scan_annotation(toks, j)
+            if t == "@":
+                j = scan_annotation(self.lex, j)
                 continue
-            if (t.kind == TokenKind.KEYWORD and t.text in MODIFIER_KEYWORDS) or (
-                t.text in CONTEXTUAL_MODIFIERS and self._is_type_decl_ahead(j + 1)
+            if (kinds[j] == KEYWORD and t in MODIFIER_KEYWORDS) or (
+                t in CONTEXTUAL_MODIFIERS and self._is_type_decl_ahead(j + 1)
             ):
-                mods.append(t.text)
+                mods.append(t)
                 j += 1
                 continue
             break
@@ -443,18 +444,18 @@ class _Extractor:
 
     def _type_kind(self, j: int, hi: int) -> str | None:
         """The kind of the type declaration whose keyword is at j, if any."""
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         t = toks[j]
-        if t.text in TYPE_DECL_KEYWORDS:
-            return t.text
-        if t.text == "@" and j + 1 < hi and toks[j + 1].text == "interface":
+        if t in TYPE_DECL_KEYWORDS:
+            return t
+        if t == "@" and j + 1 < hi and toks[j + 1] == "interface":
             return "@interface"
         if (
-            t.kind == TokenKind.IDENTIFIER
-            and t.text == "record"
+            kinds[j] == IDENTIFIER
+            and t == "record"
             and j + 2 < hi
-            and toks[j + 1].kind == TokenKind.IDENTIFIER
-            and toks[j + 2].text in ("(", "<")
+            and kinds[j + 1] == IDENTIFIER
+            and toks[j + 2] in ("(", "<")
         ):
             return "record"
         return None
@@ -465,28 +466,28 @@ class _Extractor:
         n = len(toks)
         name_idx = start + (2 if kind == "@interface" else 1)
         _expect(
-            name_idx < n and toks[name_idx].kind == TokenKind.IDENTIFIER,
+            name_idx < n and self.kinds[name_idx] == IDENTIFIER,
             "expected type name",
-            toks[name_idx] if name_idx < n else None,
+            name_idx if name_idx < n else None,
         )
-        name = toks[name_idx].text
+        name = toks[name_idx]
         j = name_idx + 1
-        if j < n and toks[j].text == "<":
-            g = match_angle(toks, j)
-            _expect(g is not None, "malformed type parameters", toks[j])
+        if j < n and toks[j] == "<":
+            g = match_angle(self.lex, j)
+            _expect(g is not None, "malformed type parameters", j)
             j = g
-        if kind == "record" and j < n and toks[j].text == "(":
-            j = match_paren(toks, j) + 1
+        if kind == "record" and j < n and toks[j] == "(":
+            j = match_paren(self.lex, j) + 1
         header = j
-        while j < n and toks[j].text != "{":
-            if toks[j].text == "@":
-                j = scan_annotation(toks, j)
+        while j < n and toks[j] != "{":
+            if toks[j] == "@":
+                j = scan_annotation(self.lex, j)
                 continue
-            if toks[j].text == ";":
+            if toks[j] == ";":
                 return TypeDecl(kind, name, start, header, None, j)
             j += 1
-        _expect(j < n, "missing type body", toks[name_idx])
-        rec = TypeDecl(kind, name, start, header, j, match_brace(toks, j))
+        _expect(j < n, "missing type body", name_idx)
+        rec = TypeDecl(kind, name, start, header, j, match_brace(self.lex, j))
         sub_chain = chain + [name]
         k = j + 1
         if kind == "enum":
@@ -496,7 +497,7 @@ class _Extractor:
 
     def _anonymous(self, i: int, chain: list[str]) -> TypeDecl:
         """The anonymous class body whose '{' is at i."""
-        close = match_brace(self.toks, i)
+        close = match_brace(self.lex, i)
         rec = TypeDecl("anonymous", None, i, i, i, close)
         rec.members = self._members(i + 1, close, chain + [self._next_anon()], None)
         return rec
@@ -510,25 +511,25 @@ class _Extractor:
         j = rec.body_open + 1
         while j < close:
             t = toks[j]
-            if t.text == ";":
+            if t == ";":
                 rec.constants_end = j
                 return j + 1
-            if t.text == "@":
-                j = scan_annotation(toks, j)
+            if t == "@":
+                j = scan_annotation(self.lex, j)
                 continue
-            _expect(t.kind == TokenKind.IDENTIFIER, "expected enum constant", t)
+            _expect(self.kinds[j] == IDENTIFIER, "expected enum constant", j)
             const = EnumConstant(j, None, None)
             j += 1
-            if j < close and toks[j].text == "(":
-                c = match_paren(toks, j)
+            if j < close and toks[j] == "(":
+                c = match_paren(self.lex, j)
                 self._scan_for_types(j + 1, c, chain)
                 const.args = (j, c)
                 j = c + 1
-            if j < close and toks[j].text == "{":
+            if j < close and toks[j] == "{":
                 const.body = self._anonymous(j, chain)
                 j = const.body.end + 1
             rec.constants.append(const)
-            if j < close and toks[j].text == ",":
+            if j < close and toks[j] == ",":
                 j += 1
         return close
 
@@ -540,7 +541,7 @@ class _Extractor:
         out: list[Member] = []
         j = i
         while j < close:
-            if toks[j].text == ";":
+            if toks[j] == ";":
                 j += 1
                 continue
             member = self._member(j, close, chain, class_name)
@@ -549,9 +550,9 @@ class _Extractor:
         return out
 
     def _member(self, start: int, close: int, chain: list[str], class_name: str | None) -> Member:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         j, mods = self._modifiers(start, close)
-        _expect(j < close, "truncated member", toks[start])
+        _expect(j < close, "truncated member", start)
         t = toks[j]
         head = j
 
@@ -560,35 +561,34 @@ class _Extractor:
             rec = self._class_like(j, chain, kind)
             return Member("type", start, head, mods, rec.end, type=rec)
 
-        if t.text == "{":
-            b = match_brace(toks, j)
+        if t == "{":
+            b = match_brace(self.lex, j)
             self._scan_for_types(j + 1, b, chain)
             return Member("initializer", start, head, mods, b, body=j)
 
-        if t.text == "<":
-            g = match_angle(toks, j)
-            _expect(g is not None, "malformed method type parameters", t)
+        if t == "<":
+            g = match_angle(self.lex, j)
+            _expect(g is not None, "malformed method type parameters", j)
+            _expect(g < close, "truncated member", j)
             j = g
-            _expect(j < close, "truncated member", t)
             t = toks[j]
 
         if (
             class_name is not None
-            and t.kind == TokenKind.IDENTIFIER
-            and t.text == class_name
+            and kinds[j] == IDENTIFIER
+            and t == class_name
             and j + 1 < close
-            and toks[j + 1].text in ("(", "{")
+            and toks[j + 1] in ("(", "{")
         ):
             return self._method(start, head, mods, "", j, chain, close)
 
-        st = scan_type(toks, j)
+        st = scan_type(self.lex, j)
         if st is None:
-            raise _fail("expected member type", t)
+            raise ParseError("expected member type", j)
         type_end, type_text = st
-        _expect(type_end < close, "truncated member", t)
-        name_tok = toks[type_end]
-        _expect(name_tok.kind == TokenKind.IDENTIFIER, "expected member name", name_tok)
-        if type_end + 1 < close and toks[type_end + 1].text == "(":
+        _expect(type_end < close, "truncated member", j)
+        _expect(kinds[type_end] == IDENTIFIER, "expected member name", type_end)
+        if type_end + 1 < close and toks[type_end + 1] == "(":
             return self._method(start, head, mods, type_text, type_end, chain, close)
         return self._field(start, head, mods, type_text, type_end, chain, close)
 
@@ -609,28 +609,28 @@ class _Extractor:
         param_types: list[str] = []
         j = name_idx + 1
         ret = return_type
-        if toks[j].text == "(":
-            pclose = match_paren(toks, j)
+        if toks[j] == "(":
+            pclose = match_paren(self.lex, j)
             param_types = self._param_types(j + 1, pclose)
             member.params = (j, pclose)
             j = pclose + 1
-            while j + 1 < close and toks[j].text == "[" and toks[j + 1].text == "]":
+            while j + 1 < close and toks[j] == "[" and toks[j + 1] == "]":
                 ret += "[]"
                 j += 2
         while True:
-            _expect(j < close, "unterminated method header", toks[name_idx])
-            txt = toks[j].text
+            _expect(j < close, "unterminated method header", name_idx)
+            txt = toks[j]
             if txt == "@":
-                j = scan_annotation(toks, j)
+                j = scan_annotation(self.lex, j)
                 continue
             if txt == "{":
                 member.body = j
-                member.end = match_brace(toks, j)
+                member.end = match_brace(self.lex, j)
                 break
             if txt == ";":
                 member.end = j
                 break
-            if txt == "default" and toks[j].kind == TokenKind.KEYWORD:
+            if txt == "default" and self.kinds[j] == KEYWORD:
                 lo = j + 1
                 j = self._expr_end(lo, close, (";",))
                 member.default = (lo, j)
@@ -643,13 +643,13 @@ class _Extractor:
                 class_chain=list(chain),
                 modifiers=mods,
                 return_type=ret,
-                name=toks[name_idx].text,
+                name=toks[name_idx],
                 param_types=param_types,
                 tokens=toks[start : end + 1],
-                plain_lines=self._source_lines(toks[start].offset, toks[end].end),
+                plain_lines=self._source_lines(self.lex.offsets[start], self.lex.ends[end]),
                 javadoc_lines=self._javadoc_lines(start, name_idx),
                 member=member,
-                file_tokens=toks,
+                file=self.lex,
                 types=self.types,
             )
         )
@@ -658,52 +658,52 @@ class _Extractor:
         return member
 
     def _param_types(self, lo: int, hi: int) -> list[str]:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         out: list[str] = []
         j = lo
         while j < hi:
             while j < hi:
-                if toks[j].text == "@":
-                    j = scan_annotation(toks, j)
+                if toks[j] == "@":
+                    j = scan_annotation(self.lex, j)
                     continue
-                if toks[j].text == "final":
+                if toks[j] == "final":
                     j += 1
                     continue
                 break
             if j >= hi:
                 break
-            st = scan_type(toks, j)
+            st = scan_type(self.lex, j)
             if st is None:
-                raise _fail("malformed parameter", toks[j])
+                raise ParseError("malformed parameter", j)
             j, text = st
-            while j < hi and toks[j].text == "@":
-                j = scan_annotation(toks, j)
-            if j < hi and toks[j].text == "...":
+            while j < hi and toks[j] == "@":
+                j = scan_annotation(self.lex, j)
+            if j < hi and toks[j] == "...":
                 text += "..."
                 j += 1
             receiver = False
-            if j < hi and toks[j].text == "this":
+            if j < hi and toks[j] == "this":
                 receiver = True
                 j += 1
             elif (
                 j + 2 < hi
-                and toks[j].kind == TokenKind.IDENTIFIER
-                and toks[j + 1].text == "."
-                and toks[j + 2].text == "this"
+                and kinds[j] == IDENTIFIER
+                and toks[j + 1] == "."
+                and toks[j + 2] == "this"
             ):
                 receiver = True
                 j += 3
             else:
-                _expect(j < hi and toks[j].kind == TokenKind.IDENTIFIER,
-                        "expected parameter name", toks[j] if j < hi else None)
+                _expect(j < hi and kinds[j] == IDENTIFIER,
+                        "expected parameter name", j if j < hi else None)
                 j += 1
-                while j + 1 < hi and toks[j].text == "[" and toks[j + 1].text == "]":
+                while j + 1 < hi and toks[j] == "[" and toks[j + 1] == "]":
                     text += "[]"
                     j += 2
             if not receiver:
                 out.append(text)
             if j < hi:
-                _expect(toks[j].text == ",", "malformed parameter list", toks[j])
+                _expect(toks[j] == ",", "malformed parameter list", j)
                 j += 1
         return out
 
@@ -722,30 +722,29 @@ class _Extractor:
         all_dims: list[str] = []
         j = first_name_idx
         while True:
-            name_tok = toks[j]
-            _expect(name_tok.kind == TokenKind.IDENTIFIER, "expected field name", name_tok)
             d_start = j
+            _expect(self.kinds[j] == IDENTIFIER, "expected field name", d_start)
             j += 1
             dims = ""
-            while j + 1 < close and toks[j].text == "[" and toks[j + 1].text == "]":
+            while j + 1 < close and toks[j] == "[" and toks[j + 1] == "]":
                 dims += "[]"
                 j += 2
             init = j
-            if j < close and toks[j].text == "=":
+            if j < close and toks[j] == "=":
                 init = j + 1
                 j = self._expr_end(init, close, (",", ";"))
                 self._scan_for_types(init, j, chain)
-            _expect(j < close, "unterminated field", name_tok)
+            _expect(j < close, "unterminated field", d_start)
             member.declarators.append((d_start, init, j))
             all_dims.append(dims)
-            if toks[j].text == ",":
+            if toks[j] == ",":
                 j += 1
                 continue
-            _expect(toks[j].text == ";", "expected ';' after field", toks[j])
+            _expect(toks[j] == ";", "expected ';' after field", j)
             break
         member.end = j
         semi = toks[j]
-        plain_lines = self._source_lines(toks[start].offset, semi.end)
+        plain_lines = self._source_lines(self.lex.offsets[start], self.lex.ends[j])
         javadoc_lines = self._javadoc_lines(start, first_name_idx)
         for declarator, dims in zip(member.declarators, all_dims):
             lo, _, hi = declarator
@@ -754,13 +753,13 @@ class _Extractor:
                     class_chain=list(chain),
                     modifiers=list(mods),
                     field_type=type_text + dims,
-                    name=toks[lo].text,
+                    name=toks[lo],
                     tokens=toks[start:first_name_idx] + toks[lo:hi] + [semi],
                     plain_lines=plain_lines,
                     javadoc_lines=javadoc_lines,
                     member=member,
                     declarator=declarator,
-                    file_tokens=toks,
+                    file=self.lex,
                     types=self.types,
                 )
             )
@@ -770,53 +769,52 @@ class _Extractor:
         """Scan an expression; returns the index of the first stop token at
         zero paren/bracket/brace depth.  Generic argument runs are skipped
         when they are followed by '(' or '::' (calls and method refs)."""
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         depth = 0
         j = i
         while j < close:
-            txt = toks[j].text
+            txt = toks[j]
             if txt in ("(", "[", "{"):
                 depth += 1
             elif txt in (")", "]", "}"):
                 depth -= 1
-                _expect(depth >= 0, "unbalanced expression", toks[j])
+                _expect(depth >= 0, "unbalanced expression", j)
             elif depth == 0 and txt in stops:
                 return j
-            elif txt == "<" and j > i and toks[j - 1].kind == TokenKind.IDENTIFIER:
-                g = match_angle(toks, j)
-                if g is not None and g < close and toks[g].text in ("(", "::"):
+            elif txt == "<" and j > i and kinds[j - 1] == IDENTIFIER:
+                g = match_angle(self.lex, j)
+                if g is not None and g < close and toks[g] in ("(", "::"):
                     j = g
                     continue
             j += 1
-        raise _fail("unterminated expression", toks[i] if i < len(toks) else None)
+        raise ParseError("unterminated expression", i if i < len(toks) else None)
 
     # ------------------------------------------------------------------
     # nested type discovery inside statement/expression regions
 
     def _scan_for_types(self, lo: int, hi: int, chain: list[str]) -> None:
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         j = lo
         while j < hi:
-            t = toks[j]
-            txt = t.text
+            txt = toks[j]
             if txt == "new":
                 j = self._new_expr(j, hi, chain)
                 continue
             kind = None
             # A type keyword must name a type (_class_like raises if not);
             # only a class literal, `X.class`, is something else.
-            if txt == "class" and (j == 0 or toks[j - 1].text != "."):
+            if txt == "class" and (j == 0 or toks[j - 1] != "."):
                 kind = txt
             elif txt in ("interface", "enum"):
                 kind = txt
-            elif txt == "@" and j + 1 < hi and toks[j + 1].text == "interface":
+            elif txt == "@" and j + 1 < hi and toks[j + 1] == "interface":
                 kind = "@interface"
             elif (
                 txt == "record"
-                and t.kind == TokenKind.IDENTIFIER
+                and kinds[j] == IDENTIFIER
                 and j + 2 < hi
-                and toks[j + 1].kind == TokenKind.IDENTIFIER
-                and toks[j + 2].text == "("
+                and kinds[j + 1] == IDENTIFIER
+                and toks[j + 2] == "("
             ):
                 kind = txt
             if kind is None:
@@ -831,27 +829,27 @@ class _Extractor:
     def _new_expr(self, i: int, hi: int, chain: list[str]) -> int:
         """Handle a 'new' expression at i; extracts anonymous class members.
         Returns the index to resume scanning from."""
-        toks = self.toks
+        toks, kinds = self.toks, self.kinds
         k = i + 1
-        while k < hi and toks[k].text == "@":
-            k = scan_annotation(toks, k)
-        if k < hi and toks[k].kind == TokenKind.KEYWORD and toks[k].text in PRIMITIVE_TYPES:
+        while k < hi and toks[k] == "@":
+            k = scan_annotation(self.lex, k)
+        if k < hi and kinds[k] == KEYWORD and toks[k] in PRIMITIVE_TYPES:
             return k + 1
-        if k >= hi or toks[k].kind != TokenKind.IDENTIFIER:
+        if k >= hi or kinds[k] != IDENTIFIER:
             return i + 1
         k += 1
-        g = match_angle(toks, k)
+        g = match_angle(self.lex, k)
         if g is not None:
             k = g
-        while k + 1 < hi and toks[k].text == "." and toks[k + 1].kind == TokenKind.IDENTIFIER:
+        while k + 1 < hi and toks[k] == "." and kinds[k + 1] == IDENTIFIER:
             k += 2
-            g = match_angle(toks, k)
+            g = match_angle(self.lex, k)
             if g is not None:
                 k = g
-        if k < hi and toks[k].text == "(":
-            c = match_paren(toks, k)
+        if k < hi and toks[k] == "(":
+            c = match_paren(self.lex, k)
             self._scan_for_types(k + 1, c, chain)
-            if c + 1 < hi and toks[c + 1].text == "{":
+            if c + 1 < hi and toks[c + 1] == "{":
                 rec = self._anonymous(c + 1, chain)
                 self.types[c + 1] = rec
                 return rec.end + 1
@@ -867,13 +865,14 @@ def extract(
     base is passed to tokenize: an earlier version of the file to lex
     against, updated to record this one.  Raises LexError or ParseError when
     the file cannot be processed; callers then keep the original file
-    untouched.
+    untouched.  A ParseError's message ends with the line of its token.
     """
-    ex = _Extractor(source, tokenize(source, base))
+    lex = tokenize(source, base)
+    ex = _Extractor(lex)
     try:
         ex.run()
     except ParseError as e:
-        if e.offset is not None:
-            e.args = (f"{e} near line {position(source, e.offset)[0]}",)
+        if e.index is not None:
+            e.args = (f"{e} near line {position(source, lex.offsets[e.index])[0]}",)
         raise
     return ex.methods, ex.fields

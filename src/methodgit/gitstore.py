@@ -541,15 +541,25 @@ class ObjectStore:
                 return sha
         return None
 
-    def peel_to_commit(self, oid: str) -> str:
+    def peel_to_commit(
+        self, oid: str, commits: dict[str, CommitRecord] | None = None
+    ) -> CommitRecord:
+        """The commit oid names, through any chain of annotated tags.  A
+        commit in commits is not read again, and one that is read is added
+        to it."""
         seen = set()
         while True:
+            if commits is not None and oid in commits:
+                return commits[oid]
             if oid in seen:
                 raise RepositoryError(f"tag cycle at {oid}")
             seen.add(oid)
             kind, payload = self.read(oid)
             if kind == "commit":
-                return oid
+                record = parse_commit(oid, payload)
+                if commits is not None:
+                    commits[oid] = record
+                return record
             if kind != "tag":
                 raise RepositoryError(f"cannot peel {kind} object {oid} to a commit")
             target = None

@@ -1,11 +1,12 @@
 """Java tokenizer.
 
-Produces a flat token stream (identifiers, keywords, literals, operators,
-separators) with comments removed.  Tokens carry source offsets only:
-``position`` computes a line and column when an error is raised.  Javadoc
-comments are captured separately together with the index of the token they
-precede, so declaration extraction can reattach them.  Unicode escape
-pre-translation is not applied.
+Lexes a source into one record, a LexBase, that holds the token texts,
+kind codes, source offsets and ends as parallel sequences, and the
+comments, which never become tokens.  A token has no object of its own,
+and no line or column: ``position`` computes them from an offset when an
+error is raised.  Javadoc comments are also captured separately together
+with the index of the token they precede, so declaration extraction can
+reattach them.  Unicode escape pre-translation is not applied.
 
 One compiled pattern of ordered, named alternatives does the lexing: each
 match is one token, comment or whitespace run.  Where a form can open but
@@ -31,6 +32,9 @@ what the edit can have changed.  Two locality rules make that exact:
   (delta being the change in length) also starts an old token or comment,
   the rest of the old stream follows: offsets shift by delta and javadoc
   attach indices by the difference in token count.
+
+Both copies are slices of the base's sequences, so no per-token object is
+built for them.
 """
 
 from __future__ import annotations
@@ -39,26 +43,24 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from operator import attrgetter
 
 from .errors import LexError
 
 
-class TokenKind(Enum):
-    IDENTIFIER = "identifier"
-    KEYWORD = "keyword"
-    LITERAL = "literal"
-    OPERATOR = "operator"
-    SEPARATOR = "separator"
+class TokenKind(IntEnum):
+    """A token's kind; its value is the code LexBase.kinds stores."""
+
+    IDENTIFIER = 0
+    KEYWORD = 1
+    LITERAL = 2
+    OPERATOR = 3
+    SEPARATOR = 4
 
 
-@dataclass(slots=True)
-class Token:
-    text: str
-    kind: TokenKind
-    offset: int
-    end: int
+# Module names for the members, which compare faster than attribute reads.
+IDENTIFIER, KEYWORD, LITERAL, OPERATOR, SEPARATOR = TokenKind
 
 
 @dataclass(frozen=True)
@@ -82,26 +84,20 @@ class CommentSpan:
     javadoc: bool
 
 
-@dataclass
-class LexResult:
-    tokens: list[Token]
-    javadocs: list[Javadoc]
-    comments: list[CommentSpan]
-
-
 @dataclass(slots=True)
 class LexBase:
-    """A compact record of the last source lexed against it: the source,
-    token offsets and ends, token kind codes, and the comment and javadoc
-    lists.  It holds no Token objects, so keeping one per file costs a few
-    bytes per token.  A new LexBase records the empty source."""
+    """A lexed source: token i is tokens[i], of kind TokenKind(kinds[i]),
+    at source[offsets[i]:ends[i]].  comments holds every comment in source
+    order, and javadocs the documentation comments among them.  A new
+    LexBase records the empty source."""
 
     source: str = ""
+    tokens: list[str] = field(default_factory=list)
+    kinds: bytes = b""
     offsets: array = field(default_factory=lambda: array("q"))
     ends: array = field(default_factory=lambda: array("q"))
-    kinds: bytes = b""
-    javadocs: list[Javadoc] = field(default_factory=list)
     comments: list[CommentSpan] = field(default_factory=list)
+    javadocs: list[Javadoc] = field(default_factory=list)
 
 
 # Reserved words.  Contextual keywords (var, record, yield, sealed, ...)
@@ -178,19 +174,12 @@ _ERRORS = {
     "unexpected": "unexpected character {!r}",
 }
 
-# A token kind's code in LexBase.kinds is its index here.
-_KIND_CODES = (
-    TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL, TokenKind.OPERATOR,
-    TokenKind.SEPARATOR,
-)
-_IDENTIFIER, _KEYWORD, _LITERAL, _OPERATOR, _SEPARATOR = range(len(_KIND_CODES))
-
-# Codes of words and punctuation; any other word is an identifier.
-_CODES = {
-    **dict.fromkeys(KEYWORDS, _KEYWORD),
-    **dict.fromkeys(LITERAL_WORDS, _LITERAL),
-    **dict.fromkeys(SEPARATORS, _SEPARATOR),
-    **dict.fromkeys(OPERATORS, _OPERATOR),
+# Kinds of words and punctuation; any other word is an identifier.
+_KINDS = {
+    **dict.fromkeys(KEYWORDS, KEYWORD),
+    **dict.fromkeys(LITERAL_WORDS, LITERAL),
+    **dict.fromkeys(SEPARATORS, SEPARATOR),
+    **dict.fromkeys(OPERATORS, OPERATOR),
 }
 
 
@@ -215,12 +204,7 @@ _start = attrgetter("start")
 _end = attrgetter("end")
 
 
-def _tokens(source: str, offsets: array, ends: array, kinds: bytes) -> list[Token]:
-    """Tokens rebuilt from a LexBase's arrays over source."""
-    return [Token(source[o:e], _KIND_CODES[k], o, e) for o, e, k in zip(offsets, ends, kinds)]
-
-
-def tokenize(source: str, base: LexBase | None = None) -> LexResult:
+def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     """Tokenize Java source.
 
     Comments never become tokens.  Javadoc comments (block comments opening
@@ -231,8 +215,8 @@ def tokenize(source: str, base: LexBase | None = None) -> LexResult:
     With a base, the parts of source that the locality rules (see the
     module docstring) show to lex as in base.source are copied from it
     instead of lexed again; the result is the same for any base.  When
-    lexing succeeds, base is updated in place to record source, so one base
-    passed with each new version of a file lexes it against the last.
+    lexing succeeds, base is updated in place to equal the result, so one
+    base passed with each new version of a file lexes it against the last.
     """
     old = base if base is not None else LexBase()
     old_src = old.source
@@ -246,8 +230,8 @@ def tokenize(source: str, base: LexBase | None = None) -> LexResult:
     cut = old_src.rfind("\n", 0, prefix)
     i = bisect_right(old.ends, cut)
     ci = bisect_right(old.comments, cut, key=_end)
-    offsets, ends, kinds = old.offsets[:i], old.ends[:i], bytearray(old.kinds[:i])
-    tokens = _tokens(source, offsets, ends, kinds)
+    tokens, kinds = old.tokens[:i], bytearray(old.kinds[:i])
+    offsets, ends = old.offsets[:i], old.ends[:i]
     comments = old.comments[:ci]
     javadocs = old.javadocs[: bisect_right(old.javadocs, cut, key=_end)]
     resume = max(ends[-1] if i else 0, comments[-1].end if ci else 0)
@@ -272,7 +256,7 @@ def tokenize(source: str, base: LexBase | None = None) -> LexResult:
                 break
         text = m.group()
         if group == "word" or group == "punct":
-            code = _CODES.get(text, _IDENTIFIER)
+            kind = _KINDS.get(text, IDENTIFIER)
         elif group in _ERRORS:
             raise LexError(_ERRORS[group].format(text), *position(source, start))
         elif group == "line_comment":
@@ -285,22 +269,19 @@ def tokenize(source: str, base: LexBase | None = None) -> LexResult:
                 javadocs.append(Javadoc(text, len(tokens), start, end))
             continue
         else:
-            code = _LITERAL
-        tokens.append(Token(text, _KIND_CODES[code], start, end))
+            kind = LITERAL
+        tokens.append(text)
+        kinds.append(kind)
         offsets.append(start)
         ends.append(end)
-        kinds.append(code)
 
     if tail is not None:
         k, c, j = tail
         shift = len(tokens) - k
-        t_offsets = array("q", map(delta.__add__, old.offsets[k:]))
-        t_ends = array("q", map(delta.__add__, old.ends[k:]))
-        t_kinds = old.kinds[k:]
-        tokens.extend(_tokens(source, t_offsets, t_ends, t_kinds))
-        offsets.extend(t_offsets)
-        ends.extend(t_ends)
-        kinds.extend(t_kinds)
+        tokens += old.tokens[k:]
+        kinds += old.kinds[k:]
+        offsets.extend(map(delta.__add__, old.offsets[k:]))
+        ends.extend(map(delta.__add__, old.ends[k:]))
         comments.extend(
             CommentSpan(s.start + delta, s.end + delta, s.javadoc) for s in old.comments[c:]
         )
@@ -309,7 +290,8 @@ def tokenize(source: str, base: LexBase | None = None) -> LexResult:
             for d in old.javadocs[j:]
         )
 
+    result = LexBase(source, tokens, bytes(kinds), offsets, ends, comments, javadocs)
     if base is not None:
-        base.source, base.offsets, base.ends, base.kinds = source, offsets, ends, bytes(kinds)
-        base.comments, base.javadocs = list(comments), list(javadocs)
-    return LexResult(tokens, javadocs, comments)
+        base.source, base.tokens, base.kinds = source, tokens, result.kinds
+        base.offsets, base.ends, base.comments, base.javadocs = offsets, ends, comments, javadocs
+    return result

@@ -126,14 +126,13 @@ def _render_key(source: str, decl: MethodDecl | FieldDecl, config: RenderConfig)
     javadoc = tuple(decl.javadoc_lines)
     if config.line_format is LineFormat.PLAIN:
         return javadoc, tuple(decl.plain_lines)
-    toks, m = decl.file_tokens, decl.member
+    offsets, ends, m = decl.file.offsets, decl.file.ends, decl.member
     if isinstance(decl, MethodDecl):
-        return source[toks[m.start].offset : toks[m.end].end], javadoc
-    head_end = toks[m.declarators[0][0] - 1].end
+        return source[offsets[m.start] : ends[m.end]], javadoc
     lo, _, end = decl.declarator
     return (
-        source[toks[m.start].offset : head_end],
-        source[toks[lo].offset : toks[end].end],
+        source[offsets[m.start] : ends[m.declarators[0][0] - 1]],
+        source[offsets[lo] : ends[end]],
         javadoc,
     )
 
@@ -175,9 +174,11 @@ class _TreeConverter:
 
     def _convert_java_blob(self, oid: str, *, java_name: bytes) -> list[tuple[bytes, str]] | None:
         """File names and blob ids of a .java blob's declarations.  The
-        blob is lexed against the last file called java_name.  (java_name
-        is keyword-only because bench/spans.py keys its cache-hit count on
-        the positional arguments.)"""
+        blob is lexed against the last file called java_name.  A blob that
+        fails to convert, or any blob under keep_original_java, is also
+        copied from the content read here, after its declarations.
+        (java_name is keyword-only because bench/spans.py keys its
+        cache-hit count on the positional arguments.)"""
         cached = self.caches.blobs.get(oid, False)
         if cached is not False:
             return cached
@@ -188,7 +189,7 @@ class _TreeConverter:
             self.stats.files_skipped += 1
             result = None
         else:
-            # Written only now: a blob that fails to convert writes nothing.
+            # Written only now: a blob that fails to convert writes no declaration.
             rendered = self.caches.rendered
             result = []
             for file_name, (key, data) in files:
@@ -196,13 +197,18 @@ class _TreeConverter:
                     rendered[key] = self.writer.write_blob(data)
                 result.append((file_name.encode("utf-8"), rendered[key]))
             self.stats.files_emitted += len(result)
+        if result is None or self.config.keep_original_java:
+            self._copy_blob(oid, content)
         self.caches.blobs[oid] = result
         return result
 
-    def _copy_blob(self, oid: str) -> str:
+    def _copy_blob(self, oid: str, content: bytes | None = None) -> str:
+        """The id oid's blob is written under; content, when given, is the
+        blob's, so it is not read again."""
         copied = self.caches.copied.get(oid)
         if copied is None:
-            _, content = self.store.read(oid)
+            if content is None:
+                _, content = self.store.read(oid)
             copied = self.caches.copied[oid] = self.writer.write_blob(content)
         return copied
 
@@ -235,8 +241,9 @@ class _TreeConverter:
         return new_oid
 
 
-def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, str]:
-    """Full ref name -> commit id (annotated tags peeled)."""
+def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, CommitRecord]:
+    """Full ref name -> its commit (annotated tags peeled); each commit is
+    read once."""
     all_refs = store.refs()
     selected: dict[str, str] = {}
     if ref_names is None:
@@ -249,14 +256,16 @@ def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, s
             if full is None:
                 raise RepositoryError(f"ref not found: {name}")
             selected[full] = all_refs[full]
-    return {name: store.peel_to_commit(oid) for name, oid in selected.items()}
-
-
-def _topo_order(store: ObjectStore, tips: list[str]) -> list[CommitRecord]:
-    """All ancestors of tips, parents before children, ties broken by
-    (commit time, id); each commit is read once."""
     commits: dict[str, CommitRecord] = {}
-    stack = list(dict.fromkeys(tips))
+    return {name: store.peel_to_commit(oid, commits) for name, oid in selected.items()}
+
+
+def _topo_order(store: ObjectStore, tips: list[CommitRecord]) -> list[CommitRecord]:
+    """The tips and all their ancestors, parents before children, ties
+    broken by (commit time, id); each ancestor that is not a tip is read
+    once."""
+    commits = {tip.id: tip for tip in tips}
+    stack = [parent for tip in tips for parent in tip.parents]
     while stack:
         oid = stack.pop()
         if oid in commits:
@@ -328,7 +337,7 @@ def rewrite_history(
 
 def _rewrite(
     store: ObjectStore,
-    refs: dict[str, str],
+    refs: dict[str, CommitRecord],
     dst_path: str,
     config: ConversionConfig,
     progress: Callable[[int, int], None] | None,
@@ -360,7 +369,7 @@ def _rewrite(
     stats.commits_processed = len(order)
     graph.write(os.path.join(writer.path, "objects", "info", "commit-graph"))
 
-    new_refs = {name: commit_map[oid] for name, oid in refs.items()}
+    new_refs = {name: commit_map[commit.id] for name, commit in refs.items()}
     writer.write_refs(new_refs)
 
     head_ref = None

@@ -39,7 +39,6 @@ import enum
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 
 from .commitgraph import path_keys
@@ -68,9 +67,6 @@ class SimilarityScore:
 
     numerator: int
     denominator: int
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -221,7 +217,7 @@ def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
         return oid
     kind, payload = store.read(oid)
     if kind != "commit":
-        return store.peel_to_commit(oid)
+        return store.peel_to_commit(oid).id
     record = parse_commit(oid, payload)
     caches.commits[oid] = (record.tree, record.parents, None)
     return oid

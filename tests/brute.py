@@ -14,6 +14,11 @@ from methodgit import ObjectStore
 _CHUNK = 64
 
 
+def fraction(score) -> Fraction | None:
+    """A SimilarityScore as an exact Fraction; None stays None."""
+    return None if score is None else Fraction(score.numerator, score.denominator)
+
+
 def _lines(content: bytes) -> list[bytes]:
     parts = content.split(b"\n")
     out = [p + b"\n" for p in parts[:-1]]

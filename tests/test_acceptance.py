@@ -29,7 +29,7 @@ from methodgit.tracking import (
 )
 
 from brute import _flatten as flatten_tree
-from brute import brute_follow
+from brute import brute_follow, fraction
 from conftest import (
     ENGINEER_JAVA,
     FINER,
@@ -205,7 +205,7 @@ def test_criterion_6_brute_force_equivalence(tmp_path, verdict):
         n_commits = 8 + seed % 13
         generate_text_repo(repo, n_commits=n_commits, max_files=30, seed=seed)
         with ObjectStore(repo) as store:
-            tip = store.peel_to_commit(store.resolve_ref("refs/heads/master"))
+            tip = store.peel_to_commit(store.resolve_ref("refs/heads/master")).id
             head_paths = sorted(flatten_tree(store, store.read_commit(tip).tree))
             metric = Metric.GIT_BYTES if seed % 2 == 0 else Metric.LINES
             configs = [
@@ -234,7 +234,7 @@ def test_criterion_6_brute_force_equivalence(tmp_path, verdict):
                             s.kind.value,
                             s.old_path,
                             s.new_path,
-                            s.score.as_fraction() if s.score is not None else None,
+                            fraction(s.score),
                         )
                         for s in steps
                     ]
@@ -395,7 +395,7 @@ def test_criterion_7_token_stream_reconstruction(verdict):
         files += 1
         for decl in methods:
             rendered = render(decl, RECONSTRUCT_CONFIG)
-            if reconstruct(rendered, decl) != [t.text for t in decl.tokens]:
+            if reconstruct(rendered, decl) != decl.tokens:
                 mismatches += 1
             methods_checked += 1
     ok = files == 50 and methods_checked >= 450 and mismatches == 0

@@ -19,6 +19,7 @@ from methodgit.emit import (
     elided_indices,
 )
 from methodgit.errors import ParseError
+from methodgit.extract import MethodDecl
 from methodgit.rewrite import convert_blob
 
 from conftest import (
@@ -239,7 +240,7 @@ def test_compact_constructor_elides_only_braces():
     m = method_named(src, "P")
     dropped = elided_indices(m)
     assert len(dropped) == 2
-    texts = [m.tokens[i].text for i in sorted(dropped)]
+    texts = [m.tokens[i] for i in sorted(dropped)]
     assert texts == ["{", "}"]
 
 
@@ -247,7 +248,7 @@ def test_elided_indices_are_the_four_outer_delimiters():
     m = method_named(PERSON_JAVA, "setLength")
     dropped = elided_indices(m)
     assert len(dropped) == 4
-    assert sorted(m.tokens[i].text for i in dropped) == ["(", ")", "{", "}"]
+    assert sorted(m.tokens[i] for i in dropped) == ["(", ")", "{", "}"]
 
 
 def test_javadoc_block_precedes_tokens():
@@ -272,11 +273,11 @@ def test_categorize_is_total_on_every_terminator():
         tags = categorize(m)
         assert len(tags) == len(m.tokens)
         for tok, tag in zip(m.tokens, tags):
-            if tok.text == ";":
+            if tok == ";":
                 assert tag in SEMICOLON_TAGS
-            elif tok.text in "{}":
+            elif tok in "{}":
                 assert tag in BRACKET_TAGS
-            elif tok.text in "()":
+            elif tok in "()":
                 assert tag in PAREN_TAGS
             else:
                 assert tag is None
@@ -299,7 +300,7 @@ def reconstruct(rendered: bytes, decl) -> list[str]:
         else:
             texts.append(ln)
     for idx in sorted(elided_indices(decl)):
-        texts.insert(idx, decl.tokens[idx].text)
+        texts.insert(idx, decl.tokens[idx])
     return texts
 
 
@@ -310,7 +311,7 @@ def test_reconstruction_roundtrip_kitchen():
     methods, _ = extract(KITCHEN)
     for m in methods:
         rebuilt = reconstruct(render(m, RECONSTRUCT_CONFIG), m)
-        assert rebuilt == [t.text for t in m.tokens]
+        assert rebuilt == m.tokens
 
 
 def test_repeated_constructs_repeat_tag_lines():
@@ -397,10 +398,18 @@ def test_a_token_has_one_tag_in_every_declaration(source):
     first: dict[int, tuple[str, str | None]] = {}
     mismatches = []
     for decl in methods + fields:
-        for tok, tag in zip(decl.tokens, categorize(decl)):
-            name, seen = first.setdefault(id(tok), (decl.name, tag))
+        m = decl.member
+        if isinstance(decl, MethodDecl):
+            indices = range(m.start, m.end + 1)
+        else:
+            lo, _, end = decl.declarator
+            indices = [*range(m.start, m.declarators[0][0]), *range(lo, end), m.end]
+        assert [decl.file.tokens[k] for k in indices] == decl.tokens
+        for k, tag in zip(indices, categorize(decl)):
+            name, seen = first.setdefault(k, (decl.name, tag))
             if seen != tag:
-                mismatches.append((tok.text, tok.offset, name, seen, decl.name, tag))
+                text, offset = decl.file.tokens[k], decl.file.offsets[k]
+                mismatches.append((text, offset, name, seen, decl.name, tag))
     assert mismatches == []
 
 
@@ -440,7 +449,7 @@ def test_tagging_work_is_bounded_by_each_declaration(monkeypatch):
     for m in methods:
         render(m, FINER)
     assert len(slots) == 1000
-    assert sum(slots) <= 2 * len(methods[0].file_tokens)
+    assert sum(slots) <= 2 * len(methods[0].file.tokens)
 
 
 def test_tagger_signals_a_walk_past_the_declaration_as_parse_error():
@@ -472,4 +481,4 @@ def test_categorize_lets_an_internal_index_error_propagate(monkeypatch):
     # A walk that stops at its bound leaves every terminator a generic tag.
     monkeypatch.setattr(emit._Tagger, "_member", lambda self, *args: self._tag(10**6, "X"))
     generic = {";": "OTHER", "(": "OTHER", ")": "OTHER", "{": "PLAIN_BLOCK", "}": "PLAIN_BLOCK"}
-    assert categorize(decl) == [generic.get(tok.text) for tok in decl.tokens]
+    assert categorize(decl) == [generic.get(tok) for tok in decl.tokens]

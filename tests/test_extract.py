@@ -37,12 +37,12 @@ def test_person_fixture_inventory():
 def test_delimiter_indices_point_at_delimiters():
     methods, _ = extract(PERSON_JAVA)
     for m in methods:
-        toks, member = m.file_tokens, m.member
+        toks, member = m.file.tokens, m.member
         popen, pclose = member.params
-        assert toks[popen].text == "("
-        assert toks[pclose].text == ")"
-        assert toks[member.body].text == "{"
-        assert toks[member.end].text == "}"
+        assert toks[popen] == "("
+        assert toks[pclose] == ")"
+        assert toks[member.body] == "{"
+        assert toks[member.end] == "}"
         assert m.tokens == toks[member.start : member.end + 1]
 
 
@@ -128,7 +128,7 @@ def test_generic_method_and_types():
     assert m.modifiers == ["static"]
     assert m.return_type == "java.util.List<T>"
     assert m.param_types == ["T[]"]
-    assert m.file_tokens[m.member.head].text == "<"
+    assert m.file.tokens[m.member.head] == "<"
 
 
 def test_c_style_array_dims_move_to_return_type():
@@ -160,7 +160,7 @@ def test_abstract_and_interface_methods_have_no_body():
     methods, _ = extract(src)
     by_name = {m.name: m for m in methods}
     assert by_name["size"].member.body is None
-    assert by_name["size"].tokens[-1].text == ";"
+    assert by_name["size"].tokens[-1] == ";"
     assert by_name["twice"].member.body is not None
     assert by_name["go"].member.body is None
     assert by_name["go"].modifiers == ["protected", "abstract"]

@@ -788,7 +788,7 @@ def test_peel_annotated_tag(tmp_path):
         tag_oid = store.resolve_ref("v1")
         assert tag_oid is not None
         assert store.read(tag_oid)[0] == "tag"
-        assert store.peel_to_commit(tag_oid) == head
+        assert store.peel_to_commit(tag_oid).id == head
 
 
 @pytest.mark.parametrize("target", [b"cd", b"\xff", b"cd" * 19 + b"\xff\xfe", b"g" * 40],

@@ -10,19 +10,22 @@ from hypothesis import strategies as st
 
 from methodgit import tokenize
 from methodgit.errors import LexError
-from methodgit.lexer import (
-    _ERRORS, _KIND_CODES, _TOKEN_RE, CommentSpan, LexBase, TokenKind, position,
-)
+from methodgit.lexer import _ERRORS, _TOKEN_RE, CommentSpan, LexBase, TokenKind, position
 
 from conftest import ENGINEER_JAVA, NESTED_JAVA, PERSON_JAVA
 
 
 def texts(source: str) -> list[str]:
-    return [t.text for t in tokenize(source).tokens]
+    return tokenize(source).tokens
 
 
 def kinds(source: str) -> list[TokenKind]:
-    return [t.kind for t in tokenize(source).tokens]
+    return list(map(TokenKind, tokenize(source).kinds))
+
+
+def extents(result: LexBase):
+    """(text, offset, end) of each token of a lexed source."""
+    return zip(result.tokens, result.offsets, result.ends)
 
 
 def test_simple_method_token_texts():
@@ -48,8 +51,7 @@ def test_token_kinds():
 
 def test_contextual_keywords_are_identifiers():
     for word in ("var", "record", "yield", "sealed", "permits", "module"):
-        (tok,) = tokenize(word).tokens
-        assert tok.kind is TokenKind.IDENTIFIER
+        assert kinds(word) == [TokenKind.IDENTIFIER]
 
 
 def test_non_sealed_is_one_token():
@@ -81,17 +83,16 @@ def test_text_block_single_token():
 
 def test_numeric_literals():
     src = "0x1F 1_000 3.14f 1e9 0b1010 077 2L .5d"
-    result = tokenize(src)
-    assert [t.text for t in result.tokens] == [
+    assert texts(src) == [
         "0x1F", "1_000", "3.14f", "1e9", "0b1010", "077", "2L", ".5d",
     ]
-    assert all(t.kind is TokenKind.LITERAL for t in result.tokens)
+    assert kinds(src) == [TokenKind.LITERAL] * 8
 
 
 def test_comments_are_recorded_not_tokenized():
     src = "int a; // line\nint b; /* block */ int c;"
     result = tokenize(src)
-    assert [t.text for t in result.tokens] == [
+    assert result.tokens == [
         "int", "a", ";", "int", "b", ";", "int", "c", ";",
     ]
     assert len(result.comments) == 2
@@ -105,17 +106,16 @@ def test_javadoc_recorded_with_attach_index():
     doc = result.javadocs[0]
     assert doc.text == "/** doc */"
     assert doc.attach_index == 0
-    assert result.tokens[doc.attach_index].text == "int"
+    assert result.tokens[doc.attach_index] == "int"
     assert [c.javadoc for c in result.comments] == [True]
 
 
 def test_line_column_offset():
     src = "int a;\n  b++;"
-    toks = tokenize(src).tokens
-    b = next(t for t in toks if t.text == "b")
-    assert position(src, b.offset) == (2, 3)
-    assert src[b.offset] == "b"
-    assert b.end == b.offset + 1
+    ((_, offset, end),) = [t for t in extents(tokenize(src)) if t[0] == "b"]
+    assert position(src, offset) == (2, 3)
+    assert src[offset] == "b"
+    assert end == offset + 1
 
 
 def test_unterminated_string_raises():
@@ -158,8 +158,10 @@ def test_lex_error_message_and_position(source, message, line, column):
 
 
 def spans(source: str) -> list[tuple[str, TokenKind, int, int, int]]:
+    result = tokenize(source)
     return [
-        (t.text, t.kind, *position(source, t.offset), t.offset) for t in tokenize(source).tokens
+        (text, TokenKind(kind), *position(source, offset), offset)
+        for text, kind, offset in zip(result.tokens, result.kinds, result.offsets)
     ]
 
 
@@ -219,7 +221,7 @@ def test_line_and_column_after_crlf_and_form_feed():
 def test_comment_opener_does_not_close_itself():
     src = "/*/ x */ y"
     result = tokenize(src)
-    assert [(t.text, position(src, t.offset)[1]) for t in result.tokens] == [("y", 10)]
+    assert [(text, position(src, offset)[1]) for text, offset, _ in extents(result)] == [("y", 10)]
     assert result.comments == [CommentSpan(0, 8, False)]
 
 
@@ -237,8 +239,8 @@ def test_long_unterminated_literal_fails_fast(source):
 
 def test_offsets_cover_text_exactly():
     src = 'class A { String s = "x"; int n = 3 % 2; }'
-    for tok in tokenize(src).tokens:
-        assert src[tok.offset : tok.end] == tok.text
+    for text, offset, end in extents(tokenize(src)):
+        assert src[offset:end] == text
 
 
 @given(
@@ -254,10 +256,10 @@ def test_offsets_cover_text_exactly():
 )
 def test_space_separated_items_roundtrip(items):
     src = " ".join(items)
-    toks = tokenize(src).tokens
-    assert [t.text for t in toks] == items
-    for tok in toks:
-        assert src[tok.offset : tok.end] == tok.text
+    result = tokenize(src)
+    assert result.tokens == items
+    for text, offset, end in extents(result):
+        assert src[offset:end] == text
 
 
 def naive_position(source: str, offset: int) -> tuple[int, int]:
@@ -283,17 +285,17 @@ def test_offsets_and_positions_agree_with_a_naive_scan(source):
     for offset in range(len(source) + 1):
         assert position(source, offset) == naive_position(source, offset)
     try:
-        toks = tokenize(source).tokens
+        result = tokenize(source)
     except LexError as e:
         # The lexer stops at the first match of an error alternative.
         stop = next(m for m in _TOKEN_RE.finditer(source) if m.lastgroup in _ERRORS)
         assert (e.line, e.column) == naive_position(source, stop.start())
         return
     last_end = 0
-    for tok in toks:
-        assert source[tok.offset : tok.end] == tok.text
-        assert last_end <= tok.offset < tok.end
-        last_end = tok.end
+    for text, offset, end in extents(result):
+        assert source[offset:end] == text
+        assert last_end <= offset < end
+        last_end = end
 
 
 # Pieces that open, close or extend a token across an edit's boundary.
@@ -352,7 +354,7 @@ def lex_pairs(draw) -> tuple[str, str]:
 
 
 def lexed(source: str, base: LexBase | None = None):
-    """The LexResult, or the LexError's args."""
+    """The lexed record, or the LexError's args."""
     try:
         return tokenize(source, base)
     except LexError as e:
@@ -365,16 +367,10 @@ def test_lexing_against_any_base_equals_a_full_lex(pair):
     old, new = pair
     base = LexBase()
     lexed(old, base)
-    before = LexBase(base.source, base.offsets[:], base.ends[:], base.kinds,
-                     list(base.javadocs), list(base.comments))
+    before = LexBase(base.source, list(base.tokens), base.kinds, base.offsets[:],
+                     base.ends[:], list(base.comments), list(base.javadocs))
     expected = lexed(new)
     assert lexed(new, base) == expected
-    # The base now records new, or is unchanged where new does not lex.
-    if isinstance(expected, tuple):
-        assert base == before
-        return
-    assert base.source == new
-    assert [(o, e, _KIND_CODES[k]) for o, e, k in zip(base.offsets, base.ends, base.kinds)] == [
-        (t.offset, t.end, t.kind) for t in expected.tokens
-    ]
-    assert (base.comments, base.javadocs) == (expected.comments, expected.javadocs)
+    # The base now equals the record of new, or is unchanged where new does
+    # not lex.
+    assert base == (before if isinstance(expected, tuple) else expected)

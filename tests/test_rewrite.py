@@ -181,6 +181,17 @@ def test_merge_topology_preserved(tmp_path):
 def test_conversion_reads_each_commit_once(tmp_path, monkeypatch):
     src = str(tmp_path / "src.git")
     base, left, right, merge = _merge_history(src)
+    # Two annotated tags name the tip as well.
+    stamp = AUTHOR % 1700000000
+    with RepoWriter(src) as writer:
+        tags = {
+            f"refs/tags/v{i}": writer.write_object(
+                b"tag", b"object %s\ntype commit\ntag v%d\ntagger %s\n\nv\n"
+                % (merge.encode(), i, stamp),
+            )
+            for i in (1, 2)
+        }
+    writer.write_refs({"refs/heads/master": merge, **tags})
     reads = Counter()
     read = ObjectStore.read
 
@@ -192,17 +203,19 @@ def test_conversion_reads_each_commit_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ObjectStore, "read", counting_read)
     rewrite_history(src, str(tmp_path / "dst.git"))
-    # The tip is read once more, when its ref is peeled to a commit.
-    assert reads == {base: 1, left: 1, right: 1, merge: 2}
+    # The tip's only read is the one that peels its ref to a commit.
+    assert reads == {base: 1, left: 1, right: 1, merge: 1}
 
 
 def test_conversion_reads_each_copied_blob_once(tmp_path, monkeypatch):
-    # README.md and docs/a.txt stay while Person.java changes beside them,
-    # so every commit has a new root tree that holds them.
+    # README.md, docs/a.txt and Broken.java, which does not parse, stay
+    # while Person.java changes beside them, so every commit has a new root
+    # tree that holds them.
     src = str(tmp_path / "src.git")
     snapshots = [
         {
             "Person.java": PERSON_JAVA.replace("length", f"length{i}").encode(),
+            "Broken.java": b"class Broken {",
             "README.md": b"# readme\n",
             "docs/a.txt": b"a\n" if i < 3 else b"b\n",
         }
@@ -218,10 +231,19 @@ def test_conversion_reads_each_copied_blob_once(tmp_path, monkeypatch):
             reads[oid] += 1
         return result
 
-    monkeypatch.setattr(ObjectStore, "read", counting_read)
-    rewrite_history(src, str(tmp_path / "dst.git"))
-    # Six Person.java versions, README.md, and two versions of docs/a.txt.
-    assert len(reads) == 9 and set(reads.values()) == {1}
+    for keep_java in (False, True):
+        reads.clear()
+        monkeypatch.setattr(ObjectStore, "read", counting_read)
+        dst = str(tmp_path / f"dst-{keep_java}.git")
+        stats = rewrite_history(src, dst, ConversionConfig(keep_original_java=keep_java))
+        monkeypatch.undo()
+        # Six Person.java versions, Broken.java, README.md, and two versions
+        # of docs/a.txt.
+        assert len(reads) == 10 and set(reads.values()) == {1}
+        assert stats.files_skipped == 1
+        files = head_files(dst)
+        assert files["Broken.java"] == hash_object(b"blob", b"class Broken {")
+        assert ("Person.java" in files) is keep_java
 
 
 def test_non_java_files_pass_through(tmp_path):
@@ -302,7 +324,7 @@ MUTATION_TOKENS = (
     ),
 )
 def test_convert_blob_returns_files_or_none_on_mutated_java(source, edits):
-    pieces = [t.text for t in tokenize(source).tokens]
+    pieces = list(tokenize(source).tokens)
     for op, pos, text in edits:
         i = pos % len(pieces)
         if op == "delete" and len(pieces) > 1:

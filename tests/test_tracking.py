@@ -39,7 +39,7 @@ from methodgit.tracking import (
     steps_to_tsv,
 )
 
-from brute import brute_follow, brute_similarity
+from brute import brute_follow, brute_similarity, fraction
 from conftest import AUTHOR, build_linear_repo, sim, write_commit_graph, write_tree_dict
 from repogen import generate_java_repo, generate_text_repo
 
@@ -97,7 +97,7 @@ def test_similarity_git_bytes_weighs_line_length():
 def test_similarity_both_empty_is_one():
     for metric in Metric:
         score = sim(b"", b"", metric)
-        assert score.as_fraction() == 1
+        assert fraction(score) == 1
 
 
 def test_similarity_one_empty_is_zero():
@@ -108,7 +108,7 @@ def test_similarity_one_empty_is_zero():
 
 def test_score_string_is_unreduced():
     assert str(SimilarityScore(8, 10)) == "8/10"
-    assert SimilarityScore(8, 10).as_fraction() == Fraction(4, 5)
+    assert fraction(SimilarityScore(8, 10)) == Fraction(4, 5)
 
 
 @given(st.binary(max_size=300), st.binary(max_size=300))
@@ -130,8 +130,8 @@ def test_similarity_is_symmetric(a, b):
 def test_metrics_agree_on_equal_length_lines(lines_a, lines_b):
     a = "".join(line + "\n" for line in lines_a).encode()
     b = "".join(line + "\n" for line in lines_b).encode()
-    got_bytes = sim(a, b, Metric.GIT_BYTES).as_fraction()
-    got_lines = sim(a, b, Metric.LINES).as_fraction()
+    got_bytes = fraction(sim(a, b, Metric.GIT_BYTES))
+    got_lines = fraction(sim(a, b, Metric.LINES))
     assert got_bytes == got_lines
 
 
@@ -248,7 +248,7 @@ def test_follow_copy_detection(tmp_path):
     copy = with_copies[0]
     assert copy.old_path == "orig.txt"
     assert copy.commit_id == ids[1]
-    assert copy.score.as_fraction() == 1
+    assert fraction(copy.score) == 1
 
 
 def test_follow_deleted_file_beats_retained_for_rename(tmp_path):
@@ -602,13 +602,12 @@ def test_size_prune_is_exact_on_heavy_tailed_sizes(tmp_path, monkeypatch):
                         brute_similarity(old_files[old], _HEAVY_TAILED[1][path], metric.value)
                         for old in old_files if copies or old != "keep/k.txt"
                     )
-                    assert (winner.old_path, winner.score.as_fraction()) == (old_path, want)
+                    assert (winner.old_path, fraction(winner.score)) == (old_path, want)
                     candidates += n_candidates
                     for threshold in (10, 50, 90):
                         config = TrackerConfig(threshold, copies, metric)
                         got = [
-                            (s.commit_id, s.kind.value, s.old_path, s.new_path,
-                             s.score.as_fraction() if s.score is not None else None)
+                            (s.commit_id, s.kind.value, s.old_path, s.new_path, fraction(s.score))
                             for s in follow(store, path, config)
                         ]
                         assert_sized_once_each()
@@ -647,7 +646,7 @@ def _full_scan(parent: dict, current: dict, target: bytes, config: TrackerConfig
         if retained and not config.detect_copies:
             continue
         score = similarity(fingerprint(parent[path]), fingerprint(target), config.metric)
-        if best is None or score.as_fraction() > best[1].as_fraction():
+        if best is None or fraction(score) > fraction(best[1]):
             kind = StepKind.COPY if retained else StepKind.RENAME
             best = (path, score, kind, parent[path])
     return best
@@ -733,8 +732,7 @@ def test_follow_skips_a_first_parent_with_no_file_at_the_path(tmp_path, shadow):
                     (StepKind.ADD, base),
                 ]
                 got = [
-                    (s.commit_id, s.kind.value, s.old_path, s.new_path,
-                     s.score.as_fraction() if s.score is not None else None)
+                    (s.commit_id, s.kind.value, s.old_path, s.new_path, fraction(s.score))
                     for s in steps
                 ]
                 assert got == brute_follow(store, "only.txt", merge, 50, copies, metric.value)
