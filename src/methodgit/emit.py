@@ -8,7 +8,8 @@ statement and expression walker here classifies the rest.  The tagger works
 in the file token indices of those records, over the token texts and kind
 codes of the declaration's lexed file up to the declaration's last token, so
 a token gets the same tag in its own declaration and in any declaration
-enclosing it.  A declaration renders from its own token texts.  Tagging is
+enclosing it.  A declaration renders the tokens of its runs (see
+extract.Declaration), each with the tag found at its index.  Tagging is
 best-effort: if the walker gets confused it stops, and a final pass fills
 every remaining terminator with a generic tag so output is total.
 """
@@ -22,6 +23,7 @@ from .errors import ParseError
 from .extract import (
     CONTEXTUAL_MODIFIERS,
     PRIMITIVE_TYPES,
+    Declaration,
     FieldDecl,
     Member,
     MethodDecl,
@@ -80,7 +82,7 @@ _CAST_NEXT = frozenset({"(", "!", "~", "new", "this", "super"})
 
 
 class _Tagger:
-    def __init__(self, decl: MethodDecl | FieldDecl, first: int, last: int):
+    def __init__(self, decl: Declaration, first: int, last: int):
         # Nothing past last is walked, so a bracket the declaration leaves
         # open is never paired with one in a later declaration: the walk
         # reads toks[:end], and a statement, tag or tag read past it raises
@@ -169,9 +171,8 @@ class _Tagger:
     def field(self, decl: FieldDecl) -> None:
         """Tag one variable of a field declaration: the shared head, its
         own initializer and its ',' or ';', which stands for the ';'."""
-        m = decl.member
         _, init, end = decl.declarator
-        self._annotations(m.start, m.declarators[0][0])
+        self._annotations(*decl.runs[0])
         self._expr(init, end, False)
         self._tag(end, "FIELD")
 
@@ -582,22 +583,17 @@ class _Tagger:
         return k
 
 
-def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
+def categorize(decl: Declaration) -> list[str | None]:
     """Role tags for every terminator token of the declaration.
 
     Always total: every ';', brace, and paren token receives a tag, falling
     back to a generic one where the walker could not classify.
     """
-    m = decl.member
-    if isinstance(decl, MethodDecl):
-        indices = range(m.start, m.end + 1)
-    else:
-        lo, _, end = decl.declarator
-        indices = [*range(m.start, m.declarators[0][0]), *range(lo, end), end]
+    indices = [k for lo, hi in decl.runs for k in range(lo, hi)]
     tagger = _Tagger(decl, indices[0], indices[-1])
     try:
         if isinstance(decl, MethodDecl):
-            tagger._member(m, m.end + 1)
+            tagger._member(decl.member, decl.member.end + 1)
         else:
             tagger.field(decl)
     except ParseError:
@@ -615,7 +611,7 @@ def categorize(decl: MethodDecl | FieldDecl) -> list[str | None]:
     return tags
 
 
-def elided_indices(decl: MethodDecl | FieldDecl) -> frozenset[int]:
+def elided_indices(decl: Declaration) -> frozenset[int]:
     """Token indices removed by the delimiter-elision heuristic."""
     if not isinstance(decl, MethodDecl):
         return frozenset()
@@ -626,7 +622,7 @@ def elided_indices(decl: MethodDecl | FieldDecl) -> frozenset[int]:
     return frozenset(i - m.start for i in drop)
 
 
-def render(decl: MethodDecl | FieldDecl, config: RenderConfig) -> bytes:
+def render(decl: Declaration, config: RenderConfig) -> bytes:
     """File content for a declaration.
 
     Every line is LF-terminated; there is no trailing blank line.  Tagged

@@ -9,13 +9,17 @@ walks is kept as records (TypeDecl, EnumConstant, Member), from which the
 renderer tags terminators.  Every position a record or declaration carries
 is a token index into the file's LexBase, which each declaration also
 holds: the walker reads token texts from its tokens and kind codes from its
-kinds, and turns an index into a source offset only for plain lines and
-error messages.
+kinds, and turns an index into a source offset only for source lines and
+error messages.  What a declaration owns is defined once, as runs of token
+indices (see Declaration); its token texts and plain source lines are read
+from them when asked for, and nothing else is copied.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import ParseError
 from .lexer import IDENTIFIER, KEYWORD, LexBase, position, tokenize
@@ -100,51 +104,60 @@ class Member:
 
 
 @dataclass
-class MethodDecl:
-    """A method, constructor, or compact record constructor.
+class Declaration:
+    """A method or a field variable: the runs of tokens it owns in its file.
 
-    tokens holds the texts of the contiguous token run of the whole
-    declaration including annotations, file.tokens[member.start :
-    member.end + 1].  member is the walk's record of the declaration, and
-    file the lexed file.  types maps the index of the keyword and of the
-    body's '{' of each type declared inside a method body or an initializer
-    of the file to its record.
+    runs holds [lo, hi) ranges of indices into file.tokens, in order.  The
+    declaration's tokens are those of its runs, except that the last always
+    reads file.tokens[member.end], so a field variable's ',' reads as ';'.
+    member is the walk's record of the declaration, and file the lexed
+    file.  types maps the index of the keyword and of the body's '{' of each
+    type declared inside a method body or an initializer of the file to its
+    record.
     """
 
     class_chain: list[str]
     modifiers: list[str]
-    return_type: str
     name: str
-    param_types: list[str]
-    tokens: list[str]
-    plain_lines: list[str]
+    runs: tuple[tuple[int, int], ...]
     javadoc_lines: list[str]
     member: Member
     file: LexBase
     types: dict[int, TypeDecl]
+
+    @property
+    def tokens(self) -> list[str]:
+        """The texts of the declaration's tokens."""
+        toks = self.file.tokens
+        out = [t for lo, hi in self.runs for t in toks[lo:hi]]
+        out[-1] = toks[self.member.end]
+        return out
+
+    @property
+    def plain_lines(self) -> list[str]:
+        """The whole source lines of the member, as source_lines gives them."""
+        lex = self.file
+        return source_lines(lex, lex.offsets[self.runs[0][0]], lex.ends[self.member.end])
 
 
 @dataclass
-class FieldDecl:
-    """One declared field variable.
+class MethodDecl(Declaration):
+    """A method, constructor, or compact record constructor; its one run
+    is the whole declaration, annotations included."""
 
-    A multi-variable declaration yields one FieldDecl per variable; tokens
-    are the texts of the shared annotations, modifiers and type, this
-    variable's declarator (one of member.declarators) and the closing
-    semicolon.  file and types are as in MethodDecl.
-    """
+    return_type: str
+    param_types: list[str]
 
-    class_chain: list[str]
-    modifiers: list[str]
+
+@dataclass
+class FieldDecl(Declaration):
+    """One declared field variable.  A multi-variable declaration yields
+    one per variable, each with two runs: the annotations, modifiers and
+    type the variables share, then its own declarator through its ',' or
+    ';'.  declarator is that declarator's entry in member.declarators."""
+
     field_type: str
-    name: str
-    tokens: list[str]
-    plain_lines: list[str]
-    javadoc_lines: list[str]
-    member: Member
     declarator: tuple[int, int, int]
-    file: LexBase
-    types: dict[int, TypeDecl]
 
 
 def _expect(cond: bool, msg: str, index: int | None = None) -> None:
@@ -306,14 +319,59 @@ def scan_type(lex: LexBase, i: int, end: int | None = None) -> tuple[int, str] |
     return j, "".join(parts)
 
 
+_attach = attrgetter("attach_index")
+_start = attrgetter("start")
+_end = attrgetter("end")
+
+
+def source_lines(lex: LexBase, lo: int, hi: int) -> list[str]:
+    """Full source lines covering character span [lo, hi), with
+    non-Javadoc comments spliced out.  Lines that a removal left
+    whitespace-only are dropped; line terminators are stripped.  The work
+    grows with the lines and comments of the span, not with the file."""
+    src, comments = lex.source, lex.comments
+    start = src.rfind("\n", 0, lo) + 1
+    end = src.find("\n", hi)
+    if end == -1:
+        end = len(src)
+    # comments[i:j] end after start and start before end.
+    i = bisect_right(comments, start, key=_end)
+    j = bisect_left(comments, end, key=_start)
+    spans = [(c.start, c.end) for c in comments[i:j] if not c.javadoc]
+    out: list[str] = []
+    pos = start
+    first = 0  # the first span that does not end before the line
+    for line in src[start:end].split("\n"):
+        ls, le = pos, pos + len(line)
+        pos = le + 1
+        while first < len(spans) and spans[first][1] <= ls:
+            first += 1
+        kept: list[str] = []
+        removed = False
+        cursor = ls
+        k = first
+        while k < len(spans) and spans[k][0] < le:
+            s, e = max(spans[k][0], ls), min(spans[k][1], le)
+            if s > cursor:
+                kept.append(src[cursor:s])
+            removed = True
+            cursor = max(cursor, e)
+            k += 1
+        kept.append(src[cursor:le])
+        text = "".join(kept)
+        if text.endswith("\r"):
+            text = text[:-1]
+        if removed and not text.strip():
+            continue
+        out.append(text)
+    return out
+
+
 class _Extractor:
     def __init__(self, lex: LexBase):
         self.lex = lex
-        self.source = lex.source
         self.toks = lex.tokens
         self.kinds = lex.kinds
-        self.javadocs = lex.javadocs
-        self.comments = lex.comments
         self.methods: list[MethodDecl] = []
         self.fields: list[FieldDecl] = []
         self.types: dict[int, TypeDecl] = {}
@@ -326,55 +384,14 @@ class _Extractor:
         self._anon += 1
         return f"${self._anon}"
 
-    def _source_lines(self, lo: int, hi: int) -> list[str]:
-        """Full source lines covering character span [lo, hi), with
-        non-Javadoc comments spliced out.  Lines that a removal left
-        whitespace-only are dropped; line terminators are stripped."""
-        src = self.source
-        start = src.rfind("\n", 0, lo) + 1
-        end = src.find("\n", hi)
-        if end == -1:
-            end = len(src)
-        spans = [
-            (c.start, c.end)
-            for c in self.comments
-            if not c.javadoc and c.start < end and c.end > start
-        ]
-        out: list[str] = []
-        pos = start
-        for line in src[start:end].split("\n"):
-            ls, le = pos, pos + len(line)
-            pos = le + 1
-            kept: list[str] = []
-            removed = False
-            cursor = ls
-            for cs, ce in spans:
-                if ce <= ls or cs >= le:
-                    continue
-                s, e = max(cs, ls), min(ce, le)
-                if s > cursor:
-                    kept.append(src[cursor:s])
-                removed = True
-                cursor = max(cursor, e)
-            kept.append(src[cursor:le])
-            text = "".join(kept)
-            if text.endswith("\r"):
-                text = text[:-1]
-            if removed and not text.strip():
-                continue
-            out.append(text)
-        return out
-
     def _javadoc_lines(self, start: int, name_idx: int) -> list[str]:
         """Source lines of the last javadoc attached to a token in
         [start, name_idx]."""
-        found = None
-        for jd in self.javadocs:
-            if start <= jd.attach_index <= name_idx:
-                found = jd
-            elif jd.attach_index > name_idx:
-                break
-        return [] if found is None else self._source_lines(found.start, found.end)
+        docs = self.lex.javadocs
+        i = bisect_right(docs, name_idx, key=_attach) - 1
+        if i < 0 or docs[i].attach_index < start:
+            return []
+        return source_lines(self.lex, docs[i].start, docs[i].end)
 
     # ------------------------------------------------------------------
     # top level
@@ -645,8 +662,7 @@ class _Extractor:
                 return_type=ret,
                 name=toks[name_idx],
                 param_types=param_types,
-                tokens=toks[start : end + 1],
-                plain_lines=self._source_lines(self.lex.offsets[start], self.lex.ends[end]),
+                runs=((start, end + 1),),
                 javadoc_lines=self._javadoc_lines(start, name_idx),
                 member=member,
                 file=self.lex,
@@ -743,8 +759,6 @@ class _Extractor:
             _expect(toks[j] == ";", "expected ';' after field", j)
             break
         member.end = j
-        semi = toks[j]
-        plain_lines = self._source_lines(self.lex.offsets[start], self.lex.ends[j])
         javadoc_lines = self._javadoc_lines(start, first_name_idx)
         for declarator, dims in zip(member.declarators, all_dims):
             lo, _, hi = declarator
@@ -754,8 +768,7 @@ class _Extractor:
                     modifiers=list(mods),
                     field_type=type_text + dims,
                     name=toks[lo],
-                    tokens=toks[start:first_name_idx] + toks[lo:hi] + [semi],
-                    plain_lines=plain_lines,
+                    runs=((start, first_name_idx), (lo, hi + 1)),
                     javadoc_lines=javadoc_lines,
                     member=member,
                     declarator=declarator,

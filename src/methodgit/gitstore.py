@@ -22,7 +22,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from hashlib import sha1
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import RepositoryError
 
@@ -44,15 +44,6 @@ class CommitRecord:
     committer: bytes
     encoding: bytes | None
     message: bytes
-
-    @property
-    def commit_time(self) -> int:
-        # committer line: name <email> <epoch> <tz>
-        parts = self.committer.rsplit(b" ", 2)
-        try:
-            return int(parts[1])
-        except (IndexError, ValueError):
-            return 0
 
 
 def _object_header(kind: bytes, size: int) -> bytes:
@@ -541,25 +532,18 @@ class ObjectStore:
                 return sha
         return None
 
-    def peel_to_commit(
-        self, oid: str, commits: dict[str, CommitRecord] | None = None
-    ) -> CommitRecord:
-        """The commit oid names, through any chain of annotated tags.  A
-        commit in commits is not read again, and one that is read is added
-        to it."""
+    def peel(self, oid: str, known: Callable[[str], bool]) -> tuple[str, CommitRecord | None]:
+        """The id of the commit oid names, through any chain of annotated
+        tags, and its record.  A commit for which known(id) holds is not
+        read, and its record is None."""
         seen = set()
-        while True:
-            if commits is not None and oid in commits:
-                return commits[oid]
+        while not known(oid):
             if oid in seen:
                 raise RepositoryError(f"tag cycle at {oid}")
             seen.add(oid)
             kind, payload = self.read(oid)
             if kind == "commit":
-                record = parse_commit(oid, payload)
-                if commits is not None:
-                    commits[oid] = record
-                return record
+                return oid, parse_commit(oid, payload)
             if kind != "tag":
                 raise RepositoryError(f"cannot peel {kind} object {oid} to a commit")
             target = None
@@ -571,6 +555,16 @@ class ObjectStore:
             if target is None:
                 raise RepositoryError(f"malformed tag object {oid}")
             oid = target
+        return oid, None
+
+    def peel_to_commit(
+        self, oid: str, commits: dict[str, CommitRecord] | None = None
+    ) -> CommitRecord:
+        """The commit oid names, as peel finds it.  A commit in commits is
+        not read again, and one that is read is added to it."""
+        commits = {} if commits is None else commits
+        oid, record = self.peel(oid, commits.__contains__)
+        return commits.setdefault(oid, record)
 
     def close(self) -> None:
         if self._packs:

@@ -22,10 +22,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-from .commitgraph import CommitGraphWriter
+from .commitgraph import CommitGraphWriter, commit_date
 from .emit import LineFormat, RenderConfig, render
 from .errors import LexError, ParseError, RepositoryError
-from .extract import FieldDecl, MethodDecl, extract
+from .extract import Declaration, extract
 from .gitstore import FILE_MODES, TREE_MODE, CommitRecord, ObjectStore, RepoWriter
 from .lexer import LexBase
 from .naming import NamePolicy, field_file_name, method_file_name
@@ -61,7 +61,7 @@ Content = TypeVar("Content")
 def convert_source(
     source: str,
     config: ConversionConfig,
-    emit: Callable[[str, MethodDecl | FieldDecl], Content] | None = None,
+    emit: Callable[[str, Declaration], Content] | None = None,
     base: LexBase | None = None,
 ) -> list[tuple[str, Content]]:
     """All (file name, content) pairs for one Java source text.
@@ -72,7 +72,7 @@ def convert_source(
     cannot be processed.
     """
     if emit is None:
-        def emit(source: str, decl: MethodDecl | FieldDecl) -> bytes:
+        def emit(source: str, decl: Declaration) -> bytes:
             return render(decl, config.render)
     methods, fields = extract(source, base)
     out: list[tuple[str, Content]] = []
@@ -96,7 +96,7 @@ def convert_source(
 def convert_blob(
     content: bytes,
     config: ConversionConfig,
-    emit: Callable[[str, MethodDecl | FieldDecl], Content] | None = None,
+    emit: Callable[[str, Declaration], Content] | None = None,
     base: LexBase | None = None,
 ) -> list[tuple[str, Content]] | None:
     """Convert one .java blob as convert_source does; None when it cannot
@@ -114,27 +114,19 @@ def convert_blob(
         return None
 
 
-def _render_key(source: str, decl: MethodDecl | FieldDecl, config: RenderConfig) -> tuple:
+def _render_key(source: str, decl: Declaration, config: RenderConfig) -> tuple:
     """Everything that render(decl, config) reads, for one fixed config.
 
     Plain lines are whole source lines with comments spliced out, so under
     LineFormat.PLAIN they are the key.  Otherwise render reads the text of
-    the declaration's tokens and its javadoc lines: the tagger walks forward
-    from member.start, and a field variable reads only the head it shares
-    with the other variables and its own declarator up to its ',' or ';'.
+    the declaration's token runs and its javadoc lines: the source from the
+    first token of each run through its last.
     """
     javadoc = tuple(decl.javadoc_lines)
     if config.line_format is LineFormat.PLAIN:
         return javadoc, tuple(decl.plain_lines)
-    offsets, ends, m = decl.file.offsets, decl.file.ends, decl.member
-    if isinstance(decl, MethodDecl):
-        return source[offsets[m.start] : ends[m.end]], javadoc
-    lo, _, end = decl.declarator
-    return (
-        source[offsets[m.start] : ends[m.declarators[0][0] - 1]],
-        source[offsets[lo] : ends[end]],
-        javadoc,
-    )
+    offsets, ends = decl.file.offsets, decl.file.ends
+    return (*(source[offsets[lo] : ends[hi - 1]] for lo, hi in decl.runs), javadoc)
 
 
 @dataclass
@@ -165,7 +157,7 @@ class _TreeConverter:
         self.stats = stats
         self.caches = _Caches()
 
-    def _render_new(self, source: str, decl: MethodDecl | FieldDecl) -> tuple[tuple, bytes | None]:
+    def _render_new(self, source: str, decl: Declaration) -> tuple[tuple, bytes | None]:
         """The declaration's _render_key, and its rendering unless a blob
         for that key was written before in this conversion."""
         config = self.config.render
@@ -262,7 +254,7 @@ def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, C
 
 def _topo_order(store: ObjectStore, tips: list[CommitRecord]) -> list[CommitRecord]:
     """The tips and all their ancestors, parents before children, ties
-    broken by (commit time, id); each ancestor that is not a tip is read
+    broken by (commit date, id); each ancestor that is not a tip is read
     once."""
     commits = {tip.id: tip for tip in tips}
     stack = [parent for tip in tips for parent in tip.parents]
@@ -282,7 +274,7 @@ def _topo_order(store: ObjectStore, tips: list[CommitRecord]) -> list[CommitReco
         for parent in record.parents:
             children[parent].append(oid)
 
-    ready = [(commits[oid].commit_time, oid) for oid, count in pending.items() if count == 0]
+    ready = [(commit_date(r.committer), oid) for oid, r in commits.items() if not r.parents]
     heapq.heapify(ready)
     order: list[CommitRecord] = []
     while ready:
@@ -291,7 +283,7 @@ def _topo_order(store: ObjectStore, tips: list[CommitRecord]) -> list[CommitReco
         for child in children[oid]:
             pending[child] -= 1
             if pending[child] == 0:
-                heapq.heappush(ready, (commits[child].commit_time, child))
+                heapq.heappush(ready, (commit_date(commits[child].committer), child))
     if len(order) != len(commits):
         raise RepositoryError("commit graph contains a cycle")
     return order

@@ -43,7 +43,7 @@ from operator import itemgetter
 
 from .commitgraph import path_keys
 from .errors import TrackError
-from .gitstore import FILE_MODES, TREE_MODE, ObjectStore, parse_commit
+from .gitstore import FILE_MODES, TREE_MODE, ObjectStore
 
 _CHUNK = 64
 
@@ -210,17 +210,17 @@ def _commit(
 
 def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
     """oid peeled to a commit.  A commit the caches or the commit-graph
-    hold is not read, and one that is read is cached, so a branch tip is
-    read at most once."""
+    hold is not read, and one that is read is cached, so the commit a
+    branch or tag names is read at most once per caches; an annotated tag
+    is read on every call."""
     graph = store.commit_graph()
-    if oid in caches.commits or (graph is not None and graph.position(oid) is not None):
-        return oid
-    kind, payload = store.read(oid)
-    if kind != "commit":
-        return store.peel_to_commit(oid).id
-    record = parse_commit(oid, payload)
-    caches.commits[oid] = (record.tree, record.parents, None)
-    return oid
+    commit_id, record = store.peel(
+        oid,
+        lambda c: c in caches.commits or (graph is not None and graph.position(c) is not None),
+    )
+    if record is not None:
+        caches.commits[commit_id] = (record.tree, record.parents, None)
+    return commit_id
 
 
 def _entries(

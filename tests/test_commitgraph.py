@@ -100,6 +100,7 @@ def test_bloom_key_combines_two_seeded_hashes():
     (b"A <a@x> -5 +0000", 0),
     (b"no email 12 +0000", 0),
     (b"A <a@x> <b@y> 7 +0000", 0),
+    (b"garbage", 0),
 ])
 def test_commit_date_is_read_after_the_first_angle_bracket(committer, date):
     assert commit_date(committer) == date

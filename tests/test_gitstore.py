@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from methodgit import ObjectStore, RepoWriter
+from methodgit.commitgraph import commit_date
 from methodgit.errors import RepositoryError
 from methodgit.gitstore import (
     CommitRecord,
@@ -103,7 +104,7 @@ def test_commit_round_trip(tmp_path):
         assert record.author == stamp
         assert record.encoding == b"ISO-8859-1"
         assert record.message == b"first\n"
-        assert record.commit_time == 1700000000
+        assert commit_date(record.committer) == 1700000000
 
 
 def test_refs_and_head(tmp_path):
@@ -260,7 +261,7 @@ def test_parse_commit_skips_signature_lines():
     assert record.parents == [b"1111111111111111111111111111111111111111".decode()]
     assert record.message == b"signed message\n"
     assert record.encoding is None
-    assert record.commit_time == 1700000001
+    assert commit_date(record.committer) == 1700000001
 
 
 def test_parse_commit_keeps_multiline_message():
@@ -285,7 +286,7 @@ def test_commit_record_time_fallback():
         encoding=None,
         message=b"",
     )
-    assert record.commit_time == 0
+    assert commit_date(record.committer) == 0
 
 
 def test_missing_object_raises(tmp_path):

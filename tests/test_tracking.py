@@ -4,6 +4,7 @@ backward walk over hand-built histories."""
 from __future__ import annotations
 
 import os
+import subprocess
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -815,20 +816,33 @@ def test_follows_sharing_caches_read_each_commit_once(tmp_path, monkeypatch):
         paths = sorted(_flatten(store, store.read_commit(tip).tree, FollowCaches()))
     reads = _record_reads(monkeypatch)
 
-    def commit_reads() -> Counter:
+    def commit_reads(ref: str | None = None) -> Counter:
         reads.clear()
         with ObjectStore(repo) as store:
             caches = FollowCaches()
             for path in paths:
-                follow(store, path, TrackerConfig(threshold=50), caches=caches)
-        return Counter({oid: n for (kind, oid), n in reads.items() if kind == "commit"})
+                follow(store, path, TrackerConfig(threshold=50), ref=ref, caches=caches)
+        return Counter({oid: n for (kind, oid), n in reads.items() if kind in ("commit", "tag")})
 
     # The branch tip is peeled by the read that caches it, not read again.
     first = commit_reads()
     assert tip in first and set(first.values()) == {1}
+    # An annotated tag is read once per follow, and the commit it names
+    # once per caches.
+    subprocess.run(
+        ["git", "-C", repo, "-c", "user.name=T", "-c", "user.email=t@x",
+         "tag", "-a", "-m", "v1", "v1", tip],
+        check=True, capture_output=True,
+    )
+    with ObjectStore(repo) as store:
+        tag = store.resolve_ref("refs/tags/v1")
+    tagged = commit_reads("refs/tags/v1")
+    assert tagged.pop(tag) == len(paths) > 1
+    assert tip in tagged and set(tagged.values()) == {1}
     # The commit-graph gives every commit's tree and parents.
     write_commit_graph(repo)
     assert commit_reads() == Counter()
+    assert commit_reads("refs/tags/v1") == Counter({tag: len(paths)})
 
 
 def _trees_on(store: ObjectStore, tree: str, path: str) -> set[str]:
