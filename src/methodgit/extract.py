@@ -13,12 +13,22 @@ kinds, and turns an index into a source offset only for source lines and
 error messages.  What a declaration owns is defined once, as runs of token
 indices (see Declaration); its token texts and plain source lines are read
 from them when asked for, and nothing else is copied.
+
+A walk can also reuse the last walk of an earlier version of the file, the
+one its LexBase was lexed against (see Walk).  Each member of a type that
+lies outside any body gets a MemberRecord, with which the caller keeps what
+it made of the member's declarations.  When the next version copies the
+member's tokens and source lines unchanged and the member sits in the same
+context, the walk steps over it and hands back what was kept (see
+_Extractor._reuse).  A type body whose braces the edit leaves paired as
+they were closes where it closed before, shifted, without a scan.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from operator import attrgetter
 
 from .errors import ParseError
@@ -158,6 +168,70 @@ class FieldDecl(Declaration):
 
     field_type: str
     declarator: tuple[int, int, int]
+
+
+@dataclass(slots=True, eq=False)
+class MemberRecord:
+    """A member of a type outside any body, as one walk saw it: a method,
+    field or initializer, not a nested type, whose parentheses and braces
+    pair up inside it, so that its walk reads none of the file's other
+    tokens.
+
+    start and end are its first and last token.  line is the offset of the
+    first source line its declarations render from: the line of the last
+    javadoc attached to its first token, else of that token.  lead is the
+    text from line to the first token when that is white space, else None.
+    after is the offset of the newline after its last token, -1 at the end
+    of the file.
+    chain and class_name are the context it was walked in, anon the number
+    of anonymous classes numbered before it in the file and anons the
+    number numbered inside it.  methods and fields are the positions of its
+    declarations in the walk's lists.  kept is what the caller made of them,
+    (method entries, field entries), and None until the caller sets it.
+    """
+
+    start: int
+    end: int
+    line: int
+    lead: str | None
+    after: int
+    chain: list[str]
+    class_name: str | None
+    anon: int
+    anons: int
+    methods: slice
+    fields: slice
+    kept: tuple[tuple, tuple] | None = None
+
+
+@dataclass(eq=False)
+class Walk:
+    """What a walk of a file keeps for the walk of the file's next version:
+    members holds a record of each member outside any body it walked or
+    reused, closes maps the '{' of each type body to its '}', and tokens
+    is the token list of the file walked."""
+
+    members: list[MemberRecord] = field(default_factory=list)
+    closes: dict[int, int] = field(default_factory=dict)
+    tokens: list[str] = field(default_factory=list)
+
+
+_PAIRED = frozenset("(){}")
+# the characters the lexer reads as white space
+_SPACE = " \t\f\r\n"
+_BRACES = {"{": 1, "}": -1}.get
+
+
+def _paired(toks: list[str], lo: int, hi: int) -> bool:
+    """Whether the parentheses and braces of toks[lo:hi] pair up and nest
+    inside it: only then does no scan that starts inside read past it."""
+    text = "".join(filter(_PAIRED.__contains__, toks[lo:hi]))
+    while text:
+        inner = text.replace("()", "").replace("{}", "")
+        if inner == text:
+            return False
+        text = inner
+    return True
 
 
 def _expect(cond: bool, msg: str, index: int | None = None) -> None:
@@ -368,14 +442,56 @@ def source_lines(lex: LexBase, lo: int, hi: int) -> list[str]:
 
 
 class _Extractor:
-    def __init__(self, lex: LexBase):
+    def __init__(self, lex: LexBase, walk: Walk | None = None):
+        """walk, when given, is the walk of the version lex was lexed
+        against; it is read here, then emptied and filled as this walk
+        goes."""
         self.lex = lex
         self.toks = lex.tokens
         self.kinds = lex.kinds
-        self.methods: list[MethodDecl] = []
-        self.fields: list[FieldDecl] = []
+        self.methods: list[MethodDecl | tuple] = []
+        self.fields: list[FieldDecl | tuple] = []
         self.types: dict[int, TypeDecl] = {}
         self._anon = 0
+        # bodies being scanned for types; members inside one are not recorded
+        self._bodies = 0
+        self.walk = walk
+        # new start index -> (record of the last walk, whether in the copied tail)
+        self._reusable: dict[int, tuple[MemberRecord, bool]] = {}
+        # new '{' index -> its '}', for the type bodies of the last walk
+        self._closes: dict[int, int] = {}
+        if walk is not None:
+            if lex.copied is not None:
+                self._take(walk)
+            walk.members, walk.closes, walk.tokens = [], {}, lex.tokens
+
+    def _take(self, last: Walk) -> None:
+        """Map what the last walk kept to this version's token indices: the
+        records of members whose tokens were copied, and the closes of type
+        bodies whose braces still pair as they did."""
+        copied, toks = self.lex.copied, self.toks
+        for rec in last.members:
+            if rec.kept is None:
+                continue
+            if 0 <= rec.after < copied.prefix:
+                self._reusable[rec.start] = rec, False
+            elif rec.start >= copied.tail:
+                self._reusable[rec.start + copied.shift] = rec, True
+        # A body open before the edited tokens and closed after them still
+        # closes there when they net as many braces as the tokens they
+        # replace and never close more than they open.
+        head, tail, shift = copied.head, copied.tail, copied.shift
+        depths = list(accumulate(map(_BRACES, toks[head : tail + shift], repeat(0)), initial=0))
+        spans = min(depths) == 0 and depths[-1] == sum(
+            map(_BRACES, last.tokens[head:tail], repeat(0))
+        )
+        for lo, hi in last.closes.items():
+            if hi < head:
+                self._closes[lo] = hi
+            elif lo >= tail:
+                self._closes[lo + shift] = hi + shift
+            elif spans and lo < head and hi >= tail:
+                self._closes[lo] = hi + shift
 
     # ------------------------------------------------------------------
     # small helpers
@@ -383,6 +499,15 @@ class _Extractor:
     def _next_anon(self) -> str:
         self._anon += 1
         return f"${self._anon}"
+
+    def _line(self, start: int) -> int:
+        """The offset of the line of the last javadoc attached to token
+        start, or else of the token."""
+        lex = self.lex
+        docs = lex.javadocs
+        i = bisect_right(docs, start, key=_attach) - 1
+        lo = docs[i].start if i >= 0 and docs[i].attach_index == start else lex.offsets[start]
+        return lex.source.rfind("\n", 0, lo) + 1
 
     def _javadoc_lines(self, start: int, name_idx: int) -> list[str]:
         """Source lines of the last javadoc attached to a token in
@@ -504,7 +629,12 @@ class _Extractor:
                 return TypeDecl(kind, name, start, header, None, j)
             j += 1
         _expect(j < n, "missing type body", name_idx)
-        rec = TypeDecl(kind, name, start, header, j, match_brace(self.lex, j))
+        close = self._closes.get(j)
+        if close is None:
+            close = match_brace(self.lex, j)
+        if self.walk is not None:
+            self.walk.closes[j] = close
+        rec = TypeDecl(kind, name, start, header, j, close)
         sub_chain = chain + [name]
         k = j + 1
         if kind == "enum":
@@ -554,17 +684,87 @@ class _Extractor:
     # members
 
     def _members(self, i: int, close: int, chain: list[str], class_name: str | None) -> list[Member]:
+        """The members from i up to the body's close.  Outside any body,
+        each is recorded, and one the last walk recorded may be reused;
+        a reused member is left out of the list."""
         toks = self.toks
+        records = None if self._bodies or self.walk is None else self.walk.members
         out: list[Member] = []
         j = i
         while j < close:
             if toks[j] == ";":
                 j += 1
                 continue
+            if records is not None:
+                end = self._reuse(j, close, chain, class_name)
+                if end is not None:
+                    j = end + 1
+                    continue
+                methods, fields, anon = len(self.methods), len(self.fields), self._anon
             member = self._member(j, close, chain, class_name)
             out.append(member)
-            j = member.end + 1
+            end = member.end
+            if records is not None and member.kind != "type" and _paired(toks, j, end + 1):
+                src, line = self.lex.source, self._line(j)
+                lead = src[line : self.lex.offsets[j]]
+                records.append(MemberRecord(
+                    j, end, line, None if lead.strip(_SPACE) else lead,
+                    src.find("\n", self.lex.ends[end]), chain, class_name,
+                    anon, self._anon - anon,
+                    slice(methods, len(self.methods)), slice(fields, len(self.fields)),
+                ))
+            j = end + 1
         return out
+
+    def _reuse(self, j: int, close: int, chain: list[str], class_name: str | None) -> int | None:
+        """Reuse the last walk's record of a member that starts at token j,
+        if there is one; returns the member's last token, or None when it
+        must be walked.
+
+        A record is reused only when walking the member again would give
+        what its walk gave.  Its tokens are copied and its lines are
+        characters that both versions share and lex alike: in the copied
+        prefix, through the newline after its last token; in the copied
+        tail, from the start of its first line, which starts where it
+        started, so the javadoc attached to it is the same, and lies in the
+        copied tail or holds the same white space before its first token.
+        It sits in the same chain of types, ends before the body does and,
+        if it numbers anonymous classes, has the same count of them before
+        it.  Its kept entries stand for its declarations, and the
+        anonymous-class count steps over its own.
+        """
+        found = self._reusable.get(j)
+        if found is None:
+            return None
+        old, in_tail = found
+        copied = self.lex.copied
+        end = old.end + copied.shift if in_tail else old.end
+        if (
+            end >= close
+            or (old.anons and old.anon != self._anon)
+            or old.class_name != class_name
+            or old.chain != chain
+        ):
+            return None
+        line, after = old.line, old.after
+        if in_tail:
+            line += copied.delta
+            if self._line(j) != line or (
+                line < copied.sync and self.lex.source[line : self.lex.offsets[j]] != old.lead
+            ):
+                return None
+            if after >= 0:
+                after += copied.delta
+        methods, fields = old.kept
+        m0, f0, anon = len(self.methods), len(self.fields), self._anon
+        self.methods += methods
+        self.fields += fields
+        self._anon += old.anons
+        self.walk.members.append(MemberRecord(
+            j, end, line, old.lead, after, chain, class_name, anon, old.anons,
+            slice(m0, len(self.methods)), slice(f0, len(self.fields)),
+        ))
+        return end
 
     def _member(self, start: int, close: int, chain: list[str], class_name: str | None) -> Member:
         toks, kinds = self.toks, self.kinds
@@ -807,6 +1007,7 @@ class _Extractor:
 
     def _scan_for_types(self, lo: int, hi: int, chain: list[str]) -> None:
         toks, kinds = self.toks, self.kinds
+        self._bodies += 1
         j = lo
         while j < hi:
             txt = toks[j]
@@ -838,6 +1039,7 @@ class _Extractor:
             if rec.body_open is not None:
                 self.types[rec.body_open] = rec
             j = rec.end + 1
+        self._bodies -= 1
 
     def _new_expr(self, i: int, hi: int, chain: list[str]) -> int:
         """Handle a 'new' expression at i; extracts anonymous class members.
@@ -871,17 +1073,24 @@ class _Extractor:
 
 
 def extract(
-    source: str, base: LexBase | None = None
-) -> tuple[list[MethodDecl], list[FieldDecl]]:
+    source: str, base: LexBase | None = None, walk: Walk | None = None
+) -> tuple[list[MethodDecl | tuple], list[FieldDecl | tuple]]:
     """Extract all method and field declarations from Java source.
 
     base is passed to tokenize: an earlier version of the file to lex
     against, updated to record this one.  Raises LexError or ParseError when
     the file cannot be processed; callers then keep the original file
     untouched.  A ParseError's message ends with the line of its token.
+
+    walk goes with base and holds the walk of the version base recorded.
+    A member whose record can be reused is not walked: the entries its
+    record kept stand for its declarations, in their places.  Once the
+    source is lexed, walk is updated in place to this walk as it goes,
+    with records whose kept is None; a walk that fails leaves none that
+    can be reused.
     """
     lex = tokenize(source, base)
-    ex = _Extractor(lex)
+    ex = _Extractor(lex, walk)
     try:
         ex.run()
     except ParseError as e:

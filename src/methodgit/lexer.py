@@ -34,7 +34,8 @@ what the edit can have changed.  Two locality rules make that exact:
   attach indices by the difference in token count.
 
 Both copies are slices of the base's sequences, so no per-token object is
-built for them.
+built for them.  The result's ``copied`` says what was copied, so a later
+stage can reuse what it built from the base's copied tokens.
 """
 
 from __future__ import annotations
@@ -84,12 +85,32 @@ class CommentSpan:
     javadoc: bool
 
 
+@dataclass(frozen=True, slots=True)
+class Copied:
+    """What a lex against a base took from it.  Tokens [0, head) are the
+    base's tokens at the same indices, and so is every comment before them.
+    From source offset sync on, every token and comment is the base's, at
+    its offset plus delta: base token t, for t >= tail, is token t + shift.
+    When nothing after the change was copied, sync is len(source) + 1 and
+    tail + shift is len(tokens).  The first prefix characters of the source
+    are the base's."""
+
+    head: int
+    prefix: int
+    tail: int
+    sync: int
+    shift: int
+    delta: int
+
+
 @dataclass(slots=True)
 class LexBase:
     """A lexed source: token i is tokens[i], of kind TokenKind(kinds[i]),
     at source[offsets[i]:ends[i]].  comments holds every comment in source
-    order, and javadocs the documentation comments among them.  A new
-    LexBase records the empty source."""
+    order, and javadocs the documentation comments among them.  copied is
+    what the lex that made it took from its base, None without a base; it
+    says how the record was made, not what it holds, so equality ignores
+    it.  A new LexBase records the empty source."""
 
     source: str = ""
     tokens: list[str] = field(default_factory=list)
@@ -98,6 +119,7 @@ class LexBase:
     ends: array = field(default_factory=lambda: array("q"))
     comments: list[CommentSpan] = field(default_factory=list)
     javadocs: list[Javadoc] = field(default_factory=list)
+    copied: Copied | None = field(default=None, compare=False)
 
 
 # Reserved words.  Contextual keywords (var, record, yield, sealed, ...)
@@ -216,7 +238,8 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     module docstring) show to lex as in base.source are copied from it
     instead of lexed again; the result is the same for any base.  When
     lexing succeeds, base is updated in place to equal the result, so one
-    base passed with each new version of a file lexes it against the last.
+    base passed with each new version of a file lexes it against the last;
+    the result's copied says what was taken from base.
     """
     old = base if base is not None else LexBase()
     old_src = old.source
@@ -252,7 +275,7 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
             if (k < len(old.offsets) and old.offsets[k] == q) or (
                 c < len(old.comments) and old.comments[c].start == q
             ):
-                tail = k, c, bisect_left(old.javadocs, q, key=_start)
+                tail = start, k, c, bisect_left(old.javadocs, q, key=_start)
                 break
         text = m.group()
         if group == "word" or group == "punct":
@@ -275,9 +298,11 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
         offsets.append(start)
         ends.append(end)
 
+    sync, k = n_new + 1, len(old.tokens)
     if tail is not None:
-        k, c, j = tail
-        shift = len(tokens) - k
+        sync, k, c, j = tail
+    shift = len(tokens) - k
+    if tail is not None:
         tokens += old.tokens[k:]
         kinds += old.kinds[k:]
         offsets.extend(map(delta.__add__, old.offsets[k:]))
@@ -290,8 +315,10 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
             for d in old.javadocs[j:]
         )
 
-    result = LexBase(source, tokens, bytes(kinds), offsets, ends, comments, javadocs)
+    copied = None if base is None else Copied(i, prefix, k, sync, shift, delta)
+    result = LexBase(source, tokens, bytes(kinds), offsets, ends, comments, javadocs, copied)
     if base is not None:
         base.source, base.tokens, base.kinds = source, tokens, result.kinds
         base.offsets, base.ends, base.comments, base.javadocs = offsets, ends, comments, javadocs
+        base.copied = copied
     return result

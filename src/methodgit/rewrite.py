@@ -10,6 +10,12 @@ log -- <path>` skip the commits that leave a path alone.  Each commit's
 changed paths come from diffing the name maps its converted trees were
 written from against its first parent's, so the written pack is never
 read back.
+
+A .java file is converted against the last version converted under the
+same name: it is lexed against that version's LexBase, and a member that
+the edit left alone takes its file names and blob ids from that version's
+Walk, without being walked, named or rendered (see extract).  Every other
+declaration is rendered once per distinct render key.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, TypeVar
 from .commitgraph import CommitGraphWriter, commit_date
 from .emit import LineFormat, RenderConfig, render
 from .errors import LexError, ParseError, RepositoryError
-from .extract import Declaration, extract
+from .extract import Declaration, Walk, extract
 from .gitstore import FILE_MODES, TREE_MODE, CommitRecord, ObjectStore, RepoWriter
 from .lexer import LexBase
 from .naming import NamePolicy, field_file_name, method_file_name
@@ -44,6 +50,10 @@ class ConversionStats:
     commits_processed: int = 0
     files_emitted: int = 0
     files_skipped: int = 0
+    # of the files emitted, those whose declaration was walked, and those
+    # taken from the last conversion of the same .java name
+    declarations_extracted: int = 0
+    declarations_reused: int = 0
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -51,6 +61,8 @@ class ConversionStats:
             "commits_processed": self.commits_processed,
             "files_emitted": self.files_emitted,
             "files_skipped": self.files_skipped,
+            "declarations_extracted": self.declarations_extracted,
+            "declarations_reused": self.declarations_reused,
             "wall_seconds": round(self.wall_seconds, 3),
         }
 
@@ -63,6 +75,7 @@ def convert_source(
     config: ConversionConfig,
     emit: Callable[[str, Declaration], Content] | None = None,
     base: LexBase | None = None,
+    walk: Walk | None = None,
 ) -> list[tuple[str, Content]]:
     """All (file name, content) pairs for one Java source text.
 
@@ -70,26 +83,51 @@ def convert_source(
     declaration's content, by default its rendering under config.render;
     base is as in extract.  Raises LexError or ParseError when the source
     cannot be processed.
+
+    walk, given with base and the same config and emit each time, makes
+    the conversion incremental: it holds the walk of the last conversion
+    of the file base recorded (see extract).  A member whose record is
+    reused gets the (file name, content) pairs it got then, without being
+    walked, named or emitted.  Names are still taken in order, so a reused
+    pair that now repeats an earlier name is dropped.  Each record then
+    keeps its member's pairs; one with a dropped pair is removed, so that
+    member is walked again next time.
     """
     if emit is None:
         def emit(source: str, decl: Declaration) -> bytes:
             return render(decl, config.render)
-    methods, fields = extract(source, base)
+    methods, fields = extract(source, base, walk)
     out: list[tuple[str, Content]] = []
     seen: set[str] = set()
-    for m in methods:
-        name = method_file_name(m, config.name_policy)
-        if name in seen:
-            continue
-        seen.add(name)
-        out.append((name, emit(source, m)))
-    if config.emit_fields:
-        for f in fields:
-            name = field_file_name(f, config.name_policy)
+    policy = config.name_policy
+
+    def take(decls: list, file_name: Callable) -> list[tuple[str, Content] | None]:
+        """The pair of each declaration, None for a dropped one; a reused
+        declaration is its pair already."""
+        kept: list[tuple[str, Content] | None] = []
+        for decl in decls:
+            reused = type(decl) is tuple
+            name = decl[0] if reused else file_name(decl, policy)
             if name in seen:
+                kept.append(None)
                 continue
             seen.add(name)
-            out.append((name, emit(source, f)))
+            pair = decl if reused else (name, emit(source, decl))
+            out.append(pair)
+            kept.append(pair)
+        return kept
+
+    kept_methods = take(methods, method_file_name)
+    kept_fields = take(fields, field_file_name) if config.emit_fields else None
+    if walk is not None:
+        settled = []
+        for rec in walk.members:
+            pairs = tuple(kept_methods[rec.methods])
+            field_pairs = () if kept_fields is None else tuple(kept_fields[rec.fields])
+            if None not in pairs and None not in field_pairs:
+                rec.kept = pairs, field_pairs
+                settled.append(rec)
+        walk.members = settled
     return out
 
 
@@ -98,6 +136,7 @@ def convert_blob(
     config: ConversionConfig,
     emit: Callable[[str, Declaration], Content] | None = None,
     base: LexBase | None = None,
+    walk: Walk | None = None,
 ) -> list[tuple[str, Content]] | None:
     """Convert one .java blob as convert_source does; None when it cannot
     be decoded, lexed or parsed, or nests too deeply.  Any other exception
@@ -109,7 +148,7 @@ def convert_blob(
     except UnicodeDecodeError:
         return None
     try:
-        return convert_source(source, config, emit, base)
+        return convert_source(source, config, emit, base, walk)
     except (LexError, ParseError, RecursionError):
         return None
 
@@ -141,6 +180,9 @@ class _Caches:
     rendered: dict[tuple, str] = field(default_factory=dict)
     # .java file name -> the last version of a file of that name lexed
     lexed: dict[bytes, LexBase] = field(default_factory=dict)
+    # .java file name -> the walk of the conversion of that version, with
+    # nothing to reuse when it failed after lexing
+    walks: dict[bytes, Walk] = field(default_factory=dict)
 
 
 class _TreeConverter:
@@ -156,27 +198,38 @@ class _TreeConverter:
         self.config = config
         self.stats = stats
         self.caches = _Caches()
+        # renderings of this blob's new render keys, not yet written
+        self._pending: dict[tuple, bytes] = {}
+        self._emitted = 0
 
-    def _render_new(self, source: str, decl: Declaration) -> tuple[tuple, bytes | None]:
-        """The declaration's _render_key, and its rendering unless a blob
-        for that key was written before in this conversion."""
+    def _emit(self, source: str, decl: Declaration) -> tuple:
+        """The declaration's _render_key, its content in convert_blob's
+        result.  The declaration is rendered into _pending unless a blob for
+        that key was written before in this conversion."""
         config = self.config.render
         key = _render_key(source, decl, config)
-        return key, None if key in self.caches.rendered else render(decl, config)
+        if key not in self.caches.rendered:
+            self._pending[key] = render(decl, config)
+        self._emitted += 1
+        return key
 
     def _convert_java_blob(self, oid: str, *, java_name: bytes) -> list[tuple[bytes, str]] | None:
         """File names and blob ids of a .java blob's declarations.  The
-        blob is lexed against the last file called java_name.  A blob that
-        fails to convert, or any blob under keep_original_java, is also
-        copied from the content read here, after its declarations.
-        (java_name is keyword-only because bench/spans.py keys its
-        cache-hit count on the positional arguments.)"""
+        blob is converted against the last file called java_name, reusing
+        the members it did not change.  A blob that fails to convert, or
+        any blob under keep_original_java, is also copied from the content
+        read here, after its declarations.  (java_name is keyword-only
+        because bench/spans.py keys its cache-hit count on the positional
+        arguments.)"""
         cached = self.caches.blobs.get(oid, False)
         if cached is not False:
             return cached
         _, content = self.store.read(oid)
         base = self.caches.lexed.setdefault(java_name, LexBase())
-        files = convert_blob(content, self.config, self._render_new, base)
+        walk = self.caches.walks.setdefault(java_name, Walk())
+        emitted = self._emitted
+        files = convert_blob(content, self.config, self._emit, base, walk)
+        pending, self._pending = self._pending, {}
         if files is None:
             self.stats.files_skipped += 1
             result = None
@@ -184,11 +237,15 @@ class _TreeConverter:
             # Written only now: a blob that fails to convert writes no declaration.
             rendered = self.caches.rendered
             result = []
-            for file_name, (key, data) in files:
+            for file_name, key in files:
+                data = pending.pop(key, None)
                 if data is not None:
                     rendered[key] = self.writer.write_blob(data)
                 result.append((file_name.encode("utf-8"), rendered[key]))
             self.stats.files_emitted += len(result)
+            extracted = self._emitted - emitted
+            self.stats.declarations_extracted += extracted
+            self.stats.declarations_reused += len(result) - extracted
         if result is None or self.config.keep_original_java:
             self._copy_blob(oid, content)
         self.caches.blobs[oid] = result

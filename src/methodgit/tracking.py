@@ -172,7 +172,8 @@ class FollowCaches:
     every regular file under the tree as (size in the metric's unit, path,
     blob id), sorted; fingerprints maps a blob id to its Fingerprint;
     commits maps a commit id to (tree id, parent ids, position in the
-    commit-graph or None).
+    commit-graph or None); tags maps an annotated tag's id to the id of the
+    commit it names.
     """
 
     trees: dict = field(default_factory=dict)
@@ -180,6 +181,7 @@ class FollowCaches:
     candidates: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
+    tags: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,12 @@ def _commit(
 
 def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
     """oid peeled to a commit.  A commit the caches or the commit-graph
-    hold is not read, and one that is read is cached, so the commit a
-    branch or tag names is read at most once per caches; an annotated tag
-    is read on every call."""
+    hold is not read, and one that is read is cached, and so is the commit
+    an annotated tag names: each commit and each tag is read at most once
+    per caches."""
+    commit_id = caches.tags.get(oid)
+    if commit_id is not None:
+        return commit_id
     graph = store.commit_graph()
     commit_id, record = store.peel(
         oid,
@@ -220,6 +225,8 @@ def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
     )
     if record is not None:
         caches.commits[commit_id] = (record.tree, record.parents, None)
+    if commit_id != oid:
+        caches.tags[oid] = commit_id
     return commit_id
 
 

@@ -25,6 +25,44 @@ def load_spans():
     return module
 
 
+# The functions spans.py wraps, as (module, owner within it or None, name).
+# Its _wrap skips a target that is gone, so this list pins them.
+WRAP_TARGETS = (
+    ("gitstore", "ObjectStore", "read"),
+    ("gitstore", None, "_apply_delta"),
+    ("gitstore", None, "parse_tree"),
+    ("gitstore", "RepoWriter", "write_object"),
+    ("extract", None, "tokenize"),
+    ("rewrite", None, "extract"),
+    ("rewrite", None, "render"),
+    ("rewrite", None, "method_file_name"),
+    ("rewrite", None, "convert_blob"),
+    ("rewrite", None, "_topo_order"),
+    ("rewrite", "_TreeConverter", "convert_tree"),
+    ("rewrite", "_TreeConverter", "_convert_java_blob"),
+    ("tracking", None, "fingerprint"),
+    ("tracking", None, "similarity"),
+    ("tracking", None, "_flatten"),
+    ("tracking", None, "_disappearance"),
+    ("tracking", None, "follow"),
+)
+
+
+def test_every_wrap_target_is_wrapped():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = {(id(owner), attr) for owner, attr, _ in tracer._saved}
+        for module, owner, name in WRAP_TARGETS:
+            target = getattr(spans, f"m_{module}")
+            if owner is not None:
+                target = getattr(target, owner)
+            assert (id(target), name) in wrapped, (module, owner, name)
+    finally:
+        tracer.uninstall()
+
+
 def test_traced_conversion_and_query_count_every_layer(person_repo, tmp_path):
     tracer = load_spans().Tracer()
     tracer.begin_run()

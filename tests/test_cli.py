@@ -96,8 +96,24 @@ def test_convert_stats_and_file(person_repo, tmp_path, capsys):
     assert payload["commits_processed"] == 2
     assert payload["files_emitted"] == 4
     assert payload["files_skipped"] == 0
+    # Person.java and Engineer.java do not share a name, so nothing is reused.
+    assert payload["declarations_extracted"] == 4
+    assert payload["declarations_reused"] == 0
     on_disk = json.loads(stats_file.read_text())
     assert on_disk == payload
+
+
+def test_convert_stats_count_reused_declarations(tmp_path, capsys):
+    src = str(tmp_path / "src.git")
+    one = "class A {\n  int a() { return 1; }\n  int b() { return 2; }\n}\n"
+    build_linear_repo(src, [{"A.java": one.encode()}, {"A.java": one.replace("2", "3").encode()}])
+    code, out, _err = run(capsys, "convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert code == 0
+    payload = json.loads(out)
+    # b is extracted again when it changes; a is taken from the first version.
+    assert payload["files_emitted"] == 4
+    assert payload["declarations_extracted"] == 3
+    assert payload["declarations_reused"] == 1
 
 
 def test_convert_refuses_non_empty_dst(person_repo, tmp_path, capsys):

@@ -374,3 +374,29 @@ def test_lexing_against_any_base_equals_a_full_lex(pair):
     # The base now equals the record of new, or is unchanged where new does
     # not lex.
     assert base == (before if isinstance(expected, tuple) else expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lex_pairs())
+def test_copied_says_what_was_taken_from_the_base(pair):
+    old, new = pair
+    try:
+        before = tokenize(old)
+        base = tokenize(old, LexBase())
+        after = tokenize(new, base)
+    except LexError:
+        return
+    copied = after.copied
+    assert base.copied == copied and tokenize(new).copied is None
+    assert new[: copied.prefix] == old[: copied.prefix]
+    head, tail, shift, delta = copied.head, copied.tail, copied.shift, copied.delta
+    assert after.tokens[:head] == before.tokens[:head]
+    assert after.offsets[:head] == before.offsets[:head]
+    assert after.tokens[tail + shift :] == before.tokens[tail:]
+    assert list(after.offsets[tail + shift :]) == [o + delta for o in before.offsets[tail:]]
+    # Whatever starts at or after sync was copied from the tail.
+    assert all(o >= copied.sync for o in after.offsets[tail + shift :])
+    assert all(o < copied.sync for o in after.offsets[: tail + shift])
+    assert [(c.start - delta, c.end - delta) for c in after.comments if c.start >= copied.sync] == [
+        (c.start, c.end) for c in before.comments if c.start + delta >= copied.sync
+    ]

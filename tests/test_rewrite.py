@@ -22,8 +22,11 @@ from methodgit import (
     rewrite_history,
     tokenize,
 )
-from methodgit.errors import RepositoryError
+from methodgit.emit import render
+from methodgit.errors import LexError, ParseError, RepositoryError
+from methodgit.extract import Walk
 from methodgit.gitstore import hash_object
+from methodgit.lexer import LexBase
 from methodgit.lexer import tokenize as full_tokenize
 from methodgit.rewrite import convert_blob, convert_source
 
@@ -342,7 +345,7 @@ def test_convert_blob_returns_files_or_none_on_mutated_java(source, edits):
 
 
 def test_convert_blob_lets_internal_errors_propagate(monkeypatch):
-    def broken(source, base=None):
+    def broken(source, base=None, walk=None):
         raise KeyError("walker bug")
 
     monkeypatch.setattr(methodgit.rewrite, "extract", broken)
@@ -704,3 +707,270 @@ def test_a_blob_that_fails_to_render_writes_no_object(tmp_path):
     assert stats.files_skipped == 1
     with ObjectStore(dst) as store:
         assert not store.contains(hash_object(b"blob", g[1]))
+
+
+# -- incremental conversion: reused members against a conversion from scratch
+
+
+def convert_or_error(text: str, config: ConversionConfig, *args):
+    """convert_source's pairs, or the name of the error it raised."""
+    try:
+        return convert_source(text, config, *args)
+    except (LexError, ParseError) as e:
+        return type(e).__name__
+
+
+def incremental_against_fresh(versions: list[str], config: ConversionConfig) -> list[int]:
+    """Convert the versions in turn against one base and walk, as a
+    conversion does with the files of one name, and check each result
+    against a conversion from scratch; returns the number of declarations
+    reused at each version."""
+    base, walk = LexBase(), Walk()
+    emitted = 0
+
+    def emit(source: str, decl) -> bytes:
+        nonlocal emitted
+        emitted += 1
+        return render(decl, config.render)
+
+    reused = []
+    for text in versions:
+        emitted = 0
+        got = convert_or_error(text, config, emit, base, walk)
+        assert got == convert_or_error(text, config, None, None), text
+        reused.append(len(got) - emitted if isinstance(got, list) else 0)
+    return reused
+
+
+PLAIN_FIELDS = ConversionConfig(render=RenderConfig(line_format=LineFormat.PLAIN), emit_fields=True)
+
+DOCUMENTED = """\
+class A {
+  int a() { return 1; }
+  /** Doc one. */
+  int b() { return 2; }
+  int c() { return 3; }
+}
+"""
+
+
+@pytest.mark.parametrize("config", [ConversionConfig(), PLAIN_FIELDS], ids=["token", "plain"])
+def test_incremental_javadoc_only_edit(config):
+    versions = [
+        DOCUMENTED,
+        DOCUMENTED.replace("Doc one.", "Doc two."),
+        DOCUMENTED.replace("  /** Doc one. */\n", ""),
+        DOCUMENTED,
+        DOCUMENTED.replace("  int c()", "  /** Doc three. */\n  int c()"),
+    ]
+    reused = incremental_against_fresh(versions, config)
+    # The edited javadoc's method is rendered again; the others are reused.
+    assert reused == [0, 2, 2, 2, 2]
+
+
+def test_incremental_same_line_edit_under_plain_fields():
+    text = "class A {\n  int f = 1; int g() { return 2; }\n  int h() { return 3; }\n}\n"
+    versions = [text, text.replace("f = 1", "f = 5"), text.replace("return 2", "return 7")]
+    reused = incremental_against_fresh(versions, PLAIN_FIELDS)
+    # g shares its line with f, and f with g, so neither is reused.
+    assert reused == [0, 1, 1]
+
+
+ANONYMOUS = """\
+class A {
+  void a() { }
+  void b() { Runnable r = new Runnable() { public void run() { } }; }
+  int c() { return 1; }
+}
+"""
+
+
+def test_incremental_anonymous_class_added_before_a_holder():
+    versions = [
+        ANONYMOUS,
+        ANONYMOUS.replace(
+            "void a() { }", "void a() { Object o = new Object() { public int hashCode() { return 0; } }; }"
+        ),
+        ANONYMOUS,
+    ]
+    reused = incremental_against_fresh(versions, ConversionConfig())
+    # b's anonymous class is renumbered, so b and its run() are walked.
+    assert reused == [0, 1, 1]
+
+
+NESTED = """\
+class Outer {
+  int a() { return 1; }
+  static class Inner {
+    int b() { return 2; }
+  }
+  int c() { return 3; }
+}
+"""
+
+
+def test_incremental_renamed_enclosing_class():
+    versions = [
+        NESTED,
+        NESTED.replace("class Outer", "class Renamed"),
+        NESTED.replace("class Outer", "class Renamed").replace("class Inner", "class Other"),
+        NESTED.replace("class Outer", "class Renamed").replace("return 3", "return 4"),
+    ]
+    reused = incremental_against_fresh(versions, ConversionConfig())
+    # a and c are walked again once their class is renamed, b once its own
+    # class is.
+    assert reused == [0, 0, 2, 1]
+
+
+def test_incremental_duplicate_whose_earlier_twin_is_deleted():
+    text = (
+        "class A {\n  int f() { return 1; }\n  long g() { return 2; }\n"
+        "  int f() { return 3; }\n}\n"
+    )
+    versions = [text, text.replace("  int f() { return 1; }\n", ""), text]
+    reused = incremental_against_fresh(versions, ConversionConfig())
+    # The second f was dropped, so nothing was kept for it: it is walked
+    # and rendered once its twin is gone.  When the twin is back, the kept
+    # second f is dropped again.
+    assert reused == [0, 1, 1]
+
+
+def test_incremental_edit_that_unbalances_braces():
+    versions = [NESTED, NESTED.replace("return 2; }", "return 2;"), NESTED, NESTED.replace("}\n}", "}")]
+    reused = incremental_against_fresh(versions, ConversionConfig())
+    assert reused == [0, 0, 0, 0]
+    assert convert_or_error(versions[1], ConversionConfig()) == "ParseError"
+
+
+@pytest.mark.parametrize("broken", ["int b(int) { return 2; }", 'int b() { return "2; }'])
+def test_incremental_version_that_fails_then_a_valid_one(broken):
+    versions = [
+        NESTED,
+        NESTED.replace("int b() { return 2; }", broken),
+        NESTED.replace("return 3", "return 5"),
+    ]
+    reused = incremental_against_fresh(versions, ConversionConfig())
+    assert convert_or_error(versions[1], ConversionConfig()) in ("ParseError", "LexError")
+    # A lex error leaves the base and walk of the first version in place; a
+    # parse error leaves a base with no walk.
+    assert reused[2] == (0 if "(int)" in broken else 2)
+
+
+def test_incremental_member_whose_scan_reads_past_its_end():
+    # The '(' after X pairs with the last ')' of g, so the walk of f scans
+    # g's body for types: f's declarations depend on g's tokens.
+    text = (
+        "class A {\n  void f() { new X( ; }\n"
+        "  void g() { Object o = new Y() { void m() { } }; h()); }\n}\n"
+    )
+    versions = [text, text.replace("void m()", "void n()")]
+    assert incremental_against_fresh(versions, ConversionConfig()) == [0, 0]
+    assert "A$1#void_n().mjava" in dict(convert_source(versions[1], ConversionConfig()))
+
+
+# A member of the generated classes: (kind, name, javadoc, body, comment,
+# separator after it).
+MEMBER_KINDS = ("method", "field", "initializer", "nested", "anonymous")
+BODIES = (
+    "",
+    "return;",
+    "x++;",
+    "if (x > 0) { y(); }",
+    "Object o = new Object() { int h() { return 1; } };",
+    "class Local { int m() { return 2; } }",
+)
+generated_members = st.tuples(
+    st.sampled_from(MEMBER_KINDS),
+    st.sampled_from("abc"),
+    st.sampled_from(("", "/** One. */", "/** Two. */\n  ")),
+    st.sampled_from(BODIES),
+    st.sampled_from(("", " // one", " // two")),
+    st.sampled_from(("\n  ", " ")),
+)
+
+
+def member_text(member: tuple) -> str:
+    kind, name, doc, body, comment, sep = member
+    if kind == "method":
+        text = f"void {name}() {{ {body} }}"
+    elif kind == "field":
+        text = f"int {name} = {len(body)};"
+    elif kind == "initializer":
+        text = f"{{ {body} }}"
+    elif kind == "nested":
+        text = f"class N{name} {{ int {name}() {{ {body} }} int z() {{ return 0; }} }}"
+    else:
+        text = f"Runnable {name} = new Runnable() {{ public void run() {{ {body} }} }};"
+    # A line comment must end its line.
+    return doc + text + (comment + "\n  " if comment else sep)
+
+
+def class_text(name: str, body: list[tuple]) -> str:
+    return f"class {name} {{\n  " + "".join(map(member_text, body)) + "\n}\n"
+
+
+member_edits = st.tuples(
+    st.sampled_from(("add", "delete", "replace", "field", "rename class")),
+    st.integers(min_value=0, max_value=99),
+    generated_members,
+    st.integers(min_value=0, max_value=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(generated_members, min_size=1, max_size=6),
+    st.lists(member_edits, min_size=1, max_size=6),
+    st.sampled_from([ConversionConfig(), PLAIN_FIELDS]),
+)
+def test_incremental_conversion_equals_a_conversion_from_scratch(body, changes, config):
+    """Member-level edit sequences: members added, deleted or replaced, and
+    one field of a member changed (its name, javadoc, body, line comment,
+    layout), or the class renamed."""
+    name = "A"
+    versions = [class_text(name, body)]
+    for op, pos, member, field in changes:
+        i = pos % (len(body) + 1)
+        if op == "add":
+            body.insert(i, member)
+        elif body and op == "delete":
+            del body[i % len(body)]
+        elif body and op == "replace":
+            body[i % len(body)] = member
+        elif body and op == "field":
+            i %= len(body)
+            body[i] = body[i][:field] + member[field : field + 1] + body[i][field + 1 :]
+        elif op == "rename class":
+            name = "B" if name == "A" else "A"
+        versions.append(class_text(name, body))
+    incremental_against_fresh(versions, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((PERSON_JAVA, NESTED_JAVA)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("delete", "insert", "replace")),
+            st.integers(min_value=0, max_value=10**6),
+            st.sampled_from(MUTATION_TOKENS),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_incremental_conversion_of_token_mutations_equals_a_fresh_one(source, edits):
+    """Each version splices one token into the last, so many do not parse
+    and their members pair their brackets in odd ways."""
+    pieces = [t if t != ";" else ";\n" for t in tokenize(source).tokens]
+    versions = [" ".join(pieces)]
+    for op, pos, text in edits:
+        i = pos % len(pieces)
+        if op == "delete" and len(pieces) > 1:
+            del pieces[i]
+        elif op == "insert":
+            pieces.insert(i, text)
+        else:
+            pieces[i] = text
+        versions += [" ".join(pieces), versions[0]]
+    incremental_against_fresh(versions, ConversionConfig(emit_fields=True))
