@@ -9,6 +9,14 @@ parse_tree in one regex split with no object per entry.  A whole packed
 object, or a delta's data, inflates in one zlib call on a slice sized
 from its entry header; only a stream longer than that slice, or a
 corrupt one, is inflated piece by piece.
+
+Each pack keeps a delta-base cache, as git's packfile.c does: the
+objects that a read applied deltas to, by pack offset, bounded by
+DELTA_BASE_CACHE_LIMIT bytes and evicted least recently used first.  So
+reading the versions of a file stored as one long delta chain applies
+each delta about once, not once for every version above it.  A whole
+object that no delta was applied to never enters it, so reads of an
+undeltified pack, such as the ones RepoWriter writes, leave it empty.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import re
 import struct
 import tempfile
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import sha1
 from typing import TYPE_CHECKING, Callable
@@ -33,6 +42,10 @@ TREE_MODE = b"40000"
 # Regular and executable files; symlinks (120000) and submodules (160000)
 # are neither.
 FILE_MODES = (b"100644", b"100755")
+
+# Payload bytes of delta bases each pack keeps, as git's
+# core.deltaBaseCacheLimit (96 MiB by default) bounds its cache.
+DELTA_BASE_CACHE_LIMIT = 16 << 20
 
 
 @dataclass
@@ -104,6 +117,9 @@ class _PackFile:
             f.close()
             raise
         self._file = f
+        # Delta bases by pack offset, least recently used first.
+        self._bases: OrderedDict[int, tuple[int, bytes]] = OrderedDict()
+        self._bases_bytes = 0
 
     def close(self) -> None:
         self._map.close()
@@ -210,25 +226,40 @@ class _PackFile:
     def read_at(self, offset: int, store: "ObjectStore") -> tuple[int, bytes]:
         """(git object type number, payload) for the object at offset.
 
-        A delta chain is followed in a loop down to a whole object, or to a
-        REF_DELTA base that is not in this pack, and its deltas are then
-        applied oldest first, so a chain's depth costs no stack.
+        A delta chain is followed in a loop down to a whole object, to a
+        cached delta base, or to a REF_DELTA base that is not in this pack,
+        and its deltas are then applied oldest first, so a chain's depth
+        costs no stack.  Each base that the deltas were applied to, and that
+        lies in this pack, is then cached, as git's unpack_entry does; the
+        result itself is not.  A read that fails caches nothing.
         """
-        deltas: list[tuple[int, int]] = []  # (data position, size), newest first
+        bases = self._bases
+        deltas: list[tuple[int, int, int]] = []  # (offset, data position, size), newest first
+        base_offset = None  # the base's offset, if it is to be cached
         while True:
+            cached = bases.get(offset)
+            if cached is not None:
+                bases.move_to_end(offset)
+                if not deltas:
+                    return cached
+                base_type, base = cached
+                break
             obj_type, size, pos, base_at = self._entry_header(offset)
             if obj_type in (1, 2, 3, 4):
                 base_type, base = obj_type, self._inflate(pos, size)
+                if not deltas:
+                    return base_type, base
+                base_offset = offset
                 break
             if len(deltas) >= self.count:
                 raise ValueError("delta chain longer than the pack")
-            deltas.append((pos, size))
+            deltas.append((offset, pos, size))
             if obj_type == 6:  # OFS_DELTA
                 offset = base_at
                 continue
-            base_offset = self.find(base_at)
-            if base_offset is not None:
-                offset = base_offset
+            found = self.find(base_at)
+            if found is not None:
+                offset = found
                 continue
             if len(base_at) < 20:
                 raise ValueError("delta base id cut off by the end of the pack")
@@ -237,9 +268,30 @@ class _PackFile:
             if base_type is None:
                 raise ValueError(f"delta base {base_at.hex()} has unknown type {kind!r}")
             break
-        for pos, size in reversed(deltas):
+        used = []  # (offset, payload) of each base to cache, oldest first
+        for offset, pos, size in reversed(deltas):
+            if base_offset is not None:
+                used.append((base_offset, base))
             base = _apply_delta(base, self._inflate(pos, size))
+            base_offset = offset
+        for offset, payload in used:
+            self._cache_base(offset, base_type, payload)
         return base_type, base
+
+    def _cache_base(self, offset: int, type_num: int, payload: bytes) -> None:
+        """Cache a delta base, evicting the least recently used bases until
+        the cache fits DELTA_BASE_CACHE_LIMIT; a base larger than the limit
+        is not cached."""
+        size = len(payload)
+        limit = DELTA_BASE_CACHE_LIMIT
+        if size > limit:
+            return
+        bases = self._bases
+        while self._bases_bytes + size > limit:
+            _, (_, evicted) = bases.popitem(last=False)
+            self._bases_bytes -= len(evicted)
+        bases[offset] = (type_num, payload)
+        self._bases_bytes += size
 
 
 def _delta_size(data: bytes, pos: int) -> tuple[int, int]:
@@ -310,8 +362,9 @@ class ObjectStore:
     """Read-only view of an existing repository.  close(), or leaving a
     with block, releases the packs it has mapped.
 
-    Every read inflates the object again: the store keeps no object
-    cache, and the layers that parse objects memoise what they parse.
+    The store keeps no object cache, and the layers that parse objects
+    memoise what they parse: a whole object is inflated again on every
+    read.  Only delta bases are cached, per pack (see _PackFile.read_at).
     The repository's commit-graph file is read once, on first use.
     """
 

@@ -245,7 +245,6 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     old_src = old.source
     n_old, n_new = len(old_src), len(source)
     prefix = _common_prefix(old_src, source, min(n_old, n_new))
-    suffix = _common_prefix(old_src[::-1], source[::-1], min(n_old, n_new) - prefix)
     delta = n_new - n_old
 
     # Prefix rule: reproduce what ends at or before the last newline before
@@ -260,7 +259,12 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     resume = max(ends[-1] if i else 0, comments[-1].end if ci else 0)
 
     # Suffix rule: from the first token or comment in the common suffix that
-    # also starts an old one, the old stream is copied.
+    # also starts an old one, the old stream is copied.  The suffix is
+    # bounded by the newline before the first change, not by the common
+    # prefix: when an edit deletes or adds a member that begins like the
+    # one after it, the prefix runs into that member, and the suffix must
+    # still hold the member's first token.
+    suffix = _common_prefix(old_src[::-1], source[::-1], min(n_old, n_new) - (cut + 1))
     shared = n_new - suffix
     tail = None
     for m in _TOKEN_RE.finditer(source, resume):

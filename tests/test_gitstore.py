@@ -14,11 +14,13 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import methodgit.gitstore
 from methodgit import ObjectStore, RepoWriter
 from methodgit.commitgraph import commit_date
 from methodgit.errors import RepositoryError
@@ -35,9 +37,10 @@ from methodgit.gitstore import (
 from methodgit.rewrite import rewrite_history
 
 from conftest import (
-    AUTHOR, build_linear_repo, build_tag_repo, build_unreadable_pack_repo, requires_git,
-    write_files, write_tree_dict,
+    AUTHOR, build_linear_repo, build_tag_repo, build_unreadable_pack_repo, git_available,
+    requires_git, write_files, write_tree_dict,
 )
+from repogen import generate_java_repo
 
 
 def git(*args: str, cwd: str) -> str:
@@ -160,6 +163,8 @@ def test_converted_objects_read_back_and_rehash(person_repo, tmp_path):
         for oid in oids:
             kind, payload = store.read(oid)
             assert hash_object(kind.encode(), payload) == oid
+        # methodgit writes no deltas, so nothing enters the delta-base cache.
+        assert not any(pack._bases for pack in store._load_packs())
 
 
 def test_empty_writer_leaves_no_pack(tmp_path):
@@ -628,6 +633,199 @@ def test_size_of_ofs_deltas_inflates_no_payload(tmp_path, monkeypatch):
     monkeypatch.setattr("methodgit.gitstore._apply_delta", _fail_if_called)
     with ObjectStore(str(repo)) as store:
         assert {oid: store.size(oid) for oid in oids} == want
+
+
+def _pack_depths(repo: str) -> dict[str, int]:
+    """{id: delta chain depth, 0 for a whole object} of every object in the
+    repository's one pack, as git verify-pack -v lists them."""
+    (idx,) = glob.glob(os.path.join(repo, "objects", "pack", "*.idx"))
+    # verify-pack -v: id, type, size, packed size, offset (and depth and
+    # base id for a delta), then a summary.
+    return {
+        fields[0]: int(fields[5]) if len(fields) == 7 else 0
+        for fields in map(str.split, git("verify-pack", "-v", idx, cwd=repo).splitlines())
+        if len(fields) >= 5 and fields[1] in ("blob", "tree", "commit", "tag")
+    }
+
+
+@pytest.fixture(scope="module", params=["--delta-base-offset", "--no-delta-base-offset"],
+                ids=["ofs", "ref"])
+def chain_repo(request, tmp_path_factory):
+    """_delta_chain_repo with OFS_DELTAs or with REF_DELTAs: (repository,
+    the versions' ids oldest first, their depths in the pack)."""
+    if not git_available():
+        pytest.skip("git binary not on PATH")
+    tmp = tmp_path_factory.mktemp("chain")
+    repo = _delta_chain_repo(tmp, request.param)
+    versions = [hash_object(b"blob", (tmp / f"v{k}").read_bytes()) for k in range(80)]
+    depths = _pack_depths(str(repo))
+    assert sorted(depths) == sorted(versions)
+    with ObjectStore(str(repo)) as store:
+        (pack,) = store._load_packs()
+        types = {pack._read_varint_header(pack.find(bytes.fromhex(oid)))[0] for oid in versions}
+    assert types == {3, 6 if request.param == "--delta-base-offset" else 7}
+    return str(repo), versions, depths
+
+
+def _deepest_first(depths: dict[str, int]) -> list[str]:
+    return sorted(depths, key=depths.__getitem__, reverse=True)
+
+
+@pytest.mark.parametrize("order", ["deepest", "newest", "shuffled"])
+def test_delta_base_cache_reads_every_object_in_any_order(chain_repo, order):
+    repo, versions, depths = chain_repo
+    oids = {
+        "deepest": _deepest_first(depths),
+        "newest": versions[::-1],
+        "shuffled": random.Random(3).sample(versions, len(versions)),
+    }[order]
+    with ObjectStore(repo) as store:
+        for oid in oids:
+            kind, payload = store.read(oid)
+            assert hash_object(kind.encode(), payload) == oid
+
+
+def test_delta_base_cache_applies_each_delta_once_reading_deepest_first(chain_repo, monkeypatch):
+    repo, _, depths = chain_repo
+    results = []
+    apply_delta = methodgit.gitstore._apply_delta
+
+    def recording(base: bytes, delta: bytes) -> bytes:
+        out = apply_delta(base, delta)
+        results.append(hash_object(b"blob", out))
+        return out
+
+    monkeypatch.setattr(methodgit.gitstore, "_apply_delta", recording)
+    with ObjectStore(repo) as store:
+        for oid in _deepest_first(depths):
+            store.read(oid)
+    # Every delta is read, so each is applied exactly once.
+    assert sorted(results) == sorted(oid for oid, depth in depths.items() if depth)
+
+
+@pytest.mark.parametrize("share", [3, 1])
+def test_delta_base_cache_stays_within_its_budget(chain_repo, monkeypatch, share):
+    repo, versions, depths = chain_repo
+    with ObjectStore(repo) as store:
+        sizes = sorted(store.size(oid) for oid in versions)
+    # Room for about three median versions, or for one: either way far
+    # less than the chain, and with share 1 half the versions do not fit.
+    limit = share * sizes[len(sizes) // 2]
+    monkeypatch.setattr(methodgit.gitstore, "DELTA_BASE_CACHE_LIMIT", limit)
+    cached: set[int] = set()
+    most = 0
+    with ObjectStore(repo) as store:
+        (pack,) = store._load_packs()
+        for oid in _deepest_first(depths):
+            kind, payload = store.read(oid)
+            assert hash_object(kind.encode(), payload) == oid
+            held = [len(payload) for _, payload in pack._bases.values()]
+            assert pack._bases_bytes == sum(held) <= limit
+            cached |= pack._bases.keys()
+            most = max(most, len(held))
+        assert len(cached) > most > 0  # entries were evicted
+        # A base larger than the budget is not cached, and evicts nothing.
+        before = list(pack._bases.items())
+        pack._cache_base(1, 3, bytes(limit + 1))
+        assert list(pack._bases.items()) == before
+        for oid in random.Random(5).sample(versions, len(versions)):
+            kind, payload = store.read(oid)
+            assert hash_object(kind.encode(), payload) == oid
+
+
+@pytest.mark.parametrize("damage", ["opcode", "zlib"])
+def test_corrupt_delta_on_a_cached_base_raises_and_caches_nothing(tmp_path, damage):
+    # w is whole; one is an OFS_DELTA on w, and two and three are damaged
+    # OFS_DELTAs on w and on one.  Reading one caches w.
+    w = b"base line\n" * 40
+    one, two, three = w + b"one\n", w + b"two\n", w + b"one\nthree\n"
+
+    def delta_data(base: bytes, suffix: bytes, damaged: bool) -> tuple[int, bytes]:
+        delta = _append_delta(base, suffix)
+        if not damaged:
+            return len(delta), zlib.compress(delta)
+        if damage == "opcode":
+            delta = delta[: -len(suffix) - 1] + b"\x00"
+            return len(delta), zlib.compress(delta)
+        stream = bytearray(zlib.compress(delta))
+        stream[-1] ^= 1  # the Adler-32 check
+        return len(delta), bytes(stream)
+
+    pack = bytearray(b"PACK" + struct.pack(">II", 2, 4))
+    entries, offsets = {}, {}
+    for payload, base, suffix in ((w, None, b""), (one, w, b"one\n"), (two, w, b"two\n"),
+                                  (three, one, b"three\n")):
+        offsets[payload] = len(pack)
+        if base is None:
+            body = _pack_entry_header(3, len(w)) + zlib.compress(w)
+        else:
+            size, data = delta_data(base, suffix, payload in (two, three))
+            body = _pack_entry_header(6, size) + _ofs(len(pack) - offsets[base]) + data
+        entries[bytes.fromhex(hash_object(b"blob", payload))] = (len(pack), zlib.crc32(body))
+        pack += body
+    trailer = hashlib.sha1(pack).digest()
+    repo = str(tmp_path / "r.git")
+    write_files(repo, {
+        "HEAD": b"ref: refs/heads/master\n",
+        "objects/pack/pack-x.pack": bytes(pack) + trailer,
+        "objects/pack/pack-x.idx": _pack_index(entries, trailer),
+    })
+    with ObjectStore(repo) as store:
+        (packfile,) = store._load_packs()
+        assert store.read(hash_object(b"blob", one)) == ("blob", one)
+        assert list(packfile._bases) == [offsets[w]]
+        for bad in (two, three):
+            oid = hash_object(b"blob", bad)
+            with pytest.raises(RepositoryError, match=f"corrupt object {oid}"):
+                store.read(oid)
+            # three's read applied one's delta before it failed; neither
+            # read cached anything.
+            assert list(packfile._bases) == [offsets[w]]
+        for good in (one, w):
+            assert store.read(hash_object(b"blob", good)) == ("blob", good)
+
+
+@requires_git
+def test_conversion_of_a_deep_packed_history_applies_each_delta_at_most_twice(
+    tmp_path, monkeypatch
+):
+    src = str(tmp_path / "src.git")
+    generate_java_repo(src, n_commits=40, n_files=6, seed=3)
+    git("repack", "-adfq", "--depth=250", "--window=250", cwd=src)
+    depths = _pack_depths(src)
+    (idx,) = glob.glob(os.path.join(src, "objects", "pack", "*.idx"))
+    bases = {
+        fields[6]
+        for fields in map(str.split, git("verify-pack", "-v", idx, cwd=src).splitlines())
+        if len(fields) == 7 and fields[1] in ("blob", "tree", "commit", "tag")
+    }
+    reads, applied = Counter(), Counter()
+    read, apply_delta = ObjectStore.read, methodgit.gitstore._apply_delta
+
+    def counting_read(self, oid: str) -> tuple[str, bytes]:
+        reads[oid] += 1
+        return read(self, oid)
+
+    def counting_apply(base: bytes, delta: bytes) -> bytes:
+        out = apply_delta(base, delta)
+        applied[out] += 1
+        return out
+
+    monkeypatch.setattr(ObjectStore, "read", counting_read)
+    monkeypatch.setattr(methodgit.gitstore, "_apply_delta", counting_apply)
+    rewrite_history(src, str(tmp_path / "dst.git"))
+    monkeypatch.undo()
+    assert max(depths.values()) >= 10 and set(reads) == set(depths)
+    assert max(reads.values()) == 1
+    # A delta is applied once when its object is read, and once more only
+    # if it is the base of another delta that was read first; with no
+    # cache, the bottom of a chain is applied again for each object above
+    # it.
+    with ObjectStore(src) as store:
+        for oid, depth in depths.items():
+            if depth:
+                assert applied.pop(store.read(oid)[1]) <= 1 + (oid in bases), oid
+    assert not applied
 
 
 @requires_git

@@ -835,6 +835,15 @@ def test_incremental_duplicate_whose_earlier_twin_is_deleted():
     assert reused == [0, 1, 1]
 
 
+def test_incremental_member_deleted_before_a_look_alike():
+    text = "class A {\n  int f() { return 1; }\n  int g() { return 2; }\n}\n"
+    versions = [text, text.replace("  int f() { return 1; }\n", "")]
+    reused = incremental_against_fresh(versions, ConversionConfig())
+    # The common prefix runs on into "  int " of g, but g's tokens are
+    # still copied from the suffix, so g is reused.
+    assert reused == [0, 1]
+
+
 def test_incremental_edit_that_unbalances_braces():
     versions = [NESTED, NESTED.replace("return 2; }", "return 2;"), NESTED, NESTED.replace("}\n}", "}")]
     reused = incremental_against_fresh(versions, ConversionConfig())
