@@ -59,7 +59,7 @@ def load_oracle(path: str) -> list[OracleEntry]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OracleError(f"cannot read oracle: {exc}") from exc
     return parse_oracle(text)
 
@@ -211,7 +211,7 @@ def load_pairs(path: str) -> list[tuple[str, str]]:
                         f"pairs file line {lineno}: expected two tab-separated paths"
                     )
                 pairs.append((parts[0], parts[1]))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OracleError(f"cannot read pairs file: {exc}") from exc
     return pairs
 

@@ -14,8 +14,8 @@ error messages.  What a declaration owns is defined once, as runs of token
 indices (see Declaration); its token texts and plain source lines are read
 from them when asked for, and nothing else is copied.
 
-A walk can also reuse the last walk of an earlier version of the file, the
-one its LexBase was lexed against (see Walk).  Each member of a type that
+A walk can also reuse the last walk of an earlier version of the file, which
+holds the LexBase it is lexed against (see Walk).  Each member of a type that
 lies outside any body gets a MemberRecord, with which the caller keeps what
 it made of the member's declarations.  When the next version copies the
 member's tokens and source lines unchanged and the member sits in the same
@@ -206,14 +206,14 @@ class MemberRecord:
 
 @dataclass(eq=False)
 class Walk:
-    """What a walk of a file keeps for the walk of the file's next version:
-    members holds a record of each member outside any body it walked or
-    reused, closes maps the '{' of each type body to its '}', and tokens
-    is the token list of the file walked."""
+    """All that a conversion keeps of a file for its next version: lex, the
+    LexBase the next version is lexed against; members, a record of each
+    member outside any body that the walk of lex walked or reused; closes,
+    the '}' of each type body's '{'.  A new Walk records the empty source."""
 
+    lex: LexBase = field(default_factory=LexBase)
     members: list[MemberRecord] = field(default_factory=list)
     closes: dict[int, int] = field(default_factory=dict)
-    tokens: list[str] = field(default_factory=list)
 
 
 _PAIRED = frozenset("(){}")
@@ -444,8 +444,7 @@ def source_lines(lex: LexBase, lo: int, hi: int) -> list[str]:
 class _Extractor:
     def __init__(self, lex: LexBase, walk: Walk | None = None):
         """walk, when given, is the walk of the version lex was lexed
-        against; it is read here, then emptied and filled as this walk
-        goes."""
+        against; it is read here, then given lex and refilled as this walk goes."""
         self.lex = lex
         self.toks = lex.tokens
         self.kinds = lex.kinds
@@ -461,9 +460,8 @@ class _Extractor:
         # new '{' index -> its '}', for the type bodies of the last walk
         self._closes: dict[int, int] = {}
         if walk is not None:
-            if lex.copied is not None:
-                self._take(walk)
-            walk.members, walk.closes, walk.tokens = [], {}, lex.tokens
+            self._take(walk)
+            walk.lex, walk.members, walk.closes = lex, [], {}
 
     def _take(self, last: Walk) -> None:
         """Map what the last walk kept to this version's token indices: the
@@ -483,7 +481,7 @@ class _Extractor:
         head, tail, shift = copied.head, copied.tail, copied.shift
         depths = list(accumulate(map(_BRACES, toks[head : tail + shift], repeat(0)), initial=0))
         spans = min(depths) == 0 and depths[-1] == sum(
-            map(_BRACES, last.tokens[head:tail], repeat(0))
+            map(_BRACES, last.lex.tokens[head:tail], repeat(0))
         )
         for lo, hi in last.closes.items():
             if hi < head:
@@ -1073,23 +1071,22 @@ class _Extractor:
 
 
 def extract(
-    source: str, base: LexBase | None = None, walk: Walk | None = None
+    source: str, walk: Walk | None = None
 ) -> tuple[list[MethodDecl | tuple], list[FieldDecl | tuple]]:
     """Extract all method and field declarations from Java source.
 
-    base is passed to tokenize: an earlier version of the file to lex
-    against, updated to record this one.  Raises LexError or ParseError when
-    the file cannot be processed; callers then keep the original file
-    untouched.  A ParseError's message ends with the line of its token.
+    Raises LexError or ParseError when the file cannot be processed;
+    callers then keep the original file untouched.  A ParseError's message
+    ends with the line of its token.
 
-    walk goes with base and holds the walk of the version base recorded.
-    A member whose record can be reused is not walked: the entries its
-    record kept stand for its declarations, in their places.  Once the
-    source is lexed, walk is updated in place to this walk as it goes,
-    with records whose kept is None; a walk that fails leaves none that
-    can be reused.
+    walk, when given, is the last walk of an earlier version of the file:
+    source is lexed against walk.lex, and a member whose record can be
+    reused is not walked, the entries its record kept standing for its
+    declarations in their places.  A LexError leaves walk as it was; then
+    walk takes the new lex and is refilled as the walk goes, with records
+    whose kept is None, so a walk that fails leaves none to reuse.
     """
-    lex = tokenize(source, base)
+    lex = tokenize(source, None if walk is None else walk.lex)
     ex = _Extractor(lex, walk)
     try:
         ex.run()

@@ -263,7 +263,7 @@ class _PackFile:
                 continue
             if len(base_at) < 20:
                 raise ValueError("delta base id cut off by the end of the pack")
-            kind, base = store.read(base_at.hex())
+            kind, base = store._read_base(base_at.hex())
             base_type = _TYPE_NUMBERS.get(kind)
             if base_type is None:
                 raise ValueError(f"delta base {base_at.hex()} has unknown type {kind!r}")
@@ -372,6 +372,7 @@ class ObjectStore:
         gitdir = self._discover(path)
         self.gitdir = gitdir
         self._packs: list[_PackFile] | None = None
+        self._base_reads: set[str] = set()
         self._graph_loaded = False
         self._graph = None
 
@@ -388,8 +389,8 @@ class ObjectStore:
         if os.path.isdir(dotgit):
             return dotgit
         if os.path.isfile(dotgit):
-            with open(dotgit, "r", encoding="utf-8") as f:
-                line = f.read().strip()
+            with open(dotgit, "rb") as f:
+                line = _utf8(f.read(), f"gitdir file {dotgit}").strip()
             if line.startswith("gitdir:"):
                 target = line[len("gitdir:") :].strip()
                 return os.path.normpath(os.path.join(path, target))
@@ -460,6 +461,17 @@ class ObjectStore:
         except _CORRUPT as exc:
             raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
 
+    def _read_base(self, oid: str) -> tuple[str, bytes]:
+        """read(oid) for a REF_DELTA base from outside the delta's pack; a
+        base already being read closes a cycle of deltas across packs."""
+        if oid in self._base_reads:
+            raise ValueError(f"delta cycle through base {oid}")
+        self._base_reads.add(oid)
+        try:
+            return self.read(oid)
+        finally:
+            self._base_reads.discard(oid)
+
     def size(self, oid: str) -> int:
         """The object's payload length, without inflating the payload.
 
@@ -527,7 +539,7 @@ class ObjectStore:
 
         A value that is not 40 bytes long, or a symbolic ref, is skipped;
         latin-1 never fails, and read rejects a value that is not an id.  A
-        packed ref name that is not UTF-8 raises RepositoryError.
+        ref name that is not UTF-8, loose or packed, raises RepositoryError.
         """
         out: dict[str, str] = {}
         packed = os.path.join(self.gitdir, "packed-refs")
@@ -548,7 +560,7 @@ class ObjectStore:
                 with open(full, "rb") as f:
                     value = f.read().strip()
                 if len(value) == 40 and not value.startswith(b"ref: "):
-                    out[name] = value.decode("latin-1")
+                    out[_utf8(os.fsencode(name), "ref name")] = value.decode("latin-1")
         return out
 
     def head_target(self) -> tuple[str, str]:

@@ -34,8 +34,9 @@ what the edit can have changed.  Two locality rules make that exact:
   attach indices by the difference in token count.
 
 Both copies are slices of the base's sequences, so no per-token object is
-built for them.  The result's ``copied`` says what was copied, so a later
-stage can reuse what it built from the base's copied tokens.
+built for them, and the base is never written.  The result's ``copied``
+says what was copied, so a later stage can reuse what it built from the
+base's copied tokens.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ class LexBase:
     order, and javadocs the documentation comments among them.  copied is
     what the lex that made it took from its base, None without a base; it
     says how the record was made, not what it holds, so equality ignores
-    it.  A new LexBase records the empty source."""
+    it.  A new LexBase records the empty source.  tokenize never writes to
+    the base it lexes against (see extract.Walk)."""
 
     source: str = ""
     tokens: list[str] = field(default_factory=list)
@@ -236,10 +238,9 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
 
     With a base, the parts of source that the locality rules (see the
     module docstring) show to lex as in base.source are copied from it
-    instead of lexed again; the result is the same for any base.  When
-    lexing succeeds, base is updated in place to equal the result, so one
-    base passed with each new version of a file lexes it against the last;
-    the result's copied says what was taken from base.
+    instead of lexed again; the result is the same for any base, and its
+    copied says what was taken from base.  base is only read: the result
+    shares no mutable sequence with it.
     """
     old = base if base is not None else LexBase()
     old_src = old.source
@@ -320,9 +321,4 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
         )
 
     copied = None if base is None else Copied(i, prefix, k, sync, shift, delta)
-    result = LexBase(source, tokens, bytes(kinds), offsets, ends, comments, javadocs, copied)
-    if base is not None:
-        base.source, base.tokens, base.kinds = source, tokens, result.kinds
-        base.offsets, base.ends, base.comments, base.javadocs = offsets, ends, comments, javadocs
-        base.copied = copied
-    return result
+    return LexBase(source, tokens, bytes(kinds), offsets, ends, comments, javadocs, copied)

@@ -11,11 +11,11 @@ changed paths come from diffing the name maps its converted trees were
 written from against its first parent's, so the written pack is never
 read back.
 
-A .java file is converted against the last version converted under the
-same name: it is lexed against that version's LexBase, and a member that
-the edit left alone takes its file names and blob ids from that version's
-Walk, without being walked, named or rendered (see extract).  Every other
-declaration is rendered once per distinct render key.
+A .java file is converted against the Walk of the last version converted
+under the same name, the one record kept per name: it is lexed against that
+version's LexBase, and a member the edit left alone takes its file names and
+blob ids from it, without being walked, named or rendered (see extract).
+Every other declaration is rendered once per distinct render key.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .emit import LineFormat, RenderConfig, render
 from .errors import LexError, ParseError, RepositoryError
 from .extract import Declaration, Walk, extract
 from .gitstore import FILE_MODES, TREE_MODE, CommitRecord, ObjectStore, RepoWriter
-from .lexer import LexBase
 from .naming import NamePolicy, field_file_name, method_file_name
 
 
@@ -74,19 +73,17 @@ def convert_source(
     source: str,
     config: ConversionConfig,
     emit: Callable[[str, Declaration], Content] | None = None,
-    base: LexBase | None = None,
     walk: Walk | None = None,
 ) -> list[tuple[str, Content]]:
     """All (file name, content) pairs for one Java source text.
 
     Duplicate names keep the first occurrence.  emit(source, decl) gives a
-    declaration's content, by default its rendering under config.render;
-    base is as in extract.  Raises LexError or ParseError when the source
-    cannot be processed.
+    declaration's content, by default its rendering under config.render.
+    Raises LexError or ParseError when the source cannot be processed.
 
-    walk, given with base and the same config and emit each time, makes
-    the conversion incremental: it holds the walk of the last conversion
-    of the file base recorded (see extract).  A member whose record is
+    walk, given with the same config and emit each time, makes the
+    conversion incremental: it holds the walk of the last conversion of an
+    earlier version of the file (see extract).  A member whose record is
     reused gets the (file name, content) pairs it got then, without being
     walked, named or emitted.  Names are still taken in order, so a reused
     pair that now repeats an earlier name is dropped.  Each record then
@@ -96,7 +93,7 @@ def convert_source(
     if emit is None:
         def emit(source: str, decl: Declaration) -> bytes:
             return render(decl, config.render)
-    methods, fields = extract(source, base, walk)
+    methods, fields = extract(source, walk)
     out: list[tuple[str, Content]] = []
     seen: set[str] = set()
     policy = config.name_policy
@@ -135,12 +132,11 @@ def convert_blob(
     content: bytes,
     config: ConversionConfig,
     emit: Callable[[str, Declaration], Content] | None = None,
-    base: LexBase | None = None,
     walk: Walk | None = None,
 ) -> list[tuple[str, Content]] | None:
     """Convert one .java blob as convert_source does; None when it cannot
-    be decoded, lexed or parsed, or nests too deeply.  Any other exception
-    is a bug and propagates."""
+    be decoded, lexed or parsed, or nests too deeply.  walk is as in
+    convert_source.  Any other exception is a bug and propagates."""
     if content.startswith(b"\xef\xbb\xbf"):
         content = content[3:]
     try:
@@ -148,7 +144,7 @@ def convert_blob(
     except UnicodeDecodeError:
         return None
     try:
-        return convert_source(source, config, emit, base, walk)
+        return convert_source(source, config, emit, walk)
     except (LexError, ParseError, RecursionError):
         return None
 
@@ -178,10 +174,8 @@ class _Caches:
     blobs: dict[str, list[tuple[bytes, str]] | None] = field(default_factory=dict)
     # _render_key of a declaration -> id of its rendered blob
     rendered: dict[tuple, str] = field(default_factory=dict)
-    # .java file name -> the last version of a file of that name lexed
-    lexed: dict[bytes, LexBase] = field(default_factory=dict)
-    # .java file name -> the walk of the conversion of that version, with
-    # nothing to reuse when it failed after lexing
+    # .java file name -> the walk of the last version of a file of that
+    # name lexed, with nothing to reuse when it failed after lexing
     walks: dict[bytes, Walk] = field(default_factory=dict)
 
 
@@ -225,10 +219,9 @@ class _TreeConverter:
         if cached is not False:
             return cached
         _, content = self.store.read(oid)
-        base = self.caches.lexed.setdefault(java_name, LexBase())
         walk = self.caches.walks.setdefault(java_name, Walk())
         emitted = self._emitted
-        files = convert_blob(content, self.config, self._emit, base, walk)
+        files = convert_blob(content, self.config, self._emit, walk)
         pending, self._pending = self._pending, {}
         if files is None:
             self.stats.files_skipped += 1

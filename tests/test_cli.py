@@ -463,14 +463,17 @@ def test_track_with_an_unreadable_pack_fails_without_traceback(tmp_path, capsys)
     ("HEAD", b"ref: refs/heads/\xff\n", "malformed HEAD"),
     ("refs/heads/odd", b"\xff" * 40 + b"\n", "malformed object id"),
     ("packed-refs", None, "malformed ref name in packed-refs"),
-], ids=["head", "loose-ref", "packed-ref-name"])
+    (os.fsdecode(b"refs/heads/b\xff"), None, "malformed ref name: b'refs/heads/b\\xff'"),
+], ids=["head", "loose-ref", "packed-ref-name", "loose-ref-name"])
 def test_refs_that_are_not_utf8_fail_without_traceback(tmp_path, capsys, path, data, message):
     # Found by the fuzz test below: each of these raised UnicodeDecodeError.
     src = str(tmp_path / "src.git")
-    build_linear_repo(src, [{"Person.java": PERSON_JAVA.encode()}])
-    if data is None:
+    (commit,) = build_linear_repo(src, [{"Person.java": PERSON_JAVA.encode()}])
+    if path == "packed-refs":
         with open(os.path.join(src, path), "rb") as f:
             data = f.read().replace(b"refs/heads/master", b"refs/heads/\xff")
+    elif data is None:
+        data = commit.encode() + b"\n"
     with open(os.path.join(src, path), "wb") as f:
         f.write(data)
     code, _, err = run(capsys, "convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
@@ -480,6 +483,32 @@ def test_refs_that_are_not_utf8_fail_without_traceback(tmp_path, capsys, path, d
         code, _, err = run(capsys, "track", "--repo", src, "--path", "Person.java", "-M", "50")
         assert code == 1
         assert message in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("gitlink", "malformed gitdir file"),
+    ("oracle", "cannot read oracle"),
+    ("pairs", "cannot read pairs file"),
+], ids=["gitlink", "oracle", "pairs"])
+def test_inputs_that_are_not_utf8_fail_without_traceback(tmp_path, capsys, case, message):
+    # Each of these raised UnicodeDecodeError.
+    src = str(tmp_path / "src.git")
+    build_linear_repo(src, [{"Person.java": PERSON_JAVA.encode()}])
+    bad = tmp_path / "bad"
+    if case == "gitlink":
+        bad.mkdir()
+        (bad / ".git").write_bytes(b"gitdir: \xff\n")
+        argv = ("convert", "--src", str(bad), "--dst", str(tmp_path / "dst.git"))
+    elif case == "oracle":
+        bad.write_bytes(b'[{"methodPath": "\xff", "expectedRenameCount": 0}]')
+        argv = ("evaluate", "--repo", src, "--oracle", str(bad))
+    else:
+        bad.write_bytes(b"a.mjava\tb\xff.mjava\n")
+        argv = ("compare", "--repo-a", src, "--repo-b", src, "--pairs", str(bad))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert out == ""
 
 
 @functools.cache

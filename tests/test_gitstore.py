@@ -223,31 +223,44 @@ def test_pack_index_offsets_of_2_gib_and_above_round_trip(tmp_path):
         pack.close()
 
 
-def test_delta_cycles_raise_repository_error(tmp_path):
-    # a and b are REF_DELTAs naming each other as base; c is an OFS_DELTA
-    # whose base offset is its own.
-    a, b, c = (bytes([n]) * 20 for n in (1, 2, 3))
-    delta = zlib.compress(b"\x00\x00")
-    bodies = [
-        (a, _pack_entry_header(7, 2) + b + delta),
-        (b, _pack_entry_header(7, 2) + a + delta),
-        (c, _pack_entry_header(6, 2) + b"\x00" + delta),
-    ]
+def _write_pack(repo, name: str, bodies: list[tuple[bytes, bytes]]) -> None:
+    """A pack and its index of the given (id, entry) pairs in repo."""
     pack = bytearray(b"PACK" + struct.pack(">II", 2, len(bodies)))
     entries = {}
     for oid, body in bodies:
         entries[oid] = (len(pack), zlib.crc32(body))
         pack += body
     trailer = hashlib.sha1(pack).digest()
-    repo = tmp_path / "r.git"
-    (repo / "objects" / "pack").mkdir(parents=True)
+    (repo / "objects" / "pack").mkdir(parents=True, exist_ok=True)
     (repo / "HEAD").write_text("ref: refs/heads/master\n")
-    (repo / "objects" / "pack" / "pack-x.pack").write_bytes(pack + trailer)
-    (repo / "objects" / "pack" / "pack-x.idx").write_bytes(_pack_index(entries, trailer))
+    (repo / "objects" / "pack" / f"{name}.pack").write_bytes(pack + trailer)
+    (repo / "objects" / "pack" / f"{name}.idx").write_bytes(_pack_index(entries, trailer))
+
+
+def test_delta_cycles_raise_repository_error(tmp_path):
+    # a and b are REF_DELTAs naming each other as base; c is an OFS_DELTA
+    # whose base offset is its own.
+    a, b, c = (bytes([n]) * 20 for n in (1, 2, 3))
+    delta = zlib.compress(b"\x00\x00")
+    body_a = _pack_entry_header(7, 2) + b + delta
+    body_b = _pack_entry_header(7, 2) + a + delta
+    body_c = _pack_entry_header(6, 2) + b"\x00" + delta
+    repo = tmp_path / "r.git"
+    _write_pack(repo, "pack-x", [(a, body_a), (b, body_b), (c, body_c)])
     with ObjectStore(str(repo)) as store:
         for oid in (a, c):
             with pytest.raises(RepositoryError, match=f"corrupt object {oid.hex()}"):
                 store.read(oid.hex())
+    # The same cycle split over two packs: each pack reads the other's
+    # object as its base.
+    split = tmp_path / "split.git"
+    _write_pack(split, "pack-x", [(a, body_a)])
+    _write_pack(split, "pack-y", [(b, body_b)])
+    with ObjectStore(str(split)) as store:
+        for oid in (a, b, a):
+            with pytest.raises(RepositoryError, match=f"corrupt object {oid.hex()}"):
+                store.read(oid.hex())
+        assert store._base_reads == set()
 
 
 def test_parse_commit_skips_signature_lines():

@@ -26,7 +26,6 @@ from methodgit.emit import render
 from methodgit.errors import LexError, ParseError, RepositoryError
 from methodgit.extract import Walk
 from methodgit.gitstore import hash_object
-from methodgit.lexer import LexBase
 from methodgit.lexer import tokenize as full_tokenize
 from methodgit.rewrite import convert_blob, convert_source
 
@@ -345,7 +344,7 @@ def test_convert_blob_returns_files_or_none_on_mutated_java(source, edits):
 
 
 def test_convert_blob_lets_internal_errors_propagate(monkeypatch):
-    def broken(source, base=None, walk=None):
+    def broken(source, walk=None):
         raise KeyError("walker bug")
 
     monkeypatch.setattr(methodgit.rewrite, "extract", broken)
@@ -721,11 +720,11 @@ def convert_or_error(text: str, config: ConversionConfig, *args):
 
 
 def incremental_against_fresh(versions: list[str], config: ConversionConfig) -> list[int]:
-    """Convert the versions in turn against one base and walk, as a
-    conversion does with the files of one name, and check each result
-    against a conversion from scratch; returns the number of declarations
-    reused at each version."""
-    base, walk = LexBase(), Walk()
+    """Convert the versions in turn against one walk, as a conversion does
+    with the files of one name, and check each result against a conversion
+    from scratch, and the walk's lex against a full lex; returns the number
+    of declarations reused at each version."""
+    walk = Walk()
     emitted = 0
 
     def emit(source: str, decl) -> bytes:
@@ -736,8 +735,11 @@ def incremental_against_fresh(versions: list[str], config: ConversionConfig) -> 
     reused = []
     for text in versions:
         emitted = 0
-        got = convert_or_error(text, config, emit, base, walk)
-        assert got == convert_or_error(text, config, None, None), text
+        last = walk.lex
+        got = convert_or_error(text, config, emit, walk)
+        assert got == convert_or_error(text, config), text
+        # The walk holds the lex of the last version that lexed.
+        assert (walk.lex is last) if got == "LexError" else (walk.lex == tokenize(text))
         reused.append(len(got) - emitted if isinstance(got, list) else 0)
     return reused
 
@@ -860,8 +862,8 @@ def test_incremental_version_that_fails_then_a_valid_one(broken):
     ]
     reused = incremental_against_fresh(versions, ConversionConfig())
     assert convert_or_error(versions[1], ConversionConfig()) in ("ParseError", "LexError")
-    # A lex error leaves the base and walk of the first version in place; a
-    # parse error leaves a base with no walk.
+    # A lex error leaves the walk of the first version in place; a parse
+    # error leaves the walk with its lex and no member to reuse.
     assert reused[2] == (0 if "(int)" in broken else 2)
 
 
