@@ -32,7 +32,7 @@ from itertools import accumulate, repeat
 from operator import attrgetter
 
 from .errors import ParseError
-from .lexer import IDENTIFIER, KEYWORD, LexBase, position, tokenize
+from .lexer import IDENTIFIER, KEYWORD, CommentSpan, LexBase, position, tokenize
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
@@ -147,7 +147,7 @@ class Declaration:
     def plain_lines(self) -> list[str]:
         """The whole source lines of the member, as source_lines gives them."""
         lex = self.file
-        return source_lines(lex, lex.offsets[self.runs[0][0]], lex.ends[self.member.end])
+        return source_lines(lex, lex.offsets[self.runs[0][0]], lex.end(self.member.end))
 
 
 @dataclass
@@ -393,7 +393,6 @@ def scan_type(lex: LexBase, i: int, end: int | None = None) -> tuple[int, str] |
     return j, "".join(parts)
 
 
-_attach = attrgetter("attach_index")
 _start = attrgetter("start")
 _end = attrgetter("end")
 
@@ -498,23 +497,28 @@ class _Extractor:
         self._anon += 1
         return f"${self._anon}"
 
+    def _javadoc(self, lo: int, hi: int) -> CommentSpan | None:
+        """The last javadoc attached to a token in [lo, hi]: the last that
+        starts before token hi and after token lo - 1."""
+        lex = self.lex
+        docs, offsets = lex.javadocs, lex.offsets
+        i = bisect_left(docs, offsets[hi], key=_start) - 1
+        if i < 0 or (lo and docs[i].start < offsets[lo - 1]):
+            return None
+        return docs[i]
+
     def _line(self, start: int) -> int:
         """The offset of the line of the last javadoc attached to token
         start, or else of the token."""
-        lex = self.lex
-        docs = lex.javadocs
-        i = bisect_right(docs, start, key=_attach) - 1
-        lo = docs[i].start if i >= 0 and docs[i].attach_index == start else lex.offsets[start]
-        return lex.source.rfind("\n", 0, lo) + 1
+        doc = self._javadoc(start, start)
+        lo = self.lex.offsets[start] if doc is None else doc.start
+        return self.lex.source.rfind("\n", 0, lo) + 1
 
     def _javadoc_lines(self, start: int, name_idx: int) -> list[str]:
         """Source lines of the last javadoc attached to a token in
         [start, name_idx]."""
-        docs = self.lex.javadocs
-        i = bisect_right(docs, name_idx, key=_attach) - 1
-        if i < 0 or docs[i].attach_index < start:
-            return []
-        return source_lines(self.lex, docs[i].start, docs[i].end)
+        doc = self._javadoc(start, name_idx)
+        return [] if doc is None else source_lines(self.lex, doc.start, doc.end)
 
     # ------------------------------------------------------------------
     # top level
@@ -707,7 +711,7 @@ class _Extractor:
                 lead = src[line : self.lex.offsets[j]]
                 records.append(MemberRecord(
                     j, end, line, None if lead.strip(_SPACE) else lead,
-                    src.find("\n", self.lex.ends[end]), chain, class_name,
+                    src.find("\n", self.lex.end(end)), chain, class_name,
                     anon, self._anon - anon,
                     slice(methods, len(self.methods)), slice(fields, len(self.fields)),
                 ))
@@ -1004,7 +1008,7 @@ class _Extractor:
     # nested type discovery inside statement/expression regions
 
     def _scan_for_types(self, lo: int, hi: int, chain: list[str]) -> None:
-        toks, kinds = self.toks, self.kinds
+        toks = self.toks
         self._bodies += 1
         j = lo
         while j < hi:
@@ -1012,23 +1016,9 @@ class _Extractor:
             if txt == "new":
                 j = self._new_expr(j, hi, chain)
                 continue
-            kind = None
             # A type keyword must name a type (_class_like raises if not);
             # only a class literal, `X.class`, is something else.
-            if txt == "class" and (j == 0 or toks[j - 1] != "."):
-                kind = txt
-            elif txt in ("interface", "enum"):
-                kind = txt
-            elif txt == "@" and j + 1 < hi and toks[j + 1] == "interface":
-                kind = "@interface"
-            elif (
-                txt == "record"
-                and kinds[j] == IDENTIFIER
-                and j + 2 < hi
-                and kinds[j + 1] == IDENTIFIER
-                and toks[j + 2] == "("
-            ):
-                kind = txt
+            kind = None if txt == "class" and j and toks[j - 1] == "." else self._type_kind(j, hi)
             if kind is None:
                 j += 1
                 continue

@@ -1,12 +1,13 @@
 """Java tokenizer.
 
 Lexes a source into one record, a LexBase, that holds the token texts,
-kind codes, source offsets and ends as parallel sequences, and the
-comments, which never become tokens.  A token has no object of its own,
-and no line or column: ``position`` computes them from an offset when an
-error is raised.  Javadoc comments are also captured separately together
-with the index of the token they precede, so declaration extraction can
-reattach them.  Unicode escape pre-translation is not applied.
+kind codes and source offsets as parallel sequences, and the comments,
+which never become tokens.  A token has no object of its own, and no end,
+line or column: its end is its offset plus its length, and ``position``
+computes line and column from an offset when an error is raised.  The
+javadoc comments are also listed on their own, so declaration extraction
+can find the one before a token by its offset.  Unicode escape
+pre-translation is not applied.
 
 One compiled pattern of ordered, named alternatives does the lexing: each
 match is one token, comment or whitespace run.  Where a form can open but
@@ -30,8 +31,7 @@ what the edit can have changed.  Two locality rules make that exact:
   at q depends only on source[q:].  Once the new source has a token or
   comment at q inside the suffix it shares with the old one, and q - delta
   (delta being the change in length) also starts an old token or comment,
-  the rest of the old stream follows: offsets shift by delta and javadoc
-  attach indices by the difference in token count.
+  the rest of the old stream follows, its offsets shifted by delta.
 
 Both copies are slices of the base's sequences, so no per-token object is
 built for them, and the base is never written.  The result's ``copied``
@@ -66,20 +66,6 @@ IDENTIFIER, KEYWORD, LITERAL, OPERATOR, SEPARATOR = TokenKind
 
 
 @dataclass(frozen=True)
-class Javadoc:
-    """A documentation comment, kept verbatim including its delimiters.
-
-    attach_index is the index of the first token lexed after the comment;
-    a declaration owns the comment when its first token sits at that index.
-    """
-
-    text: str
-    attach_index: int
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class CommentSpan:
     start: int
     end: int
@@ -107,21 +93,24 @@ class Copied:
 @dataclass(slots=True)
 class LexBase:
     """A lexed source: token i is tokens[i], of kind TokenKind(kinds[i]),
-    at source[offsets[i]:ends[i]].  comments holds every comment in source
-    order, and javadocs the documentation comments among them.  copied is
-    what the lex that made it took from its base, None without a base; it
-    says how the record was made, not what it holds, so equality ignores
-    it.  A new LexBase records the empty source.  tokenize never writes to
-    the base it lexes against (see extract.Walk)."""
+    at source[offsets[i]:end(i)].  comments holds every comment in source
+    order, and javadocs those among them that are documentation comments,
+    the same objects.  copied is what the lex that made it took from its
+    base, None without a base; it says how the record was made, not what it
+    holds, so equality ignores it.  A new LexBase records the empty source.
+    tokenize never writes to the base it lexes against (see extract.Walk)."""
 
     source: str = ""
     tokens: list[str] = field(default_factory=list)
     kinds: bytes = b""
     offsets: array = field(default_factory=lambda: array("q"))
-    ends: array = field(default_factory=lambda: array("q"))
     comments: list[CommentSpan] = field(default_factory=list)
-    javadocs: list[Javadoc] = field(default_factory=list)
+    javadocs: list[CommentSpan] = field(default_factory=list)
     copied: Copied | None = field(default=None, compare=False)
+
+    def end(self, i: int) -> int:
+        """The source offset just past token i."""
+        return self.offsets[i] + len(self.tokens[i])
 
 
 # Reserved words.  Contextual keywords (var, record, yield, sealed, ...)
@@ -231,10 +220,10 @@ _end = attrgetter("end")
 def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     """Tokenize Java source.
 
-    Comments never become tokens.  Javadoc comments (block comments opening
-    with ``/**``, at least five characters long) are collected verbatim in
-    the result.  Raises LexError for unterminated comments or literals and
-    for characters that fit no token class.
+    Comments never become tokens; each documentation comment (a block
+    comment opening with ``/**``, at least five characters long) is also
+    listed in the result's javadocs.  Raises LexError for unterminated
+    comments or literals and for characters that fit no token class.
 
     With a base, the parts of source that the locality rules (see the
     module docstring) show to lex as in base.source are copied from it
@@ -249,15 +238,17 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     delta = n_new - n_old
 
     # Prefix rule: reproduce what ends at or before the last newline before
-    # the first change, and resume lexing after it.
+    # the first change, and resume lexing after it.  Of the tokens that
+    # start before that newline, only the last can end past it: a text block.
     cut = old_src.rfind("\n", 0, prefix)
-    i = bisect_right(old.ends, cut)
+    i = bisect_right(old.offsets, cut)
+    if i and old.end(i - 1) > cut:
+        i -= 1
     ci = bisect_right(old.comments, cut, key=_end)
-    tokens, kinds = old.tokens[:i], bytearray(old.kinds[:i])
-    offsets, ends = old.offsets[:i], old.ends[:i]
+    tokens, kinds, offsets = old.tokens[:i], bytearray(old.kinds[:i]), old.offsets[:i]
     comments = old.comments[:ci]
     javadocs = old.javadocs[: bisect_right(old.javadocs, cut, key=_end)]
-    resume = max(ends[-1] if i else 0, comments[-1].end if ci else 0)
+    resume = max(old.end(i - 1) if i else 0, comments[-1].end if ci else 0)
 
     # Suffix rule: from the first token or comment in the common suffix that
     # also starts an old one, the old stream is copied.  The suffix is
@@ -267,7 +258,7 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     # still hold the member's first token.
     suffix = _common_prefix(old_src[::-1], source[::-1], min(n_old, n_new) - (cut + 1))
     shared = n_new - suffix
-    tail = None
+    sync, k, c = n_new + 1, len(old.tokens), len(old.comments)
     for m in _TOKEN_RE.finditer(source, resume):
         group = m.lastgroup
         if group == "space":
@@ -275,12 +266,12 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
         start, end = m.span()
         if start >= shared:
             q = start - delta
-            k = bisect_left(old.offsets, q)
-            c = bisect_left(old.comments, q, key=_start)
-            if (k < len(old.offsets) and old.offsets[k] == q) or (
-                c < len(old.comments) and old.comments[c].start == q
+            t = bisect_left(old.offsets, q)
+            d = bisect_left(old.comments, q, key=_start)
+            if (t < len(old.offsets) and old.offsets[t] == q) or (
+                d < len(old.comments) and old.comments[d].start == q
             ):
-                tail = start, k, c, bisect_left(old.javadocs, q, key=_start)
+                sync, k, c = start, t, d
                 break
         text = m.group()
         if group == "word" or group == "punct":
@@ -291,34 +282,25 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
             comments.append(CommentSpan(start, end, False))
             continue
         elif group == "comment":
-            is_doc = text.startswith("/**") and len(text) >= 5
-            comments.append(CommentSpan(start, end, is_doc))
-            if is_doc:
-                javadocs.append(Javadoc(text, len(tokens), start, end))
+            span = CommentSpan(start, end, text.startswith("/**") and len(text) >= 5)
+            comments.append(span)
+            if span.javadoc:
+                javadocs.append(span)
             continue
         else:
             kind = LITERAL
         tokens.append(text)
         kinds.append(kind)
         offsets.append(start)
-        ends.append(end)
 
-    sync, k = n_new + 1, len(old.tokens)
-    if tail is not None:
-        sync, k, c, j = tail
+    # The copied tail, empty when nothing after the change was copied.
     shift = len(tokens) - k
-    if tail is not None:
-        tokens += old.tokens[k:]
-        kinds += old.kinds[k:]
-        offsets.extend(map(delta.__add__, old.offsets[k:]))
-        ends.extend(map(delta.__add__, old.ends[k:]))
-        comments.extend(
-            CommentSpan(s.start + delta, s.end + delta, s.javadoc) for s in old.comments[c:]
-        )
-        javadocs.extend(
-            Javadoc(d.text, d.attach_index + shift, d.start + delta, d.end + delta)
-            for d in old.javadocs[j:]
-        )
+    tokens += old.tokens[k:]
+    kinds += old.kinds[k:]
+    offsets.extend(map(delta.__add__, old.offsets[k:]))
+    moved = [CommentSpan(s.start + delta, s.end + delta, s.javadoc) for s in old.comments[c:]]
+    comments += moved
+    javadocs += [s for s in moved if s.javadoc]
 
     copied = None if base is None else Copied(i, prefix, k, sync, shift, delta)
-    return LexBase(source, tokens, bytes(kinds), offsets, ends, comments, javadocs, copied)
+    return LexBase(source, tokens, bytes(kinds), offsets, comments, javadocs, copied)

@@ -72,12 +72,12 @@ Content = TypeVar("Content")
 def convert_source(
     source: str,
     config: ConversionConfig,
-    emit: Callable[[str, Declaration], Content] | None = None,
+    emit: Callable[[Declaration], Content] | None = None,
     walk: Walk | None = None,
 ) -> list[tuple[str, Content]]:
     """All (file name, content) pairs for one Java source text.
 
-    Duplicate names keep the first occurrence.  emit(source, decl) gives a
+    Duplicate names keep the first occurrence.  emit(decl) gives a
     declaration's content, by default its rendering under config.render.
     Raises LexError or ParseError when the source cannot be processed.
 
@@ -91,7 +91,7 @@ def convert_source(
     member is walked again next time.
     """
     if emit is None:
-        def emit(source: str, decl: Declaration) -> bytes:
+        def emit(decl: Declaration) -> bytes:
             return render(decl, config.render)
     methods, fields = extract(source, walk)
     out: list[tuple[str, Content]] = []
@@ -109,7 +109,7 @@ def convert_source(
                 kept.append(None)
                 continue
             seen.add(name)
-            pair = decl if reused else (name, emit(source, decl))
+            pair = decl if reused else (name, emit(decl))
             out.append(pair)
             kept.append(pair)
         return kept
@@ -131,7 +131,7 @@ def convert_source(
 def convert_blob(
     content: bytes,
     config: ConversionConfig,
-    emit: Callable[[str, Declaration], Content] | None = None,
+    emit: Callable[[Declaration], Content] | None = None,
     walk: Walk | None = None,
 ) -> list[tuple[str, Content]] | None:
     """Convert one .java blob as convert_source does; None when it cannot
@@ -149,7 +149,7 @@ def convert_blob(
         return None
 
 
-def _render_key(source: str, decl: Declaration, config: RenderConfig) -> tuple:
+def _render_key(decl: Declaration, config: RenderConfig) -> tuple:
     """Everything that render(decl, config) reads, for one fixed config.
 
     Plain lines are whole source lines with comments spliced out, so under
@@ -160,8 +160,8 @@ def _render_key(source: str, decl: Declaration, config: RenderConfig) -> tuple:
     javadoc = tuple(decl.javadoc_lines)
     if config.line_format is LineFormat.PLAIN:
         return javadoc, tuple(decl.plain_lines)
-    offsets, ends = decl.file.offsets, decl.file.ends
-    return (*(source[offsets[lo] : ends[hi - 1]] for lo, hi in decl.runs), javadoc)
+    lex = decl.file
+    return (*(lex.source[lex.offsets[lo] : lex.end(hi - 1)] for lo, hi in decl.runs), javadoc)
 
 
 @dataclass
@@ -196,12 +196,12 @@ class _TreeConverter:
         self._pending: dict[tuple, bytes] = {}
         self._emitted = 0
 
-    def _emit(self, source: str, decl: Declaration) -> tuple:
+    def _emit(self, decl: Declaration) -> tuple:
         """The declaration's _render_key, its content in convert_blob's
         result.  The declaration is rendered into _pending unless a blob for
         that key was written before in this conversion."""
         config = self.config.render
-        key = _render_key(source, decl, config)
+        key = _render_key(decl, config)
         if key not in self.caches.rendered:
             self._pending[key] = render(decl, config)
         self._emitted += 1

@@ -3,6 +3,7 @@ verbatim source-line reconstruction used by plain rendering."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from importlib import import_module
 
 import pytest
@@ -284,6 +285,8 @@ def test_local_and_anonymous_classes_inside_methods():
       void host() {
         class Helper { void help() {} }
         Object o = new Object() { public String toString() { return ""; } };
+        record P(int a) { int p() { return a; } }
+        record G<T>(T a) { T g() { return a; } }
       }
     }
     """
@@ -292,6 +295,8 @@ def test_local_and_anonymous_classes_inside_methods():
     assert (("L",), "host") in names
     assert (("L", "Helper"), "help") in names
     assert (("L", "$1"), "toString") in names
+    assert (("L", "P"), "p") in names
+    assert (("L", "G"), "g") in names
 
 
 def test_record_components_are_not_fields():
@@ -427,9 +432,11 @@ def _reference_javadoc_lines(decl) -> list[str]:
         name_idx = m.declarators[0][0]
     found = None
     for jd in decl.file.javadocs:
-        if m.start <= jd.attach_index <= name_idx:
+        # the index of the first token after the javadoc
+        attach_index = bisect_left(decl.file.offsets, jd.start)
+        if m.start <= attach_index <= name_idx:
             found = jd
-        elif jd.attach_index > name_idx:
+        elif attach_index > name_idx:
             break
     return [] if found is None else _reference_source_lines(decl.file, found.start, found.end)
 
@@ -450,7 +457,7 @@ _MEMBERS = [
 # What may separate two tokens: white space, comments, javadocs.
 _GAPS = [
     " ", " ", "\n  ", " \r\n", " /* c */ ", "/* a\n b */", " // c\n  ",
-    "\n  /** d */\n  ", "/***/", "/**/", "\n// w\n",
+    "\n  /** d */\n  ", "/***/", "/**/", "\n// w\n", " /** a */ /* b */ /** c */\n  ",
 ]
 
 
@@ -464,5 +471,6 @@ def test_runs_give_the_reference_tokens_and_lines(members, data):
     for decl in methods + fields:
         lex, m = decl.file, decl.member
         assert decl.tokens == _reference_tokens(decl)
-        assert decl.plain_lines == _reference_source_lines(lex, lex.offsets[m.start], lex.ends[m.end])
+        end = lex.offsets[m.end] + len(lex.tokens[m.end])
+        assert decl.plain_lines == _reference_source_lines(lex, lex.offsets[m.start], end)
         assert decl.javadoc_lines == _reference_javadoc_lines(decl)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from methodgit import tokenize
@@ -25,7 +26,7 @@ def kinds(source: str) -> list[TokenKind]:
 
 def extents(result: LexBase):
     """(text, offset, end) of each token of a lexed source."""
-    return zip(result.tokens, result.offsets, result.ends)
+    return ((t, o, o + len(t)) for t, o in zip(result.tokens, result.offsets))
 
 
 def test_simple_method_token_texts():
@@ -104,10 +105,19 @@ def test_javadoc_recorded_with_attach_index():
     result = tokenize(src)
     assert len(result.javadocs) == 1
     doc = result.javadocs[0]
-    assert doc.text == "/** doc */"
-    assert doc.attach_index == 0
-    assert result.tokens[doc.attach_index] == "int"
-    assert [c.javadoc for c in result.comments] == [True]
+    assert doc is result.comments[0] and doc.javadoc
+    assert src[doc.start : doc.end] == "/** doc */"
+    # It attaches to the token after it, the first.
+    attach_index = bisect_left(result.offsets, doc.start)
+    assert attach_index == 0 and result.tokens[attach_index] == "int"
+
+
+def test_javadocs_are_the_documentation_comments():
+    src = "/** doc */\nint f() {} /* c */ /***/ // d\n/**/ int g;"
+    result = tokenize(src)
+    docs = [c for c in result.comments if c.javadoc]
+    assert [src[d.start : d.end] for d in docs] == ["/** doc */", "/***/"]
+    assert list(map(id, result.javadocs)) == list(map(id, docs))
 
 
 def test_line_column_offset():
@@ -363,13 +373,15 @@ def lexed(source: str, base: LexBase | None = None):
 
 @settings(max_examples=300, deadline=None)
 @given(lex_pairs())
+# A text block that starts before the prefix's last newline and ends past it.
+@example(('s = """\n  x\n  """;\nint a;\n', 's = """\n  y\n  """;\nint a;\n'))
 def test_lexing_against_any_base_equals_a_full_lex(pair):
     old, new = pair
     base = lexed(old, LexBase())
     if isinstance(base, tuple):  # old does not lex: lex against the empty source
         base = LexBase()
     before = LexBase(base.source, list(base.tokens), base.kinds, base.offsets[:],
-                     base.ends[:], list(base.comments), list(base.javadocs), base.copied)
+                     list(base.comments), list(base.javadocs), base.copied)
     expected = lexed(new)
     result = lexed(new, base)
     assert result == expected
@@ -377,8 +389,11 @@ def test_lexing_against_any_base_equals_a_full_lex(pair):
     # none of its mutable sequences.
     assert base == before and base.copied == before.copied
     if not isinstance(result, tuple):
-        for name in ("tokens", "offsets", "ends", "comments", "javadocs"):
+        for name in ("tokens", "offsets", "comments", "javadocs"):
             assert getattr(result, name) is not getattr(base, name)
+        # The javadocs are the documentation comments, the same objects.
+        docs = [c for c in result.comments if c.javadoc]
+        assert list(map(id, result.javadocs)) == list(map(id, docs))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,12 @@
 """Packaging checks: the runtime has no dependencies outside the standard
-library, which keeps pyproject.toml's `dependencies = []` true."""
+library, which keeps pyproject.toml's `dependencies = []` true, and parses
+under the oldest Python its `requires-python` admits."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "methodgit"
@@ -27,3 +29,12 @@ def test_runtime_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.relative_to(PACKAGE)}: {name}")
     assert outside == []
+
+
+def test_modules_parse_under_the_declared_python_floor():
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor is not None
+    version = tuple(map(int, floor.groups()))
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

@@ -727,7 +727,7 @@ def incremental_against_fresh(versions: list[str], config: ConversionConfig) -> 
     walk = Walk()
     emitted = 0
 
-    def emit(source: str, decl) -> bytes:
+    def emit(decl) -> bytes:
         nonlocal emitted
         emitted += 1
         return render(decl, config.render)
