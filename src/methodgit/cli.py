@@ -83,6 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="git-bytes", help="similarity metric")
     p_track.add_argument("--format", choices=["tsv", "json"], default="tsv",
                          help="output format")
+    p_track.add_argument("--ref", metavar="NAME",
+                         help="start from this ref (a branch, tag, HEAD or commit id) "
+                         "instead of the one branch tip that holds the path")
 
     p_eval = sub.add_parser("evaluate", help="score tracking against an oracle")
     p_eval.add_argument("--repo", required=True, help="repository path")
@@ -143,7 +146,7 @@ def _cmd_track(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         metric=Metric(args.metric),
     )
     with ObjectStore(args.repo) as store:
-        steps = follow(store, args.path, config)
+        steps = follow(store, args.path, config, ref=args.ref)
     if args.format == "json":
         print(json.dumps(steps_to_json(steps), indent=2))
     else:

@@ -71,17 +71,16 @@ def _fmix(h: int) -> int:
     return h ^ (h >> 16)
 
 
-def _murmur3_pair(data: bytes, seed0: int, seed1: int) -> tuple[int, int]:
-    """git's murmur3_seeded (bloom.c, hash version 1) of data under two
-    seeds, in one pass: the mixing of each 4-byte block does not depend on
-    the seed.
+def _mix(data: bytes, first: int, last: int, h0: int, h1: int) -> tuple[int, int]:
+    """git's murmur3_seeded (bloom.c, hash version 1) block loop over
+    data's 4-byte blocks first..last-1, on two states at once: the mixing
+    of a block does not depend on the seed.
 
     As in git's version 1 hash, every byte of 0x80 and above is
     sign-extended before it is shifted into place.  Each rotation's bits
     above 32 vanish in the mask after the multiplication that follows it.
     """
-    n4 = len(data) >> 2
-    words = struct.unpack_from(f"<{n4}I", data)
+    words = struct.unpack_from(f"<{last - first}I", data, 4 * first)
     if not data.isascii():
         # A sign-extended byte sets every bit above its place; the top
         # byte's extension falls off the 32-bit word.
@@ -92,7 +91,6 @@ def _murmur3_pair(data: bytes, seed0: int, seed1: int) -> tuple[int, int]:
             | (0xFF000000 if w & 0x800000 else 0)
             for w in words
         ]
-    h0, h1 = seed0, seed1
     for k in words:
         k = (k * _C1) & _M32
         k = (((k << 15) | (k >> 17)) * _C2) & _M32
@@ -100,7 +98,13 @@ def _murmur3_pair(data: bytes, seed0: int, seed1: int) -> tuple[int, int]:
         h1 ^= k
         h0 = (((h0 << 13) | (h0 >> 19)) * 5 + 0xE6546B64) & _M32
         h1 = (((h1 << 13) | (h1 >> 19)) * 5 + 0xE6546B64) & _M32
-    tail = data[n4 * 4 :]
+    return h0, h1
+
+
+def _finish(h0: int, h1: int, data: bytes, n: int) -> tuple[int, int]:
+    """The two hashes of data[:n], from the states after its n >> 2 whole
+    blocks: the tail's bytes, sign-extended, then the final mix."""
+    tail = data[n & ~3 : n]
     if tail:
         k = 0
         for i in reversed(range(len(tail))):
@@ -109,15 +113,61 @@ def _murmur3_pair(data: bytes, seed0: int, seed1: int) -> tuple[int, int]:
         k = (((k << 15) | (k >> 17)) * _C2) & _M32
         h0 ^= k
         h1 ^= k
-    n = len(data) & _M32
+    n &= _M32
     return _fmix(h0 ^ n), _fmix(h1 ^ n)
+
+
+def _murmur3_pair(data: bytes, seed0: int, seed1: int) -> tuple[int, int]:
+    """git's murmur3_seeded of data under two seeds, in one pass."""
+    n = len(data)
+    return _finish(*_mix(data, 0, n >> 2, seed0, seed1), data, n)
+
+
+def _key(h0: int, h1: int) -> tuple[int, ...]:
+    return tuple((h0 + i * h1) & _M32 for i in range(_NUM_HASHES))
 
 
 def bloom_key(path: bytes) -> tuple[int, ...]:
     """The bit positions, before reduction modulo a filter's size, that
     git's fill_bloom_key gives path."""
-    h0, h1 = _murmur3_pair(path, _SEED0, _SEED1)
-    return tuple((h0 + i * h1) & _M32 for i in range(_NUM_HASHES))
+    return _key(*_murmur3_pair(path, _SEED0, _SEED1))
+
+
+def path_keys(path: bytes, memo: dict | None = None) -> list[tuple[int, ...]]:
+    """The bloom_keys of path and of each of its leading directories,
+    path's first: a filter lacking any of them rules path out.
+
+    memo maps a path to its key and the two hash states after its whole
+    blocks; it holds every leading directory of every path in it.  path
+    resumes from its longest directory memo holds, so each of its bytes is
+    mixed once, and each new directory takes its key from the states at its
+    last block boundary.  A leading directory ends before each "/" past the
+    first byte, as `rpartition(b"/")` peels them.
+    """
+    memo = {} if memo is None else memo
+    ends = []  # of path and its directories that memo lacks, longest first
+    end = len(path)
+    while end > 0:
+        entry = memo.get(path[:end])
+        if entry is not None:
+            _, h0, h1 = entry
+            break
+        ends.append(end)
+        end = path.rfind(b"/", 0, end)
+    else:
+        end = 0
+        h0, h1 = _SEED0, _SEED1
+    done = end >> 2  # blocks mixed into h0 and h1
+    for end in reversed(ends):
+        h0, h1 = _mix(path, done, end >> 2, h0, h1)
+        done = end >> 2
+        memo[path[:end]] = (_key(*_finish(h0, h1, path, end)), h0, h1)
+    keys = []
+    end = len(path)
+    while end > 0:
+        keys.append(memo[path[:end]][0])
+        end = path.rfind(b"/", 0, end)
+    return keys
 
 
 def changed_paths(
@@ -182,12 +232,14 @@ class CommitGraphWriter:
     commit-graph file.
 
     entries maps a tree id to its name map; it is read only for subtrees
-    that differ from the first parent's.  A path is hashed once per writer.
+    that differ from the first parent's.  Each path and leading directory
+    is hashed once per writer, and a new path's hash resumes from its
+    directory's (path_keys).
     """
 
     def __init__(self, entries: Callable[[str], dict[bytes, tuple[bytes, str]]]):
         self._entries = entries
-        self._keys: dict[bytes, tuple[int, ...]] = {}
+        self._keys: dict = {}  # path_keys's memo
         # id -> (tree, parents, date, topological level, corrected date, filter)
         self._commits: dict[str, tuple[str, list[str], int, int, int, bytes]] = {}
 
@@ -218,11 +270,10 @@ class CommitGraphWriter:
         size = (len(paths) * _BITS_PER_ENTRY + 7) // 8 or 1
         bits = bytearray(size)
         modulus = size * 8
-        keys = self._keys
+        memo = self._keys
         for path in paths:
-            key = keys.get(path)
-            if key is None:
-                key = keys[path] = bloom_key(path)
+            entry = memo.get(path)
+            key = entry[0] if entry is not None else path_keys(path, memo)[0]
             for h in key:
                 h %= modulus
                 bits[h >> 3] |= 1 << (h & 7)
@@ -440,12 +491,3 @@ class CommitGraph:
                     return True
         return False
 
-
-def path_keys(path: bytes) -> list[tuple[int, ...]]:
-    """The bloom_keys of path and of each of its leading directories,
-    path's first: a filter lacking any of them rules path out."""
-    keys = []
-    while path:
-        keys.append(bloom_key(path))
-        path = path.rpartition(b"/")[0]
-    return keys

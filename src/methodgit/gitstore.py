@@ -563,6 +563,15 @@ class ObjectStore:
                     out[_utf8(os.fsencode(name), "ref name")] = value.decode("latin-1")
         return out
 
+    def shallow(self) -> set[str]:
+        """The commits <gitdir>/shallow lists: those a shallow clone holds
+        without their parents."""
+        try:
+            with open(os.path.join(self.gitdir, "shallow"), "rb") as f:
+                return {line.decode("latin-1") for line in f.read().split()}
+        except FileNotFoundError:
+            return set()
+
     def head_target(self) -> tuple[str, str]:
         """('ref', refname) for a symbolic HEAD, ('oid', sha) when detached.
         A HEAD that is not UTF-8 raises RepositoryError."""

@@ -305,17 +305,28 @@ def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, C
 def _topo_order(store: ObjectStore, tips: list[CommitRecord]) -> list[CommitRecord]:
     """The tips and all their ancestors, parents before children, ties
     broken by (commit date, id); each ancestor that is not a tip is read
-    once."""
+    once.  A parent missing behind a shallow clone's boundary raises
+    RepositoryError naming the boundary."""
     commits = {tip.id: tip for tip in tips}
-    stack = [parent for tip in tips for parent in tip.parents]
+    stack = [(parent, tip.id) for tip in tips for parent in tip.parents]
     while stack:
-        oid = stack.pop()
+        oid, child = stack.pop()
         if oid in commits:
             continue
-        record = commits[oid] = store.read_commit(oid)
+        try:
+            record = commits[oid] = store.read_commit(oid)
+        except RepositoryError:
+            if child in store.shallow() and not store.contains(oid):
+                raise RepositoryError(
+                    f"shallow clone: commit {child} is on the shallow boundary "
+                    f"({os.path.join(store.gitdir, 'shallow')}) and its parent "
+                    f"{oid} is missing; run `git fetch --unshallow` in the source "
+                    "repository first"
+                ) from None
+            raise
         for parent in record.parents:
             if parent not in commits:
-                stack.append(parent)
+                stack.append((parent, oid))
 
     children: dict[str, list[str]] = {oid: [] for oid in commits}
     pending: dict[str, int] = {}

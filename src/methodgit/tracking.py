@@ -173,7 +173,11 @@ class FollowCaches:
     blob id), sorted; fingerprints maps a blob id to its Fingerprint;
     commits maps a commit id to (tree id, parent ids, position in the
     commit-graph or None); tags maps an annotated tag's id to the id of the
-    commit it names.
+    commit it names; keys is commitgraph.path_keys's memo of Bloom keys by
+    path; heads lists each refs/heads/* name with the commit it peels to,
+    sorted by name, or is None until a follow without a ref reads the
+    branch tips.  So a batch of follows sharing one caches sees the
+    branches as they were at its first follow.
     """
 
     trees: dict = field(default_factory=dict)
@@ -182,6 +186,8 @@ class FollowCaches:
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
+    keys: dict = field(default_factory=dict)
+    heads: list | None = None
 
 
 @dataclass(frozen=True)
@@ -318,7 +324,8 @@ def resolve_start(
     store: ObjectStore, path: str, ref: str | None, caches: FollowCaches
 ) -> str:
     """The commit a walk of path starts from: ref's commit, or else the
-    single branch tip that has path."""
+    single branch tip that has path.  The branch tips are read and peeled
+    once per caches."""
 
     def has_path(commit_id: str) -> bool:
         tree = _commit(store, commit_id, caches)[0]
@@ -332,14 +339,14 @@ def resolve_start(
         if not has_path(commit_id):
             raise PathNotFound(f"path {path} not found at {ref}")
         return commit_id
-    heads = {
-        name: oid
-        for name, oid in store.refs().items()
-        if name.startswith("refs/heads/")
-    }
+    if caches.heads is None:
+        caches.heads = [
+            (name, _peel(store, oid, caches))
+            for name, oid in sorted(store.refs().items())
+            if name.startswith("refs/heads/")
+        ]
     containing: dict[str, list[str]] = {}
-    for name in sorted(heads):
-        commit_id = _peel(store, heads[name], caches)
+    for name, commit_id in caches.heads:
         if has_path(commit_id):
             containing.setdefault(commit_id, []).append(name)
     if not containing:
@@ -444,7 +451,7 @@ def follow(
         tree, parents, pos = _commit(store, commit_id, caches)
         if parents and pos is not None:
             if keys is None:
-                keys = path_keys(cur_path.encode("utf-8", "surrogateescape"))
+                keys = path_keys(cur_path.encode("utf-8", "surrogateescape"), caches.keys)
             if graph.rules_out(pos, keys):
                 # The first parent has the same file at cur_path.
                 commit_id = parents[0]

@@ -33,10 +33,12 @@ from conftest import (
     build_tag_repo,
     build_unreadable_pack_repo,
     read_files,
+    requires_git,
     write_commit_graph,
     write_files,
+    write_tree_dict,
 )
-from repogen import build_metrics_repo
+from repogen import build_metrics_repo, generate_java_repo
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -206,6 +208,43 @@ def test_track_missing_repo_fails(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_track_ref_chooses_between_branches_that_hold_the_path(tmp_path, capsys):
+    repo = str(tmp_path / "r.git")
+    with RepoWriter(repo) as writer:
+        writer.init_bare()
+
+        def commit(content: bytes, parents: list[str], n: int) -> str:
+            stamp = AUTHOR % (1700000000 + n * 60)
+            return writer.write_commit(
+                tree=write_tree_dict(writer, {"f.txt": content}),
+                parents=parents,
+                author=stamp,
+                committer=stamp,
+                message=b"c%d\n" % n,
+            )
+
+        base = commit(b"0\n", [], 0)
+        main_tip = commit(b"1\n", [base], 1)
+        other_tip = commit(b"2\n", [base], 2)
+    writer.write_refs({"refs/heads/main": main_tip, "refs/heads/other": other_tip})
+    writer.set_head("refs/heads/main")
+    track = ("track", "--repo", repo, "--path", "f.txt", "-M", "50")
+    code, out, err = run(capsys, *track)
+    assert code == 1 and out == ""
+    assert "multiple branch tips: refs/heads/main, refs/heads/other" in err
+    code, out, _err = run(capsys, *track, "--ref", "other")
+    assert code == 0
+    assert [line.split("\t")[:2] for line in out.splitlines()[1:]] == [
+        [other_tip, "MODIFY"], [base, "ADD"],
+    ]
+    code, out, _err = run(capsys, *track, "--ref", "main", "--format", "json")
+    assert code == 0
+    assert [step["commit"] for step in json.loads(out)] == [main_tip, base]
+    code, out, err = run(capsys, *track, "--ref", "absent")
+    assert code == 1 and out == ""
+    assert "ref not found: absent" in err
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +425,27 @@ def test_convert_corrupt_object_fails_without_traceback(tmp_path):
     # Neither the destination nor the temporary directory it was built in
     # is left behind.
     assert sorted(os.listdir(tmp_path)) == ["src.git"]
+
+
+@requires_git
+def test_convert_shallow_clone_names_the_shallow_boundary(tmp_path, capsys):
+    src, clone = str(tmp_path / "src.git"), str(tmp_path / "clone.git")
+    ids = generate_java_repo(src, n_commits=5, n_files=3, seed=2)
+    subprocess.run(
+        ["git", "clone", "--quiet", "--bare", "--depth", "1", f"file://{src}", clone],
+        check=True, capture_output=True,
+    )
+    with open(os.path.join(clone, "shallow")) as f:
+        assert f.read().split() == [ids[-1]]
+    dst = str(tmp_path / "dst.git")
+    code, out, err = run(capsys, "convert", "--src", clone, "--dst", dst)
+    assert code == 1 and out == ""
+    assert f"shallow clone: commit {ids[-1]} is on the shallow boundary" in err
+    assert f"its parent {ids[-2]} is missing" in err
+    assert "git fetch --unshallow" in err
+    assert not os.path.exists(dst)
+    # The full history converts.
+    assert run(capsys, "convert", "--src", src, "--dst", dst)[0] == 0
 
 
 @pytest.mark.parametrize("target", [b"cd", b"\xff"], ids=["short", "not-utf8"])

@@ -94,6 +94,37 @@ def test_bloom_key_combines_two_seeded_hashes():
     assert path_keys(b"a/b/c") == [bloom_key(b"a/b/c"), bloom_key(b"a/b"), bloom_key(b"a")]
 
 
+def _prefixes(path: bytes) -> list[bytes]:
+    out = []
+    while path:
+        out.append(path)
+        path = path.rpartition(b"/")[0]
+    return out
+
+
+_PATH = st.lists(
+    st.sampled_from([b"/", b"//", b"a", b"bc", b"def", b"ghij", b"\x80", b"\xff", b"\xe9t"]),
+    max_size=12,
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PATH, max_size=8))
+def test_memoised_path_keys_equal_each_prefix_hashed_alone(paths):
+    memo: dict = {}
+    for path in paths:
+        assert path_keys(path, memo) == [bloom_key(q) for q in _prefixes(path)]
+    for path in paths:
+        assert path_keys(path) == path_keys(path, memo)
+
+
+def test_path_keys_of_a_deep_path_do_not_recurse():
+    path = b"/".join([b"x"] * 5000)
+    keys = path_keys(path)
+    assert len(keys) == 5000
+    assert keys[0] == bloom_key(path) and keys[-1] == bloom_key(b"x")
+
+
 @pytest.mark.parametrize("committer, date", [
     (AUTHOR % 1700000000, 1700000000),
     (b"A <a@x>   42 +0100", 42),

@@ -195,8 +195,8 @@ def test_one_walk_per_resolved_path(metrics_repo, monkeypatch):
     metrics, skipped = evaluate(store, oracle)
     assert skipped == ["ghost.mjava"]
     assert sorted(walked) == sorted(expected)
-    # Each path, the unresolvable one too, is resolved once: one ref scan.
-    assert len(refs_calls) == len(oracle)
+    # The branch tips are read once per evaluate call, not once per path.
+    assert len(refs_calls) == 1
     assert evaluate(store, oracle, thresholds=()) == ([], ["ghost.mjava"])
 
     # Each threshold's counts equal those of a walk at that threshold.

@@ -24,7 +24,7 @@ from methodgit import (
     similarity,
 )
 from methodgit.commitgraph import path_keys
-from methodgit.errors import TrackError
+from methodgit.errors import RepositoryError, TrackError
 from methodgit.gitstore import FILE_MODES
 from methodgit.rewrite import rewrite_history
 from methodgit.tracking import (
@@ -417,6 +417,62 @@ def test_caches_are_shared_between_follows(tmp_path):
         assert caches.trees
         second = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
         assert [s.kind for s in first] == [s.kind for s in second]
+
+
+def test_branch_tips_are_read_once_per_caches(tmp_path, monkeypatch):
+    repo = str(tmp_path / "r.git")
+    build_linear_repo(repo, [{"a.txt": b"1\n", "b.txt": b"2\n"}])
+    scans = []
+    refs = ObjectStore.refs
+
+    def counting(store):
+        scans.append(1)
+        return refs(store)
+
+    monkeypatch.setattr(ObjectStore, "refs", counting)
+    with ObjectStore(repo) as store:
+        caches = FollowCaches()
+        for path in ("a.txt", "b.txt", "a.txt"):
+            follow(store, path, TrackerConfig(), caches=caches)
+        with pytest.raises(PathNotFound):
+            follow(store, "c.txt", TrackerConfig(), caches=caches)
+        assert len(scans) == 1
+        follow(store, "a.txt", TrackerConfig(), caches=FollowCaches())
+        assert len(scans) == 2
+
+
+def test_a_failed_peel_caches_no_branch_tips(tmp_path):
+    repo = str(tmp_path / "r.git")
+    ids = build_linear_repo(repo, [{"a.txt": b"1\n"}])
+    with ObjectStore(repo) as store:
+        tree = store.read_commit(ids[0]).tree
+    with open(os.path.join(repo, "refs", "heads", "broken"), "w") as f:
+        f.write(tree + "\n")
+    with ObjectStore(repo) as store:
+        caches = FollowCaches()
+        with pytest.raises(RepositoryError, match="cannot peel"):
+            follow(store, "a.txt", TrackerConfig(), caches=caches)
+        assert caches.heads is None
+        os.remove(os.path.join(repo, "refs", "heads", "broken"))
+        assert [s.kind for s in follow(store, "a.txt", TrackerConfig(), caches=caches)] == [
+            StepKind.ADD
+        ]
+
+
+@pytest.mark.parametrize("copies", [False, True])
+def test_reused_caches_give_the_steps_of_fresh_ones(tmp_path, copies):
+    src, dst = str(tmp_path / "src.git"), str(tmp_path / "dst.git")
+    generate_java_repo(src, n_commits=30, n_files=6, seed=5)
+    rewrite_history(src, dst)
+    config = TrackerConfig(threshold=50, detect_copies=copies)
+    with ObjectStore(dst) as store:
+        tip = store.resolve_ref("HEAD")
+        paths = sorted(_flatten(store, store.read_commit(tip).tree, FollowCaches()))
+        shared = FollowCaches()
+        for path in paths:
+            reused = follow(store, path, config, caches=shared)
+            assert reused == follow(store, path, config, caches=FollowCaches()), path
+        assert len(shared.keys) > len(paths)
 
 
 def test_disappearance_cache_is_threshold_independent(tmp_path):
