@@ -126,6 +126,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     stats = rewrite_history(
         args.src, args.dst, config, ref_names=args.ref, progress=progress
     )
+    for name in stats.refs_skipped:
+        print(f"warning: skipped {name}: it names a tree or a blob, not a commit",
+              file=sys.stderr)
     payload = json.dumps(stats.to_dict(), indent=2)
     print(payload)
     if args.stats_json:

@@ -37,6 +37,10 @@ class RepositoryError(MethodGitError):
     """Raised for malformed or unreadable Git repositories."""
 
 
+class NotACommitError(RepositoryError):
+    """Raised when a ref or tag names a tree or a blob, so no commit."""
+
+
 class TrackError(MethodGitError):
     """Raised for invalid tracking requests (bad path, bad threshold)."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from hashlib import sha1
 from typing import TYPE_CHECKING, Callable
 
-from .errors import RepositoryError
+from .errors import NotACommitError, RepositoryError
 
 if TYPE_CHECKING:
     from .commitgraph import CommitGraph
@@ -366,11 +366,21 @@ class ObjectStore:
     memoise what they parse: a whole object is inflated again on every
     read.  Only delta bases are cached, per pack (see _PackFile.read_at).
     The repository's commit-graph file is read once, on first use.
+
+    HEAD is read from gitdir; objects, refs, packed-refs, shallow and the
+    commit-graph from commondir, which for a linked worktree is the
+    directory its gitdir's commondir file names, and otherwise gitdir.
     """
 
     def __init__(self, path: str):
-        gitdir = self._discover(path)
-        self.gitdir = gitdir
+        self.gitdir = self._discover(path)
+        self.commondir = self.gitdir
+        try:
+            with open(os.path.join(self.gitdir, "commondir"), "rb") as f:
+                common = _utf8(f.read(), "commondir file").strip()
+            self.commondir = os.path.normpath(os.path.join(self.gitdir, common))
+        except FileNotFoundError:
+            pass
         self._packs: list[_PackFile] | None = None
         self._base_reads: set[str] = set()
         self._graph_loaded = False
@@ -394,8 +404,10 @@ class ObjectStore:
             if line.startswith("gitdir:"):
                 target = line[len("gitdir:") :].strip()
                 return os.path.normpath(os.path.join(path, target))
-        if os.path.isdir(os.path.join(path, "objects")) and os.path.exists(
-            os.path.join(path, "HEAD")
+        # A bare repository, or a linked worktree's own git directory.
+        if os.path.exists(os.path.join(path, "HEAD")) and (
+            os.path.isdir(os.path.join(path, "objects"))
+            or os.path.exists(os.path.join(path, "commondir"))
         ):
             return path
         raise RepositoryError(f"not a git repository: {path}")
@@ -408,7 +420,7 @@ class ObjectStore:
         and leaves none of the packs open."""
         if self._packs is not None:
             return self._packs
-        pack_dir = os.path.join(self.gitdir, "objects", "pack")
+        pack_dir = os.path.join(self.commondir, "objects", "pack")
         names = sorted(os.listdir(pack_dir)) if os.path.isdir(pack_dir) else []
         packs: list[_PackFile] = []
         for name in names:
@@ -431,7 +443,7 @@ class ObjectStore:
             # commitgraph imports this module, so it is imported only here.
             from .commitgraph import CommitGraph
 
-            self._graph = CommitGraph.load(self.gitdir)
+            self._graph = CommitGraph.load(self.commondir)
             self._graph_loaded = True
         return self._graph
 
@@ -508,7 +520,7 @@ class ObjectStore:
 
     def _read_loose(self, oid: str) -> bytes:
         """The loose object's file, still deflated."""
-        path = os.path.join(self.gitdir, "objects", oid[:2], oid[2:])
+        path = os.path.join(self.commondir, "objects", oid[:2], oid[2:])
         try:
             with open(path, "rb") as f:
                 return f.read()
@@ -542,7 +554,7 @@ class ObjectStore:
         ref name that is not UTF-8, loose or packed, raises RepositoryError.
         """
         out: dict[str, str] = {}
-        packed = os.path.join(self.gitdir, "packed-refs")
+        packed = os.path.join(self.commondir, "packed-refs")
         if os.path.exists(packed):
             with open(packed, "rb") as f:
                 for raw in f.read().splitlines():
@@ -551,11 +563,11 @@ class ObjectStore:
                     sha, _, name = raw.partition(b" ")
                     if len(sha) == 40 and name:
                         out[_utf8(name, "ref name in packed-refs")] = sha.decode("latin-1")
-        refs_dir = os.path.join(self.gitdir, "refs")
+        refs_dir = os.path.join(self.commondir, "refs")
         for root, _dirs, files in os.walk(refs_dir):
             for fname in files:
                 full = os.path.join(root, fname)
-                rel = os.path.relpath(full, self.gitdir)
+                rel = os.path.relpath(full, self.commondir)
                 name = posixpath.join(*rel.split(os.sep))
                 with open(full, "rb") as f:
                     value = f.read().strip()
@@ -564,10 +576,10 @@ class ObjectStore:
         return out
 
     def shallow(self) -> set[str]:
-        """The commits <gitdir>/shallow lists: those a shallow clone holds
-        without their parents."""
+        """The commits <commondir>/shallow lists: those a shallow clone
+        holds without their parents."""
         try:
-            with open(os.path.join(self.gitdir, "shallow"), "rb") as f:
+            with open(os.path.join(self.commondir, "shallow"), "rb") as f:
                 return {line.decode("latin-1") for line in f.read().split()}
         except FileNotFoundError:
             return set()
@@ -609,7 +621,8 @@ class ObjectStore:
     def peel(self, oid: str, known: Callable[[str], bool]) -> tuple[str, CommitRecord | None]:
         """The id of the commit oid names, through any chain of annotated
         tags, and its record.  A commit for which known(id) holds is not
-        read, and its record is None."""
+        read, and its record is None.  A chain that ends at a tree or a
+        blob raises NotACommitError."""
         seen = set()
         while not known(oid):
             if oid in seen:
@@ -619,7 +632,7 @@ class ObjectStore:
             if kind == "commit":
                 return oid, parse_commit(oid, payload)
             if kind != "tag":
-                raise RepositoryError(f"cannot peel {kind} object {oid} to a commit")
+                raise NotACommitError(f"cannot peel {kind} object {oid} to a commit")
             target = None
             for line in payload.split(b"\n"):
                 if line.startswith(b"object "):

@@ -15,7 +15,9 @@ A .java file is converted against the Walk of the last version converted
 under the same name, the one record kept per name: it is lexed against that
 version's LexBase, and a member the edit left alone takes its file names and
 blob ids from it, without being walked, named or rendered (see extract).
-Every other declaration is rendered once per distinct render key.
+Every other declaration is rendered, and addressed as git addresses every
+file: by the blob id of its content.  A rendering whose id the destination
+already holds is not written again.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, TypeVar
 
 from .commitgraph import CommitGraphWriter, commit_date
-from .emit import LineFormat, RenderConfig, render
-from .errors import LexError, ParseError, RepositoryError
+from .emit import RenderConfig, render
+from .errors import LexError, NotACommitError, ParseError, RepositoryError
 from .extract import Declaration, Walk, extract
-from .gitstore import FILE_MODES, TREE_MODE, CommitRecord, ObjectStore, RepoWriter
+from .gitstore import FILE_MODES, TREE_MODE, CommitRecord, ObjectStore, RepoWriter, hash_object
 from .naming import NamePolicy, field_file_name, method_file_name
 
 
@@ -54,16 +56,11 @@ class ConversionStats:
     declarations_extracted: int = 0
     declarations_reused: int = 0
     wall_seconds: float = 0.0
+    # tags chosen implicitly that name a tree or a blob, not a commit
+    refs_skipped: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "commits_processed": self.commits_processed,
-            "files_emitted": self.files_emitted,
-            "files_skipped": self.files_skipped,
-            "declarations_extracted": self.declarations_extracted,
-            "declarations_reused": self.declarations_reused,
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
+        return {**asdict(self), "wall_seconds": round(self.wall_seconds, 3)}
 
 
 Content = TypeVar("Content")
@@ -149,36 +146,6 @@ def convert_blob(
         return None
 
 
-def _render_key(decl: Declaration, config: RenderConfig) -> tuple:
-    """Everything that render(decl, config) reads, for one fixed config.
-
-    Plain lines are whole source lines with comments spliced out, so under
-    LineFormat.PLAIN they are the key.  Otherwise render reads the text of
-    the declaration's token runs and its javadoc lines: the source from the
-    first token of each run through its last.
-    """
-    javadoc = tuple(decl.javadoc_lines)
-    if config.line_format is LineFormat.PLAIN:
-        return javadoc, tuple(decl.plain_lines)
-    lex = decl.file
-    return (*(lex.source[lex.offsets[lo] : lex.end(hi - 1)] for lo, hi in decl.runs), javadoc)
-
-
-@dataclass
-class _Caches:
-    trees: dict[str, str] = field(default_factory=dict)
-    # converted tree id -> the name map it was written from
-    converted: dict[str, dict[bytes, tuple[bytes, str]]] = field(default_factory=dict)
-    # id of a blob copied as it is -> the id it was written under
-    copied: dict[str, str] = field(default_factory=dict)
-    blobs: dict[str, list[tuple[bytes, str]] | None] = field(default_factory=dict)
-    # _render_key of a declaration -> id of its rendered blob
-    rendered: dict[tuple, str] = field(default_factory=dict)
-    # .java file name -> the walk of the last version of a file of that
-    # name lexed, with nothing to reuse when it failed after lexing
-    walks: dict[bytes, Walk] = field(default_factory=dict)
-
-
 class _TreeConverter:
     def __init__(
         self,
@@ -191,21 +158,15 @@ class _TreeConverter:
         self.writer = writer
         self.config = config
         self.stats = stats
-        self.caches = _Caches()
-        # renderings of this blob's new render keys, not yet written
-        self._pending: dict[tuple, bytes] = {}
-        self._emitted = 0
-
-    def _emit(self, decl: Declaration) -> tuple:
-        """The declaration's _render_key, its content in convert_blob's
-        result.  The declaration is rendered into _pending unless a blob for
-        that key was written before in this conversion."""
-        config = self.config.render
-        key = _render_key(decl, config)
-        if key not in self.caches.rendered:
-            self._pending[key] = render(decl, config)
-        self._emitted += 1
-        return key
+        self.trees: dict[str, str] = {}
+        # converted tree id -> the name map it was written from
+        self.converted: dict[str, dict[bytes, tuple[bytes, str]]] = {}
+        # id of a blob copied as it is -> the id it was written under
+        self.copied: dict[str, str] = {}
+        self.blobs: dict[str, list[tuple[bytes, str]] | None] = {}
+        # .java file name -> the walk of the last version of a file of that
+        # name lexed, with nothing to reuse when it failed after lexing
+        self.walks: dict[bytes, Walk] = {}
 
     def _convert_java_blob(self, oid: str, *, java_name: bytes) -> list[tuple[bytes, str]] | None:
         """File names and blob ids of a .java blob's declarations.  The
@@ -215,47 +176,48 @@ class _TreeConverter:
         read here, after its declarations.  (java_name is keyword-only
         because bench/spans.py keys its cache-hit count on the positional
         arguments.)"""
-        cached = self.caches.blobs.get(oid, False)
+        cached = self.blobs.get(oid, False)
         if cached is not False:
             return cached
         _, content = self.store.read(oid)
-        walk = self.caches.walks.setdefault(java_name, Walk())
-        emitted = self._emitted
-        files = convert_blob(content, self.config, self._emit, walk)
-        pending, self._pending = self._pending, {}
+        walk = self.walks.setdefault(java_name, Walk())
+        config = self.config.render
+        rendered: list[bytes] = []
+
+        def emit(decl: Declaration) -> str:
+            data = render(decl, config)
+            rendered.append(data)
+            return hash_object(b"blob", data)
+
+        files = convert_blob(content, self.config, emit, walk)
+        result = None
         if files is None:
             self.stats.files_skipped += 1
-            result = None
         else:
             # Written only now: a blob that fails to convert writes no declaration.
-            rendered = self.caches.rendered
-            result = []
-            for file_name, key in files:
-                data = pending.pop(key, None)
-                if data is not None:
-                    rendered[key] = self.writer.write_blob(data)
-                result.append((file_name.encode("utf-8"), rendered[key]))
+            for data in rendered:
+                self.writer.write_blob(data)
+            result = [(file_name.encode("utf-8"), blob_id) for file_name, blob_id in files]
             self.stats.files_emitted += len(result)
-            extracted = self._emitted - emitted
-            self.stats.declarations_extracted += extracted
-            self.stats.declarations_reused += len(result) - extracted
+            self.stats.declarations_extracted += len(rendered)
+            self.stats.declarations_reused += len(result) - len(rendered)
         if result is None or self.config.keep_original_java:
             self._copy_blob(oid, content)
-        self.caches.blobs[oid] = result
+        self.blobs[oid] = result
         return result
 
     def _copy_blob(self, oid: str, content: bytes | None = None) -> str:
         """The id oid's blob is written under; content, when given, is the
         blob's, so it is not read again."""
-        copied = self.caches.copied.get(oid)
+        copied = self.copied.get(oid)
         if copied is None:
             if content is None:
                 _, content = self.store.read(oid)
-            copied = self.caches.copied[oid] = self.writer.write_blob(content)
+            copied = self.copied[oid] = self.writer.write_blob(content)
         return copied
 
     def convert_tree(self, tree_oid: str) -> str:
-        cached = self.caches.trees.get(tree_oid)
+        cached = self.trees.get(tree_oid)
         if cached is not None:
             return cached
         # The first entry of a name wins: a later file that would take it
@@ -278,28 +240,39 @@ class _TreeConverter:
                     continue
             out.setdefault(name, (mode, self._copy_blob(oid)))
         new_oid = self.writer.write_tree(out)
-        self.caches.trees[tree_oid] = new_oid
-        self.caches.converted[new_oid] = out
+        self.trees[tree_oid] = new_oid
+        self.converted[new_oid] = out
         return new_oid
 
 
-def _select_refs(store: ObjectStore, ref_names: list[str] | None) -> dict[str, CommitRecord]:
-    """Full ref name -> its commit (annotated tags peeled); each commit is
-    read once."""
+def _select_refs(
+    store: ObjectStore, ref_names: list[str] | None
+) -> tuple[dict[str, CommitRecord], list[str]]:
+    """Full ref name -> its commit (annotated tags peeled), each commit read
+    once; and, without ref_names, the sorted names of the refs skipped for
+    naming a tree or a blob.  A named one raises NotACommitError."""
     all_refs = store.refs()
-    selected: dict[str, str] = {}
     if ref_names is None:
-        for name, oid in all_refs.items():
-            if name.startswith("refs/heads/") or name.startswith("refs/tags/"):
-                selected[name] = oid
+        selected = {name: oid for name, oid in all_refs.items()
+                    if name.startswith(("refs/heads/", "refs/tags/"))}
     else:
+        selected = {}
         for name in ref_names:
             full = ObjectStore.expand_ref(name, all_refs)
             if full is None:
                 raise RepositoryError(f"ref not found: {name}")
             selected[full] = all_refs[full]
     commits: dict[str, CommitRecord] = {}
-    return {name: store.peel_to_commit(oid, commits) for name, oid in selected.items()}
+    out: dict[str, CommitRecord] = {}
+    skipped: list[str] = []
+    for name, oid in selected.items():
+        try:
+            out[name] = store.peel_to_commit(oid, commits)
+        except NotACommitError:
+            if ref_names is not None:
+                raise
+            skipped.append(name)
+    return out, sorted(skipped)
 
 
 def _topo_order(store: ObjectStore, tips: list[CommitRecord]) -> list[CommitRecord]:
@@ -319,7 +292,7 @@ def _topo_order(store: ObjectStore, tips: list[CommitRecord]) -> list[CommitReco
             if child in store.shallow() and not store.contains(oid):
                 raise RepositoryError(
                     f"shallow clone: commit {child} is on the shallow boundary "
-                    f"({os.path.join(store.gitdir, 'shallow')}) and its parent "
+                    f"({os.path.join(store.commondir, 'shallow')}) and its parent "
                     f"{oid} is missing; run `git fetch --unshallow` in the source "
                     "repository first"
                 ) from None
@@ -370,7 +343,7 @@ def rewrite_history(
         raise RepositoryError(f"destination exists and is not empty: {dst_path}")
     store = ObjectStore(src_path)
     try:
-        refs = _select_refs(store, ref_names)
+        refs, skipped = _select_refs(store, ref_names)
         if not refs:
             raise RepositoryError(f"no branches or tags to convert in {src_path}")
         parent = os.path.dirname(os.path.abspath(dst_path))
@@ -384,6 +357,7 @@ def rewrite_history(
             shutil.rmtree(scratch, ignore_errors=True)
     finally:
         store.close()
+    stats.refs_skipped = skipped
     stats.wall_seconds = time.monotonic() - start
     return stats
 
@@ -402,7 +376,7 @@ def _rewrite(
         writer.init_bare()
         order = _topo_order(store, list(refs.values()))
         converter = _TreeConverter(store, writer, config, stats)
-        graph = CommitGraphWriter(converter.caches.converted.__getitem__)
+        graph = CommitGraphWriter(converter.converted.__getitem__)
         for i, record in enumerate(order):
             new_tree = converter.convert_tree(record.tree)
             new_parents = [commit_map[p] for p in record.parents]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from methodgit import RepoWriter
+from methodgit import ObjectStore, RepoWriter
 from methodgit.gitstore import _PackFile, hash_object
 from methodgit.cli import main
 
@@ -457,6 +457,41 @@ def test_convert_tag_with_a_malformed_object_id_fails_without_traceback(tmp_path
     assert f"malformed object id {target.decode('latin-1')!r}" in result.stderr
     assert "Traceback" not in result.stderr
     assert sorted(os.listdir(tmp_path)) == ["src.git"]
+
+
+@pytest.mark.parametrize("kind", ["annotated-tree", "lightweight-blob"])
+def test_convert_skips_a_tag_that_names_a_tree_or_a_blob(tmp_path, capsys, kind):
+    src = str(tmp_path / "src.git")
+    blob = hash_object(b"blob", PERSON_JAVA.encode())
+    if kind == "annotated-tree":
+        build_tag_repo(src, hash_object(b"tree", b"100644 Person.java\0" + bytes.fromhex(blob))
+                       .encode())
+        tag = "refs/tags/bad"
+    else:
+        (commit,) = build_linear_repo(src, [{"Person.java": PERSON_JAVA.encode()}])
+        tag = "refs/tags/key"
+        RepoWriter(src).write_refs({"refs/heads/master": commit, tag: blob})
+    dst = str(tmp_path / "dst.git")
+    code, out, err = run(capsys, "convert", "--src", src, "--dst", dst)
+    assert code == 0
+    assert json.loads(out)["refs_skipped"] == [tag]
+    assert err == f"warning: skipped {tag}: it names a tree or a blob, not a commit\n"
+    with ObjectStore(dst) as store:
+        assert list(store.refs()) == ["refs/heads/master"]
+    # Named explicitly, the tag is an error.
+    named = str(tmp_path / "named.git")
+    code, out, err = run(capsys, "convert", "--src", src, "--dst", named, "--ref", tag)
+    assert code == 1 and out == ""
+    assert "cannot peel" in err
+    assert not os.path.exists(named)
+
+
+def test_convert_tag_of_a_missing_object_fails(tmp_path, capsys):
+    src = str(tmp_path / "src.git")
+    build_tag_repo(src, b"0" * 40)
+    code, out, err = run(capsys, "convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert code == 1 and out == ""
+    assert f"object not found: {'0' * 40}" in err
 
 
 @pytest.mark.parametrize("header", [b"tree \xff", b"tree cd", b"parent \xff\ntree " + b"0" * 40],

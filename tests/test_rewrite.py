@@ -3,7 +3,9 @@ ref handling, and conversion statistics."""
 
 from __future__ import annotations
 
+import hashlib
 import os
+import struct
 import subprocess
 from collections import Counter
 from importlib import import_module
@@ -427,6 +429,37 @@ def test_head_falls_back_to_first_branch(tmp_path):
     store.close()
 
 
+def test_linked_worktree_reads_objects_and_refs_from_its_common_directory(tmp_path):
+    # As `git worktree add` lays it out: the worktree's gitdir holds its own
+    # HEAD and a commondir file naming the main repository.
+    main = tmp_path / "main.git"
+    first, second = build_linear_repo(str(main), [
+        {"A.java": b"class A { void f() {} }"},
+        {"A.java": b"class A { void f() { g(); } }"},
+    ])
+    RepoWriter(str(main)).write_refs({"refs/heads/master": second, "refs/heads/feature": first})
+    gitdir = main / "worktrees" / "wt"
+    gitdir.mkdir(parents=True)
+    (gitdir / "HEAD").write_text("ref: refs/heads/feature\n")
+    (gitdir / "commondir").write_text("../..\n")
+    work = tmp_path / "wt"
+    work.mkdir()
+    (work / ".git").write_text(f"gitdir: {gitdir}\n")
+    with ObjectStore(str(work)) as store:
+        assert (store.gitdir, store.commondir) == (str(gitdir), str(main))
+
+    converted = {}
+    for name, src in (("main", main), ("wt", work), ("wt-gitdir", gitdir)):
+        dst = tmp_path / f"{name}-dst.git"
+        rewrite_history(str(src), str(dst))
+        with ObjectStore(str(dst)) as store:
+            converted[name] = (dst / "commit-map.tsv").read_text(), store.head_target()
+    assert converted["wt"] == converted["wt-gitdir"]
+    assert converted["wt"][0] == converted["main"][0]
+    assert converted["main"][1] == ("ref", "refs/heads/master")
+    assert converted["wt"][1] == ("ref", "refs/heads/feature")
+
+
 def test_empty_source_rejected(tmp_path):
     src = str(tmp_path / "src.git")
     writer = RepoWriter(src)
@@ -472,6 +505,7 @@ def test_conversion_is_deterministic(tmp_path):
         return out
 
     assert convert_to("one.git") == convert_to("two.git")
+
 
 
 def test_plain_mode_emits_source_lines(person_repo, tmp_path):
@@ -654,10 +688,9 @@ def test_memoised_conversion_equals_fresh_rendering(tmp_path, monkeypatch, histo
                 config,
             )
     assert checked >= stats.files_emitted > 0
-    assert renders <= stats.files_emitted
-    if history == "crafted":
-        # Declarations repeat, so fewer are rendered than emitted.
-        assert renders < stats.files_emitted
+    # Each walked declaration is rendered exactly once; a reused one is not
+    # rendered at all.
+    assert renders == stats.declarations_extracted
 
 
 def test_every_lex_of_a_conversion_goes_through_extracts_tokenize(tmp_path, monkeypatch):
@@ -706,6 +739,88 @@ def test_a_blob_that_fails_to_render_writes_no_object(tmp_path):
     assert stats.files_skipped == 1
     with ObjectStore(dst) as store:
         assert not store.contains(hash_object(b"blob", g[1]))
+
+
+def pack_order_ids(dst: str) -> bytes:
+    """The ids of the conversion's one pack, in the order they were
+    written: the version 2 index's ids sorted by their offset."""
+    pack_dir = os.path.join(dst, "objects", "pack")
+    (idx,) = [name for name in os.listdir(pack_dir) if name.endswith(".idx")]
+    with open(os.path.join(pack_dir, idx), "rb") as f:
+        data = f.read()
+    (count,) = struct.unpack_from(">I", data, 8 + 255 * 4)
+    ids_at = 8 + 256 * 4
+    offsets = struct.unpack_from(f">{count}I", data, ids_at + count * 24)
+    ids = [data[ids_at + i * 20 : ids_at + (i + 1) * 20] for i in range(count)]
+    return b"".join(oid for _, oid in sorted(zip(offsets, ids)))
+
+
+# sha256 of commit-map.tsv, of objects/info/commit-graph and of the pack's
+# ids in pack order.  The pack's own bytes depend on the zlib version.
+CONVERSION_PINS = {
+    ("repogen", "default"): (
+        "ef933fcfac0c132e69408d0bcf836d323696593ea0716cec73eedb37b035f18e",
+        "4776d4f5263aa55bb66f2da2604dc4d46223c0cc8491b1396a0ee1345ceab4cd",
+        "6a8b2c7bad39a473c440ab661227939e06be1ab6acde9baaf6c7e0b3aaad5166",
+    ),
+    ("repogen", "no-h1-no-h2-fields"): (
+        "570e57e114426d5c759f55fbf94fb8378fe2f5e29f0acbe9cf0eeeed7dbdaca8",
+        "77bcd75054ee360d87fd50bd8ff7d06ba827fbc30a4b37ff4119b14efc4841e5",
+        "562ccc3fc5a31b791bf1ed3c393b714b02f03609fb01afeaadf729cbd48293c1",
+    ),
+    ("repogen", "plain-fields-keep"): (
+        "6c7ecb935cfac612d2d7b84b6c80aa6a7de602dcc7b3cec42111f7254597f551",
+        "7ca04fb28a52e6a92ac1c741b510ca014578bcec4b4ab9d2b673f0fe130dc576",
+        "e1a286b5b3fe267f4b986ef8dd6df917e62f15dc245b5f5006f7ddb04076a080",
+    ),
+    ("crafted", "default"): (
+        "89896fa1ca53bfac8e4272d82db15d45f769bbcb367bf530572f24dc9828033e",
+        "23a3b83a2d9597001e73b1e7ef1a035a6722c83373a7a266adf40b8b3b6a8e08",
+        "b8766e986f2991b09c7895c34ab10d0e7b2ac2874e95cbd3553639d1a8b3c5f7",
+    ),
+    ("crafted", "no-h1-no-h2-fields"): (
+        "9dbe4cd207c5041e94e3aa4ab6e580fc73a3a072c210f3dff62e31775e1f3ea3",
+        "dc1bd1c6421b4bd7c3834ea6b962b989f5e78760108684fa0f535b527dedd0f7",
+        "fc3ed046f23197a040e82792d639b2f2efe8409a6b5906bc7ff7745d131109b9",
+    ),
+    ("crafted", "plain-fields-keep"): (
+        "d4412c6efb0d294c95a86b9aafb5b6dd03838657ef26739fb645e99276b00178",
+        "c74ed20e8faf49e3f3a3d98f1e33d377ed0b03a5310fbc2e802c979972eb20ee",
+        "d2cf45f0ba1c6f7d058b45f1a4acfc7564b4deba6a5b71c4d89963ae284cc316",
+    ),
+}
+PIN_CONFIGS = {
+    "default": ConversionConfig(),
+    "plain-fields-keep": ConversionConfig(
+        render=RenderConfig(line_format=LineFormat.PLAIN), emit_fields=True,
+        keep_original_java=True,
+    ),
+    "no-h1-no-h2-fields": ConversionConfig(
+        render=RenderConfig(heuristic1=False, heuristic2=False), emit_fields=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("history", ["repogen", "crafted"])
+@pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+def test_conversion_bytes_are_pinned(tmp_path, history, name):
+    """The repogen history rewrites whole files; the crafted one repeats
+    declarations and leaves members for reuse."""
+    src = str(tmp_path / "src.git")
+    if history == "repogen":
+        generate_java_repo(src, n_commits=24, n_files=8, seed=7)
+    else:
+        build_linear_repo(src, [
+            {path: text.encode() for path, text in snap.items()} for snap in MEMO_SNAPSHOTS
+        ])
+    dst = str(tmp_path / "dst.git")
+    rewrite_history(src, dst, PIN_CONFIGS[name])
+    digests = []
+    for rel in ("commit-map.tsv", os.path.join("objects", "info", "commit-graph")):
+        with open(os.path.join(dst, rel), "rb") as f:
+            digests.append(hashlib.sha256(f.read()).hexdigest())
+    digests.append(hashlib.sha256(pack_order_ids(dst)).hexdigest())
+    assert tuple(digests) == CONVERSION_PINS[history, name]
 
 
 # -- incremental conversion: reused members against a conversion from scratch
