@@ -93,6 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--thresholds", type=_threshold_list,
                         default=DEFAULT_THRESHOLDS, metavar="LIST",
                         help="comma-separated percentages (default 20,25,...,80)")
+    p_eval.add_argument("--ref", metavar="NAME",
+                        help="walk every path from this ref (a branch, tag, HEAD or "
+                        "commit id) instead of the one branch tip that holds it")
 
     p_cmp = sub.add_parser("compare", help="compare tracking in two conversions")
     p_cmp.add_argument("--repo-a", required=True, help="first repository")
@@ -163,7 +166,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print("error: oracle contains no entries", file=sys.stderr)
         return 1
     with ObjectStore(args.repo) as store:
-        metrics, skipped = evaluate(store, oracle, thresholds=args.thresholds)
+        metrics, skipped = evaluate(store, oracle, thresholds=args.thresholds, ref=args.ref)
     sys.stdout.write(metrics_to_csv(metrics))
     for path in skipped:
         print(f"warning: skipped unresolvable path: {path}", file=sys.stderr)

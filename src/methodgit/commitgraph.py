@@ -391,7 +391,7 @@ class CommitGraph:
         if len(chunks[b"OIDF"]) != 1024:
             raise self._corrupt("OIDF chunk size")
         self._fanout = struct.unpack(">256I", chunks[b"OIDF"])
-        if any(a > b for a, b in zip(self._fanout, self._fanout[1:])):
+        if list(self._fanout) != sorted(self._fanout):
             raise self._corrupt("fanout not sorted")
         self.count = n = self._fanout[255]
         for chunk_id, size in ((b"OIDL", 20), (b"CDAT", 36), (b"GDA2", 4), (b"BIDX", 4)):
@@ -439,7 +439,9 @@ class CommitGraph:
             return None
         return find_sorted_id(self._fanout, self._oids, oid_bin)
 
-    def _oid(self, pos: int) -> str:
+    def oid(self, pos: int) -> str:
+        """The id of the commit at pos, which may come from a parent slot
+        of the file and so is checked against the commit count."""
         if pos >= self.count:
             raise self._corrupt(f"parent position {pos} out of range")
         return self._oids[pos * 20 : pos * 20 + 20].hex()
@@ -452,21 +454,37 @@ class CommitGraph:
             if second != _PARENT_NONE:
                 raise self._corrupt("second parent without a first")
             return tree, []
-        parents = [self._oid(first)]
+        parents = [self.oid(first)]
         if second == _PARENT_NONE:
             return tree, parents
         if not second & _EXTRA_EDGES:
-            parents.append(self._oid(second))
+            parents.append(self.oid(second))
             return tree, parents
         i = second & ~_EXTRA_EDGES
         while True:
             if 4 * i + 4 > len(self._edges):
                 raise self._corrupt(f"EDGE index {i} out of range")
             (edge,) = struct.unpack_from(">I", self._edges, 4 * i)
-            parents.append(self._oid(edge & ~_LAST_EDGE))
+            parents.append(self.oid(edge & ~_LAST_EDGE))
             if edge & _LAST_EDGE:
                 return tree, parents
             i += 1
+
+    def skip(self, pos: int, keys: list[tuple[int, ...]]) -> int:
+        """The position reached from pos by following first parents while
+        each commit's filter rules keys out (see rules_out): that of the
+        first commit with no parent or whose filter admits the path.  Every
+        commit stepped over left the path as its first parent had it, so
+        the commit there has the same file at the path as the one at pos.
+        Only positions are followed; no id is decoded."""
+        cdat = self._cdat
+        while True:
+            (first,) = struct.unpack_from(">I", cdat, pos * 36 + 20)
+            if first == _PARENT_NONE or not self.rules_out(pos, keys):
+                return pos
+            if first >= self.count:
+                raise self._corrupt(f"parent position {first} out of range")
+            pos = first
 
     def rules_out(self, pos: int, keys: list[tuple[int, ...]]) -> bool:
         """Whether the commit's filter lacks one of keys, the bloom_keys of

@@ -90,12 +90,13 @@ def evaluate(
     oracle: list[OracleEntry],
     thresholds: tuple[int, ...] = DEFAULT_THRESHOLDS,
     base_config: TrackerConfig | None = None,
+    ref: str | None = None,
 ) -> tuple[list[EvalMetrics], list[str]]:
     """Micro-averaged precision/recall/F per threshold.
 
-    Each oracle path is resolved and walked once.  Entries whose path
-    cannot be resolved are skipped from every threshold and returned in
-    the second element.
+    Each oracle path is resolved and walked once, from ref when it is
+    given, as follow takes it.  Entries whose path cannot be resolved are
+    skipped from every threshold and returned in the second element.
     """
     base = base_config or TrackerConfig(threshold=50, detect_copies=True)
     # The walk at threshold t is the lowest threshold's walk cut at its
@@ -110,7 +111,7 @@ def evaluate(
     skipped: list[str] = []
     for entry in oracle:
         try:
-            steps = follow(store, entry.method_path, lowest, caches=caches)
+            steps = follow(store, entry.method_path, lowest, ref=ref, caches=caches)
         except TrackError:
             skipped.append(entry.method_path)
             continue

@@ -210,14 +210,15 @@ class _PackFile:
     def size_at(self, offset: int) -> int:
         """The payload size of the object at offset.
 
-        A whole object's is its entry header's size.  A delta's header
-        gives the delta's own size; the payload's is the result size that
-        starts the delta data, so only that far is inflated and the base
-        is never read.
+        A whole object's is its entry header's size, and only that header
+        is read.  A delta's header gives the delta's own size; the
+        payload's is the result size that starts the delta data, so only
+        that far is inflated and the base is never read.
         """
-        obj_type, size, pos, _ = self._entry_header(offset)
+        obj_type, size, _ = self._read_varint_header(offset)
         if obj_type in (1, 2, 3, 4):
             return size
+        _, _, pos, _ = self._entry_header(offset)
         # Base size, then result size: varints of at most 10 bytes each.
         head = self._inflate_head(pos, 20)
         _, head_pos = _delta_size(head, 0)
@@ -485,22 +486,30 @@ class ObjectStore:
             self._base_reads.discard(oid)
 
     def size(self, oid: str) -> int:
-        """The object's payload length, without inflating the payload.
+        """The object's payload length, without inflating the payload."""
+        return self.sizes([oid])[0]
+
+    def sizes(self, oids: list[str]) -> list[int]:
+        """Each object's payload length, in order, without inflating the
+        payloads, in one pass over the ids.
 
         A whole packed object's size is in its pack entry header; a packed
         delta inflates only the sizes at the start of its delta data, and a
-        loose object only its own header.  A missing object or a header
-        that does not decode raises RepositoryError.
+        loose object only its own header.  A malformed id, a missing object
+        or a header that does not decode raises RepositoryError.
         """
-        try:
-            packed = self._find_packed(oid)
-            if packed is not None:
-                pack, offset = packed
-                return pack.size_at(offset)
-            head = zlib.decompressobj().decompress(self._read_loose(oid), 32)
-            return _loose_header(head)[1]
-        except _CORRUPT as exc:
-            raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
+        out = []
+        for oid in oids:
+            try:
+                packed = self._find_packed(oid)
+                if packed is not None:
+                    out.append(packed[0].size_at(packed[1]))
+                    continue
+                head = zlib.decompressobj().decompress(self._read_loose(oid), 32)
+                out.append(_loose_header(head)[1])
+            except _CORRUPT as exc:
+                raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
+        return out
 
     def _find_packed(self, oid: str) -> tuple[_PackFile, int] | None:
         # Packs first, then loose objects, as git looks them up.  An id that

@@ -4,7 +4,9 @@ The walk runs newest to oldest.  A commit's tree and parents come from the
 repository's commit-graph when it holds the commit, and else from the
 commit object.  When the commit's changed-path Bloom filter rules the
 tracked path out, the first parent has the same file at that path, so the
-walk steps to it without reading a tree.  Otherwise it looks the tracked
+walk steps to it without reading a tree; it steps by commit-graph
+position (CommitGraph.skip) and decodes only the commit where it stops,
+as git's walk works on graph positions.  Otherwise it looks the tracked
 path up in the parents' trees, one tree per path component, so a commit
 costs only the trees that changed along that path.  Commits the graph does
 not hold, and filters that are missing, empty or written with other
@@ -27,10 +29,11 @@ of scoring every candidate in path order, even when the best falls below
 the threshold.  Whether a candidate was deleted is one lookup in the
 commit's own tree, made only for the candidates visited (with copy
 detection, only for the winner), so that tree is never flattened.  Byte
-sizes come from the object's pack or loose header (ObjectStore.size), as
-git's rename detection takes them from oid_object_info, and are memoised
-per blob id, so under the byte metric a candidate that is not visited is
-never inflated; line counts need the fingerprint.
+sizes come from the object's pack or loose header, as git's rename
+detection takes them from oid_object_info, all that an index lacks in one
+ObjectStore.sizes pass, and are memoised per blob id, so under the byte
+metric a candidate that is not visited is never inflated; line counts
+need the fingerprint.
 """
 
 from __future__ import annotations
@@ -86,13 +89,17 @@ def fingerprint(content: bytes) -> Fingerprint:
     Lines are split on LF with terminators kept; lines longer than 64 bytes
     contribute 64-byte chunks instead of one whole-line chunk.
     """
-    parts = content.split(b"\n")
-    lines = [part + b"\n" for part in parts[:-1]]
-    if parts[-1]:
-        lines.append(parts[-1])
+    if b"\r" in content:
+        parts = content.split(b"\n")
+        lines = [part + b"\n" for part in parts[:-1]]
+        if parts[-1]:
+            lines.append(parts[-1])
+    else:
+        # Without a CR, splitlines splits on LF alone, as above, in one pass.
+        lines = content.splitlines(keepends=True)
     counted = Counter(lines)
     chunks = counted
-    if any(len(line) > _CHUNK for line in counted):
+    if counted and max(map(len, counted)) > _CHUNK:
         chunks = Counter()
         for line, n in counted.items():
             if len(line) <= _CHUNK:
@@ -168,16 +175,17 @@ class FollowCaches:
     """Shared lookup state, reusable across follow() calls on one store.
 
     trees maps a tree id to its name map (ObjectStore.read_tree); sizes maps
-    a blob id to its size in bytes; candidates maps (tree id, metric) to
-    every regular file under the tree as (size in the metric's unit, path,
-    blob id), sorted; fingerprints maps a blob id to its Fingerprint;
-    commits maps a commit id to (tree id, parent ids, position in the
-    commit-graph or None); tags maps an annotated tag's id to the id of the
-    commit it names; keys is commitgraph.path_keys's memo of Bloom keys by
-    path; heads lists each refs/heads/* name with the commit it peels to,
-    sorted by name, or is None until a follow without a ref reads the
-    branch tips.  So a batch of follows sharing one caches sees the
-    branches as they were at its first follow.
+    a blob id, sized or fingerprinted, to its size in bytes; candidates
+    maps (tree id, metric) to every regular file under the tree as (size in
+    the metric's unit, path, blob id), sorted; fingerprints maps a blob id
+    to its Fingerprint; commits maps a commit id to (tree id, parent ids,
+    position in the commit-graph or None); tags maps an annotated tag's id
+    to the id of the commit it names; keys is commitgraph.path_keys's memo
+    of Bloom keys by path; heads lists each refs/heads/* name with the
+    commit it peels to, sorted by name, or is None until a follow without
+    a ref reads the branch tips; starts maps each ref a follow started
+    from to the commit it peels to.  So a batch of follows sharing one
+    caches sees the refs as they were at its first follow.
     """
 
     trees: dict = field(default_factory=dict)
@@ -188,6 +196,7 @@ class FollowCaches:
     tags: dict = field(default_factory=dict)
     keys: dict = field(default_factory=dict)
     heads: list | None = None
+    starts: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -199,14 +208,16 @@ class _Winner:
 
 
 def _commit(
-    store: ObjectStore, oid: str, caches: FollowCaches
+    store: ObjectStore, oid: str, caches: FollowCaches, pos: int | None = None
 ) -> tuple[str, list[str], int | None]:
     """(tree id, parent ids, commit-graph position) of the commit, from
-    the commit-graph when it holds the commit, else read; once per id."""
+    the commit-graph when it holds the commit, else read; once per id.
+    pos, when given, is the commit's position in the commit-graph."""
     entry = caches.commits.get(oid)
     if entry is None:
         graph = store.commit_graph()
-        pos = graph.position(oid) if graph is not None else None
+        if pos is None and graph is not None:
+            pos = graph.position(oid)
         if pos is not None:
             entry = (*graph.commit(pos), pos)
         else:
@@ -289,53 +300,49 @@ def _candidates(
     key = (tree_oid, metric)
     items = caches.candidates.get(key)
     if items is None:
-        items = sorted(
-            (_size(store, oid, metric, caches), path, oid)
-            for path, oid in _flatten(store, tree_oid, caches).items()
-        )
+        flat = _flatten(store, tree_oid, caches)
+        if metric is Metric.LINES:
+            items = sorted(
+                (_blob_fingerprint(store, oid, caches).line_count, path, oid)
+                for path, oid in flat.items()
+            )
+        else:
+            sizes = caches.sizes
+            missing = list(dict.fromkeys(oid for oid in flat.values() if oid not in sizes))
+            sizes.update(zip(missing, store.sizes(missing)))
+            items = sorted((sizes[oid], path, oid) for path, oid in flat.items())
         caches.candidates[key] = items
     return items
 
 
 def _blob_fingerprint(store: ObjectStore, oid: str, caches: FollowCaches) -> Fingerprint:
+    """The blob's fingerprint, once per id; its byte size is memoised too."""
     fp = caches.fingerprints.get(oid)
     if fp is None:
         _, content = store.read(oid)
-        fp = fingerprint(content)
-        caches.fingerprints[oid] = fp
+        fp = caches.fingerprints[oid] = fingerprint(content)
+        caches.sizes[oid] = fp.total_bytes
     return fp
-
-
-def _size(store: ObjectStore, oid: str, metric: Metric, caches: FollowCaches) -> int:
-    """The blob's size in the metric's unit: lines, or bytes, which are
-    read from the object's header unless the blob was fingerprinted, once
-    per blob id."""
-    if metric is Metric.LINES:
-        return _blob_fingerprint(store, oid, caches).line_count
-    size = caches.sizes.get(oid)
-    if size is None:
-        fp = caches.fingerprints.get(oid)
-        size = fp.total_bytes if fp is not None else store.size(oid)
-        caches.sizes[oid] = size
-    return size
 
 
 def resolve_start(
     store: ObjectStore, path: str, ref: str | None, caches: FollowCaches
 ) -> str:
     """The commit a walk of path starts from: ref's commit, or else the
-    single branch tip that has path.  The branch tips are read and peeled
-    once per caches."""
+    single branch tip that has path.  A ref, and the branch tips, are
+    resolved and peeled once per caches."""
 
     def has_path(commit_id: str) -> bool:
         tree = _commit(store, commit_id, caches)[0]
         return _lookup(store, tree, path, caches) is not None
 
     if ref is not None:
-        oid = store.resolve_ref(ref)
-        if oid is None:
-            raise TrackError(f"ref not found: {ref}")
-        commit_id = _peel(store, oid, caches)
+        commit_id = caches.starts.get(ref)
+        if commit_id is None:
+            oid = store.resolve_ref(ref)
+            if oid is None:
+                raise TrackError(f"ref not found: {ref}")
+            commit_id = caches.starts[ref] = _peel(store, oid, caches)
         if not has_path(commit_id):
             raise PathNotFound(f"path {path} not found at {ref}")
         return commit_id
@@ -452,10 +459,11 @@ def follow(
         if parents and pos is not None:
             if keys is None:
                 keys = path_keys(cur_path.encode("utf-8", "surrogateescape"), caches.keys)
-            if graph.rules_out(pos, keys):
-                # The first parent has the same file at cur_path.
-                commit_id = parents[0]
-                continue
+            stop = graph.skip(pos, keys)
+            if stop != pos:
+                # Every commit stepped over kept the file at cur_path.
+                commit_id = graph.oid(stop)
+                tree, parents, pos = _commit(store, commit_id, caches, stop)
         chosen = None
         for parent in parents:
             parent_blob = _lookup(store, _commit(store, parent, caches)[0], cur_path, caches)

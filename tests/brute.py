@@ -7,9 +7,11 @@ meaningful evidence rather than shared code.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from methodgit import ObjectStore
+from methodgit.tracking import Fingerprint
 
 _CHUNK = 64
 
@@ -25,6 +27,26 @@ def _lines(content: bytes) -> list[bytes]:
     if parts[-1]:
         out.append(parts[-1])
     return out
+
+
+def split_fingerprint(content: bytes) -> Fingerprint:
+    """tracking.fingerprint as it was written first: one bytes.split on LF,
+    then a Counter of lines and, only when some line is longer than 64
+    bytes, a second Counter of 64-byte chunks."""
+    lines = _lines(content)
+    counted = Counter(lines)
+    chunks = counted
+    if any(len(line) > _CHUNK for line in counted):
+        chunks = Counter()
+        for line, n in counted.items():
+            if len(line) <= _CHUNK:
+                chunks[line] += n
+            else:
+                for i in range(0, len(line), _CHUNK):
+                    chunks[line[i : i + _CHUNK]] += n
+    return Fingerprint(
+        chunks=chunks, total_bytes=len(content), lines=counted, line_count=len(lines)
+    )
 
 
 def _multiset_common(a: list[bytes], b: list[bytes]) -> list[bytes]:

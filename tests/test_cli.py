@@ -307,6 +307,44 @@ def test_evaluate_skipped_entry_sets_exit_one(metrics_repo_cli, tmp_path, capsys
     assert out.splitlines()[1] == "50,1.000000,0.800000,0.888889"
 
 
+def test_evaluate_ref_scores_paths_that_several_branch_tips_hold(tmp_path, capsys, monkeypatch):
+    repo = str(tmp_path / "r.git")
+    text = b"".join(b"line %d\n" % i for i in range(10))
+    with RepoWriter(repo) as writer:
+        writer.init_bare()
+        stamp = AUTHOR % 1700000000
+
+        def commit(files: dict, parents: list[str]) -> str:
+            return writer.write_commit(
+                tree=write_tree_dict(writer, files), parents=parents,
+                author=stamp, committer=stamp, message=b"c\n",
+            )
+
+        base = commit({"a.txt": text, "c.txt": b"c\n"}, [])
+        main_tip = commit({"b.txt": text + b"more\n", "c.txt": b"c\n"}, [base])
+        other_tip = commit({"b.txt": b"other\n", "c.txt": b"c\n"}, [base])
+    writer.write_refs({"refs/heads/main": main_tip, "refs/heads/other": other_tip})
+    writer.set_head("refs/heads/main")
+    oracle = write_oracle(tmp_path, {"b.txt": 1, "c.txt": 0})
+    evaluate = ("evaluate", "--repo", repo, "--oracle", oracle, "--thresholds", "50")
+    code, _out, err = run(capsys, *evaluate)
+    assert code == 1
+    assert "unresolvable path: b.txt" in err and "unresolvable path: c.txt" in err
+    scans = []
+    refs = ObjectStore.refs
+
+    def counting(store):
+        scans.append(1)
+        return refs(store)
+
+    monkeypatch.setattr(ObjectStore, "refs", counting)
+    code, out, err = run(capsys, *evaluate, "--ref", "main")
+    assert (code, err) == (0, "")
+    assert out == "threshold,precision,recall,fmeasure\n50,1.000000,1.000000,1.000000\n"
+    # The ref is resolved once per evaluate, not once per oracle path.
+    assert len(scans) == 1
+
+
 def test_evaluate_empty_oracle_fails(metrics_repo_cli, tmp_path, capsys):
     repo, _expected = metrics_repo_cli
     empty = tmp_path / "empty.json"

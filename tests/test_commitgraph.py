@@ -26,7 +26,7 @@ from methodgit.commitgraph import (
     path_keys,
 )
 from methodgit.errors import RepositoryError
-from methodgit.tracking import FollowCaches
+from methodgit.tracking import FollowCaches, _flatten
 
 from conftest import AUTHOR, PERSON_JAVA, requires_git, write_tree_dict
 
@@ -482,3 +482,47 @@ def test_unusable_filters_give_the_steps_of_no_graph(converted, tmp_path, how):
     with open(graph_path(repo), "wb") as f:
         f.write(file)
     assert [steps(p) for p in paths] == with_graph
+
+
+def test_a_corrupt_first_parent_that_the_skip_reaches_raises(merge_graph, tmp_path):
+    repo, data = merge_graph
+    with ObjectStore(repo) as store:
+        graph = store.commit_graph()
+        tip = graph.position(store.resolve_ref("HEAD"))
+        first = graph.position(graph.commit(tip)[1][0])
+        keys = path_keys(b"README")
+        # The merge and its first parent both leave README alone, and the
+        # root is where the skip stops.
+        assert graph.rules_out(tip, keys) and graph.rules_out(first, keys)
+        root = graph.skip(tip, keys)
+        assert graph.commit(root)[1] == [] and root not in (tip, first)
+    count = len(dict(chunks_of(data))[b"OIDL"]) // 20
+    bad = _cdat_slot(data, first, 0, count)
+    with pytest.raises(RepositoryError, match=f"corrupt commit-graph .*parent position {count}"):
+        CommitGraph(bad, "bad").skip(tip, keys)
+    copy = str(tmp_path / "copy.git")
+    shutil.copytree(repo, copy)
+    os.chmod(graph_path(copy), 0o644)
+    with open(graph_path(copy), "wb") as f:
+        f.write(bad)
+    with ObjectStore(copy) as store:
+        with pytest.raises(RepositoryError, match="corrupt commit-graph"):
+            follow(store, "README", TrackerConfig(), caches=FollowCaches())
+
+
+@pytest.mark.parametrize("name", list(HISTORIES))
+def test_skipping_by_position_gives_the_steps_of_no_graph(converted, tmp_path, name):
+    repo = str(tmp_path / "repo.git")
+    shutil.copytree(converted[name], repo)
+    config = TrackerConfig(threshold=50, detect_copies=True)
+    with ObjectStore(repo) as store:
+        tip = store.read_commit(store.resolve_ref("HEAD")).tree
+        paths = sorted(_flatten(store, tip, FollowCaches()))
+
+    def steps() -> list:
+        with ObjectStore(repo) as store:
+            return [follow(store, p, config, caches=FollowCaches()) for p in paths]
+
+    with_graph = steps()
+    os.remove(graph_path(repo))
+    assert steps() == with_graph

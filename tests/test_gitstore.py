@@ -984,6 +984,60 @@ def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, monkeypatc
         assert store.size(delta) == len(payload)
 
 
+def _sized_objects(tmp_path, kind: str) -> tuple[str, list[str]]:
+    """A repository and the ids of its objects of one kind of storage."""
+    if kind == "loose and whole packed":
+        repo = str(tmp_path / "r.git")
+        build_linear_repo(repo, [{"a/b.txt": b"1\n" * 500, "empty": b""}])
+        loose = []
+        for n in range(3):
+            payload = (b"loose %d\n" % n) * n  # the first is empty
+            loose.append(hash_object(b"blob", payload))
+            _write_loose(repo, loose[-1], zlib.compress(b"blob %d\x00" % len(payload) + payload))
+        with ObjectStore(repo) as store:
+            return repo, _pack_ids(store) + loose
+    if kind == "ofs delta":
+        repo = _delta_chain_repo(tmp_path, "--delta-base-offset")
+        with ObjectStore(str(repo)) as store:
+            return str(repo), _pack_ids(store)
+    # A REF_DELTA whose base is a whole object in a second pack.
+    repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
+    git("hash-object", "-w", str(tmp_path / "a"), str(tmp_path / "b"), cwd=str(repo))
+    subprocess.run(["git", "pack-objects", "-q", "objects/pack/pack"], cwd=str(repo),
+                   input=delta_base + "\n", check=True, capture_output=True, text=True)
+    git("prune-packed", cwd=str(repo))
+    assert not (repo / "objects" / delta_base[:2] / delta_base[2:]).exists()
+    return str(repo), [delta, delta_base]
+
+
+@requires_git
+@pytest.mark.parametrize("kind", ["loose and whole packed", "ofs delta", "ref delta"])
+def test_sizes_are_the_sizes_of_each_id_in_one_call(tmp_path, monkeypatch, kind):
+    repo, oids = _sized_objects(tmp_path, kind)
+    oids = oids + oids[:2]  # an id asked for twice is sized twice
+    with ObjectStore(repo) as store:
+        want = [len(store.read(oid)[1]) for oid in oids]
+    # A delta inflates only the sizes at the head of its data.
+    monkeypatch.setattr(_PackFile, "_inflate", _fail_if_called)
+    monkeypatch.setattr(ObjectStore, "read", _fail_if_called)
+    monkeypatch.setattr("methodgit.gitstore._apply_delta", _fail_if_called)
+    with ObjectStore(repo) as store:
+        assert store.sizes(oids) == want
+        assert [store.size(oid) for oid in oids] == want
+        assert store.sizes([]) == []
+
+
+def test_sizes_of_a_malformed_or_missing_id_raise_repository_error(tmp_path):
+    repo = str(tmp_path / "r.git")
+    ids = build_linear_repo(repo, [{"a": b"1\n"}])
+    with ObjectStore(repo) as store:
+        for bad, message in (("xyz", "malformed object id 'xyz'"),
+                             (" " * 40, "malformed object id"),
+                             ("f" * 40, "object not found: " + "f" * 40)):
+            with pytest.raises(RepositoryError, match=message):
+                store.sizes([ids[0], bad])
+
+
 @requires_git
 def test_peel_annotated_tag(tmp_path):
     work = tmp_path / "work"

@@ -3,6 +3,8 @@ backward walk over hand-built histories."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import tempfile
@@ -40,7 +42,7 @@ from methodgit.tracking import (
     steps_to_tsv,
 )
 
-from brute import brute_follow, brute_similarity, fraction
+from brute import brute_follow, brute_similarity, fraction, split_fingerprint
 from conftest import AUTHOR, build_linear_repo, sim, write_commit_graph, write_tree_dict
 from repogen import generate_java_repo, generate_text_repo
 
@@ -72,6 +74,22 @@ def test_long_lines_split_into_64_byte_chunks():
     assert fp.line_count == 1
     sizes = sorted(len(piece) for piece, n in fp.chunks.items() for _ in range(n))
     assert sizes == [23, 64, 64]
+
+
+# Letters, a space and every byte that str.splitlines takes as a line end;
+# bytes.splitlines takes only LF and CR.
+_LINE_ENDS = st.lists(st.sampled_from(list(b"ab \n\r\x0b\x0c\x1c\x85"))).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_LINE_ENDS, st.lists(_LINE_ENDS, max_size=4).map((b"a" * 60).join)))
+@example(b"")
+@example(b"a" * 64)
+@example(b"a" * 65)
+@example(b"a" * 63 + b"\n" + b"b" * 64 + b"\n" + b"c" * 65 + b"\r\n")
+@example(b"\r" * 70 + b"\n")
+def test_fingerprint_equals_the_split_reference(content):
+    assert fingerprint(content) == split_fingerprint(content)
 
 
 def test_similarity_lines_identical_prefix():
@@ -475,6 +493,32 @@ def test_reused_caches_give_the_steps_of_fresh_ones(tmp_path, copies):
         assert len(shared.keys) > len(paths)
 
 
+# sha256 of the JSON of [[path, steps_to_json(steps)], ...] over every HEAD
+# method path of generate_java_repo(n_commits=60, n_files=12, seed=4),
+# converted under the default config and followed at -M 50 -C 50.
+TRACKING_PINS = {
+    Metric.GIT_BYTES: "552333d30d469a49b42c7029d58dfe87fa22cf13ee817b4dcaf3dd7b19cf8ca4",
+    Metric.LINES: "b9d14edd5153d1c4eae891aa78fb5ae74990396d886bd71b0ba66458766ad04e",
+}
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_tracking_results_are_pinned(tmp_path, metric):
+    src, dst = str(tmp_path / "src.git"), str(tmp_path / "dst.git")
+    generate_java_repo(src, n_commits=60, n_files=12, seed=4)
+    rewrite_history(src, dst)
+    config = TrackerConfig(threshold=50, detect_copies=True, metric=metric)
+    with ObjectStore(dst) as store:
+        tip = store.resolve_ref("HEAD")
+        paths = sorted(p for p in _flatten(store, store.read_commit(tip).tree, FollowCaches())
+                       if p.endswith(".mjava"))
+        caches = FollowCaches()
+        walks = [[p, steps_to_json(follow(store, p, config, caches=caches))] for p in paths]
+    assert len(walks) == 35
+    digest = hashlib.sha256(json.dumps(walks).encode()).hexdigest()
+    assert digest == TRACKING_PINS[metric]
+
+
 def test_disappearance_cache_is_threshold_independent(tmp_path):
     repo = str(tmp_path / "r.git")
     build_linear_repo(
@@ -623,13 +667,13 @@ def test_size_prune_is_exact_on_heavy_tailed_sizes(tmp_path, monkeypatch):
 
     monkeypatch.setattr("methodgit.tracking.similarity", counting)
     sized = []
-    original_size = ObjectStore.size
+    original_sizes = ObjectStore.sizes
 
-    def counting_size(self, oid):
-        sized.append(oid)
-        return original_size(self, oid)
+    def counting_sizes(self, oids):
+        sized.extend(oids)
+        return original_sizes(self, oids)
 
-    monkeypatch.setattr(ObjectStore, "size", counting_size)
+    monkeypatch.setattr(ObjectStore, "sizes", counting_sizes)
 
     def assert_sized_once_each():
         # Sizes are memoised per blob id in FollowCaches.
