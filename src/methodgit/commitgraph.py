@@ -354,8 +354,9 @@ class CommitGraph:
     and parents, and whether its Bloom filter rules a path out.
 
     Every chunk is checked against the file and the commit count when the
-    file is read; a parent or EDGE position and a filter's bounds are
-    checked when they are read.  Each failure raises RepositoryError.
+    file is read; a parent or EDGE position, a parent's topological level
+    and a filter's bounds are checked when they are read.  Each failure
+    raises RepositoryError.
     """
 
     def __init__(self, data: bytes, path: str):
@@ -449,26 +450,45 @@ class CommitGraph:
     def commit(self, pos: int) -> tuple[str, list[str]]:
         """(tree id, parent ids) of the commit at pos."""
         tree = self._cdat[pos * 36 : pos * 36 + 20].hex()
-        first, second = struct.unpack_from(">II", self._cdat, pos * 36 + 20)
+        first, second, level = struct.unpack_from(">III", self._cdat, pos * 36 + 20)
+        level >>= 2
         if first == _PARENT_NONE:
             if second != _PARENT_NONE:
                 raise self._corrupt("second parent without a first")
             return tree, []
-        parents = [self.oid(first)]
+        parents = [self._parent(first, pos, level)]
         if second == _PARENT_NONE:
             return tree, parents
         if not second & _EXTRA_EDGES:
-            parents.append(self.oid(second))
+            parents.append(self._parent(second, pos, level))
             return tree, parents
         i = second & ~_EXTRA_EDGES
         while True:
             if 4 * i + 4 > len(self._edges):
                 raise self._corrupt(f"EDGE index {i} out of range")
             (edge,) = struct.unpack_from(">I", self._edges, 4 * i)
-            parents.append(self.oid(edge & ~_LAST_EDGE))
+            parents.append(self._parent(edge & ~_LAST_EDGE, pos, level))
             if edge & _LAST_EDGE:
                 return tree, parents
             i += 1
+
+    def _parent(self, parent: int, child: int, level: int) -> str:
+        """The id of the commit at parent, a parent of the commit at child,
+        whose topological level is level; see _not_below."""
+        oid = self.oid(parent)
+        if 0 < level < _LEVEL_MAX:
+            (parent_level,) = struct.unpack_from(">I", self._cdat, parent * 36 + 28)
+            if parent_level >> 2 >= level:
+                raise self._not_below(parent, child)
+        return oid
+
+    def _not_below(self, parent: int, child: int) -> RepositoryError:
+        """A parent must be below its child in topological level, as `git
+        commit-graph verify` checks, unless the child has no level (0) or
+        the capped maximum; so following parents cannot loop."""
+        return self._corrupt(
+            f"parent position {parent} is not below position {child} in topological level"
+        )
 
     def skip(self, pos: int, keys: list[tuple[int, ...]]) -> int:
         """The position reached from pos by following first parents while
@@ -476,15 +496,21 @@ class CommitGraph:
         first commit with no parent or whose filter admits the path.  Every
         commit stepped over left the path as its first parent had it, so
         the commit there has the same file at the path as the one at pos.
-        Only positions are followed; no id is decoded."""
+        Only positions are followed, each checked as commit checks a
+        parent; no id is decoded."""
         cdat = self._cdat
+        first, level = struct.unpack_from(">I4xI", cdat, pos * 36 + 20)
+        level >>= 2
         while True:
-            (first,) = struct.unpack_from(">I", cdat, pos * 36 + 20)
             if first == _PARENT_NONE or not self.rules_out(pos, keys):
                 return pos
             if first >= self.count:
                 raise self._corrupt(f"parent position {first} out of range")
-            pos = first
+            parent_first, parent_level = struct.unpack_from(">I4xI", cdat, first * 36 + 20)
+            parent_level >>= 2
+            if 0 < level < _LEVEL_MAX and parent_level >= level:
+                raise self._not_below(first, pos)
+            pos, first, level = first, parent_first, parent_level
 
     def rules_out(self, pos: int, keys: list[tuple[int, ...]]) -> bool:
         """Whether the commit's filter lacks one of keys, the bloom_keys of

@@ -135,23 +135,22 @@ class _PackFile:
             return big
         return raw
 
-    def _read_varint_header(self, pos: int) -> tuple[int, int, int]:
-        """(type, size, next_pos) for the object header at pos: 4 size
-        bits in the first byte, then the rest as in a delta's sizes."""
-        byte = self._map[pos]
+    def _entry_header(self, offset: int) -> tuple[int, int, int, int | bytes]:
+        """(type, size, data position, base) of the pack entry at offset:
+        the type and 4 size bits in the first byte, then the rest of the
+        size as in a delta's sizes.  base is an OFS_DELTA's base offset, a
+        REF_DELTA's base id (short if the pack ends inside it), or 0 for a
+        whole object."""
+        data = self._map
+        byte = data[offset]
         obj_type = (byte >> 4) & 0x7
         size = byte & 0x0F
+        pos = offset + 1
         if byte & 0x80:
-            rest, pos = _delta_size(self._map, pos + 1)
-            return obj_type, size | rest << 4, pos
-        return obj_type, size, pos + 1
-
-    def _entry_header(self, offset: int) -> tuple[int, int, int, int | bytes]:
-        """(type, size, data position, base) of the pack entry at offset.
-        base is an OFS_DELTA's base offset, a REF_DELTA's base id (short
-        if the pack ends inside it), or 0 for a whole object."""
-        data = self._map
-        obj_type, size, pos = self._read_varint_header(offset)
+            rest, pos = _delta_size(data, pos)
+            size |= rest << 4
+        if obj_type in (1, 2, 3, 4):
+            return obj_type, size, pos, 0
         if obj_type == 6:  # OFS_DELTA
             byte = data[pos]
             pos += 1
@@ -165,8 +164,6 @@ class _PackFile:
             return obj_type, size, pos, offset - rel
         if obj_type == 7:  # REF_DELTA
             return obj_type, size, pos + 20, data[pos : pos + 20]
-        if obj_type in (1, 2, 3, 4):
-            return obj_type, size, pos, 0
         raise ValueError(f"unknown pack object type {obj_type}")
 
     def _inflate(self, pos: int, expected: int) -> bytes:
@@ -215,10 +212,9 @@ class _PackFile:
         payload's is the result size that starts the delta data, so only
         that far is inflated and the base is never read.
         """
-        obj_type, size, _ = self._read_varint_header(offset)
+        obj_type, size, pos, _ = self._entry_header(offset)
         if obj_type in (1, 2, 3, 4):
             return size
-        _, _, pos, _ = self._entry_header(offset)
         # Base size, then result size: varints of at most 10 bytes each.
         head = self._inflate_head(pos, 20)
         _, head_pos = _delta_size(head, 0)
@@ -368,6 +364,11 @@ class ObjectStore:
     read.  Only delta bases are cached, per pack (see _PackFile.read_at).
     The repository's commit-graph file is read once, on first use.
 
+    Each question about an object has one entry point: read gives its
+    type and payload; sizes gives payload lengths from the headers alone,
+    as git's oid_object_info does, and contains asks it too; peel gives
+    the commit an id names through annotated tags, as git's peel_object.
+
     HEAD is read from gitdir; objects, refs, packed-refs, shallow and the
     commit-graph from commondir, which for a linked worktree is the
     directory its gitdir's commondir file names, and otherwise gitdir.
@@ -449,8 +450,9 @@ class ObjectStore:
         return self._graph
 
     def contains(self, oid: str) -> bool:
+        """Whether the store holds the object; only its header is read."""
         try:
-            self.read(oid)
+            self.sizes([oid])
             return True
         except RepositoryError:
             return False
@@ -484,10 +486,6 @@ class ObjectStore:
             return self.read(oid)
         finally:
             self._base_reads.discard(oid)
-
-    def size(self, oid: str) -> int:
-        """The object's payload length, without inflating the payload."""
-        return self.sizes([oid])[0]
 
     def sizes(self, oids: list[str]) -> list[int]:
         """Each object's payload length, in order, without inflating the
@@ -652,15 +650,6 @@ class ObjectStore:
                 raise RepositoryError(f"malformed tag object {oid}")
             oid = target
         return oid, None
-
-    def peel_to_commit(
-        self, oid: str, commits: dict[str, CommitRecord] | None = None
-    ) -> CommitRecord:
-        """The commit oid names, as peel finds it.  A commit in commits is
-        not read again, and one that is read is added to it."""
-        commits = {} if commits is None else commits
-        oid, record = self.peel(oid, commits.__contains__)
-        return commits.setdefault(oid, record)
 
     def close(self) -> None:
         if self._packs:

@@ -267,7 +267,8 @@ def _select_refs(
     skipped: list[str] = []
     for name, oid in selected.items():
         try:
-            out[name] = store.peel_to_commit(oid, commits)
+            commit_id, record = store.peel(oid, commits.__contains__)
+            out[name] = commits.setdefault(commit_id, record)
         except NotACommitError:
             if ref_names is not None:
                 raise

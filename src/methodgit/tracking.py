@@ -179,13 +179,11 @@ class FollowCaches:
     maps (tree id, metric) to every regular file under the tree as (size in
     the metric's unit, path, blob id), sorted; fingerprints maps a blob id
     to its Fingerprint; commits maps a commit id to (tree id, parent ids,
-    position in the commit-graph or None); tags maps an annotated tag's id
-    to the id of the commit it names; keys is commitgraph.path_keys's memo
-    of Bloom keys by path; heads lists each refs/heads/* name with the
-    commit it peels to, sorted by name, or is None until a follow without
-    a ref reads the branch tips; starts maps each ref a follow started
-    from to the commit it peels to.  So a batch of follows sharing one
-    caches sees the refs as they were at its first follow.
+    position in the commit-graph or None); keys is commitgraph.path_keys's
+    memo of Bloom keys by path; starts maps a ref a follow started from,
+    or None for the branch tips, to its names and the commits they peel
+    to, [(name, commit id)], sorted by name.  So a batch of follows
+    sharing one caches sees the refs as they were at its first follow.
     """
 
     trees: dict = field(default_factory=dict)
@@ -193,9 +191,7 @@ class FollowCaches:
     candidates: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
-    tags: dict = field(default_factory=dict)
     keys: dict = field(default_factory=dict)
-    heads: list | None = None
     starts: dict = field(default_factory=dict)
 
 
@@ -229,12 +225,7 @@ def _commit(
 
 def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
     """oid peeled to a commit.  A commit the caches or the commit-graph
-    hold is not read, and one that is read is cached, and so is the commit
-    an annotated tag names: each commit and each tag is read at most once
-    per caches."""
-    commit_id = caches.tags.get(oid)
-    if commit_id is not None:
-        return commit_id
+    hold is not read, and one that is read is cached."""
     graph = store.commit_graph()
     commit_id, record = store.peel(
         oid,
@@ -242,8 +233,6 @@ def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
     )
     if record is not None:
         caches.commits[commit_id] = (record.tree, record.parents, None)
-    if commit_id != oid:
-        caches.tags[oid] = commit_id
     return commit_id
 
 
@@ -330,34 +319,25 @@ def resolve_start(
 ) -> str:
     """The commit a walk of path starts from: ref's commit, or else the
     single branch tip that has path.  A ref, and the branch tips, are
-    resolved and peeled once per caches."""
-
-    def has_path(commit_id: str) -> bool:
-        tree = _commit(store, commit_id, caches)[0]
-        return _lookup(store, tree, path, caches) is not None
-
-    if ref is not None:
-        commit_id = caches.starts.get(ref)
-        if commit_id is None:
+    resolved and peeled once per caches (caches.starts)."""
+    tips = caches.starts.get(ref)
+    if tips is None:
+        if ref is None:
+            named = [(name, oid) for name, oid in sorted(store.refs().items())
+                     if name.startswith("refs/heads/")]
+        else:
             oid = store.resolve_ref(ref)
             if oid is None:
                 raise TrackError(f"ref not found: {ref}")
-            commit_id = caches.starts[ref] = _peel(store, oid, caches)
-        if not has_path(commit_id):
-            raise PathNotFound(f"path {path} not found at {ref}")
-        return commit_id
-    if caches.heads is None:
-        caches.heads = [
-            (name, _peel(store, oid, caches))
-            for name, oid in sorted(store.refs().items())
-            if name.startswith("refs/heads/")
-        ]
+            named = [(ref, oid)]
+        tips = caches.starts[ref] = [(name, _peel(store, oid, caches)) for name, oid in named]
     containing: dict[str, list[str]] = {}
-    for name, commit_id in caches.heads:
-        if has_path(commit_id):
+    for name, commit_id in tips:
+        if _lookup(store, _commit(store, commit_id, caches)[0], path, caches) is not None:
             containing.setdefault(commit_id, []).append(name)
     if not containing:
-        raise PathNotFound(f"path {path} not found on any branch")
+        where = "on any branch" if ref is None else f"at {ref}"
+        raise PathNotFound(f"path {path} not found {where}")
     if len(containing) > 1:
         names = sorted(n for branch in containing.values() for n in branch)
         raise AmbiguousStart(

@@ -209,7 +209,7 @@ def write_commit_graph(repo: str, commits: int | None = None) -> str:
     so a prefix holds every parent of its commits.  Returns its path."""
     with ObjectStore(repo) as store:
         tips = [
-            store.peel_to_commit(oid)
+            store.peel(oid, lambda _: False)[1]
             for name, oid in store.refs().items()
             if name.startswith(("refs/heads/", "refs/tags/"))
         ]

@@ -205,7 +205,7 @@ def test_criterion_6_brute_force_equivalence(tmp_path, verdict):
         n_commits = 8 + seed % 13
         generate_text_repo(repo, n_commits=n_commits, max_files=30, seed=seed)
         with ObjectStore(repo) as store:
-            tip = store.peel_to_commit(store.resolve_ref("refs/heads/master")).id
+            tip = store.peel(store.resolve_ref("refs/heads/master"), lambda _: False)[0]
             head_paths = sorted(flatten_tree(store, store.read_commit(tip).tree))
             metric = Metric.GIT_BYTES if seed % 2 == 0 else Metric.LINES
             configs = [

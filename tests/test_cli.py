@@ -449,7 +449,7 @@ def test_convert_corrupt_object_fails_without_traceback(tmp_path):
     blob = hash_object(b"blob", PERSON_JAVA.encode())
     (pack_path,) = glob.glob(os.path.join(src, "objects", "pack", "*.pack"))
     pack = _PackFile(pack_path)
-    _, _, data_pos = pack._read_varint_header(pack.find(bytes.fromhex(blob)))
+    _, _, data_pos, _ = pack._entry_header(pack.find(bytes.fromhex(blob)))
     pack.close()
     os.chmod(pack_path, 0o644)
     with open(pack_path, "r+b") as f:
@@ -484,6 +484,31 @@ def test_convert_shallow_clone_names_the_shallow_boundary(tmp_path, capsys):
     assert not os.path.exists(dst)
     # The full history converts.
     assert run(capsys, "convert", "--src", src, "--dst", dst)[0] == 0
+
+
+def test_convert_corrupt_parent_on_the_shallow_boundary_is_corrupt_not_missing(
+    tmp_path, capsys
+):
+    src = str(tmp_path / "src.git")
+    ids = build_linear_repo(src, [{"a.txt": b"1\n"}, {"a.txt": b"2\n"}])
+    (pack_path,) = glob.glob(os.path.join(src, "objects", "pack", "*.pack"))
+    pack = _PackFile(pack_path)
+    _, _, data_pos, _ = pack._entry_header(pack.find(bytes.fromhex(ids[0])))
+    pack.close()
+    os.chmod(pack_path, 0o644)
+    with open(pack_path, "r+b") as f:
+        f.seek(data_pos)
+        f.write(b"not zlib data")
+    with open(os.path.join(src, "shallow"), "w") as f:
+        f.write(ids[1] + "\n")
+    dst = str(tmp_path / "dst.git")
+    code, out, err = run(capsys, "convert", "--src", src, "--dst", dst)
+    assert code == 1 and out == ""
+    # Its header still reads, so the parent is present, and its payload
+    # is what fails.
+    assert f"corrupt object {ids[0]}" in err
+    assert "shallow clone" not in err
+    assert not os.path.exists(dst)
 
 
 @pytest.mark.parametrize("target", [b"cd", b"\xff"], ids=["short", "not-utf8"])

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import struct
 import subprocess
+from contextlib import contextmanager
 from hashlib import sha1
 
 import pytest
@@ -28,7 +30,14 @@ from methodgit.commitgraph import (
 from methodgit.errors import RepositoryError
 from methodgit.tracking import FollowCaches, _flatten
 
-from conftest import AUTHOR, PERSON_JAVA, requires_git, write_tree_dict
+from conftest import (
+    AUTHOR,
+    PERSON_JAVA,
+    build_linear_repo,
+    requires_git,
+    write_commit_graph,
+    write_tree_dict,
+)
 
 T = 1700000000
 
@@ -508,6 +517,87 @@ def test_a_corrupt_first_parent_that_the_skip_reaches_raises(merge_graph, tmp_pa
     with ObjectStore(copy) as store:
         with pytest.raises(RepositoryError, match="corrupt commit-graph"):
             follow(store, "README", TrackerConfig(), caches=FollowCaches())
+
+
+def _cdat_levels(data: bytes, level: int) -> bytes:
+    """The file with every commit's topological level set to level; the
+    date bits beside it are kept."""
+    def edit(cdat: bytes) -> bytes:
+        out = bytearray(cdat)
+        for pos in range(len(cdat) // 36):
+            (word,) = struct.unpack_from(">I", cdat, pos * 36 + 28)
+            struct.pack_into(">I", out, pos * 36 + 28, level << 2 | word & 3)
+        return bytes(out)
+    return _with_chunk(data, b"CDAT", edit)
+
+
+@pytest.fixture
+def three_commits(tmp_path) -> tuple[str, list[str], bytes]:
+    """A linear history of three commits in which only b.txt changes, with
+    its commit-graph: (repository, ids oldest first, graph bytes)."""
+    repo = str(tmp_path / "r.git")
+    ids = build_linear_repo(repo, [{"a.txt": b"a\n", "b.txt": b"%d\n" % i} for i in range(3)])
+    path = write_commit_graph(repo)
+    os.chmod(path, 0o644)
+    return repo, ids, read_bytes(path)
+
+
+@contextmanager
+def _within(seconds: int):
+    """Fail the test if its block has not ended in time, as a walk that
+    loops would not."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _follow(repo: str) -> list:
+    with ObjectStore(repo) as store:
+        return follow(store, "a.txt", TrackerConfig(), caches=FollowCaches())
+
+
+def test_a_first_parent_cycle_raises_instead_of_looping(three_commits):
+    repo, ids, data = three_commits
+    graph = CommitGraph(data, "good")
+    _, middle, tip = (graph.position(oid) for oid in ids)
+    # The middle commit's first parent becomes the tip, whose first parent
+    # is the middle one: a cycle that the skip follows, as only b.txt
+    # changes.
+    bad = _cdat_slot(data, middle, 0, tip)
+    message = f"corrupt commit-graph .*parent position {tip} is not below position {middle}"
+    with open(graph_path(repo), "wb") as f:
+        f.write(bad)
+    with _within(10):
+        with pytest.raises(RepositoryError, match=message):
+            CommitGraph(bad, "bad").skip(tip, path_keys(b"a.txt"))
+        with pytest.raises(RepositoryError, match=message):
+            CommitGraph(bad, "bad").commit(middle)
+        with pytest.raises(RepositoryError, match="corrupt commit-graph"):
+            _follow(repo)
+
+
+def test_levels_zero_or_capped_are_not_checked(three_commits):
+    repo, ids, data = three_commits
+    steps = _follow(repo)
+    assert [s.commit_id for s in steps] == [ids[0]]
+    for what, level in (("no levels", 0), ("capped", 0x3FFFFFFF)):
+        bad = _cdat_levels(data, level)
+        graph = CommitGraph(bad, what)
+        assert [graph.commit(graph.position(oid))[1] for oid in ids] == [[], ids[:1], ids[1:2]]
+        with open(graph_path(repo), "wb") as f:
+            f.write(bad)
+        assert _follow(repo) == steps
+    # Below the cap, a parent at its child's level is corrupt.
+    flat = CommitGraph(_cdat_levels(data, 5), "flat")
+    with pytest.raises(RepositoryError, match="not below"):
+        flat.commit(flat.position(ids[1]))
 
 
 @pytest.mark.parametrize("name", list(HISTORIES))

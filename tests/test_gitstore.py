@@ -351,7 +351,7 @@ def test_size_matches_the_payload_of_loose_and_whole_packed_objects(tmp_path):
         oids = _pack_ids(store) + [loose]
         # Before any read, so no size comes from the cache of read trees
         # and commits.
-        sizes = [store.size(oid) for oid in oids]
+        sizes = [store.sizes([oid])[0] for oid in oids]
     with ObjectStore(dst) as store:
         assert sizes == [len(store.read(oid)[1]) for oid in oids]
         assert 1000 in sizes and 0 in sizes
@@ -392,7 +392,7 @@ def test_size_of_a_missing_or_malformed_object_raises_repository_error(tmp_path)
         f.write(_pack_index(entries, bytes(20)))
     with ObjectStore(dst) as store:
         for oid in ["f" * 40, *loose, *(name.hex() for name in entries)]:
-            for method in (store.size, store.read):
+            for method in (lambda oid: store.sizes([oid]), store.read):
                 with pytest.raises(RepositoryError, match=oid):
                     method(oid)
 
@@ -639,13 +639,13 @@ def test_size_of_ofs_deltas_inflates_no_payload(tmp_path, monkeypatch):
     with ObjectStore(str(repo)) as store:
         oids = _pack_ids(store)
         (pack,) = store._load_packs()
-        types = {pack._read_varint_header(pack.find(bytes.fromhex(oid)))[0] for oid in oids}
+        types = {pack._entry_header(pack.find(bytes.fromhex(oid)))[0] for oid in oids}
         assert 6 in types  # OFS_DELTA
         want = {oid: len(store.read(oid)[1]) for oid in oids}
     monkeypatch.setattr(_PackFile, "_inflate", _fail_if_called)
     monkeypatch.setattr("methodgit.gitstore._apply_delta", _fail_if_called)
     with ObjectStore(str(repo)) as store:
-        assert {oid: store.size(oid) for oid in oids} == want
+        assert dict(zip(oids, store.sizes(oids))) == want
 
 
 def _pack_depths(repo: str) -> dict[str, int]:
@@ -675,7 +675,7 @@ def chain_repo(request, tmp_path_factory):
     assert sorted(depths) == sorted(versions)
     with ObjectStore(str(repo)) as store:
         (pack,) = store._load_packs()
-        types = {pack._read_varint_header(pack.find(bytes.fromhex(oid)))[0] for oid in versions}
+        types = {pack._entry_header(pack.find(bytes.fromhex(oid)))[0] for oid in versions}
     assert types == {3, 6 if request.param == "--delta-base-offset" else 7}
     return str(repo), versions, depths
 
@@ -720,7 +720,7 @@ def test_delta_base_cache_applies_each_delta_once_reading_deepest_first(chain_re
 def test_delta_base_cache_stays_within_its_budget(chain_repo, monkeypatch, share):
     repo, versions, depths = chain_repo
     with ObjectStore(repo) as store:
-        sizes = sorted(store.size(oid) for oid in versions)
+        sizes = sorted(store.sizes(versions))
     # Room for about three median versions, or for one: either way far
     # less than the chain, and with share 1 half the versions do not fit.
     limit = share * sizes[len(sizes) // 2]
@@ -981,7 +981,7 @@ def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, monkeypatc
     monkeypatch.setattr(_PackFile, "_inflate", _fail_if_called)
     monkeypatch.setattr(ObjectStore, "read", _fail_if_called)
     with ObjectStore(str(repo)) as store:
-        assert store.size(delta) == len(payload)
+        assert store.sizes([delta]) == [len(payload)]
 
 
 def _sized_objects(tmp_path, kind: str) -> tuple[str, list[str]]:
@@ -1023,7 +1023,7 @@ def test_sizes_are_the_sizes_of_each_id_in_one_call(tmp_path, monkeypatch, kind)
     monkeypatch.setattr("methodgit.gitstore._apply_delta", _fail_if_called)
     with ObjectStore(repo) as store:
         assert store.sizes(oids) == want
-        assert [store.size(oid) for oid in oids] == want
+        assert [store.sizes([oid])[0] for oid in oids] == want
         assert store.sizes([]) == []
 
 
@@ -1054,7 +1054,7 @@ def test_peel_annotated_tag(tmp_path):
         tag_oid = store.resolve_ref("v1")
         assert tag_oid is not None
         assert store.read(tag_oid)[0] == "tag"
-        assert store.peel_to_commit(tag_oid).id == head
+        assert store.peel(tag_oid, lambda _: False)[0] == head
 
 
 @pytest.mark.parametrize("target", [b"cd", b"\xff", b"cd" * 19 + b"\xff\xfe", b"g" * 40],
@@ -1064,7 +1064,7 @@ def test_tag_with_a_malformed_object_id_raises_repository_error(tmp_path, target
     tag = build_tag_repo(src, target)
     with ObjectStore(src) as store:
         with pytest.raises(RepositoryError, match="malformed object id"):
-            store.peel_to_commit(tag)
+            store.peel(tag, lambda _: False)
 
 
 @pytest.mark.parametrize(
@@ -1078,7 +1078,7 @@ def test_read_and_size_reject_a_malformed_id(tmp_path, oid):
     src = str(tmp_path / "src.git")
     build_tag_repo(src, b"0" * 40)
     with ObjectStore(src) as store:
-        for call in (store.read, store.size):
+        for call in (store.read, lambda oid: store.sizes([oid])):
             with pytest.raises(RepositoryError, match="malformed object id"):
                 call(oid)
         assert not store.contains(oid)
@@ -1190,7 +1190,7 @@ def test_fuzz_repository_reads_back():
             for oid in FUZZ_IDS:
                 kind, payload = store.read(oid)
                 assert hash_object(kind.encode(), payload) == oid
-                assert store.size(oid) == len(payload)
+                assert store.sizes([oid]) == [len(payload)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1211,7 +1211,7 @@ def test_corrupt_objects_raise_only_repository_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         write_files(tmp, files)
         with ObjectStore(tmp) as store:
-            for method in (store.size, store.read):
+            for method in (lambda oid: store.sizes([oid]), store.read):
                 for oid in FUZZ_IDS:
                     try:
                         method(oid)
@@ -1234,6 +1234,6 @@ def test_ref_delta_cut_inside_its_base_id_raises_repository_error():
         write_files(tmp, files)
         os.makedirs(os.path.join(tmp, "objects", pack[base_at : base_at + 1].hex()), exist_ok=True)
         with ObjectStore(tmp) as store:
-            for method in (store.size, store.read):
+            for method in (lambda oid: store.sizes([oid]), store.read):
                 with pytest.raises(RepositoryError, match=f"corrupt object {delta}"):
                     method(delta)

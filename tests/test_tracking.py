@@ -448,15 +448,19 @@ def test_branch_tips_are_read_once_per_caches(tmp_path, monkeypatch):
         return refs(store)
 
     monkeypatch.setattr(ObjectStore, "refs", counting)
-    with ObjectStore(repo) as store:
-        caches = FollowCaches()
-        for path in ("a.txt", "b.txt", "a.txt"):
-            follow(store, path, TrackerConfig(), caches=caches)
-        with pytest.raises(PathNotFound):
-            follow(store, "c.txt", TrackerConfig(), caches=caches)
-        assert len(scans) == 1
-        follow(store, "a.txt", TrackerConfig(), caches=FollowCaches())
-        assert len(scans) == 2
+    # The branch tips, or a named ref, are scanned once per caches.
+    for ref in (None, "master"):
+        scans.clear()
+        with ObjectStore(repo) as store:
+            caches = FollowCaches()
+            for path in ("a.txt", "b.txt", "a.txt"):
+                follow(store, path, TrackerConfig(), ref=ref, caches=caches)
+            with pytest.raises(PathNotFound):
+                follow(store, "c.txt", TrackerConfig(), ref=ref, caches=caches)
+            assert len(scans) == 1
+            assert list(caches.starts) == [ref]
+            follow(store, "a.txt", TrackerConfig(), ref=ref, caches=FollowCaches())
+            assert len(scans) == 2
 
 
 def test_a_failed_peel_caches_no_branch_tips(tmp_path):
@@ -464,17 +468,20 @@ def test_a_failed_peel_caches_no_branch_tips(tmp_path):
     ids = build_linear_repo(repo, [{"a.txt": b"1\n"}])
     with ObjectStore(repo) as store:
         tree = store.read_commit(ids[0]).tree
-    with open(os.path.join(repo, "refs", "heads", "broken"), "w") as f:
-        f.write(tree + "\n")
-    with ObjectStore(repo) as store:
-        caches = FollowCaches()
-        with pytest.raises(RepositoryError, match="cannot peel"):
-            follow(store, "a.txt", TrackerConfig(), caches=caches)
-        assert caches.heads is None
-        os.remove(os.path.join(repo, "refs", "heads", "broken"))
-        assert [s.kind for s in follow(store, "a.txt", TrackerConfig(), caches=caches)] == [
-            StepKind.ADD
-        ]
+    broken = os.path.join(repo, "refs", "heads", "broken")
+    # Neither the branch tips nor a ref whose peel fails are memoised.
+    for ref in (None, "broken"):
+        with open(broken, "w") as f:
+            f.write(tree + "\n")
+        with ObjectStore(repo) as store:
+            caches = FollowCaches()
+            with pytest.raises(RepositoryError, match="cannot peel"):
+                follow(store, "a.txt", TrackerConfig(), ref=ref, caches=caches)
+            assert ref not in caches.starts
+            with open(broken, "w") as f:
+                f.write(ids[0] + "\n")
+            steps = follow(store, "a.txt", TrackerConfig(), ref=ref, caches=caches)
+            assert [s.kind for s in steps] == [StepKind.ADD]
 
 
 @pytest.mark.parametrize("copies", [False, True])
