@@ -497,11 +497,12 @@ class CommitGraph:
         commit stepped over left the path as its first parent had it, so
         the commit there has the same file at the path as the one at pos.
         Only positions are followed, each checked as commit checks a
-        parent; no id is decoded."""
+        parent; no id is decoded.  A walk that takes count steps has met
+        some commit twice, and raises (see cycle)."""
         cdat = self._cdat
         first, level = struct.unpack_from(">I4xI", cdat, pos * 36 + 20)
         level >>= 2
-        while True:
+        for _ in range(self.count):
             if first == _PARENT_NONE or not self.rules_out(pos, keys):
                 return pos
             if first >= self.count:
@@ -511,6 +512,15 @@ class CommitGraph:
             if 0 < level < _LEVEL_MAX and parent_level >= level:
                 raise self._not_below(first, pos)
             pos, first, level = first, parent_first, parent_level
+        raise self.cycle(pos)
+
+    def cycle(self, pos: int) -> RepositoryError:
+        """The error for a walk of parents that reached the commit at pos
+        after more steps than the file has commits.  A graph commit's
+        parents are graph commits, so such a walk has gone round a cycle,
+        which the level check misses among commits of level 0 or the
+        capped maximum."""
+        return self._corrupt(f"parents from position {pos} form a cycle")
 
     def rules_out(self, pos: int, keys: list[tuple[int, ...]]) -> bool:
         """Whether the commit's filter lacks one of keys, the bloom_keys of

@@ -850,8 +850,13 @@ class RepoWriter:
         with open(os.path.join(self.path, "config"), "w", encoding="utf-8") as f:
             f.write(config)
 
-    def write_object(self, kind: bytes, payload: bytes) -> str:
-        oid = hash_object(kind, payload)
+    def write_object(self, kind: bytes, payload: bytes, *, oid: str | None = None) -> str:
+        """Append the object unless it was written before; its id.  oid,
+        when given, is the caller's own hash_object(kind, payload) and is
+        trusted: only the converter passes it, for a rendering whose id it
+        needed before the rendering could be written."""
+        if oid is None:
+            oid = hash_object(kind, payload)
         oid_bin = bytes.fromhex(oid)
         if oid_bin not in self._entries:
             if self._closed:

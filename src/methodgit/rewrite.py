@@ -182,12 +182,13 @@ class _TreeConverter:
         _, content = self.store.read(oid)
         walk = self.walks.setdefault(java_name, Walk())
         config = self.config.render
-        rendered: list[bytes] = []
+        rendered: list[tuple[str, bytes]] = []  # (blob id, data)
 
         def emit(decl: Declaration) -> str:
             data = render(decl, config)
-            rendered.append(data)
-            return hash_object(b"blob", data)
+            blob_id = hash_object(b"blob", data)
+            rendered.append((blob_id, data))
+            return blob_id
 
         files = convert_blob(content, self.config, emit, walk)
         result = None
@@ -195,8 +196,8 @@ class _TreeConverter:
             self.stats.files_skipped += 1
         else:
             # Written only now: a blob that fails to convert writes no declaration.
-            for data in rendered:
-                self.writer.write_blob(data)
+            for blob_id, data in rendered:
+                self.writer.write_object(b"blob", data, oid=blob_id)
             result = [(file_name.encode("utf-8"), blob_id) for file_name, blob_id in files]
             self.stats.files_emitted += len(result)
             self.stats.declarations_extracted += len(rendered)

@@ -20,13 +20,15 @@ smaller path wins.
 
 A score is at most min(size)/max(size) of the two files, in bytes or in
 lines by the metric, or 1/1 when both are empty.  So the first parent's
-files are indexed once per tree id and metric, sorted by (size, path), and
-a disappearance bisects to the target's size and walks outward, always on
-the side whose next bound is larger.  It stops at the first bound strictly
-below the best score, and a candidate whose bound only equals it is scored
-only if its path is smaller than the best's.  The winner, its score and its kind are those
-of scoring every candidate in path order, even when the best falls below
-the threshold.  Whether a candidate was deleted is one lookup in the
+files are indexed once per tree id and metric, sorted by (size, path), as
+three parallel columns of sizes, paths and blob ids; every index of one
+FollowCaches shares one string per path.  A disappearance bisects the
+sizes to the target's size and walks outward, always on the side whose
+next bound is larger.  It stops at the first bound strictly below the best
+score, and a candidate whose bound only equals it is scored only if its
+path is smaller than the best's.  The winner, its score and its kind are
+those of scoring every candidate in path order, even when the best falls
+below the threshold.  Whether a candidate was deleted is one lookup in the
 commit's own tree, made only for the candidates visited (with copy
 detection, only for the winner), so that tree is never flattened.  Byte
 sizes come from the object's pack or loose header, as git's rename
@@ -42,7 +44,6 @@ import enum
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .commitgraph import path_keys
 from .errors import TrackError
@@ -176,8 +177,11 @@ class FollowCaches:
 
     trees maps a tree id to its name map (ObjectStore.read_tree); sizes maps
     a blob id, sized or fingerprinted, to its size in bytes; candidates
-    maps (tree id, metric) to every regular file under the tree as (size in
-    the metric's unit, path, blob id), sorted; fingerprints maps a blob id
+    maps (tree id, metric) to every regular file under the tree, sorted by
+    (size in the metric's unit, path), as three parallel tuples (sizes,
+    paths, blob ids); paths maps each path _flatten built to its one
+    string, so the indexes of all trees share a path's string and the
+    caches free it with themselves; fingerprints maps a blob id
     to its Fingerprint; commits maps a commit id to (tree id, parent ids,
     position in the commit-graph or None); keys is commitgraph.path_keys's
     memo of Bloom keys by path; starts maps a ref a follow started from,
@@ -189,6 +193,7 @@ class FollowCaches:
     trees: dict = field(default_factory=dict)
     sizes: dict = field(default_factory=dict)
     candidates: dict = field(default_factory=dict)
+    paths: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
     keys: dict = field(default_factory=dict)
@@ -267,8 +272,10 @@ def _lookup(
 
 def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[str, str]:
     """path -> blob id for every regular file under the tree, built in one
-    pass over the cached name maps; nothing per subtree is kept."""
+    pass over the cached name maps; nothing per subtree is kept.  Each path
+    is the one string caches.paths holds for it."""
     flat = {}
+    share = caches.paths.setdefault
     pending = [("", tree_oid)]
     while pending:
         prefix, oid = pending.pop()
@@ -277,18 +284,19 @@ def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[st
             if mode == TREE_MODE:
                 pending.append((path + "/", sub_oid))
             elif mode in FILE_MODES:
-                flat[path] = sub_oid
+                flat[share(path, path)] = sub_oid
     return flat
 
 
 def _candidates(
     store: ObjectStore, tree_oid: str, metric: Metric, caches: FollowCaches
-) -> list[tuple[int, str, str]]:
-    """(size, path, blob id) for every regular file under the tree, sorted;
-    built once per tree id and metric, not once per disappearance."""
+) -> tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]:
+    """(sizes, paths, blob ids) of every regular file under the tree, sorted
+    by (size, path); built once per tree id and metric, not once per
+    disappearance."""
     key = (tree_oid, metric)
-    items = caches.candidates.get(key)
-    if items is None:
+    columns = caches.candidates.get(key)
+    if columns is None:
         flat = _flatten(store, tree_oid, caches)
         if metric is Metric.LINES:
             items = sorted(
@@ -300,8 +308,8 @@ def _candidates(
             missing = list(dict.fromkeys(oid for oid in flat.values() if oid not in sizes))
             sizes.update(zip(missing, store.sizes(missing)))
             items = sorted((sizes[oid], path, oid) for path, oid in flat.items())
-        caches.candidates[key] = items
-    return items
+        columns = caches.candidates[key] = tuple(zip(*items)) if items else ((), (), ())
+    return columns
 
 
 def _blob_fingerprint(store: ObjectStore, oid: str, caches: FollowCaches) -> Fingerprint:
@@ -368,24 +376,27 @@ def _disappearance(
     target = _blob_fingerprint(store, blob_oid, caches)
     metric = config.metric
     size = target.line_count if metric is Metric.LINES else target.total_bytes
-    files = _candidates(store, parent_tree_oid, metric, caches)
+    sizes, paths, blobs = _candidates(store, parent_tree_oid, metric, caches)
     # Left of `right` every file is smaller than the target, so bounds fall
     # walking away from it on either side.
-    right = bisect_left(files, size, key=itemgetter(0))
+    right = bisect_left(sizes, size)
     left = right - 1
+    end = len(sizes)
     square = size * size
     best: tuple[SimilarityScore, str, str] | None = None  # score, path, blob
     while True:
         # Next is the side with the larger bound, min/max: left's is
-        # files[left][0]/size and right's size/files[right][0].
-        if left >= 0 and (right == len(files) or files[left][0] * files[right][0] > square):
-            old_size, old_path, old_oid = files[left]
+        # sizes[left]/size and right's size/sizes[right].
+        if left >= 0 and (right == end or sizes[left] * sizes[right] > square):
+            i = left
             left -= 1
-        elif right < len(files):
-            old_size, old_path, old_oid = files[right]
+        elif right < end:
+            i = right
             right += 1
         else:
             break
+        old_size = sizes[i]
+        old_path = paths[i]
         if best is not None:
             top = max(old_size, size)
             # Two empty files bound their score by 1/1, at or above any best.
@@ -396,6 +407,7 @@ def _disappearance(
                 continue  # at most a tie, which the smaller path wins
         if not config.detect_copies and _lookup(store, tree_oid, old_path, caches) is not None:
             continue  # retained, and only deleted files are candidates
+        old_oid = blobs[i]
         score = similarity(_blob_fingerprint(store, old_oid, caches), target, metric)
         if best is not None:
             ahead = _ahead(score.numerator, score.denominator, best[0])
@@ -433,10 +445,15 @@ def follow(
     cur_path = path
     blob = _lookup(store, _commit(store, commit_id, caches)[0], cur_path, caches)
     keys = None  # cur_path's Bloom keys, made when a filter is first asked
+    # A valid walk meets each graph commit at most once.
+    graph_steps = graph.count if graph is not None else 0
     steps: list[TrackStep] = []
     while True:
         tree, parents, pos = _commit(store, commit_id, caches)
         if parents and pos is not None:
+            graph_steps -= 1
+            if graph_steps < 0:
+                raise graph.cycle(pos)
             if keys is None:
                 keys = path_keys(cur_path.encode("utf-8", "surrogateescape"), caches.keys)
             stop = graph.skip(pos, keys)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from methodgit import ObjectStore, RepoWriter, TrackerConfig, follow, rewrite_history
+from methodgit.cli import main
 from methodgit.commitgraph import (
     CommitGraph,
     _murmur3_pair,
@@ -558,9 +559,9 @@ def _within(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _follow(repo: str) -> list:
+def _follow(repo: str, path: str = "a.txt") -> list:
     with ObjectStore(repo) as store:
-        return follow(store, "a.txt", TrackerConfig(), caches=FollowCaches())
+        return follow(store, path, TrackerConfig(), caches=FollowCaches())
 
 
 def test_a_first_parent_cycle_raises_instead_of_looping(three_commits):
@@ -581,6 +582,33 @@ def test_a_first_parent_cycle_raises_instead_of_looping(three_commits):
             CommitGraph(bad, "bad").commit(middle)
         with pytest.raises(RepositoryError, match="corrupt commit-graph"):
             _follow(repo)
+
+
+@pytest.mark.parametrize("level", [0, 0x3FFFFFFF], ids=["no levels", "capped"])
+def test_a_cycle_the_level_check_misses_still_raises(three_commits, capsys, level):
+    repo, ids, data = three_commits
+    graph = CommitGraph(data, "good")
+    _, middle, tip = (graph.position(oid) for oid in ids)
+    # The cycle of test_a_first_parent_cycle_raises_instead_of_looping,
+    # among commits whose levels are exempt from the parent-level check.
+    bad = _cdat_levels(_cdat_slot(data, middle, 0, tip), level)
+    cyclic = CommitGraph(bad, "bad")
+    assert cyclic.commit(middle)[1] == [ids[2]]
+    with open(graph_path(repo), "wb") as f:
+        f.write(bad)
+    with _within(10):
+        # a.txt never changes, so the skip goes round; b.txt changes in
+        # every commit, so follow's own steps do.
+        with pytest.raises(RepositoryError, match="corrupt commit-graph bad: .* form a cycle"):
+            cyclic.skip(tip, path_keys(b"a.txt"))
+        for path in ("a.txt", "b.txt"):
+            with pytest.raises(RepositoryError, match="corrupt commit-graph .* form a cycle"):
+                _follow(repo, path)
+        code = main(["track", "--repo", repo, "--path", "b.txt", "-M", "50"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: corrupt commit-graph")
+    assert "Traceback" not in err
 
 
 def test_levels_zero_or_capped_are_not_checked(three_commits):

@@ -544,8 +544,8 @@ def test_git_lists_exactly_the_written_objects_undeltified(person_repo, tmp_path
     written = set()
     original = RepoWriter.write_object
 
-    def recording(self, kind, payload):
-        oid = original(self, kind, payload)
+    def recording(self, kind, payload, **known):
+        oid = original(self, kind, payload, **known)
         written.add(oid)
         return oid
 

@@ -741,6 +741,32 @@ def test_a_blob_that_fails_to_render_writes_no_object(tmp_path):
         assert not store.contains(hash_object(b"blob", g[1]))
 
 
+def test_each_rendering_is_hashed_once(tmp_path, monkeypatch):
+    src = str(tmp_path / "src.git")
+    generate_java_repo(src, n_commits=10, n_files=5, seed=5)
+    rendered: list[bytes] = []
+    hashed: Counter = Counter()
+    real_render = methodgit.rewrite.render
+
+    def recorded(decl, config):
+        data = real_render(decl, config)
+        rendered.append(data)
+        return data
+
+    def counted(kind, payload):
+        hashed[kind, payload] += 1
+        return hash_object(kind, payload)
+
+    monkeypatch.setattr(methodgit.rewrite, "render", recorded)
+    for module in ("methodgit.rewrite", "methodgit.gitstore"):
+        monkeypatch.setattr(import_module(module), "hash_object", counted)
+    stats = rewrite_history(src, str(tmp_path / "dst.git"))
+    monkeypatch.undo()
+    assert len(rendered) == stats.declarations_extracted > 0
+    # The id emit computes is the one the writer appends the rendering under.
+    assert sum(hashed[b"blob", data] for data in set(rendered)) == len(rendered)
+
+
 def pack_order_ids(dst: str) -> bytes:
     """The ids of the conversion's one pack, in the order they were
     written: the version 2 index's ids sorted by their offset."""

@@ -35,6 +35,7 @@ from methodgit.tracking import (
     PathNotFound,
     SimilarityScore,
     StepKind,
+    _candidates,
     _disappearance,
     _flatten,
     _lookup,
@@ -42,6 +43,7 @@ from methodgit.tracking import (
     steps_to_tsv,
 )
 
+from brute import _flatten as brute_flatten
 from brute import brute_follow, brute_similarity, fraction, split_fingerprint
 from conftest import AUTHOR, build_linear_repo, sim, write_commit_graph, write_tree_dict
 from repogen import generate_java_repo, generate_text_repo
@@ -795,6 +797,41 @@ def test_size_ordered_search_equals_a_full_scan_in_path_order(parent, retained, 
                         got = (winner.old_path, winner.score, winner.kind,
                                store.read(winner.blob)[1])
                     assert got == _full_scan(parent, current, target, config), config
+
+
+# An empty tree, one whose files all have one size in bytes and in lines,
+# and one of mixed sizes that shares a/c.txt with the second.
+_INDEXED = [
+    {},
+    {"b.txt": b"xx\n", "a/c.txt": b"yy\n", "d.txt": b"zz\n", "a/a.txt": b"ww\n"},
+    {"a/c.txt": b"yy\n", "e.txt": b"1\n2\n3\n", "f.txt": b"", "g.txt": b"a longer line\n",
+     "h/i.txt": b"1\n2\n3\n", "j.txt": b"no newline"},
+]
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_candidates_are_the_columns_of_the_sorted_files(tmp_path, metric):
+    repo = str(tmp_path / "r.git")
+    ids = build_linear_repo(repo, _INDEXED)
+    with ObjectStore(repo) as store:
+        trees = [store.read_commit(cid).tree for cid in ids]
+        caches = FollowCaches()
+        for tree in trees:
+            flat = brute_flatten(store, tree)
+            if metric is Metric.LINES:
+                sizes = [split_fingerprint(store.read(oid)[1]).line_count
+                         for oid in flat.values()]
+            else:
+                sizes = store.sizes(list(flat.values()))
+            expected = sorted(zip(sizes, flat, flat.values()))
+            columns = _candidates(store, tree, metric, caches)
+            assert columns == (tuple(zip(*expected)) if expected else ((), (), ()))
+            assert _candidates(store, tree, metric, caches) is columns
+        # Two indexes hold the one string of the path their trees share.
+        (_, first, _), (_, second, _) = (
+            _candidates(store, tree, metric, caches) for tree in trees[1:]
+        )
+        assert first[first.index("a/c.txt")] is second[second.index("a/c.txt")]
 
 
 @pytest.mark.parametrize("shadow", ["symlink", "directory"])
