@@ -1,6 +1,11 @@
 """Minimal git object database access: loose and packed object reading, and
 pack and ref writing for building a destination repository.
 
+Each pack is read from its own file alone: a delta's base, named by
+offset (OFS_DELTA) or by id (REF_DELTA), must lie in the delta's own
+pack, as git requires (packfile.c, get_delta_base), and one that does not
+makes the delta corrupt.
+
 Only what the history rewriter and tracker need is implemented: blobs,
 trees, commits, and annotated tags, plus refs and HEAD.
 
@@ -135,12 +140,13 @@ class _PackFile:
             return big
         return raw
 
-    def _entry_header(self, offset: int) -> tuple[int, int, int, int | bytes]:
+    def _entry_header(self, offset: int) -> tuple[int, int, int, int]:
         """(type, size, data position, base) of the pack entry at offset:
         the type and 4 size bits in the first byte, then the rest of the
-        size as in a delta's sizes.  base is an OFS_DELTA's base offset, a
-        REF_DELTA's base id (short if the pack ends inside it), or 0 for a
-        whole object."""
+        size as in a delta's sizes.  base is a delta's base offset, or 0
+        for a whole object.  A REF_DELTA's base id is looked up in this
+        pack, as git requires; an id that the pack does not list, or that
+        the end of the pack cuts off, raises ValueError."""
         data = self._map
         byte = data[offset]
         obj_type = (byte >> 4) & 0x7
@@ -163,7 +169,11 @@ class _PackFile:
                 raise ValueError(f"delta base offset {rel} out of range")
             return obj_type, size, pos, offset - rel
         if obj_type == 7:  # REF_DELTA
-            return obj_type, size, pos + 20, data[pos : pos + 20]
+            base_id = data[pos : pos + 20]
+            base = self.find(base_id) if len(base_id) == 20 else None
+            if base is None:
+                raise ValueError(f"delta base {base_id.hex()} is not in the pack")
+            return obj_type, size, pos + 20, base
         raise ValueError(f"unknown pack object type {obj_type}")
 
     def _inflate(self, pos: int, expected: int) -> bytes:
@@ -220,19 +230,20 @@ class _PackFile:
         _, head_pos = _delta_size(head, 0)
         return _delta_size(head, head_pos)[0]
 
-    def read_at(self, offset: int, store: "ObjectStore") -> tuple[int, bytes]:
+    def read_at(self, offset: int) -> tuple[int, bytes]:
         """(git object type number, payload) for the object at offset.
 
-        A delta chain is followed in a loop down to a whole object, to a
-        cached delta base, or to a REF_DELTA base that is not in this pack,
-        and its deltas are then applied oldest first, so a chain's depth
-        costs no stack.  Each base that the deltas were applied to, and that
-        lies in this pack, is then cached, as git's unpack_entry does; the
-        result itself is not.  A read that fails caches nothing.
+        A delta chain is followed by base offset, for either kind of delta,
+        in a loop down to a whole object or to a cached delta base; every
+        base lies in this pack (see _entry_header).  Its deltas are then
+        applied oldest first, so a chain's depth costs no stack.  Each base
+        that the deltas were applied to is then cached, as git's
+        unpack_entry does; the result itself is not.  A read that fails
+        caches nothing.
         """
         bases = self._bases
         deltas: list[tuple[int, int, int]] = []  # (offset, data position, size), newest first
-        base_offset = None  # the base's offset, if it is to be cached
+        base_offset = None  # the base's offset, unless it is cached already
         while True:
             cached = bases.get(offset)
             if cached is not None:
@@ -251,20 +262,7 @@ class _PackFile:
             if len(deltas) >= self.count:
                 raise ValueError("delta chain longer than the pack")
             deltas.append((offset, pos, size))
-            if obj_type == 6:  # OFS_DELTA
-                offset = base_at
-                continue
-            found = self.find(base_at)
-            if found is not None:
-                offset = found
-                continue
-            if len(base_at) < 20:
-                raise ValueError("delta base id cut off by the end of the pack")
-            kind, base = store._read_base(base_at.hex())
-            base_type = _TYPE_NUMBERS.get(kind)
-            if base_type is None:
-                raise ValueError(f"delta base {base_at.hex()} has unknown type {kind!r}")
-            break
+            offset = base_at
         used = []  # (offset, payload) of each base to cache, oldest first
         for offset, pos, size in reversed(deltas):
             if base_offset is not None:
@@ -351,7 +349,6 @@ def _loose_header(raw: bytes) -> tuple[str, int, int]:
 _CORRUPT = (zlib.error, struct.error, IndexError, ValueError)
 
 _TYPE_NAMES = {1: "commit", 2: "tree", 3: "blob", 4: "tag"}
-_TYPE_NUMBERS = {name: num for num, name in _TYPE_NAMES.items()}
 _PACK_TYPES = {name.encode(): num for num, name in _TYPE_NAMES.items()}
 
 
@@ -384,7 +381,6 @@ class ObjectStore:
         except FileNotFoundError:
             pass
         self._packs: list[_PackFile] | None = None
-        self._base_reads: set[str] = set()
         self._graph_loaded = False
         self._graph = None
 
@@ -466,7 +462,7 @@ class ObjectStore:
             packed = self._find_packed(oid)
             if packed is not None:
                 pack, offset = packed
-                type_num, payload = pack.read_at(offset, self)
+                type_num, payload = pack.read_at(offset)
                 return _TYPE_NAMES[type_num], payload
             raw = zlib.decompress(self._read_loose(oid))
             kind, size, start = _loose_header(raw)
@@ -475,17 +471,6 @@ class ObjectStore:
             return kind, raw[start:]
         except _CORRUPT as exc:
             raise RepositoryError(f"corrupt object {oid}: {exc}") from exc
-
-    def _read_base(self, oid: str) -> tuple[str, bytes]:
-        """read(oid) for a REF_DELTA base from outside the delta's pack; a
-        base already being read closes a cycle of deltas across packs."""
-        if oid in self._base_reads:
-            raise ValueError(f"delta cycle through base {oid}")
-        self._base_reads.add(oid)
-        try:
-            return self.read(oid)
-        finally:
-            self._base_reads.discard(oid)
 
     def sizes(self, oids: list[str]) -> list[int]:
         """Each object's payload length, in order, without inflating the

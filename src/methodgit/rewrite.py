@@ -372,8 +372,7 @@ def _rewrite(
     progress: Callable[[int, int], None] | None,
 ) -> ConversionStats:
     stats = ConversionStats()
-    commit_map: dict[str, str] = {}
-    map_lines: list[str] = []
+    commit_map: dict[str, str] = {}  # in processing order
     with RepoWriter(dst_path) as writer:
         writer.init_bare()
         order = _topo_order(store, list(refs.values()))
@@ -392,7 +391,6 @@ def _rewrite(
             )
             graph.add(new_id, new_tree, new_parents, record.committer)
             commit_map[record.id] = new_id
-            map_lines.append(f"{record.id}\t{new_id}")
             if progress is not None and (i + 1) % 100 == 0:
                 progress(i + 1, len(order))
     stats.commits_processed = len(order)
@@ -413,6 +411,6 @@ def _rewrite(
         writer.set_head(head_ref)
 
     with open(os.path.join(writer.path, "commit-map.tsv"), "w", encoding="utf-8") as f:
-        for line in map_lines:
-            f.write(line + "\n")
+        for old_id, new_id in commit_map.items():
+            f.write(f"{old_id}\t{new_id}\n")
     return stats

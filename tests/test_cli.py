@@ -118,6 +118,16 @@ def test_convert_stats_count_reused_declarations(tmp_path, capsys):
     assert payload["declarations_reused"] == 1
 
 
+def test_convert_reports_progress_on_stderr_and_only_stats_on_stdout(tmp_path, capsys):
+    src = str(tmp_path / "src.git")
+    build_linear_repo(src, [{"A.java": b"class A { int f() { return %d; } }\n" % i}
+                            for i in range(100)])
+    code, out, err = run(capsys, "convert", "--src", src, "--dst", str(tmp_path / "dst.git"))
+    assert code == 0
+    assert err == "100/100 commits\n"
+    assert json.loads(out)["commits_processed"] == 100
+
+
 def test_convert_refuses_non_empty_dst(person_repo, tmp_path, capsys):
     dst = tmp_path / "busy"
     dst.mkdir()
@@ -371,12 +381,13 @@ def test_evaluate_malformed_oracle_fails(metrics_repo_cli, tmp_path, capsys):
 def test_evaluate_threshold_list_validation(metrics_repo_cli, tmp_path, capsys):
     repo, expected = metrics_repo_cli
     oracle = write_oracle(tmp_path, expected)
-    code, _out, err = run(
-        capsys,
-        "evaluate", "--repo", repo, "--oracle", oracle, "--thresholds", "50,140",
-    )
-    assert code == 2
-    assert "threshold" in err
+    for thresholds in ("50,140", ","):
+        code, _out, err = run(
+            capsys,
+            "evaluate", "--repo", repo, "--oracle", oracle, "--thresholds", thresholds,
+        )
+        assert code == 2
+        assert "threshold" in err
 
 
 def test_compare_uses_55_25_defaults(metrics_repo_cli, tmp_path, capsys):
@@ -399,15 +410,17 @@ def test_compare_uses_55_25_defaults(metrics_repo_cli, tmp_path, capsys):
 
 
 def test_compare_unmapped_pair_fails(metrics_repo_cli, tmp_path, capsys):
-    repo, _expected = metrics_repo_cli
+    repo, expected = metrics_repo_cli
     pairs = tmp_path / "pairs.tsv"
-    pairs.write_text("ghost.mjava\tghost.mjava\n")
-    code, _out, err = run(
-        capsys,
-        "compare", "--repo-a", repo, "--repo-b", repo, "--pairs", str(pairs),
-    )
-    assert code == 1
-    assert "error:" in err
+    known = min(expected)
+    for line, side in (("ghost.mjava\tghost.mjava", "A"), (f"{known}\tghost.mjava", "B")):
+        pairs.write_text(line + "\n")
+        code, out, err = run(
+            capsys,
+            "compare", "--repo-a", repo, "--repo-b", repo, "--pairs", str(pairs),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot track ghost.mjava in repo {side}: ")
 
 
 @pytest.mark.skipif(
@@ -587,6 +600,54 @@ def test_convert_tree_with_a_duplicate_name_fails_without_traceback(tmp_path):
     assert result.returncode == 1
     assert f"corrupt tree {tree}: duplicate tree entry name" in result.stderr
     assert "Traceback" not in result.stderr
+    assert sorted(os.listdir(tmp_path)) == ["src.git"]
+
+
+@pytest.mark.parametrize("case", ["parent-is-a-blob", "tree-is-a-blob", "parent-cycle",
+                                  "tag-cycle", "ref-not-found", "commit-graph-directory"])
+def test_objects_and_refs_of_the_wrong_kind_fail_without_traceback(tmp_path, capsys, case):
+    src = str(tmp_path / "src.git")
+    stamp = AUTHOR % 1700000000
+    argv = ["convert", "--src", src, "--dst", str(tmp_path / "dst.git")]
+    with RepoWriter(src) as writer:
+        writer.init_bare()
+        blob = writer.write_blob(PERSON_JAVA.encode())
+        tree = writer.write_tree({b"Person.java": (b"100644", blob)})
+        commit = writer.write_commit(tree=blob if case == "tree-is-a-blob" else tree,
+                                     parents=[blob] if case == "parent-is-a-blob" else [],
+                                     author=stamp, committer=stamp, message=b"m\n")
+    refs = {"refs/heads/master": commit}
+    message = {"parent-is-a-blob": f"not a commit: {blob}",
+               "tree-is-a-blob": f"not a tree: {blob}",
+               "ref-not-found": "ref not found: nosuch"}.get(case)
+    if case == "parent-cycle":
+        # Two loose commits, each stored under the id the other names.
+        one, two = "1" * 40, "2" * 40
+        for oid, parent in ((one, two), (two, one)):
+            write_files(src, {f"objects/{oid[:2]}/{oid[2:]}": _loose(
+                b"commit", b"tree %s\nparent %s\nauthor %s\ncommitter %s\n\nm\n"
+                % (tree.encode(), parent.encode(), stamp, stamp))})
+        refs["refs/heads/master"] = one
+        message = "commit graph contains a cycle"
+    elif case == "tag-cycle":
+        # A loose tag stored under the id that it names.
+        loop = "3" * 40
+        write_files(src, {f"objects/{loop[:2]}/{loop[2:]}": _loose(
+            b"tag", b"object %s\ntype tag\ntag loop\ntagger %s\n\nloop\n"
+            % (loop.encode(), stamp))})
+        refs["refs/tags/loop"] = loop
+        message = f"tag cycle at {loop}"
+    elif case == "ref-not-found":
+        argv += ["--ref", "nosuch"]
+    elif case == "commit-graph-directory":
+        os.mkdir(os.path.join(src, "objects", "info", "commit-graph"))
+        argv = ["track", "--repo", src, "--path", "Person.java", "-M", "50"]
+        message = f"cannot read commit-graph {os.path.join(src, 'objects', 'info', 'commit-graph')}"
+    writer.write_refs(refs)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["src.git"]
 
 

@@ -7,6 +7,7 @@ Tests marked requires_git cross-check against the real git binary.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import signal
 import struct
@@ -399,33 +400,50 @@ def _with_chunk(data: bytes, cid: bytes, edit) -> bytes:
     return assemble([(c, edit(d) if c == cid else d) for c, d in chunks_of(data)])
 
 
-def _corrupt_files(data: bytes, count: int) -> dict[str, bytes]:
+def _corrupt_files(data: bytes, count: int) -> dict[str, tuple[bytes, str]]:
+    """{what: (file, the start of the message it raises)}."""
     body = data[:-20]
     flipped = bytes([body[100] ^ 1])
     oidf = dict(chunks_of(data))[b"OIDF"]
     bigger = struct.pack(">256I", *[min(n + 1, count + 1) if i == 255 else n
                                     for i, n in enumerate(struct.unpack(">256I", oidf))])
     table_end = data[:6] + bytes((200,)) + data[7:-20]
+    chunks = chunks_of(data)
     return {
-        "truncated": data[:30],
-        "cut": data[:-1],
-        "bad checksum": body[:100] + flipped + body[101:] + data[-20:],
-        "chunk table out of bounds": table_end + sha1(table_end).digest(),
-        "chunk past the end": data[:16] + struct.pack(">Q", len(data)) + data[24:-20]
-        + sha1(data[:16] + struct.pack(">Q", len(data)) + data[24:-20]).digest(),
-        "OIDL size": _with_chunk(data, b"OIDL", lambda d: d + b"\0" * 20),
-        "CDAT size": _with_chunk(data, b"CDAT", lambda d: d[:-36]),
-        "BIDX size": _with_chunk(data, b"BIDX", lambda d: d + b"\0" * 4),
-        "fanout count": _with_chunk(data, b"OIDF", lambda d: bigger),
-        "no CDAT": assemble([(c, d) for c, d in chunks_of(data) if c != b"CDAT"]),
+        "truncated": (data[:30], "truncated"),
+        "cut": (data[:-1], "checksum mismatch"),
+        "bad checksum": (body[:100] + flipped + body[101:] + data[-20:], "checksum mismatch"),
+        "chunk table out of bounds": (table_end + sha1(table_end).digest(),
+                                      "chunk table out of bounds"),
+        "chunk past the end": (
+            data[:16] + struct.pack(">Q", len(data)) + data[24:-20]
+            + sha1(data[:16] + struct.pack(">Q", len(data)) + data[24:-20]).digest(),
+            "chunk table out of bounds",
+        ),
+        "duplicate chunk": (assemble(chunks + chunks[:1]), f"duplicate chunk {chunks[0][0]!r}"),
+        "OIDF size": (_with_chunk(data, b"OIDF", lambda d: d[:-4]), "OIDF chunk size"),
+        "OIDL size": (_with_chunk(data, b"OIDL", lambda d: d + b"\0" * 20),
+                      f"OIDL chunk size for {count} commits"),
+        "CDAT size": (_with_chunk(data, b"CDAT", lambda d: d[:-36]),
+                      f"CDAT chunk size for {count} commits"),
+        "BIDX size": (_with_chunk(data, b"BIDX", lambda d: d + b"\0" * 4),
+                      f"BIDX chunk size for {count} commits"),
+        "EDGE size": (assemble(chunks + [(b"EDGE", b"\0" * 6)]), "EDGE chunk size"),
+        "GDO2 size": (assemble(chunks + [(b"GDO2", b"\0" * 12)]), "GDO2 chunk size"),
+        "BDAT header": (_with_chunk(data, b"BDAT", lambda d: d[:11]), "BDAT chunk size"),
+        "fanout count": (_with_chunk(data, b"OIDF", lambda d: bigger),
+                         f"OIDL chunk size for {count + 1} commits"),
+        "no CDAT": (assemble([(c, d) for c, d in chunks if c != b"CDAT"]),
+                    "missing a required chunk"),
     }
 
 
 def test_a_corrupt_file_raises_on_load(merge_graph, tmp_path):
     _, data = merge_graph
     count = len(dict(chunks_of(data))[b"OIDL"]) // 20
-    for what, bad in _corrupt_files(data, count).items():
-        with pytest.raises(RepositoryError, match="corrupt commit-graph"):
+    for what, (bad, message) in _corrupt_files(data, count).items():
+        with pytest.raises(RepositoryError,
+                           match=re.escape(f"corrupt commit-graph {what}: {message}")):
             CommitGraph(bad, what)
 
 
@@ -444,20 +462,27 @@ def test_positions_and_filters_out_of_range_raise_when_read(merge_graph):
     count = len(dict(chunks_of(data))[b"OIDL"]) // 20
     parents = lambda graph: graph.commit(pos)  # noqa: E731
     bad = {
-        "parent": (_cdat_slot(data, pos, 0, count), parents),
-        "second parent": (_cdat_slot(data, pos, 1, count + 3), parents),
-        "EDGE index": (_cdat_slot(data, pos, 1, 0x80000000 | 5), parents),
+        "parent": (_cdat_slot(data, pos, 0, count), parents,
+                   f"parent position {count} out of range"),
+        "second parent": (_cdat_slot(data, pos, 1, count + 3), parents,
+                          f"parent position {count + 3} out of range"),
+        "second parent without a first": (_cdat_slot(data, pos, 0, 0x70000000), parents,
+                                          "second parent without a first"),
+        "EDGE index": (_cdat_slot(data, pos, 1, 0x80000000 | 5), parents,
+                       "EDGE index 5 out of range"),
         "BIDX offset": (
             _with_chunk(
                 data, b"BIDX",
                 lambda d: d[: 4 * pos] + struct.pack(">I", 10**6) + d[4 * pos + 4 :],
             ),
             lambda graph: graph.rules_out(pos, path_keys(b"x")),
+            "Bloom filter ",
         ),
     }
-    for what, (file, read) in bad.items():
+    for what, (file, read, message) in bad.items():
         graph = CommitGraph(file, what)  # the file itself loads
-        with pytest.raises(RepositoryError, match="corrupt commit-graph"):
+        with pytest.raises(RepositoryError,
+                           match=re.escape(f"corrupt commit-graph {what}: {message}")):
             read(graph)
 
 

@@ -9,6 +9,7 @@ import glob
 import hashlib
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import methodgit.gitstore
 from methodgit import ObjectStore, RepoWriter
+from methodgit.cli import main
 from methodgit.commitgraph import commit_date
 from methodgit.errors import RepositoryError
 from methodgit.gitstore import (
@@ -251,8 +253,8 @@ def test_delta_cycles_raise_repository_error(tmp_path):
         for oid in (a, c):
             with pytest.raises(RepositoryError, match=f"corrupt object {oid.hex()}"):
                 store.read(oid.hex())
-    # The same cycle split over two packs: each pack reads the other's
-    # object as its base.
+    # The same cycle split over two packs: each delta names a base that
+    # is not in its own pack.
     split = tmp_path / "split.git"
     _write_pack(split, "pack-x", [(a, body_a)])
     _write_pack(split, "pack-y", [(b, body_b)])
@@ -260,7 +262,6 @@ def test_delta_cycles_raise_repository_error(tmp_path):
         for oid in (a, b, a):
             with pytest.raises(RepositoryError, match=f"corrupt object {oid.hex()}"):
                 store.read(oid.hex())
-        assert store._base_reads == set()
 
 
 def test_parse_commit_skips_signature_lines():
@@ -521,6 +522,22 @@ def test_an_unreadable_pack_fails_every_read_alike(tmp_path):
             messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "cannot open pack" in messages[0] and "pack-0000.pack" in messages[0]
+    # So does an index of a version other than 2: here version 1, which
+    # has no header and starts with its fanout table.
+    for name in ("pack-0000.pack", "pack-0000.idx"):
+        os.remove(os.path.join(repo, "objects", "pack", name))
+    (idx,) = glob.glob(os.path.join(repo, "objects", "pack", "*.idx"))
+    os.chmod(idx, 0o644)
+    with open(idx, "r+b") as f:
+        fanout = f.read()[8 : 8 + 1024]
+        f.seek(0)
+        f.truncate()
+        f.write(fanout)
+    with ObjectStore(repo) as store:
+        for _ in range(2):
+            with pytest.raises(RepositoryError, match=f"cannot open pack .*: unsupported pack "
+                               f"index: {re.escape(idx)}"):
+                store.read(head)
 
 
 def test_discover_rejects_non_repo(tmp_path):
@@ -746,8 +763,13 @@ def test_delta_base_cache_stays_within_its_budget(chain_repo, monkeypatch, share
             assert hash_object(kind.encode(), payload) == oid
 
 
-@pytest.mark.parametrize("damage", ["opcode", "zlib"])
-def test_corrupt_delta_on_a_cached_base_raises_and_caches_nothing(tmp_path, damage):
+@pytest.mark.parametrize("damage, message", [
+    ("opcode", "invalid delta opcode"),
+    ("zlib", "Error -3 while decompressing data"),
+    ("base size", "delta base size mismatch"),
+    ("result size", "delta result size mismatch"),
+], ids=["opcode", "zlib", "base size", "result size"])
+def test_corrupt_delta_on_a_cached_base_raises_and_caches_nothing(tmp_path, damage, message):
     # w is whole; one is an OFS_DELTA on w, and two and three are damaged
     # OFS_DELTAs on w and on one.  Reading one caches w.
     w = b"base line\n" * 40
@@ -759,6 +781,12 @@ def test_corrupt_delta_on_a_cached_base_raises_and_caches_nothing(tmp_path, dama
             return len(delta), zlib.compress(delta)
         if damage == "opcode":
             delta = delta[: -len(suffix) - 1] + b"\x00"
+            return len(delta), zlib.compress(delta)
+        if damage in ("base size", "result size"):
+            src, dst = len(base), len(base) + len(suffix)
+            ops = delta[len(_varint(src) + _varint(dst)) :]
+            wrong = damage == "base size"
+            delta = _varint(src + wrong) + _varint(dst + (not wrong)) + ops
             return len(delta), zlib.compress(delta)
         stream = bytearray(zlib.compress(delta))
         stream[-1] ^= 1  # the Adler-32 check
@@ -789,7 +817,7 @@ def test_corrupt_delta_on_a_cached_base_raises_and_caches_nothing(tmp_path, dama
         assert list(packfile._bases) == [offsets[w]]
         for bad in (two, three):
             oid = hash_object(b"blob", bad)
-            with pytest.raises(RepositoryError, match=f"corrupt object {oid}"):
+            with pytest.raises(RepositoryError, match=f"corrupt object {oid}: {message}"):
                 store.read(oid)
             # three's read applied one's delta before it failed; neither
             # read cached anything.
@@ -916,10 +944,10 @@ def test_truncated_pack_raises_repository_error(tmp_path):
     assert failed > 0
 
 
-def _ref_delta_outside_the_pack(tmp_path):
-    """A bare repository with two blobs, one a REF_DELTA against the other,
-    in a pack whose index lists only the delta, and no loose objects; so
-    the delta's base is found in no pack.  (repo, delta id, base id)."""
+def _ref_delta_pack(tmp_path):
+    """A bare repository whose one pack, as git pack-objects
+    --no-delta-base-offset writes it, holds two blobs, one a REF_DELTA
+    against the other, and no loose objects.  (repo, delta id, base id)."""
     repo = tmp_path / "r.git"
     git("init", "-q", "--bare", str(repo), cwd=str(tmp_path))
     base = "\n".join(f"line {i} of the payload" for i in range(400)) + "\n"
@@ -933,6 +961,7 @@ def _ref_delta_outside_the_pack(tmp_path):
         cwd=str(repo), input="".join(oid + "\n" for oid in oids),
         check=True, capture_output=True, text=True,
     )
+    git("prune-packed", cwd=str(repo))
     (idx,) = (repo / "objects" / "pack").glob("*.idx")
     # verify-pack -v: id, type, size, packed size, offset, depth, base id
     listing = git("verify-pack", "-v", str(idx), cwd=str(repo))
@@ -941,47 +970,86 @@ def _ref_delta_outside_the_pack(tmp_path):
         for fields in map(str.split, listing.splitlines())
         if len(fields) == 7
     )
-    for oid in oids:
-        os.remove(repo / "objects" / oid[:2] / oid[2:])
+    return repo, delta, delta_base
+
+
+def _ref_delta_outside_the_pack(tmp_path):
+    """_ref_delta_pack with its pack replaced by one that holds only the
+    delta's entry, so the delta's base is in no pack.  (repo, delta id,
+    base id)."""
+    repo, delta, delta_base = _ref_delta_pack(tmp_path)
     with ObjectStore(str(repo)) as store:
         kind, payload = store.read(delta)
         assert hash_object(kind.encode(), payload) == delta
-
     (pack,) = (repo / "objects" / "pack").glob("*.pack")
-    data = pack.read_bytes()
-    fields = next(f for f in map(str.split, listing.splitlines()) if f and f[0] == delta)
+    (idx,) = (repo / "objects" / "pack").glob("*.idx")
+    # verify-pack -v: id, type, size, packed size, offset, depth, base id
+    fields = next(f for f in map(str.split, git("verify-pack", "-v", str(idx), cwd=str(repo))
+                                 .splitlines()) if f and f[0] == delta)
     size, offset = int(fields[3]), int(fields[4])
-    only_delta = {bytes.fromhex(delta): (offset, zlib.crc32(data[offset : offset + size]))}
-    os.chmod(idx, 0o644)
-    idx.write_bytes(_pack_index(only_delta, data[-20:]))
-    (repo / "objects" / delta_base[:2]).mkdir(exist_ok=True)
+    entry = pack.read_bytes()[offset : offset + size]
+    for path in (repo / "objects" / "pack").iterdir():
+        path.unlink()
+    _write_pack(repo, "pack-delta", [(bytes.fromhex(delta), entry)])
     return repo, delta, delta_base
 
 
 @requires_git
-def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
+def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, capsys):
+    # Git requires a REF_DELTA's base to be in the delta's own pack
+    # (packfile.c, get_delta_base), so a base found only outside it, as a
+    # loose object of any type or in another pack, leaves the delta
+    # unreadable, and so does no base at all.
     repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
-    # The base is found only as a loose object, of a type that no pack
-    # object can have.
-    (repo / "objects" / delta_base[:2] / delta_base[2:]).write_bytes(
-        zlib.compress(b"bogus 3\x00abc")
-    )
-    with ObjectStore(str(repo)) as store:
-        with pytest.raises(RepositoryError, match=f"corrupt object {delta}"):
-            store.read(delta)
+    loose = repo / "objects" / delta_base[:2] / delta_base[2:]
+    (base,) = [path for path in (tmp_path / "a", tmp_path / "b")
+               if hash_object(b"blob", path.read_bytes()) == delta_base]
 
+    def base_nowhere():
+        pass
 
-@requires_git
-def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, monkeypatch):
-    repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
-    git("hash-object", "-w", str(tmp_path / "a"), str(tmp_path / "b"), cwd=str(repo))
-    with ObjectStore(str(repo)) as store:
-        kind, payload = store.read(delta)
-        assert hash_object(kind.encode(), payload) == delta
-    monkeypatch.setattr(_PackFile, "_inflate", _fail_if_called)
-    monkeypatch.setattr(ObjectStore, "read", _fail_if_called)
-    with ObjectStore(str(repo)) as store:
-        assert store.sizes([delta]) == [len(payload)]
+    def base_loose():
+        git("hash-object", "-w", str(base), cwd=str(repo))
+
+    def base_loose_of_an_unknown_type():
+        os.chmod(loose, 0o644)
+        loose.write_bytes(zlib.compress(b"bogus 3\x00abc"))
+
+    def base_in_another_pack():
+        loose.unlink()
+        base_loose()
+        subprocess.run(["git", "pack-objects", "-q", "objects/pack/pack"], cwd=str(repo),
+                       input=delta_base + "\n", check=True, capture_output=True, text=True)
+        git("prune-packed", cwd=str(repo))
+        assert not loose.exists()
+
+    message = f"corrupt object {delta}: delta base {delta_base} is not in the pack"
+    for place in (base_nowhere, base_loose, base_loose_of_an_unknown_type, base_in_another_pack):
+        place()
+        with ObjectStore(str(repo)) as store:
+            for method in (lambda oid: store.sizes([oid]), store.read):
+                with pytest.raises(RepositoryError, match=message):
+                    method(delta)
+            assert not store.contains(delta)
+            if place is base_in_another_pack:
+                assert store.read(delta_base)[0] == "blob"
+        fsck = subprocess.run(["git", "fsck"], cwd=str(repo), capture_output=True, text=True)
+        assert fsck.returncode != 0, place.__name__
+        assert "failed to validate delta base reference" in fsck.stderr, place.__name__
+    # A history that holds the delta as a file does not convert.
+    tree = b"100644 A.java\x00" + bytes.fromhex(delta)
+    stamp = AUTHOR % 1700000000
+    commit = b"tree %s\nauthor %s\ncommitter %s\n\nm\n" % (
+        hash_object(b"tree", tree).encode(), stamp, stamp)
+    for kind, payload in ((b"tree", tree), (b"commit", commit)):
+        _write_loose(str(repo), hash_object(kind, payload),
+                     zlib.compress(b"%s %d\x00" % (kind, len(payload)) + payload))
+    (repo / "refs" / "heads" / "master").write_text(hash_object(b"commit", commit) + "\n")
+    dst = tmp_path / "dst.git"
+    assert main(["convert", "--src", str(repo), "--dst", str(dst)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not dst.exists()
 
 
 def _sized_objects(tmp_path, kind: str) -> tuple[str, list[str]]:
@@ -1000,13 +1068,8 @@ def _sized_objects(tmp_path, kind: str) -> tuple[str, list[str]]:
         repo = _delta_chain_repo(tmp_path, "--delta-base-offset")
         with ObjectStore(str(repo)) as store:
             return str(repo), _pack_ids(store)
-    # A REF_DELTA whose base is a whole object in a second pack.
-    repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
-    git("hash-object", "-w", str(tmp_path / "a"), str(tmp_path / "b"), cwd=str(repo))
-    subprocess.run(["git", "pack-objects", "-q", "objects/pack/pack"], cwd=str(repo),
-                   input=delta_base + "\n", check=True, capture_output=True, text=True)
-    git("prune-packed", cwd=str(repo))
-    assert not (repo / "objects" / delta_base[:2] / delta_base[2:]).exists()
+    # A REF_DELTA and its base, in the pack as git wrote it.
+    repo, delta, delta_base = _ref_delta_pack(tmp_path)
     return str(repo), [delta, delta_base]
 
 
@@ -1135,7 +1198,9 @@ def _fuzz_repository() -> tuple[dict[str, bytes], list[tuple[str, str, int, int]
     """A bare repository as {path relative to it: bytes}, and its objects
     as (id, path, start, end) of their bytes in that file.  The pack holds
     whole objects, an OFS_DELTA chain two deep, and REF_DELTAs against a
-    packed and a loose blob; three objects are loose."""
+    packed and a loose blob; three objects are loose.  The REF_DELTA
+    against the loose blob, FUZZ_UNREADABLE, is unreadable, as in git: a
+    delta's base must be in its own pack."""
     blob = b"base line\n" * 40
     loose_blob = b"loose base\n" * 30
     tree = b"100644 a.txt\x00" + bytes.fromhex(hash_object(b"blob", blob))
@@ -1181,6 +1246,7 @@ def _fuzz_repository() -> tuple[dict[str, bytes], list[tuple[str, str, int, int]
 
 FUZZ_FILES, FUZZ_OBJECTS = _fuzz_repository()
 FUZZ_IDS = [oid for oid, *_ in FUZZ_OBJECTS]
+FUZZ_UNREADABLE = hash_object(b"blob", b"loose base\n" * 30 + b"three\n")
 
 
 def test_fuzz_repository_reads_back():
@@ -1188,6 +1254,12 @@ def test_fuzz_repository_reads_back():
         write_files(tmp, FUZZ_FILES)
         with ObjectStore(tmp) as store:
             for oid in FUZZ_IDS:
+                if oid == FUZZ_UNREADABLE:
+                    for method in (lambda oid: store.sizes([oid]), store.read):
+                        with pytest.raises(RepositoryError, match=f"corrupt object {oid}: "
+                                           "delta base .* is not in the pack"):
+                            method(oid)
+                    continue
                 kind, payload = store.read(oid)
                 assert hash_object(kind.encode(), payload) == oid
                 assert store.sizes([oid]) == [len(payload)]

@@ -1,10 +1,12 @@
 """Packaging checks: the runtime has no dependencies outside the standard
-library, which keeps pyproject.toml's `dependencies = []` true, and parses
-under the oldest Python its `requires-python` admits."""
+library, which keeps pyproject.toml's `dependencies = []` true, parses
+under the oldest Python its `requires-python` admits, and provides the
+console script that `[project.scripts]` declares."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -38,3 +40,17 @@ def test_modules_parse_under_the_declared_python_floor():
     version = tuple(map(int, floor.groups()))
     for path in sorted(PACKAGE.rglob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
+
+
+def test_declared_console_script_prints_help(capsys, monkeypatch):
+    # An installed console script imports module:function, calls it with
+    # no arguments and exits with what it returns.  tomllib is not in the
+    # Python floor, so the table is read by regex.
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^\[project\.scripts\]\nmethodgit = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert script is not None
+    module, function = script.groups()
+    monkeypatch.setattr(sys, "argv", ["methodgit", "--help"])
+    assert getattr(importlib.import_module(module), function)() == 0
+    out = capsys.readouterr().out
+    assert "convert" in out and "track" in out

@@ -270,6 +270,17 @@ def test_non_java_files_pass_through(tmp_path):
     assert "Person.java" not in files
 
 
+def test_a_byte_order_mark_converts_to_the_same_files(tmp_path):
+    heads = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        src, dst = str(tmp_path / f"{name}.git"), str(tmp_path / f"{name}-dst.git")
+        build_linear_repo(src, [{"Person.java": prefix + PERSON_JAVA.encode()}])
+        stats = rewrite_history(src, dst)
+        assert (stats.files_emitted, stats.files_skipped) == (2, 0)
+        heads.append(head_files(dst))
+    assert heads[0] == heads[1]
+
+
 def test_keep_java_retains_original(person_repo, tmp_path):
     dst = str(tmp_path / "dst.git")
     rewrite_history(
