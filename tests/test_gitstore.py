@@ -995,11 +995,25 @@ def _ref_delta_outside_the_pack(tmp_path):
 
 
 @requires_git
+def test_ref_delta_with_unknown_base_type_raises_repository_error(tmp_path):
+    repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
+    # The base is found only as a loose object, of a type that no pack
+    # object can have; being outside the pack, it is never looked at.
+    _write_loose(str(repo), delta_base, zlib.compress(b"bogus 3\x00abc"))
+    message = f"corrupt object {delta}: delta base {delta_base} is not in the pack"
+    with ObjectStore(str(repo)) as store:
+        for method in (lambda oid: store.sizes([oid]), store.read):
+            with pytest.raises(RepositoryError, match=message):
+                method(delta)
+        assert not store.contains(delta)
+
+
+@requires_git
 def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, capsys):
     # Git requires a REF_DELTA's base to be in the delta's own pack
     # (packfile.c, get_delta_base), so a base found only outside it, as a
-    # loose object of any type or in another pack, leaves the delta
-    # unreadable, and so does no base at all.
+    # loose object or in another pack, leaves the delta unreadable, and so
+    # does no base at all.
     repo, delta, delta_base = _ref_delta_outside_the_pack(tmp_path)
     loose = repo / "objects" / delta_base[:2] / delta_base[2:]
     (base,) = [path for path in (tmp_path / "a", tmp_path / "b")
@@ -1011,10 +1025,6 @@ def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, capsys):
     def base_loose():
         git("hash-object", "-w", str(base), cwd=str(repo))
 
-    def base_loose_of_an_unknown_type():
-        os.chmod(loose, 0o644)
-        loose.write_bytes(zlib.compress(b"bogus 3\x00abc"))
-
     def base_in_another_pack():
         loose.unlink()
         base_loose()
@@ -1024,7 +1034,7 @@ def test_size_of_a_ref_delta_whose_base_is_outside_the_pack(tmp_path, capsys):
         assert not loose.exists()
 
     message = f"corrupt object {delta}: delta base {delta_base} is not in the pack"
-    for place in (base_nowhere, base_loose, base_loose_of_an_unknown_type, base_in_another_pack):
+    for place in (base_nowhere, base_loose, base_in_another_pack):
         place()
         with ObjectStore(str(repo)) as store:
             for method in (lambda oid: store.sizes([oid]), store.read):
