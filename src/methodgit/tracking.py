@@ -12,7 +12,7 @@ costs only the trees that changed along that path.  Commits the graph does
 not hold, and filters that are missing, empty or written with other
 settings, take that lookup.  Each tree is read and decoded once
 per id into gitstore's name map, {raw name: (mode, hex id)}, which is cached
-as it is and looked up by raw name bytes.  When the path disappears from the
+and looked up by raw name bytes.  When the path disappears from the
 parent, every file the commit deleted (and, with copy detection, every file
 it retained) is a candidate, and the best candidate at or above the
 threshold continues the chain as a rename or copy; of two equal scores the
@@ -22,20 +22,22 @@ A score is at most min(size)/max(size) of the two files, in bytes or in
 lines by the metric, or 1/1 when both are empty.  So the first parent's
 files are indexed once per tree id and metric, sorted by (size, path), as
 three parallel columns of sizes, paths and blob ids; every index of one
-FollowCaches shares one string per path.  A disappearance bisects the
-sizes to the target's size and walks outward, always on the side whose
-next bound is larger.  It stops at the first bound strictly below the best
-score, and a candidate whose bound only equals it is scored only if its
-path is smaller than the best's.  The winner, its score and its kind are
-those of scoring every candidate in path order, even when the best falls
-below the threshold.  Whether a candidate was deleted is one lookup in the
-commit's own tree, made only for the candidates visited (with copy
-detection, only for the winner), so that tree is never flattened.  Byte
-sizes come from the object's pack or loose header, as git's rename
-detection takes them from oid_object_info, all that an index lacks in one
-ObjectStore.sizes pass, and are memoised per blob id, so under the byte
-metric a candidate that is not visited is never inflated; line counts
-need the fingerprint.
+FollowCaches shares one string per path.  From a FollowCaches' second
+follow on, its name maps also share each equal name and (mode, hex id)
+value, since successive versions of a directory repeat almost every entry.
+A disappearance bisects the sizes to the target's size and walks outward,
+always on the side whose next bound is larger.  It stops at the first
+bound strictly below the best score, and a candidate whose bound only
+equals it is scored only if its path is smaller than the best's.  The
+winner, its score and its kind are those of scoring every candidate in
+path order, even when the best falls below the threshold.  Whether a
+candidate was deleted is one lookup in the commit's own tree, made only
+for the candidates visited (with copy detection, only for the winner), so
+that tree is never flattened.  Byte sizes come from the object's pack or
+loose header, as git's rename detection takes them from oid_object_info,
+all that an index lacks in one ObjectStore.sizes pass, and are memoised
+per blob id, so under the byte metric a candidate that is not visited is
+never inflated; line counts need the fingerprint.
 """
 
 from __future__ import annotations
@@ -180,24 +182,33 @@ class FollowCaches:
     maps (tree id, metric) to every regular file under the tree, sorted by
     (size in the metric's unit, path), as three parallel tuples (sizes,
     paths, blob ids); paths maps each path _flatten built to its one
-    string, so the indexes of all trees share a path's string and the
-    caches free it with themselves; fingerprints maps a blob id
-    to its Fingerprint; commits maps a commit id to (tree id, parent ids,
-    position in the commit-graph or None); keys is commitgraph.path_keys's
-    memo of Bloom keys by path; starts maps a ref a follow started from,
-    or None for the branch tips, to its names and the commits they peel
-    to, [(name, commit id)], sorted by name.  So a batch of follows
-    sharing one caches sees the refs as they were at its first follow.
+    string, so the indexes of all trees share a path's string; entries
+    maps, from the second follow on, each raw name and (mode, hex id) value
+    of the name maps read to its one object, so the name maps of all trees
+    share an entry that did not change.  The two tables are kept apart
+    because a raw name hashes as the path of the same text does, and
+    comparing bytes with str is an error under python -bb.  The caches free
+    what they share with themselves.  fingerprints maps a blob id to its
+    Fingerprint; commits maps a commit id to (tree id, parent ids, position
+    in the commit-graph or None); keys is commitgraph.path_keys's memo of
+    Bloom keys by path; starts maps a ref a follow started from, or None
+    for the branch tips, to its names and the commits they peel to, [(name,
+    commit id)], sorted by name.  So a batch of follows sharing one caches
+    sees the refs as they were at its first follow.  follows counts the
+    follow() calls the caches served; a cold query, which serves one,
+    shares no tree entry, as it would have nothing to share them with.
     """
 
     trees: dict = field(default_factory=dict)
     sizes: dict = field(default_factory=dict)
     candidates: dict = field(default_factory=dict)
     paths: dict = field(default_factory=dict)
+    entries: dict = field(default_factory=dict)
     fingerprints: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
     keys: dict = field(default_factory=dict)
     starts: dict = field(default_factory=dict)
+    follows: int = 0
 
 
 @dataclass(frozen=True)
@@ -244,9 +255,18 @@ def _peel(store: ObjectStore, oid: str, caches: FollowCaches) -> str:
 def _entries(
     store: ObjectStore, tree_oid: str, caches: FollowCaches
 ) -> dict[bytes, tuple[bytes, str]]:
+    """The tree's name map, read once per id.  From the caches' second
+    follow on, each name and (mode, hex id) value equal to one
+    caches.entries holds is that object, so successive versions of a
+    directory share their unchanged entries; a single follow shares none."""
     entries = caches.trees.get(tree_oid)
     if entries is None:
-        entries = caches.trees[tree_oid] = store.read_tree(tree_oid)
+        entries = store.read_tree(tree_oid)
+        if caches.follows > 1:
+            share = caches.entries.setdefault
+            values = entries.values()
+            entries = dict(zip(map(share, entries, entries), map(share, values, values)))
+        caches.trees[tree_oid] = entries
     return entries
 
 
@@ -273,7 +293,7 @@ def _lookup(
 def _flatten(store: ObjectStore, tree_oid: str, caches: FollowCaches) -> dict[str, str]:
     """path -> blob id for every regular file under the tree, built in one
     pass over the cached name maps; nothing per subtree is kept.  Each path
-    is the one string caches.paths holds for it."""
+    is the one string caches.paths holds for it, from the first follow on."""
     flat = {}
     share = caches.paths.setdefault
     pending = [("", tree_oid)]
@@ -440,6 +460,7 @@ def follow(
     is always an ADD.
     """
     caches = caches if caches is not None else FollowCaches()
+    caches.follows += 1
     graph = store.commit_graph()
     commit_id = resolve_start(store, path, ref, caches)
     cur_path = path

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,19 @@ from methodgit import (
 )
 from methodgit.commitgraph import CommitGraphWriter
 from methodgit.rewrite import _topo_order
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """This interpreter with the source tree on its path, installed or not."""
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 PERSON_JAVA = """\
 public class Person {

@@ -11,7 +11,6 @@ import json
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
@@ -34,6 +33,7 @@ from conftest import (
     build_unreadable_pack_repo,
     read_files,
     requires_git,
+    run_python,
     write_commit_graph,
     write_files,
     write_tree_dict,
@@ -435,18 +435,9 @@ def test_installed_entry_point_help():
     assert "track" in result.stdout
 
 
-SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
 def run_module(*argv: str) -> subprocess.CompletedProcess:
     """python -m methodgit from the source tree, installed or not."""
-    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "methodgit", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    return run_python("-m", "methodgit", *argv)
 
 
 def test_module_entry_point_help():

@@ -45,7 +45,14 @@ from methodgit.tracking import (
 
 from brute import _flatten as brute_flatten
 from brute import brute_follow, brute_similarity, fraction, split_fingerprint
-from conftest import AUTHOR, build_linear_repo, sim, write_commit_graph, write_tree_dict
+from conftest import (
+    AUTHOR,
+    build_linear_repo,
+    run_python,
+    sim,
+    write_commit_graph,
+    write_tree_dict,
+)
 from repogen import generate_java_repo, generate_text_repo
 
 
@@ -486,12 +493,98 @@ def test_a_failed_peel_caches_no_branch_tips(tmp_path):
             assert [s.kind for s in steps] == [StepKind.ADD]
 
 
-@pytest.mark.parametrize("copies", [False, True])
-def test_reused_caches_give_the_steps_of_fresh_ones(tmp_path, copies):
+def test_name_maps_share_equal_entries_from_the_second_follow(tmp_path):
+    repo = str(tmp_path / "r.git")
+    build_linear_repo(
+        repo,
+        [{"a.txt": b"a%d\n" % i, "sub/b.txt": b"b%d\n" % i, "sub/c.txt": b"c\n"}
+         for i in range(4)],
+    )
+    with ObjectStore(repo) as store:
+        caches = FollowCaches()
+        follow(store, "a.txt", TrackerConfig(), caches=caches)
+        first = set(caches.trees)
+        follow(store, "sub/b.txt", TrackerConfig(), caches=caches)
+        # The sub trees, read by the second follow, differ only in b.txt.
+        later = [entries for oid, entries in caches.trees.items() if oid not in first]
+        assert len(later) == 4
+        shared = 0
+        for one, other in zip(later, later[1:]):
+            for name, value in one.items():
+                other_name = next(n for n in other if n == name)
+                assert other_name is name
+                if other[name] == value:
+                    assert other[name] is value
+                    shared += 1
+        assert shared == 3
+
+
+def test_a_single_follow_shares_only_paths(tmp_path):
+    repo = str(tmp_path / "r.git")
+    build_linear_repo(
+        repo,
+        [
+            {"a.txt": b"1\n2\n3\n", "d/b.txt": b"x\ny\nz\n"},
+            {"a2.txt": b"1\n2\n3\n", "d/b.txt": b"x\ny\nz\n"},
+        ],
+    )
+    with ObjectStore(repo) as store:
+        caches = FollowCaches()
+        steps = follow(store, "a2.txt", TrackerConfig(threshold=50), caches=caches)
+        assert [s.kind for s in steps] == [StepKind.RENAME, StepKind.ADD]
+        # A cold query's name maps are cached as read; only the paths of
+        # the -C index are shared.
+        assert caches.follows == 1
+        assert caches.entries == {}
+        assert set(caches.paths) == {"a.txt", "d/b.txt"}
+
+
+_BATCH = """
+import sys
+from methodgit import ObjectStore, TrackerConfig, follow
+from methodgit.tracking import FollowCaches
+with ObjectStore(sys.argv[1]) as store:
+    caches = FollowCaches()
+    follow(store, "a2.txt", TrackerConfig(threshold=50), ref=sys.argv[2], caches=caches)
+    follow(store, "b.txt", TrackerConfig(threshold=50), caches=caches)
+    print(sorted(caches.paths), len(caches.entries))
+"""
+
+
+def test_a_batch_compares_no_bytes_with_str(tmp_path):
+    repo = str(tmp_path / "r.git")
+    ids = build_linear_repo(
+        repo,
+        [
+            {"a.txt": b"1\n2\n3\n", "b.txt": b"x\n"},
+            {"a2.txt": b"1\n2\n3\n", "b.txt": b"x\n"},
+            {"a2.txt": b"1\n2\n3\n4\n", "b.txt": b"y\n"},
+        ],
+    )
+    # The first follow shares the path "b.txt"; the second reads the tip's
+    # tree for the first time and shares its raw name b"b.txt", which
+    # hashes alike.  Under -bb comparing the two would raise BytesWarning.
+    result = run_python("-bb", "-c", _BATCH, repo, ids[1])
+    assert result.returncode == 0, result.stderr
+    paths, shared = result.stdout.rsplit(" ", 1)
+    assert paths == "['a.txt', 'b.txt']"
+    assert int(shared) > 0
+
+
+@pytest.mark.parametrize(
+    "copies, metric",
+    [
+        pytest.param(False, Metric.GIT_BYTES, id="False"),
+        pytest.param(True, Metric.GIT_BYTES, id="True"),
+        pytest.param(False, Metric.LINES, id="False-lines"),
+        pytest.param(True, Metric.LINES, id="True-lines"),
+    ],
+)
+def test_reused_caches_give_the_steps_of_fresh_ones(tmp_path, copies, metric):
     src, dst = str(tmp_path / "src.git"), str(tmp_path / "dst.git")
     generate_java_repo(src, n_commits=30, n_files=6, seed=5)
     rewrite_history(src, dst)
-    config = TrackerConfig(threshold=50, detect_copies=copies)
+    config = TrackerConfig(threshold=50, detect_copies=copies, metric=metric)
     with ObjectStore(dst) as store:
         tip = store.resolve_ref("HEAD")
         paths = sorted(_flatten(store, store.read_commit(tip).tree, FollowCaches()))
