@@ -525,14 +525,16 @@ class ObjectStore:
             raise RepositoryError(f"not a commit: {oid}")
         return parse_commit(oid, payload)
 
-    def read_tree(self, oid: str) -> dict[bytes, tuple[bytes, str]]:
-        """The tree's name map, as parse_tree gives it; a payload that
-        parse_tree rejects raises RepositoryError."""
+    def read_tree(
+        self, oid: str, *, share: dict | None = None
+    ) -> dict[bytes, tuple[bytes, str]]:
+        """The tree's name map, as parse_tree gives it with share; a payload
+        that parse_tree rejects raises RepositoryError."""
         kind, payload = self.read(oid)
         if kind != "tree":
             raise RepositoryError(f"not a tree: {oid}")
         try:
-            return parse_tree(payload)
+            return parse_tree(payload, share=share)
         except ValueError as exc:
             raise RepositoryError(f"corrupt tree {oid}: {exc}") from exc
 
@@ -697,9 +699,14 @@ def parse_commit(oid: str, payload: bytes) -> CommitRecord:
 _TREE_ENTRY = re.compile(rb"([0-7]+) ([^\x00]+)\x00(.{20})", re.DOTALL)
 
 
-def parse_tree(payload: bytes) -> dict[bytes, tuple[bytes, str]]:
+def parse_tree(
+    payload: bytes, *, share: dict | None = None
+) -> dict[bytes, tuple[bytes, str]]:
     """The entries of a tree payload as {raw name: (mode, hex id)}, in
-    the tree's order.
+    the tree's order.  With share, each name and (mode, hex id) value
+    equal to a key of share is that key's value, and one that is not is
+    added to it, so the name maps parsed with one table share their equal
+    entries.
 
     The entries must tile the payload exactly; a gap, a truncated last
     entry, a mode that is not octal digits, an empty name or a name that
@@ -719,7 +726,13 @@ def parse_tree(payload: bytes) -> dict[bytes, tuple[bytes, str]]:
     # test every name byte against a set, which costs the split far more.
     if b"/" in b"".join(names):
         raise ValueError("tree entry name contains '/'")
-    tree = dict(zip(names, zip(parts[1::4], map(bytes.hex, parts[3::4]))))
+    values = zip(parts[1::4], map(bytes.hex, parts[3::4]))
+    if share is None:
+        tree = dict(zip(names, values))
+    else:
+        keep = share.setdefault
+        values = list(values)  # map reads it twice
+        tree = dict(zip(map(keep, names, names), map(keep, values, values)))
     if len(tree) != len(names):
         raise ValueError("duplicate tree entry name")
     return tree

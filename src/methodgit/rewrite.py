@@ -9,7 +9,15 @@ changed-path Bloom filters (see commitgraph), so that tracking and `git
 log -- <path>` skip the commits that leave a path alone.  Each commit's
 changed paths come from diffing the name maps its converted trees were
 written from against its first parent's, so the written pack is never
-read back.
+read back.  Those name maps are kept only while the diff can need them,
+as git's bloom.c keeps nothing per commit: a commit's root is live from
+its conversion until the last commit naming it as first parent is added
+to the commit-graph, and a converted tree keeps its name map, and its
+entry in the memo of converted source trees, while a live root or a kept
+map names it.  So memory grows with the trees of the live roots (two in a
+linear history), not with the history.  A source tree that recurs after
+its map went is converted again, from the memoised conversions of its
+blobs, and writes nothing new.
 
 A .java file is converted against the Walk of the last version converted
 under the same name, the one record kept per name: it is lexed against that
@@ -27,6 +35,7 @@ import os
 import shutil
 import tempfile
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, TypeVar
 
@@ -146,6 +155,16 @@ def convert_blob(
         return None
 
 
+@dataclass(slots=True)
+class _Held:
+    """The holds on a converted tree: its callers' and those of the held
+    maps that name it, each once per name."""
+
+    holds: int
+    subtrees: list[str]  # the converted trees its map names, once per name
+    sources: list[str]  # the source trees converted to it
+
+
 class _TreeConverter:
     def __init__(
         self,
@@ -158,9 +177,12 @@ class _TreeConverter:
         self.writer = writer
         self.config = config
         self.stats = stats
+        # source tree id -> converted tree id, while the converted tree is held
         self.trees: dict[str, str] = {}
-        # converted tree id -> the name map it was written from
+        # converted tree id -> the name map it was written from, while held
         self.converted: dict[str, dict[bytes, tuple[bytes, str]]] = {}
+        # converted tree id -> its holds, while it has any (see convert_tree)
+        self.held: dict[str, _Held] = {}
         # id of a blob copied as it is -> the id it was written under
         self.copied: dict[str, str] = {}
         self.blobs: dict[str, list[tuple[bytes, str]] | None] = {}
@@ -218,15 +240,25 @@ class _TreeConverter:
         return copied
 
     def convert_tree(self, tree_oid: str) -> str:
-        cached = self.trees.get(tree_oid)
-        if cached is not None:
-            return cached
+        """The id of the converted tree, written with its subtrees.  The
+        caller takes one hold on it and gives it back with release; the
+        name map and memo entry of a converted tree are kept while it is
+        held, by a caller or by the held map of a tree that names it."""
+        new_oid = self.trees.get(tree_oid)
+        if new_oid is not None:
+            self.held[new_oid].holds += 1
+            return new_oid
         # The first entry of a name wins: a later file that would take it
         # is dropped.
         out: dict[bytes, tuple[bytes, str]] = {}
+        subtrees: list[str] = []  # the converted trees out names, held by this call
         for name, (mode, oid) in self.store.read_tree(tree_oid).items():
             if mode == TREE_MODE:
-                out.setdefault(name, (mode, self.convert_tree(oid)))
+                entry = (mode, self.convert_tree(oid))
+                if out.setdefault(name, entry) is entry:
+                    subtrees.append(entry[1])
+                else:
+                    self.release(entry[1])
                 continue
             if mode == b"160000":
                 out.setdefault(name, (mode, oid))
@@ -242,8 +274,34 @@ class _TreeConverter:
             out.setdefault(name, (mode, self._copy_blob(oid)))
         new_oid = self.writer.write_tree(out)
         self.trees[tree_oid] = new_oid
-        self.converted[new_oid] = out
+        held = self.held.get(new_oid)
+        if held is None:
+            self.converted[new_oid] = out
+            self.held[new_oid] = _Held(1, subtrees, [tree_oid])
+        else:
+            # Another source tree converted to the same tree, whose held
+            # map already names these subtrees.
+            held.holds += 1
+            held.sources.append(tree_oid)
+            for oid in subtrees:
+                self.release(oid)
         return new_oid
+
+    def release(self, tree_oid: str) -> None:
+        """Give back one hold on a converted tree.  A tree left with none
+        loses its name map and memo entries, and gives back the holds its
+        map had on its subtrees; a source tree converted to it is then
+        converted again if it recurs."""
+        pending = [tree_oid]
+        while pending:
+            oid = pending.pop()
+            held = self.held[oid]
+            held.holds -= 1
+            if held.holds == 0:
+                del self.held[oid], self.converted[oid]
+                for source in held.sources:
+                    del self.trees[source]
+                pending += held.subtrees
 
 
 def _select_refs(
@@ -378,8 +436,13 @@ def _rewrite(
         order = _topo_order(store, list(refs.values()))
         converter = _TreeConverter(store, writer, config, stats)
         graph = CommitGraphWriter(converter.converted.__getitem__)
+        # A commit's root is live, holding its converted tree, from its
+        # conversion until the last commit naming it as first parent is
+        # added to the graph, which diffs against the root's map.
+        children = Counter(record.parents[0] for record in order if record.parents)
+        roots: dict[str, str] = {}  # live commit -> its converted tree
         for i, record in enumerate(order):
-            new_tree = converter.convert_tree(record.tree)
+            new_tree = roots[record.id] = converter.convert_tree(record.tree)
             new_parents = [commit_map[p] for p in record.parents]
             new_id = writer.write_commit(
                 tree=new_tree,
@@ -391,6 +454,13 @@ def _rewrite(
             )
             graph.add(new_id, new_tree, new_parents, record.committer)
             commit_map[record.id] = new_id
+            if record.parents:
+                first = record.parents[0]
+                children[first] -= 1
+                if not children[first]:
+                    converter.release(roots.pop(first))
+            if not children[record.id]:
+                converter.release(roots.pop(record.id))
             if progress is not None and (i + 1) % 100 == 0:
                 progress(i + 1, len(order))
     stats.commits_processed = len(order)

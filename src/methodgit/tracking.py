@@ -261,11 +261,10 @@ def _entries(
     directory share their unchanged entries; a single follow shares none."""
     entries = caches.trees.get(tree_oid)
     if entries is None:
-        entries = store.read_tree(tree_oid)
         if caches.follows > 1:
-            share = caches.entries.setdefault
-            values = entries.values()
-            entries = dict(zip(map(share, entries, entries), map(share, values, values)))
+            entries = store.read_tree(tree_oid, share=caches.entries)
+        else:
+            entries = store.read_tree(tree_oid)
         caches.trees[tree_oid] = entries
     return entries
 

@@ -12,6 +12,8 @@ import shutil
 import signal
 import struct
 import subprocess
+import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from hashlib import sha1
 
@@ -210,6 +212,13 @@ def test_changed_paths_beyond_512_are_truncated(tmp_path):
 # Each history is a list of commits (files, parent indices, commit time);
 # its last commit is the tip of master.
 _BASE = {"P.java": PERSON_JAVA.encode(), "README": b"readme\n"}
+
+
+def _java(name: str, version: int) -> bytes:
+    """A class whose method f returns version."""
+    return b"class %s { int f() { return %d; } }\n" % (name.encode(), version)
+
+
 # 505 files, 7 directories and gen: 513 paths, though only 505 files.
 _WIDE = {f"gen/d{i % 7}/f{i}.txt": b"%d\n" % i for i in range(505)}
 HISTORIES = {
@@ -262,6 +271,24 @@ HISTORIES = {
     "type change": [
         ({**_BASE, "a": b"file\n"}, [], T),
         ({**_BASE, "a/in": b"dir\n"}, [0], T + 60),
+    ],
+    # Commit 3 restores commit 0's root and src tree after the conversion
+    # has let their name maps go; commit 4 changes them again.
+    "revert": [
+        ({**_BASE, "src/A.java": _java("A", 0)}, [], T),
+        ({**_BASE, "src/A.java": _java("A", 1)}, [0], T + 60),
+        ({**_BASE, "src/A.java": _java("A", 2)}, [1], T + 120),
+        ({**_BASE, "src/A.java": _java("A", 0)}, [2], T + 180),
+        ({**_BASE, "src/A.java": _java("A", 3)}, [3], T + 240),
+    ],
+    # Commits 1 and 3 both have commit 0 as first parent, and commit 3 is
+    # converted after commit 1's child, commit 2.
+    "branch point": [
+        ({**_BASE, "src/A.java": _java("A", 0)}, [], T),
+        ({**_BASE, "src/A.java": _java("A", 1)}, [0], T + 60),
+        ({**_BASE, "src/A.java": _java("A", 2)}, [1], T + 120),
+        ({**_BASE, "src/A.java": _java("A", 0), "src/B.java": _java("B", 0)}, [0], T + 180),
+        ({**_BASE, "src/A.java": _java("A", 2), "src/B.java": _java("B", 0)}, [3, 2], T + 240),
     ],
 }
 
@@ -340,7 +367,15 @@ def test_written_graph_is_the_one_git_writes(converted, name, tmp_path):
     assert read_bytes(graph_path(copy)) == ours
 
 
-def test_each_history_reaches_the_case_it_is_named_for(converted):
+def _source_order(repo: str) -> tuple[str, list[str]]:
+    """The source repository a converted one was made from, and its commit
+    ids in the order the conversion took them."""
+    src = os.path.join(os.path.dirname(repo), "src.git")
+    with open(os.path.join(repo, "commit-map.tsv")) as f:
+        return src, [line.split()[0] for line in f]
+
+
+def test_each_history_reaches_the_case_it_is_named_for(converted, monkeypatch, tmp_path):
     ids = {name: [cid for cid, _ in chunks_of(read_bytes(graph_path(repo)))]
            for name, repo in converted.items()}
     assert b"EDGE" not in ids["merge"] and b"EDGE" in ids["octopus"]
@@ -355,6 +390,76 @@ def test_each_history_reaches_the_case_it_is_named_for(converted):
             parent = graph.commit(graph.position(tip))[1][0]
             filters[name] = _filter(graph, graph.position(parent))
     assert filters == {"empty commit": b"\x00", "over 512 paths": b"\xff"}
+
+    # The conversion reads commit 0's root and src trees again for commit 3.
+    src, order = _source_order(converted["revert"])
+    reads = Counter()
+    read_tree = ObjectStore.read_tree
+
+    def counting_read_tree(store, oid, **kwargs):
+        reads[oid] += 1
+        return read_tree(store, oid, **kwargs)
+
+    monkeypatch.setattr(ObjectStore, "read_tree", counting_read_tree)
+    rewrite_history(src, str(tmp_path / "revert.git"))
+    monkeypatch.undo()
+    with ObjectStore(src) as store:
+        root = store.read_commit(order[0]).tree
+        assert store.read_commit(order[3]).tree == root
+        restored = {root, store.read_tree(root)[b"src"][1]}
+    assert {oid for oid, n in reads.items() if n > 1} == restored
+
+    # The root's second first-parent child comes after its first one's child.
+    src, order = _source_order(converted["branch point"])
+    with ObjectStore(src) as store:
+        first = {oid: store.read_commit(oid).parents[:1] for oid in order}
+    children = [oid for oid in order if first[oid] == [order[0]]]
+    assert len(children) == 2
+    between = order[order.index(children[0]) + 1 : order.index(children[1])]
+    assert any(first[oid] == [children[0]] for oid in between)
+
+
+# Few versions of each file, so that random histories bring trees back
+# after the conversion let their name maps go, and branch often.
+_VERSIONS = {
+    "src/A.java": [None, _java("A", 0), _java("A", 1)],
+    "src/B.java": [None, _java("B", 0)],
+    "doc/x.txt": [None, b"x\n", b"y\n"],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.tuples(*(st.integers(0, len(v) - 1) for v in _VERSIONS.values())),
+        st.lists(st.integers(0, 99), max_size=3),  # parents, modulo the index
+        st.integers(0, 3),  # minutes after T, so dates tie and go back
+    ),
+    min_size=1,
+    max_size=8,
+))
+def test_any_history_gets_the_graph_of_its_converted_trees(commits):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "src.git"), os.path.join(tmp, "dst.git")
+        ids: list[str] = []
+        with RepoWriter(src) as writer:
+            writer.init_bare()
+            for i, (versions, picks, minutes) in enumerate(commits):
+                files = {"README": b"readme\n"}
+                for (path, contents), k in zip(_VERSIONS.items(), versions):
+                    if contents[k] is not None:
+                        files[path] = contents[k]
+                parents = list(dict.fromkeys(ids[p % i] for p in picks)) if i else []
+                stamp = AUTHOR % (T + 60 * minutes)
+                ids.append(writer.write_commit(
+                    tree=write_tree_dict(writer, files), parents=parents,
+                    author=stamp, committer=stamp, message=b"commit %d\n" % i,
+                ))
+        writer.write_refs({f"refs/heads/c{i}": oid for i, oid in enumerate(ids)})
+        rewrite_history(src, dst)
+        ours = read_bytes(graph_path(dst))
+        os.remove(graph_path(dst))
+        assert read_bytes(write_commit_graph(dst)) == ours
 
 
 def _filter(graph: CommitGraph, pos: int) -> bytes:

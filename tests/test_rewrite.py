@@ -250,6 +250,58 @@ def test_conversion_reads_each_copied_blob_once(tmp_path, monkeypatch):
         assert ("Person.java" in files) is keep_java
 
 
+def _tree_ids(store: ObjectStore, tree_oid: str) -> set[str]:
+    """The tree and every tree under it."""
+    out = {tree_oid}
+    for mode, oid in store.read_tree(tree_oid).values():
+        if mode == b"40000":
+            out |= _tree_ids(store, oid)
+    return out
+
+
+def test_conversion_holds_only_the_name_maps_of_the_two_newest_roots(tmp_path, monkeypatch):
+    src, dst = str(tmp_path / "src.git"), str(tmp_path / "dst.git")
+    generate_java_repo(src, n_commits=40, n_files=8, seed=3)
+    converters = []
+    held: list[set[str]] = []  # the converted trees with a name map, after each add
+    init = methodgit.rewrite._TreeConverter.__init__
+    add = methodgit.rewrite.CommitGraphWriter.add
+
+    def recording_init(self, *args):
+        init(self, *args)
+        converters.append(self)
+
+    def recording_add(self, *args):
+        add(self, *args)
+        held.append(set(converters[0].converted))
+
+    reads = Counter()
+    read = ObjectStore.read
+
+    def counting_read(store, oid):
+        result = read(store, oid)
+        if result[0] == "tree":
+            reads[oid] += 1
+        return result
+
+    monkeypatch.setattr(methodgit.rewrite._TreeConverter, "__init__", recording_init)
+    monkeypatch.setattr(methodgit.rewrite.CommitGraphWriter, "add", recording_add)
+    monkeypatch.setattr(ObjectStore, "read", counting_read)
+    rewrite_history(src, dst)
+    monkeypatch.undo()
+    assert set(reads.values()) == {1}
+    with ObjectStore(dst) as store, open(os.path.join(dst, "commit-map.tsv")) as f:
+        roots = [_tree_ids(store, store.read_commit(line.split()[1]).tree) for line in f]
+    assert len(held) == len(roots) == 40
+    everything = set().union(*roots)
+    for i, maps in enumerate(held):
+        assert maps <= roots[i] | roots[max(i - 1, 0)]
+    # Holding every tree converted so far would break the bound above.
+    assert len(everything) > 2 * max(map(len, roots))
+    # The tip has no first-parent child: its root goes after its add.
+    assert converters[0].converted == {} and converters[0].trees == {}
+
+
 def test_non_java_files_pass_through(tmp_path):
     src = str(tmp_path / "src.git")
     build_linear_repo(
