@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .emit import LineFormat, RenderConfig
-from .errors import MethodGitError
+from .errors import MethodGitError, NameError_
 from .evaluate import (
     DEFAULT_THRESHOLDS,
     compare_modes,
@@ -110,7 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    try:
+        name_policy = NamePolicy(max_file_name_bytes=args.max_name_bytes)
+    except NameError_ as exc:
+        parser.error(f"argument --max-name-bytes: {exc}")
     render = RenderConfig(
         line_format=LineFormat.PLAIN if args.plain else LineFormat.TOKEN_PER_LINE,
         heuristic1=not args.no_h1,
@@ -120,23 +125,38 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         render=render,
         emit_fields=args.fields,
         keep_original_java=args.keep_java,
-        name_policy=NamePolicy(max_file_name_bytes=args.max_name_bytes),
+        name_policy=name_policy,
     )
 
     def progress(done: int, total: int) -> None:
         print(f"{done}/{total} commits", file=sys.stderr)
 
-    stats = rewrite_history(
-        args.src, args.dst, config, ref_names=args.ref, progress=progress
-    )
-    for name in stats.refs_skipped:
-        print(f"warning: skipped {name}: it names a tree or a blob, not a commit",
-              file=sys.stderr)
-    payload = json.dumps(stats.to_dict(), indent=2)
-    print(payload)
+    # The stats file is opened before converting, so a path that cannot be
+    # written fails first.  It is opened to append, so a file it names is
+    # left as it was when the conversion fails, and one it creates is removed.
+    stats_file = None
     if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as f:
-            f.write(payload + "\n")
+        created = not os.path.lexists(args.stats_json)
+        stats_file = open(args.stats_json, "a", encoding="utf-8")
+    converted = False
+    try:
+        stats = rewrite_history(
+            args.src, args.dst, config, ref_names=args.ref, progress=progress
+        )
+        converted = True
+        for name in stats.refs_skipped:
+            print(f"warning: skipped {name}: it names a tree or a blob, not a commit",
+                  file=sys.stderr)
+        payload = json.dumps(stats.to_dict(), indent=2)
+        print(payload)
+        if stats_file is not None:
+            stats_file.truncate(0)
+            stats_file.write(payload + "\n")
+    finally:
+        if stats_file is not None:
+            stats_file.close()
+            if created and not converted:
+                os.remove(args.stats_json)
     return 0
 
 
@@ -192,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "convert":
-            return _cmd_convert(args)
+            return _cmd_convert(args, parser)
         if args.command == "track":
             return _cmd_track(args, parser)
         if args.command == "evaluate":

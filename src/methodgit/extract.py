@@ -14,14 +14,14 @@ error messages.  What a declaration owns is defined once, as runs of token
 indices (see Declaration); its token texts and plain source lines are read
 from them when asked for, and nothing else is copied.
 
-A walk can also reuse the last walk of an earlier version of the file, which
-holds the LexBase it is lexed against (see Walk).  Each member of a type that
-lies outside any body gets a MemberRecord, with which the caller keeps what
-it made of the member's declarations.  When the next version copies the
-member's tokens and source lines unchanged and the member sits in the same
-context, the walk steps over it and hands back what was kept (see
-_Extractor._reuse).  A type body whose braces the edit leaves paired as
-they were closes where it closed before, shifted, without a scan.
+A walk reuses the last walk of an earlier version of the file, or of the
+empty source, which holds the LexBase it is lexed against (see Walk).  Each
+member of a type that lies outside any body gets a MemberRecord, in which
+Walk.settle keeps what the caller made of its declarations.  When the next
+version copies the member's tokens and source lines unchanged and the member
+sits in the same context, the walk steps over it and hands back what was
+kept (see _Extractor._reuse).  A type body whose braces the edit leaves
+paired as they were closes where it closed before, shifted, without a scan.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from operator import attrgetter
 
 from .errors import ParseError
-from .lexer import IDENTIFIER, KEYWORD, CommentSpan, LexBase, position, tokenize
+from .lexer import IDENTIFIER, KEYWORD, CommentSpan, LexBase, _end, _start, position, tokenize
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double", "void"}
@@ -187,7 +186,7 @@ class MemberRecord:
     of anonymous classes numbered before it in the file and anons the
     number numbered inside it.  methods and fields are the positions of its
     declarations in the walk's lists.  kept is what the caller made of them,
-    (method entries, field entries), and None until the caller sets it.
+    (method entries, field entries), and None until Walk.settle sets it.
     """
 
     start: int
@@ -214,6 +213,19 @@ class Walk:
     lex: LexBase = field(default_factory=LexBase)
     members: list[MemberRecord] = field(default_factory=list)
     closes: dict[int, int] = field(default_factory=dict)
+
+    def settle(self, methods: list, fields: list) -> None:
+        """Keep in each record the caller's entries for its member's
+        declarations: methods and fields hold one per declaration the walk
+        gave, None for one dropped; fields is empty when none are made.  A
+        member with a dropped entry loses its record, to be walked again."""
+        settled = []
+        for rec in self.members:
+            kept = tuple(methods[rec.methods]), tuple(fields[rec.fields])
+            if None not in kept[0] and None not in kept[1]:
+                rec.kept = kept
+                settled.append(rec)
+        self.members = settled
 
 
 _PAIRED = frozenset("(){}")
@@ -393,10 +405,6 @@ def scan_type(lex: LexBase, i: int, end: int | None = None) -> tuple[int, str] |
     return j, "".join(parts)
 
 
-_start = attrgetter("start")
-_end = attrgetter("end")
-
-
 def source_lines(lex: LexBase, lo: int, hi: int) -> list[str]:
     """Full source lines covering character span [lo, hi), with
     non-Javadoc comments spliced out.  Lines that a removal left
@@ -441,9 +449,9 @@ def source_lines(lex: LexBase, lo: int, hi: int) -> list[str]:
 
 
 class _Extractor:
-    def __init__(self, lex: LexBase, walk: Walk | None = None):
-        """walk, when given, is the walk of the version lex was lexed
-        against; it is read here, then given lex and refilled as this walk goes."""
+    def __init__(self, lex: LexBase, walk: Walk):
+        """walk is the walk of the version lex was lexed against; it is
+        read here, then given lex and refilled as this walk goes."""
         self.lex = lex
         self.toks = lex.tokens
         self.kinds = lex.kinds
@@ -458,9 +466,8 @@ class _Extractor:
         self._reusable: dict[int, tuple[MemberRecord, bool]] = {}
         # new '{' index -> its '}', for the type bodies of the last walk
         self._closes: dict[int, int] = {}
-        if walk is not None:
-            self._take(walk)
-            walk.lex, walk.members, walk.closes = lex, [], {}
+        self._take(walk)
+        walk.lex, walk.members, walk.closes = lex, [], {}
 
     def _take(self, last: Walk) -> None:
         """Map what the last walk kept to this version's token indices: the
@@ -634,8 +641,7 @@ class _Extractor:
         close = self._closes.get(j)
         if close is None:
             close = match_brace(self.lex, j)
-        if self.walk is not None:
-            self.walk.closes[j] = close
+        self.walk.closes[j] = close
         rec = TypeDecl(kind, name, start, header, j, close)
         sub_chain = chain + [name]
         k = j + 1
@@ -690,7 +696,7 @@ class _Extractor:
         each is recorded, and one the last walk recorded may be reused;
         a reused member is left out of the list."""
         toks = self.toks
-        records = None if self._bodies or self.walk is None else self.walk.members
+        records = None if self._bodies else self.walk.members
         out: list[Member] = []
         j = i
         while j < close:
@@ -1069,14 +1075,16 @@ def extract(
     callers then keep the original file untouched.  A ParseError's message
     ends with the line of its token.
 
-    walk, when given, is the last walk of an earlier version of the file:
-    source is lexed against walk.lex, and a member whose record can be
-    reused is not walked, the entries its record kept standing for its
-    declarations in their places.  A LexError leaves walk as it was; then
-    walk takes the new lex and is refilled as the walk goes, with records
-    whose kept is None, so a walk that fails leaves none to reuse.
+    walk is the last walk of an earlier version of the file, a new Walk by
+    default: source is lexed against walk.lex, and a member whose record
+    can be reused is not walked, the entries its record kept standing for
+    its declarations in their places.  A LexError leaves walk as it was;
+    then walk takes the new lex and is refilled as the walk goes; its
+    records keep nothing until Walk.settle, so a failed walk leaves none.
     """
-    lex = tokenize(source, None if walk is None else walk.lex)
+    if walk is None:
+        walk = Walk()
+    lex = tokenize(source, walk.lex)
     ex = _Extractor(lex, walk)
     try:
         ex.run()

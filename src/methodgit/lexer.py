@@ -34,9 +34,9 @@ what the edit can have changed.  Two locality rules make that exact:
   the rest of the old stream follows, its offsets shifted by delta.
 
 Both copies are slices of the base's sequences, so no per-token object is
-built for them, and the base is never written.  The result's ``copied``
-says what was copied, so a later stage can reuse what it built from the
-base's copied tokens.
+built for them, and the base is never written; the base by default is the
+empty source.  The result's ``copied`` says what was copied, so a later
+stage can reuse what it built from the base's copied tokens.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class LexBase:
     at source[offsets[i]:end(i)].  comments holds every comment in source
     order, and javadocs those among them that are documentation comments,
     the same objects.  copied is what the lex that made it took from its
-    base, None without a base; it says how the record was made, not what it
-    holds, so equality ignores it.  A new LexBase records the empty source.
+    base, None if no lex made it; it says how the record was made, not what
+    it holds, so equality ignores it.  A new LexBase records the empty source.
     tokenize never writes to the base it lexes against (see extract.Walk)."""
 
     source: str = ""
@@ -225,11 +225,11 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     listed in the result's javadocs.  Raises LexError for unterminated
     comments or literals and for characters that fit no token class.
 
-    With a base, the parts of source that the locality rules (see the
-    module docstring) show to lex as in base.source are copied from it
-    instead of lexed again; the result is the same for any base, and its
-    copied says what was taken from base.  base is only read: the result
-    shares no mutable sequence with it.
+    The parts of source that the locality rules (see the module docstring)
+    show to lex as in base.source, the empty source without a base, are
+    copied from it instead of lexed again; the result is the same for any
+    base, and its copied says what was taken from base.  base is only read:
+    the result shares no mutable sequence with it.
     """
     old = base if base is not None else LexBase()
     old_src = old.source
@@ -302,5 +302,5 @@ def tokenize(source: str, base: LexBase | None = None) -> LexBase:
     comments += moved
     javadocs += [s for s in moved if s.javadoc]
 
-    copied = None if base is None else Copied(i, prefix, k, sync, shift, delta)
+    copied = Copied(i, prefix, k, sync, shift, delta)
     return LexBase(source, tokens, bytes(kinds), offsets, comments, javadocs, copied)

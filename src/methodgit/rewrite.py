@@ -12,12 +12,12 @@ written from against its first parent's, so the written pack is never
 read back.  Those name maps are kept only while the diff can need them,
 as git's bloom.c keeps nothing per commit: a commit's root is live from
 its conversion until the last commit naming it as first parent is added
-to the commit-graph, and a converted tree keeps its name map, and its
-entry in the memo of converted source trees, while a live root or a kept
-map names it.  So memory grows with the trees of the live roots (two in a
-linear history), not with the history.  A source tree that recurs after
-its map went is converted again, from the memoised conversions of its
-blobs, and writes nothing new.
+to the commit-graph.  A converted tree has one record (_Held), with its
+name map and the source trees memoised as converted to it, while a live
+root or a kept map names it.  So memory grows with the trees of the live
+roots (two in a linear history), not with the history.  A source tree that
+recurs after its record went is converted again, from the memoised
+conversions of its blobs, and writes nothing new.
 
 A .java file is converted against the Walk of the last version converted
 under the same name, the one record kept per name: it is lexed against that
@@ -89,16 +89,17 @@ def convert_source(
 
     walk, given with the same config and emit each time, makes the
     conversion incremental: it holds the walk of the last conversion of an
-    earlier version of the file (see extract).  A member whose record is
-    reused gets the (file name, content) pairs it got then, without being
-    walked, named or emitted.  Names are still taken in order, so a reused
-    pair that now repeats an earlier name is dropped.  Each record then
-    keeps its member's pairs; one with a dropped pair is removed, so that
-    member is walked again next time.
+    earlier version of the file (see extract), a new Walk by default.  A
+    member whose record is reused gets the (file name, content) pairs it
+    got then, without being walked, named or emitted.  Names are still
+    taken in order, so a reused pair that now repeats an earlier name is
+    dropped.  Walk.settle then keeps each member's pairs in its record.
     """
     if emit is None:
         def emit(decl: Declaration) -> bytes:
             return render(decl, config.render)
+    if walk is None:
+        walk = Walk()
     methods, fields = extract(source, walk)
     out: list[tuple[str, Content]] = []
     seen: set[str] = set()
@@ -121,16 +122,8 @@ def convert_source(
         return kept
 
     kept_methods = take(methods, method_file_name)
-    kept_fields = take(fields, field_file_name) if config.emit_fields else None
-    if walk is not None:
-        settled = []
-        for rec in walk.members:
-            pairs = tuple(kept_methods[rec.methods])
-            field_pairs = () if kept_fields is None else tuple(kept_fields[rec.fields])
-            if None not in pairs and None not in field_pairs:
-                rec.kept = pairs, field_pairs
-                settled.append(rec)
-        walk.members = settled
+    kept_fields = take(fields, field_file_name) if config.emit_fields else []
+    walk.settle(kept_methods, kept_fields)
     return out
 
 
@@ -157,12 +150,13 @@ def convert_blob(
 
 @dataclass(slots=True)
 class _Held:
-    """The holds on a converted tree: its callers' and those of the held
-    maps that name it, each once per name."""
+    """A converted tree while it is held: the name map it was written from,
+    the source trees converted to it, and its holds, its callers' and those
+    of the held maps that name it, each once per name."""
 
-    holds: int
-    subtrees: list[str]  # the converted trees its map names, once per name
-    sources: list[str]  # the source trees converted to it
+    tree: dict[bytes, tuple[bytes, str]]
+    sources: list[str]
+    holds: int = 1
 
 
 class _TreeConverter:
@@ -179,9 +173,7 @@ class _TreeConverter:
         self.stats = stats
         # source tree id -> converted tree id, while the converted tree is held
         self.trees: dict[str, str] = {}
-        # converted tree id -> the name map it was written from, while held
-        self.converted: dict[str, dict[bytes, tuple[bytes, str]]] = {}
-        # converted tree id -> its holds, while it has any (see convert_tree)
+        # converted tree id -> its record, while it has holds (see convert_tree)
         self.held: dict[str, _Held] = {}
         # id of a blob copied as it is -> the id it was written under
         self.copied: dict[str, str] = {}
@@ -249,15 +241,12 @@ class _TreeConverter:
             self.held[new_oid].holds += 1
             return new_oid
         # The first entry of a name wins: a later file that would take it
-        # is dropped.
+        # is dropped.  Each converted tree that out names is held by this call.
         out: dict[bytes, tuple[bytes, str]] = {}
-        subtrees: list[str] = []  # the converted trees out names, held by this call
         for name, (mode, oid) in self.store.read_tree(tree_oid).items():
             if mode == TREE_MODE:
                 entry = (mode, self.convert_tree(oid))
-                if out.setdefault(name, entry) is entry:
-                    subtrees.append(entry[1])
-                else:
+                if out.setdefault(name, entry) is not entry:
                     self.release(entry[1])
                 continue
             if mode == b"160000":
@@ -276,21 +265,21 @@ class _TreeConverter:
         self.trees[tree_oid] = new_oid
         held = self.held.get(new_oid)
         if held is None:
-            self.converted[new_oid] = out
-            self.held[new_oid] = _Held(1, subtrees, [tree_oid])
+            self.held[new_oid] = _Held(out, [tree_oid])
         else:
             # Another source tree converted to the same tree, whose held
             # map already names these subtrees.
             held.holds += 1
             held.sources.append(tree_oid)
-            for oid in subtrees:
-                self.release(oid)
+            for mode, oid in out.values():
+                if mode == TREE_MODE:
+                    self.release(oid)
         return new_oid
 
     def release(self, tree_oid: str) -> None:
         """Give back one hold on a converted tree.  A tree left with none
-        loses its name map and memo entries, and gives back the holds its
-        map had on its subtrees; a source tree converted to it is then
+        loses its record and memo entries, and gives back the hold its map
+        has on each tree it names; a source tree converted to it is then
         converted again if it recurs."""
         pending = [tree_oid]
         while pending:
@@ -298,10 +287,10 @@ class _TreeConverter:
             held = self.held[oid]
             held.holds -= 1
             if held.holds == 0:
-                del self.held[oid], self.converted[oid]
+                del self.held[oid]
                 for source in held.sources:
                     del self.trees[source]
-                pending += held.subtrees
+                pending += [sub for mode, sub in held.tree.values() if mode == TREE_MODE]
 
 
 def _select_refs(
@@ -435,7 +424,7 @@ def _rewrite(
         writer.init_bare()
         order = _topo_order(store, list(refs.values()))
         converter = _TreeConverter(store, writer, config, stats)
-        graph = CommitGraphWriter(converter.converted.__getitem__)
+        graph = CommitGraphWriter(lambda oid: converter.held[oid].tree)
         # A commit's root is live, holding its converted tree, from its
         # conversion until the last commit naming it as first parent is
         # added to the graph, which diffs against the root's map.

@@ -105,6 +105,45 @@ def test_convert_stats_and_file(person_repo, tmp_path, capsys):
     assert on_disk == payload
 
 
+def test_convert_name_budget_below_the_minimum_is_usage_error(person_repo, tmp_path, capsys):
+    dst = tmp_path / "out.git"
+    code, out, err = run(
+        capsys, "convert", "--src", person_repo, "--dst", str(dst), "--max-name-bytes", "10"
+    )
+    assert code == 2
+    assert "--max-name-bytes" in err and "at least 32" in err
+    assert out == "" and not dst.exists()
+
+
+def test_convert_unwritable_stats_path_fails_before_converting(person_repo, tmp_path, capsys):
+    dst = tmp_path / "out.git"
+    stats_file = tmp_path / "missing" / "stats.json"
+    code, out, err = run(
+        capsys, "convert", "--src", person_repo, "--dst", str(dst),
+        "--stats-json", str(stats_file),
+    )
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+    assert out == "" and not dst.exists() and not stats_file.exists()
+
+
+def test_convert_that_fails_leaves_no_stats_file(person_repo, tmp_path, capsys):
+    dst = tmp_path / "out.git"
+    dst.mkdir()
+    (dst / "taken").write_text("")
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("earlier stats\n")
+    for stats_file in (new, old):
+        code, out, err = run(
+            capsys, "convert", "--src", person_repo, "--dst", str(dst),
+            "--stats-json", str(stats_file),
+        )
+        assert code == 1 and "not empty" in err and out == ""
+    # The file the run would have created is gone; the one it found is as it was.
+    assert not new.exists() and old.read_text() == "earlier stats\n"
+    assert sorted(os.listdir(dst)) == ["taken"]
+
+
 def test_convert_stats_count_reused_declarations(tmp_path, capsys):
     src = str(tmp_path / "src.git")
     one = "class A {\n  int a() { return 1; }\n  int b() { return 2; }\n}\n"

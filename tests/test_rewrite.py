@@ -273,7 +273,7 @@ def test_conversion_holds_only_the_name_maps_of_the_two_newest_roots(tmp_path, m
 
     def recording_add(self, *args):
         add(self, *args)
-        held.append(set(converters[0].converted))
+        held.append(set(converters[0].held))
 
     reads = Counter()
     read = ObjectStore.read
@@ -299,7 +299,41 @@ def test_conversion_holds_only_the_name_maps_of_the_two_newest_roots(tmp_path, m
     # Holding every tree converted so far would break the bound above.
     assert len(everything) > 2 * max(map(len, roots))
     # The tip has no first-parent child: its root goes after its add.
-    assert converters[0].converted == {} and converters[0].trees == {}
+    assert converters[0].held == {} and converters[0].trees == {}
+
+
+def test_a_method_file_keeps_its_name_from_a_later_subtree(tmp_path, monkeypatch):
+    """A.java's method file takes the name of the directory after it, so
+    the directory's converted tree is given back as soon as it is made."""
+    src = str(tmp_path / "src.git")
+    java = b"class Z { void m() {} }\n"
+    build_linear_repo(src, [
+        {"A.java": java, "Z#void_m().mjava/f.txt": b"one\n"},
+        {"A.java": java, "Z#void_m().mjava/f.txt": b"two\n", "B.java": b"class B {}\n"},
+    ])
+    converters = []
+    init = methodgit.rewrite._TreeConverter.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        converters.append(self)
+
+    monkeypatch.setattr(methodgit.rewrite._TreeConverter, "__init__", recording_init)
+
+    def convert_to(name: str) -> tuple[dict[str, str], list[bytes]]:
+        dst = str(tmp_path / name)
+        stats = rewrite_history(src, dst)
+        assert (stats.files_emitted, stats.files_skipped) == (1, 0)
+        written = [pack_order_ids(dst)]
+        for rel in ("commit-map.tsv", os.path.join("objects", "info", "commit-graph")):
+            with open(os.path.join(dst, rel), "rb") as f:
+                written.append(f.read())
+        return head_files(dst), written
+
+    files, written = convert_to("one.git")
+    assert files == {"Z#void_m().mjava": hash_object(b"blob", b"void\nm\n")}
+    assert all(c.held == {} and c.trees == {} for c in converters)
+    assert convert_to("two.git") == (files, written)
 
 
 def test_non_java_files_pass_through(tmp_path):
